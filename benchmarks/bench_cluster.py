@@ -183,8 +183,8 @@ def _run_chaos(config: dict) -> dict:
 
     def run(executor):
         t0 = time.perf_counter()
-        result = run_grk_batch_sharded(schedule, targets, "kernels", policy,
-                                       executor=executor)
+        result = run_grk_batch_sharded(schedule.program, targets, "kernels",
+                                       policy, executor=executor)
         return time.perf_counter() - t0, result
 
     def fleet_executor(*addresses):

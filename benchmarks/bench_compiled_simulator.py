@@ -28,7 +28,7 @@ comparable perf snapshot.  Four measurements:
   circuit, batched >= 10x the single-run loop, the sharded batch
   bit-identical under its budget, at least one policy knob buying
   throughput on the batched kernels, and the fused backend clearing its
-  speedup floors at both dtypes.
+  complex64 speedup floor.
 
 ``--quick`` runs a reduced configuration (fewer qubits, smaller budgets,
 relaxed speedup floors) for the CI smoke job; the JSON records which mode
@@ -70,7 +70,6 @@ CONFIGS = {
         "row_threads": 4,
         "floor_compiled_vs_naive": 5.0,
         "floor_batched_vs_loop": 10.0,
-        "floor_fused_complex128": 1.25,
         "floor_fused_complex64": 1.15,
     },
     "quick": {
@@ -83,7 +82,6 @@ CONFIGS = {
         "row_threads": 2,
         "floor_compiled_vs_naive": 3.0,
         "floor_batched_vs_loop": 5.0,
-        "floor_fused_complex128": 1.05,
         "floor_fused_complex64": 1.05,
     },
 }
@@ -244,17 +242,17 @@ def bench_kernels_backends(cfg: dict) -> dict:
     the optional dependency is installed) is held to the registry's core
     contract end to end through the engine — complex128 bit-identical to
     the numpy reference, complex64 within the documented tolerance — and
-    then *timed at the sweep level* (``grk_sweep_rows`` on one resident
-    ``(B, N)`` slab, the code the backend knob actually swaps): the
-    engine's fixed per-batch overhead (planning, report assembly) is the
-    same for every backend and would dilute the tier-vs-tier ratio.  The
-    fused speedups feed the acceptance floors.
+    then *timed at the sweep level* (``program_sweep_rows`` over every
+    target, the code the backend knob actually swaps): the engine's fixed
+    per-batch overhead (planning, report assembly) is the same for every
+    backend and would dilute the tier-vs-tier ratio.  Both ratios are
+    recorded against the numpy backend's row-blocked sweep at the same
+    dtype.  Row blocking lives in that shared sweep, so at complex128
+    fused only owes bit identity (its ratio sits near 1); the complex64
+    ratio, where fused's einsum reductions still pay, feeds the
+    acceptance floor.
     """
-    from repro.kernels import (
-        available_kernel_backends,
-        get_kernel_backend,
-        uniform_batch,
-    )
+    from repro.kernels import available_kernel_backends, get_kernel_backend
 
     n = cfg["kernels_batch_qubits"]
     n_items = 1 << n
@@ -277,23 +275,21 @@ def bench_kernels_backends(cfg: dict) -> dict:
         "n_address_qubits": n,
         "n_targets": int(n_items),
         "backends": list(available_kernel_backends()),
+        "speedup_base": "numpy program_sweep_rows (row-blocked), same dtype",
     }
-    def sweep_time(backend, real_dtype, repeats: int = 5) -> float:
-        # The state re-initialises outside the timed region (the sweep
-        # mutates it in place): the uniform fill costs the same for every
-        # backend and would dilute the tier-vs-tier ratio.
+
+    def sweep_time(backend, policy, repeats: int = 5) -> float:
         best = float("inf")
         for _ in range(repeats):
-            amps = uniform_batch(n_items, n_items, dtype=real_dtype)
             t0 = time.perf_counter()
-            backend.grk_sweep_rows(sched, amps, targets)
+            backend.program_sweep_rows(sched.program, targets, policy)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    for dtype, real_dtype in (("complex128", np.float64),
-                              ("complex64", np.float32)):
-        baseline = run(ExecutionPolicy(dtype=dtype))
-        t_base = sweep_time(get_kernel_backend("numpy"), real_dtype)
+    for dtype in ("complex128", "complex64"):
+        policy = ExecutionPolicy(dtype=dtype)
+        baseline = run(policy)
+        t_base = sweep_time(get_kernel_backend("numpy"), policy)
         results[f"numpy_{dtype}_s"] = t_base
         for name in available_kernel_backends():
             if name == "numpy":
@@ -309,7 +305,7 @@ def bench_kernels_backends(cfg: dict) -> dict:
                 assert err <= COMPLEX64_SUCCESS_ATOL, (
                     f"{name} drifted {err} > {COMPLEX64_SUCCESS_ATOL}")
                 results[f"max_success_error_{name}_{dtype}"] = err
-            t = sweep_time(get_kernel_backend(name), real_dtype)
+            t = sweep_time(get_kernel_backend(name), policy)
             results[f"{name}_{dtype}_s"] = t
             results[f"speedup_{name}_vs_numpy_{dtype}"] = t_base / t
     return results
@@ -451,12 +447,10 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
                 kernels_batched["speedup_complex64_vs_baseline"],
                 kernels_batched["speedup_row_threads_vs_baseline"],
             ) > 1.05,
-            # The fused backend is pure numpy, so its floors hold on any
-            # host; the numba tier is optional and carries no floor (its
-            # speedup is recorded when the import is available).
-            f"fused_at_least_{cfg['floor_fused_complex128']:g}x_numpy_c128":
-                kernels_backends["speedup_fused_vs_numpy_complex128"]
-                >= cfg["floor_fused_complex128"],
+            # The fused backend is pure numpy, so its complex64 floor holds
+            # on any host.  Its complex128 ratio is recorded but carries no
+            # floor (row blocking, its old premise, is in the shared sweep
+            # now), and neither does the optional numba tier.
             f"fused_at_least_{cfg['floor_fused_complex64']:g}x_numpy_c64":
                 kernels_backends["speedup_fused_vs_numpy_complex64"]
                 >= cfg["floor_fused_complex64"],

@@ -14,6 +14,9 @@ Public surface:
   ``l2``) and exact integer schedules.
 - :func:`~repro.core.algorithm.run_partial_search` — the three-step GRK
   algorithm on the state-vector simulator, with optional stage tracing.
+- :class:`~repro.core.program.PartialSearchProgram` — the one plain-data
+  form of every GRK-family method (``plan.program``), which the batched
+  kernel sweep runs.
 - :class:`~repro.core.subspace.SubspaceGRK` — exact O(1) evolution of the
   3-dimensional invariant subspace, for arbitrarily large ``N``.
 - :func:`~repro.core.sure_success.run_sure_success_partial_search` — the
@@ -33,6 +36,7 @@ Public surface:
 
 from repro.core.blockspec import BlockSpec
 from repro.core.parameters import GRKParameters, GRKSchedule, plan_schedule
+from repro.core.program import PartialSearchProgram
 from repro.core.algorithm import PartialSearchResult, run_partial_search
 from repro.core.batch import BatchResult, run_partial_search_batch
 from repro.core.simplified import (
@@ -57,6 +61,7 @@ __all__ = [
     "GRKParameters",
     "GRKSchedule",
     "plan_schedule",
+    "PartialSearchProgram",
     "PartialSearchResult",
     "run_partial_search",
     "BatchResult",

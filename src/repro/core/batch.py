@@ -1,28 +1,34 @@
-"""Vectorised batch execution: many partial searches in one numpy sweep.
+"""Vectorised batch execution: many partial searches in one sweep.
 
-All structured kernels broadcast over leading axes, so ``B`` independent
-searches (one per target) can be advanced together as a ``(B, N)`` amplitude
-matrix — one fused vector pass per oracle query instead of ``B`` Python
-loops.  This is the guide-recommended way to compute success statistics over
-*every* target of an instance (e.g. the worst-case-over-targets numbers in
-the ablation bench) at 10-50x the throughput of per-target runs.
+``B`` independent searches (one per target) of one GRK-family program are
+advanced together, one batch row each — one vectorised pass per oracle
+query instead of ``B`` Python loops.  This is the way to compute success
+statistics over *every* target of an instance (e.g. the worst-case-over-
+targets numbers in the ablation bench) at 10-50x the throughput of
+per-target runs.
 
-This module owns the *chunk primitive* :func:`execute_batch_rows` — one
-memory-resident ``(B_chunk, N)`` sweep on a named backend.  Memory-bounded
-sharding, process fan-out, and the supported public surface live in
-:mod:`repro.engine` (:meth:`repro.engine.SearchEngine.search_batch`);
+This module owns the *chunk primitive* :func:`execute_batch_rows`: one
+shard of rows on a named backend, for any
+:class:`~repro.core.program.PartialSearchProgram` (grk, grk-simplified,
+grk-sure-success, grk-cwb).  On the ``"kernels"`` backend the whole loop
+structure is :meth:`repro.kernels.KernelBackend.program_sweep_rows`, which
+walks the rows in cache-resident blocks.  Memory-bounded sharding, process
+fan-out, and the supported public surface live in :mod:`repro.engine`
+(:meth:`repro.engine.SearchEngine.search_batch`);
 :func:`run_partial_search_batch` remains as a thin deprecated wrapper over
 the engine's sharded executor so existing callers keep working unchanged.
 
 Query accounting note: a batch models ``B`` separate executions of the same
-circuit, so the per-run query count is the schedule's ``l1 + l2 + 1``; the
-returned :class:`BatchResult` reports that per-run figure (matching what a
-single :func:`repro.core.algorithm.run_partial_search` would count).
+circuit, so the per-run query count is the program's (``l1 + l2 + 1`` for
+grk); the returned :class:`BatchResult` reports that per-run figure
+(matching what a single :func:`repro.core.algorithm.run_partial_search`
+would count).
 
-Besides the default structured-kernel sweep, ``backend="compiled"`` runs the
-batch through one compiled gate-level program with per-row targets (see
-:mod:`repro.circuits.compiler`), and ``backend="naive"`` loops the
-interpreting simulator — the slow oracle the fast paths are tested against.
+Besides the default structured-kernel sweep, ``backend="compiled"`` runs a
+plain GRK batch through one compiled gate-level program with per-row
+targets (see :mod:`repro.circuits.compiler`), and ``backend="naive"`` loops
+the interpreting simulator — the slow oracle the fast paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from repro import kernels
 from repro.core.backends import circuit_geometry, validate_backend
 from repro.core.blockspec import BlockSpec
 from repro.core.parameters import GRKSchedule, plan_schedule
+from repro.core.program import PartialSearchProgram
 from repro.kernels import ExecutionPolicy
 
 __all__ = ["BatchResult", "execute_batch_rows", "run_partial_search_batch"]
@@ -75,23 +82,26 @@ class BatchResult:
 
 
 def execute_batch_rows(
-    schedule: GRKSchedule,
+    program: PartialSearchProgram,
     targets: np.ndarray,
     backend: str,
     policy: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one memory-resident ``(B_chunk, N)`` GRK sweep.
+    """Run one shard of a GRK-family batch: *program* once per target.
 
     This is the shard primitive the engine's execution planner dispatches:
     rows evolve independently, so concatenating the outputs of consecutive
-    chunks is bit-identical to one unsharded call.  The sweep itself is
-    composed entirely of :mod:`repro.kernels` calls — this module owns the
-    GRK *loop structure*, not the kernel math.
+    chunks is bit-identical to one unsharded call.  This module selects the
+    backend and dispatches; the loop structure and the kernel math live
+    in :mod:`repro.kernels`.
 
     Args:
-        schedule: the shared integer schedule (fixes ``N`` and ``K``).
+        program: the :class:`~repro.core.program.PartialSearchProgram`
+            every row runs (fixes ``N`` and ``K``); each planner's result
+            exposes one as ``.program``.
         targets: shape ``(B_chunk,)`` target addresses, one row each.
-        backend: ``"kernels"``, ``"compiled"``, or ``"naive"`` (see
+        backend: ``"kernels"``, or (plain GRK programs only)
+            ``"compiled"`` or ``"naive"`` (see
             :func:`run_partial_search_batch`).
         policy: the :class:`~repro.kernels.ExecutionPolicy` (dtype + row
             threads + kernel backend); ``None`` = the complex128
@@ -99,14 +109,15 @@ def execute_batch_rows(
             results bit for bit.  ``row_threads`` splits the chunk into
             contiguous row slabs whose sweeps run on the GIL-releasing
             thread seam, and ``policy.backend`` selects which registered
-            :class:`~repro.kernels.KernelBackend` advances each slab —
-            both bit-identical at complex128, since rows never interact
-            and every backend replays the reference float op sequence.
+            :class:`~repro.kernels.KernelBackend` sweeps each slab — both
+            bit-identical at complex128, since rows never interact and
+            every backend replays the reference float op sequence.
 
     Returns:
         ``(success_probabilities, block_guesses)`` arrays of shape
         ``(B_chunk,)``.
     """
+    targets = np.asarray(targets, dtype=np.intp)
     if policy is None:
         policy = ExecutionPolicy()
     if targets.size == 0:
@@ -114,23 +125,16 @@ def execute_batch_rows(
         # and concatenate shard outputs unconditionally.
         return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
     if backend != "kernels":
-        return _execute_rows_on_circuit_backend(schedule, targets, backend, policy)
+        return _execute_rows_on_circuit_backend(program, targets, backend, policy)
 
-    spec = schedule.spec
-    n_items = spec.n_items
     b = targets.size
-    dtype = policy.real_dtype  # the GRK gate set is real
     kernel_backend = kernels.resolve_kernel_backend(policy.backend)
-    amps = kernels.uniform_batch(b, n_items, dtype=dtype)
 
     def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        # The whole per-slab loop structure lives on the kernel backend:
-        # the numpy backend replays the seed composition, the fused/numba
-        # tiers replay the same float ops in fewer slab traversals.
-        return kernel_backend.grk_sweep_rows(schedule, amps[sl], targets[sl])
+        return kernel_backend.program_sweep_rows(program, targets[sl], policy)
 
     return kernels.sweep_row_slabs(
-        sweep, b, policy.threads_for_slab(b, n_items)
+        sweep, b, policy.threads_for_slab(b, program.n_items)
     )
 
 
@@ -196,7 +200,9 @@ def run_partial_search_batch(
 
     from repro.engine.plan import run_grk_batch_sharded
 
-    success, guesses, _ = run_grk_batch_sharded(schedule, targets, backend)
+    success, guesses, _ = run_grk_batch_sharded(
+        schedule.program, targets, backend
+    )
     return BatchResult(
         spec=spec,
         schedule=schedule,
@@ -222,13 +228,14 @@ def _multi_target_program(
 
 
 def _execute_rows_on_circuit_backend(
-    schedule: GRKSchedule,
+    program: PartialSearchProgram,
     targets: np.ndarray,
     backend: str,
     policy: ExecutionPolicy,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gate-level batched execution: one compiled program for all rows, or
-    (``"naive"``) the interpreting simulator looped per target.
+    """Gate-level batched execution of a plain GRK program: one compiled
+    circuit for all rows, or (``"naive"``) the interpreting simulator
+    looped per target.
 
     The policy's dtype flows into the circuit kernels; ``row_threads``
     slabs the compiled multi-target run (program constants are shared and
@@ -237,17 +244,18 @@ def _execute_rows_on_circuit_backend(
     """
     from repro.circuits import partial_search_circuit, run_circuit
 
-    spec = schedule.spec
+    l1, l2 = program.grk_counts()
+    spec = BlockSpec(program.n_items, program.n_blocks)
     n_address_qubits, n_block_bits = circuit_geometry(spec, backend)
     b = targets.size
     dtype = policy.complex_dtype
     if backend == "compiled":
-        program = _multi_target_program(
-            n_address_qubits, n_block_bits, schedule.l1, schedule.l2
+        compiled = _multi_target_program(
+            n_address_qubits, n_block_bits, l1, l2
         )
 
         def run_slab(sl: slice) -> np.ndarray:
-            return program.run_multi_target(targets[sl], dtype=dtype)
+            return compiled.run_multi_target(targets[sl], dtype=dtype)
 
         parts = kernels.map_row_slabs(run_slab, b, policy.effective_row_threads)
         final = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -255,7 +263,7 @@ def _execute_rows_on_circuit_backend(
         final = np.empty((b, 2 * spec.n_items), dtype=dtype)
         for i, t in enumerate(targets):
             circuit = partial_search_circuit(
-                n_address_qubits, n_block_bits, int(t), schedule.l1, schedule.l2
+                n_address_qubits, n_block_bits, int(t), l1, l2
             )
             final[i] = run_circuit(circuit, dtype=dtype)
 

@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.algorithm import PartialSearchResult, _single_target_of
 from repro.core.blockspec import BlockSpec
 from repro.core.parameters import GRKSchedule, plan_schedule
+from repro.core.program import BLOCK, GLOBAL, PartialSearchProgram, ProgramStage
 from repro.core.subspace import SubspaceGRK
 from repro.grover.amplify import solve_phases
 from repro.oracle.database import Database
@@ -87,6 +88,23 @@ class CWBPlan:
     def extra_queries(self) -> int:
         """Certainty cost over the plain schedule — the paper's "constant"."""
         return self.queries - self.base_queries
+
+    @property
+    def program(self) -> PartialSearchProgram:
+        """``[global l1-1, global 1 (φo, φd), block l2-1, block 1 (χo, χd)]``,
+        Step 3 at φf."""
+        phi_o, phi_d, chi_o, chi_d = self.phases
+        return PartialSearchProgram(
+            self.spec.n_items,
+            self.spec.n_blocks,
+            (
+                ProgramStage(GLOBAL, self.l1 - 1),
+                ProgramStage(GLOBAL, 1, phi_o, phi_d),
+                ProgramStage(BLOCK, self.l2 - 1),
+                ProgramStage(BLOCK, 1, chi_o, chi_d),
+            ),
+            final_phase=self.final_phase,
+        )
 
 
 def _final_outside_amplitude(

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import optimize
-
 from repro.core.parameters import GRKParameters, max_feasible_epsilon
 from repro.lowerbounds.partial import lower_bound_coefficient
 
@@ -65,6 +63,8 @@ class OptimalEpsilon:
 @lru_cache(maxsize=None)
 def optimal_epsilon(n_blocks: int) -> OptimalEpsilon:
     """Minimise ``q(eps, K)`` over the feasible domain (cached per ``K``)."""
+    from scipy import optimize  # deferred: cold plans only (see solve_phases)
+
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
     hi = max_feasible_epsilon(n_blocks)

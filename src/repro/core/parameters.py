@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.blockspec import BlockSpec
+from repro.core.program import PartialSearchProgram
 from repro.grover.angles import grover_angle, iterations_for_angle
 from repro.util.validation import require
 
@@ -178,6 +179,13 @@ class GRKSchedule:
     def query_coefficient(self) -> float:
         """``queries / sqrt(N)`` for comparison against the paper's table."""
         return self.queries / math.sqrt(self.spec.n_items)
+
+    @property
+    def program(self) -> PartialSearchProgram:
+        """``[global l1, block l2]``, Step 3 at π."""
+        return PartialSearchProgram.grk(
+            self.spec.n_items, self.spec.n_blocks, self.l1, self.l2
+        )
 
 
 def plan_schedule(

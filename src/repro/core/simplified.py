@@ -43,6 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.blockspec import BlockSpec
+from repro.core.program import BLOCK, GLOBAL, PartialSearchProgram, ProgramStage
 from repro.core.subspace import SubspaceCoordinates, SubspaceGRK
 from repro.grover.angles import grover_angle
 from repro.statevector import ops
@@ -86,6 +87,20 @@ class SimplifiedSchedule:
     def query_coefficient(self) -> float:
         """``queries / sqrt(N)`` for comparison against the paper tables."""
         return self.queries / math.sqrt(self.spec.n_items)
+
+    @property
+    def program(self) -> PartialSearchProgram:
+        """``[global j1, block j2, global 1]``, no Step 3."""
+        return PartialSearchProgram(
+            self.spec.n_items,
+            self.spec.n_blocks,
+            (
+                ProgramStage(GLOBAL, self.j1),
+                ProgramStage(BLOCK, self.j2),
+                ProgramStage(GLOBAL, 1),
+            ),
+            final_phase=None,
+        )
 
 
 # --------------------------------------------------------------- asymptotics
@@ -321,32 +336,12 @@ def execute_simplified_batch_rows(
     targets: np.ndarray,
     policy=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One memory-resident ``(B_chunk, N)`` simplified-algorithm sweep.
+    """The simplified algorithm for every target of one shard.
 
-    The shard primitive for the engine's batched ``grk-simplified`` path
-    (kernels backend): rows evolve independently, so concatenating chunk
-    outputs is bit-identical to one unsharded call.  Composed entirely of
-    :mod:`repro.kernels` calls; *policy* (dtype + row threads) follows the
-    same contract as :func:`repro.core.batch.execute_batch_rows`.
+    :func:`repro.core.batch.execute_batch_rows` on the schedule's program
+    with the kernels backend: the same shard primitive and *policy*
+    contract as every other GRK-family batch.
     """
-    from repro import kernels
-    from repro.kernels import ExecutionPolicy
+    from repro.core.batch import execute_batch_rows
 
-    if policy is None:
-        policy = ExecutionPolicy()
-    spec = schedule.spec
-    n_items = spec.n_items
-    targets = np.asarray(targets, dtype=np.intp)
-    b = targets.size
-    dtype = policy.real_dtype
-    kernel_backend = kernels.resolve_kernel_backend(policy.backend)
-    amps = kernels.uniform_batch(b, n_items, dtype=dtype)
-
-    def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        return kernel_backend.simplified_sweep_rows(
-            schedule, amps[sl], targets[sl]
-        )
-
-    return kernels.sweep_row_slabs(
-        sweep, b, policy.threads_for_slab(b, n_items)
-    )
+    return execute_batch_rows(schedule.program, targets, "kernels", policy)

@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.algorithm import PartialSearchResult, _single_target_of
 from repro.core.blockspec import BlockSpec
 from repro.core.parameters import GRKSchedule, plan_schedule
+from repro.core.program import BLOCK, GLOBAL, PartialSearchProgram, ProgramStage
 from repro.core.subspace import SubspaceGRK
 from repro.grover.amplify import solve_phases
 from repro.oracle.database import Database
@@ -68,6 +69,21 @@ class SureSuccessPlan:
     def queries(self) -> int:
         """Total oracle queries: ``l1 + l2_base + len(phases)/2 + 1``."""
         return self.l1 + self.l2_base + len(self.phases) // 2 + 1
+
+    @property
+    def program(self) -> PartialSearchProgram:
+        """``[global l1, block l2_base, block 1 (φo, φd) per phase pair]``,
+        Step 3 at π."""
+        tail = tuple(
+            ProgramStage(BLOCK, 1, self.phases[i], self.phases[i + 1])
+            for i in range(0, len(self.phases), 2)
+        )
+        return PartialSearchProgram(
+            self.spec.n_items,
+            self.spec.n_blocks,
+            (ProgramStage(GLOBAL, self.l1), ProgramStage(BLOCK, self.l2_base))
+            + tail,
+        )
 
 
 def _tail_outside_amplitude(

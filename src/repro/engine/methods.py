@@ -72,6 +72,40 @@ def _resolve_schedule(request: SearchRequest) -> GRKSchedule:
     return schedule
 
 
+def _program_batch(
+    method: str,
+    request: SearchRequest,
+    backend: str,
+    targets: np.ndarray,
+    executor,
+    plan,
+    provenance: dict,
+) -> BatchReport:
+    """The native batch every GRK-family method shares: *plan*'s program
+    through the sharded runner, one report row per target."""
+    from repro.engine.plan import run_grk_batch_sharded
+
+    success, guesses, shard_plan = run_grk_batch_sharded(
+        plan.program, targets, backend, request.shards,
+        executor=executor, execution=request.policy,
+    )
+    execution = shard_plan.describe()
+    if executor is not None:
+        execution.update(executor.describe())
+    return BatchReport(
+        method=method,
+        backend=backend,
+        n_items=request.n_items,
+        n_blocks=request.n_blocks,
+        targets=targets,
+        success_probabilities=success,
+        block_guesses=guesses,
+        queries=np.full(targets.size, plan.queries, dtype=np.intp),
+        schedule=provenance,
+        execution=execution,
+    )
+
+
 # --------------------------------------------------------------------------
 # grk
 # --------------------------------------------------------------------------
@@ -105,27 +139,10 @@ def _run_grk(request: SearchRequest, backend: str, database) -> SearchReport:
 def _batch_grk(
     request: SearchRequest, backend: str, targets: np.ndarray, executor=None
 ) -> BatchReport:
-    from repro.engine.plan import run_grk_batch_sharded
-
     schedule = _resolve_schedule(request)
-    success, guesses, plan = run_grk_batch_sharded(
-        schedule, targets, backend, request.shards,
-        executor=executor, execution=request.policy,
-    )
-    execution = plan.describe()
-    if executor is not None:
-        execution.update(executor.describe())
-    return BatchReport(
-        method="grk",
-        backend=backend,
-        n_items=request.n_items,
-        n_blocks=request.n_blocks,
-        targets=targets,
-        success_probabilities=success,
-        block_guesses=guesses,
-        queries=np.full(targets.size, schedule.queries, dtype=np.intp),
-        schedule=_schedule_provenance(schedule),
-        execution=execution,
+    return _program_batch(
+        "grk", request, backend, targets, executor,
+        schedule, _schedule_provenance(schedule),
     )
 
 
@@ -187,27 +204,10 @@ def _run_grk_simplified(request: SearchRequest, backend: str, database) -> Searc
 def _batch_grk_simplified(
     request: SearchRequest, backend: str, targets: np.ndarray, executor=None
 ) -> BatchReport:
-    from repro.engine.plan import run_simplified_batch_sharded
-
     schedule = _resolve_simplified_schedule(request)
-    success, guesses, plan = run_simplified_batch_sharded(
-        schedule, targets, request.shards,
-        executor=executor, execution=request.policy,
-    )
-    execution = plan.describe()
-    if executor is not None:
-        execution.update(executor.describe())
-    return BatchReport(
-        method="grk-simplified",
-        backend=backend,
-        n_items=request.n_items,
-        n_blocks=request.n_blocks,
-        targets=targets,
-        success_probabilities=success,
-        block_guesses=guesses,
-        queries=np.full(targets.size, schedule.queries, dtype=np.intp),
-        schedule=_simplified_provenance(schedule),
-        execution=execution,
+    return _program_batch(
+        "grk-simplified", request, backend, targets, executor,
+        schedule, _simplified_provenance(schedule),
     )
 
 
@@ -219,25 +219,41 @@ def _batch_grk_simplified(
 def _cached_sure_success_plan(n_items: int, n_blocks: int, epsilon):
     """Target-independent phase solve, paid once per geometry.
 
-    The sure-success families have no native batch path, so the engine's
-    per-target fallback calls the adapter once per row — without this
-    cache an all-targets sweep would repeat the identical multi-start
-    least-squares solve N times.  Plans are frozen dataclasses, safe to
-    share across rows, shards, and threads.
+    The multi-start least-squares solve is the expensive part of a
+    sure-success request; every single run and every batch of one
+    ``(N, K, eps)`` shares one cached plan.  Plans are frozen dataclasses,
+    safe to share across rows, shards, and threads.
     """
     from repro.core.sure_success import plan_sure_success
 
     return plan_sure_success(n_items, n_blocks, epsilon)
 
 
+def _resolve_plan(request: SearchRequest, solve):
+    """The request's explicit ``options['plan']``, or ``solve(N, K, eps)``."""
+    plan = request.option("plan")
+    if plan is None:
+        return solve(request.n_items, request.n_blocks, request.epsilon)
+    spec = plan.spec
+    if spec.n_items != request.n_items or spec.n_blocks != request.n_blocks:
+        raise ValueError("plan does not match this instance's (N, K)")
+    return plan
+
+
+def _sure_success_provenance(plan) -> dict:
+    return {
+        "l1": plan.l1,
+        "l2_base": plan.l2_base,
+        "phases": list(plan.phases),
+        "queries": plan.queries,
+        "predicted_failure": plan.predicted_failure,
+    }
+
+
 def _run_sure_success(request: SearchRequest, backend: str, database) -> SearchReport:
     from repro.core.sure_success import run_sure_success_partial_search
 
-    plan = request.option("plan")
-    if plan is None:
-        plan = _cached_sure_success_plan(
-            request.n_items, request.n_blocks, request.epsilon
-        )
+    plan = _resolve_plan(request, _cached_sure_success_plan)
     result = run_sure_success_partial_search(
         database, request.n_blocks, request.epsilon, plan=plan,
         policy=request.policy,
@@ -250,15 +266,19 @@ def _run_sure_success(request: SearchRequest, backend: str, database) -> SearchR
         block_guess=result.block_guess,
         success_probability=result.success_probability,
         queries=result.queries,
-        schedule={
-            "l1": plan.l1,
-            "l2_base": plan.l2_base,
-            "phases": list(plan.phases),
-            "queries": plan.queries,
-            "predicted_failure": plan.predicted_failure,
-        },
+        schedule=_sure_success_provenance(plan),
         answer=result.block_guess,
         raw=result,
+    )
+
+
+def _batch_sure_success(
+    request: SearchRequest, backend: str, targets: np.ndarray, executor=None
+) -> BatchReport:
+    plan = _resolve_plan(request, _cached_sure_success_plan)
+    return _program_batch(
+        "grk-sure-success", request, backend, targets, executor,
+        plan, _sure_success_provenance(plan),
     )
 
 
@@ -275,12 +295,22 @@ def _cached_cwb_plan(n_items: int, n_blocks: int, epsilon):
     return plan_cwb(n_items, n_blocks, epsilon)
 
 
+def _cwb_provenance(plan) -> dict:
+    return {
+        "l1": plan.l1,
+        "l2": plan.l2,
+        "phases": list(plan.phases),
+        "final_phase": plan.final_phase,
+        "queries": plan.queries,
+        "extra_queries": plan.extra_queries,
+        "predicted_failure": plan.predicted_failure,
+    }
+
+
 def _run_cwb(request: SearchRequest, backend: str, database) -> SearchReport:
     from repro.core.cwb import run_cwb_partial_search
 
-    plan = request.option("plan")
-    if plan is None:
-        plan = _cached_cwb_plan(request.n_items, request.n_blocks, request.epsilon)
+    plan = _resolve_plan(request, _cached_cwb_plan)
     result = run_cwb_partial_search(
         database, request.n_blocks, request.epsilon, plan=plan,
         policy=request.policy,
@@ -293,17 +323,19 @@ def _run_cwb(request: SearchRequest, backend: str, database) -> SearchReport:
         block_guess=result.block_guess,
         success_probability=result.success_probability,
         queries=result.queries,
-        schedule={
-            "l1": plan.l1,
-            "l2": plan.l2,
-            "phases": list(plan.phases),
-            "final_phase": plan.final_phase,
-            "queries": plan.queries,
-            "extra_queries": plan.extra_queries,
-            "predicted_failure": plan.predicted_failure,
-        },
+        schedule=_cwb_provenance(plan),
         answer=result.block_guess,
         raw=result,
+    )
+
+
+def _batch_cwb(
+    request: SearchRequest, backend: str, targets: np.ndarray, executor=None
+) -> BatchReport:
+    plan = _resolve_plan(request, _cached_cwb_plan)
+    return _program_batch(
+        "grk-cwb", request, backend, targets, executor,
+        plan, _cwb_provenance(plan),
     )
 
 
@@ -493,6 +525,7 @@ def register_builtin_methods(*, replace: bool = False) -> None:
             description="phased GRK variant answering with certainty",
             backends=(KERNEL_BACKEND,),
             run=_run_sure_success,
+            native_batch=_batch_sure_success,
         ),
         replace=replace,
     )
@@ -504,6 +537,7 @@ def register_builtin_methods(*, replace: bool = False) -> None:
                         "certainty within a constant of the GRK budget",
             backends=(KERNEL_BACKEND,),
             run=_run_cwb,
+            native_batch=_batch_cwb,
         ),
         replace=replace,
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.backends import CIRCUIT_BACKENDS, KERNEL_BACKEND
+from repro.core.program import PartialSearchProgram
 from repro.engine.request import ExecutionPolicy, ShardPolicy
 from repro.observability.spans import span
 
@@ -27,7 +28,6 @@ __all__ = [
     "plan_shards",
     "state_row_bytes",
     "run_grk_batch_sharded",
-    "run_simplified_batch_sharded",
 ]
 
 #: Working-set multiplier over the bare state row: the kernels allocate
@@ -164,41 +164,46 @@ def plan_shards(
 
 
 def _grk_shard(task, rng):
-    """Execute one GRK shard (module-level so process pools can pickle it).
+    """Execute one GRK-family shard (module-level so process pools can
+    pickle it).
 
-    ``rng`` is the :func:`parallel_map` per-task generator; the GRK batch is
+    ``rng`` is the :func:`parallel_map` per-task generator; the batch is
     deterministic so it goes unused — shard results are bit-identical
     regardless of worker count or scheduling order.  The task carries the
-    :class:`~repro.kernels.ExecutionPolicy` (wire-format payload field since
-    protocol v2), so remote workers execute at the requested dtype and row
-    parallelism.
+    plain-data program and the :class:`~repro.kernels.ExecutionPolicy`
+    (wire-format payload field since protocol v2), so remote workers
+    execute at the requested dtype and row parallelism.
     """
-    schedule, targets, backend, execution = task
+    program, targets, backend, execution = task
     from repro.core.batch import execute_batch_rows
 
-    return execute_batch_rows(schedule, targets, backend, execution)
+    return execute_batch_rows(program, targets, backend, execution)
 
 
 def run_grk_batch_sharded(
-    schedule,
+    program: PartialSearchProgram,
     targets: np.ndarray,
     backend: str,
     policy: ShardPolicy | None = None,
     executor=None,
     execution: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ExecutionPlan]:
-    """Run the GRK batch over *targets* in memory-bounded shards.
+    """Run a GRK-family batch over *targets* in memory-bounded shards.
 
-    Returns ``(success_probabilities, block_guesses, plan)`` with the arrays
-    concatenated in target order — bit-identical to the unsharded execution,
-    because every batch row evolves independently under the same kernels.
-    *executor* selects where shards run (``None`` = the default local
-    executor); every executor preserves bit-identity because shard
-    boundaries are fixed here, before dispatch.  *execution* is the kernels'
-    :class:`~repro.kernels.ExecutionPolicy`: it sizes the shards (complex64
-    halves row bytes) and ships inside every shard task, so local and remote
-    workers honour the same dtype/threading — at complex128 the results stay
-    bit-identical for every policy combination.
+    *program* is the :class:`~repro.core.program.PartialSearchProgram` of
+    any GRK-family plan (``plan.program``); shards ship it as plain data.
+    Returns ``(success_probabilities, block_guesses, plan)`` with the
+    arrays concatenated in target order — bit-identical to the unsharded
+    execution, because every batch row evolves independently under the
+    same kernels.  *executor* selects
+    where shards run (``None`` = the default local executor); every
+    executor preserves bit-identity because shard boundaries are fixed
+    here, before dispatch.  *execution* is the kernels'
+    :class:`~repro.kernels.ExecutionPolicy`: it sizes the shards
+    (complex64 halves row bytes) and ships inside every shard task, so
+    local and remote workers honour the same dtype/threading — at
+    complex128 the results stay bit-identical for every policy
+    combination.
     """
     from repro.service.executor import default_executor
 
@@ -207,66 +212,16 @@ def run_grk_batch_sharded(
         execution = ExecutionPolicy()
     with span("shards.plan", backend=backend) as planned:
         plan = plan_shards(
-            targets.size, schedule.spec.n_items, backend, policy, execution
+            targets.size, program.n_items, backend, policy, execution
         )
         execution = plan.policy  # "auto" resolved by the planner
         tasks = [
-            (schedule, targets[sl], backend, execution) for sl in plan.slices()
+            (program, targets[sl], backend, execution) for sl in plan.slices()
         ]
         planned.attrs["shards"] = plan.n_shards
     if executor is None:
         executor = default_executor()
     results = executor.run_shards(_grk_shard, tasks, workers=plan.workers)
-    with span("merge", shards=len(results)):
-        success = np.concatenate([r[0] for r in results])
-        guesses = np.concatenate([r[1] for r in results])
-    return success, guesses, plan
-
-
-def _simplified_shard(task, rng):
-    """One Korepin–Grover-simplified shard (module-level: pools pickle it).
-
-    Deterministic like the GRK batch, so the per-task *rng* goes unused and
-    results are bit-identical for any executor or worker count; the shipped
-    :class:`~repro.kernels.ExecutionPolicy` is honoured like in
-    :func:`_grk_shard`.
-    """
-    schedule, targets, execution = task
-    from repro.core.simplified import execute_simplified_batch_rows
-
-    return execute_simplified_batch_rows(schedule, targets, execution)
-
-
-def run_simplified_batch_sharded(
-    schedule,
-    targets: np.ndarray,
-    policy: ShardPolicy | None = None,
-    executor=None,
-    execution: ExecutionPolicy | None = None,
-) -> tuple[np.ndarray, np.ndarray, ExecutionPlan]:
-    """Sharded all-targets batch of the simplified algorithm (kernels only).
-
-    Same contract as :func:`run_grk_batch_sharded`: memory-bounded
-    ``(B_chunk, N)`` shards, dispatched through *executor* under the
-    *execution* policy, bit-identical to the unsharded execution at
-    complex128.
-    """
-    from repro.service.executor import default_executor
-
-    targets = np.asarray(targets, dtype=np.intp)
-    if execution is None:
-        execution = ExecutionPolicy()
-    with span("shards.plan", backend=KERNEL_BACKEND) as planned:
-        plan = plan_shards(
-            targets.size, schedule.spec.n_items, KERNEL_BACKEND, policy,
-            execution,
-        )
-        execution = plan.policy  # "auto" resolved by the planner
-        tasks = [(schedule, targets[sl], execution) for sl in plan.slices()]
-        planned.attrs["shards"] = plan.n_shards
-    if executor is None:
-        executor = default_executor()
-    results = executor.run_shards(_simplified_shard, tasks, workers=plan.workers)
     with span("merge", shards=len(results)):
         success = np.concatenate([r[0] for r in results])
         guesses = np.concatenate([r[1] for r in results])

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.oracle.quantum import PhaseOracle
 from repro.statevector import ops
@@ -77,6 +76,10 @@ def solve_phases(
     Raises:
         RuntimeError: if no start converges below ``tolerance``.
     """
+    # Deferred: only cold phase solves need scipy, and importing it costs
+    # more than the rest of the package together.
+    from scipy import optimize
+
     if starts is None:
         base = np.full(n_phases, np.pi)
         offsets = [0.0, 0.35, -0.35, 0.8, -0.8, 1.4]

@@ -6,13 +6,14 @@ of, in both single-state ``(N,)`` and batched ``(B, N)`` forms, plus the
 
 - :mod:`repro.kernels.primitives` — init, oracle phase flips, global /
   block-local / masked diffusion, generalised reflections, the norm guard;
-- :mod:`repro.kernels.batched` — per-row oracles, the batched Step 3
-  (move-out + ancilla-controlled diffusion), block measurement, and the
-  row-slab thread dispatcher;
+- :mod:`repro.kernels.batched` — per-row oracles, phased iterations, the
+  batched Step 3 (move-out + ancilla-controlled diffusion), block
+  measurement, and the row-slab thread dispatcher;
 - :mod:`repro.kernels.policy` — :class:`ExecutionPolicy`, the logical
   ``complex128``/``complex64`` precision names, and the documented
   :data:`COMPLEX64_SUCCESS_ATOL` tolerance contract;
-- :mod:`repro.kernels.backends` — the pluggable :class:`KernelBackend`
+- :mod:`repro.kernels.backends` — the row-blocked program sweep every
+  GRK-family batch runs, behind the pluggable :class:`KernelBackend`
   registry (``numpy`` / ``fused`` / ``numba`` / the ``cupy`` stub) the
   policy's ``backend`` knob selects between, plus the cached ``"auto"``
   micro-probe (``repro calibrate``).
@@ -20,8 +21,8 @@ of, in both single-state ``(N,)`` and batched ``(B, N)`` forms, plus the
 Consumers: :mod:`repro.statevector.ops` re-exports the primitives verbatim
 (its historical import path keeps working), the compiled circuit backend
 dispatches its fused diffusion/phase ops here, and the batched runners in
-:mod:`repro.core` compose their sweeps from these calls — no other module
-implements oracle or diffusion math.
+:mod:`repro.core` hand their programs to the backend sweep — no other
+module implements oracle or diffusion math.
 """
 
 from repro.kernels.policy import (
@@ -54,6 +55,7 @@ from repro.kernels.batched import (
     moveout_controlled_diffusion_rows,
     moveout_rows,
     phase_flip_rows,
+    phased_iteration_rows,
     success_and_guesses,
     sweep_row_slabs,
     uniform_batch,
@@ -106,6 +108,7 @@ __all__ = [
     "check_norm",
     "uniform_batch",
     "phase_flip_rows",
+    "phased_iteration_rows",
     "moveout_rows",
     "moveout_controlled_diffusion_rows",
     "block_measurement_rows",

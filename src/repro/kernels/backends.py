@@ -1,34 +1,40 @@
-"""Pluggable kernel backends: one registry, interchangeable slab math.
+"""Pluggable kernel backends: one registry, one program sweep.
 
-The whole stack bottoms out in the batched ``(B, N)`` slab sweeps, and those
-sweeps are memory-bandwidth bound: the stock implementation streams the slab
-3-4 times per oracle query (flip, reduce, scale, subtract as separate numpy
-passes).  This module makes the *implementation* of that math a pluggable
-:class:`KernelBackend` chosen by ``ExecutionPolicy(backend=...)`` exactly
-like ``dtype`` — resolved once by the planner, shipped in shard payloads,
-honoured by local and remote workers alike.
+Every simulator batch of the GRK family bottoms out in
+:meth:`KernelBackend.program_sweep_rows`: one target per row, one
+:class:`~repro.core.program.PartialSearchProgram` (global and block
+iterations, optional phases, optional Step 3) for all of them.  The sweep
+is memory-bandwidth bound, so the base implementation walks the rows in
+blocks of about :attr:`KernelBackend.ROW_BLOCK_BYTES` that each allocate
+their own state and stay cache-resident across the whole program.  Blocks
+run at the policy's real dtype until their first phased stage and at its
+complex dtype from there on.  The *implementation* of the per-iteration
+math is a pluggable :class:`KernelBackend` chosen by
+``ExecutionPolicy(backend=...)`` exactly like ``dtype`` — resolved once by
+the planner, shipped in shard payloads, honoured by local and remote
+workers alike.
 
 Registered backends:
 
 ``numpy``
-    Today's composed primitives (:mod:`repro.kernels.batched`), unchanged.
-    This is the **bit-identity reference**: every other backend's complex128
-    results must match it bit for bit.
+    The composed primitives (:mod:`repro.kernels.batched`) inside the
+    shared row-blocked sweep.  This is the **bit-identity reference**:
+    every other backend's complex128 results must match it bit for bit.
 ``fused``
-    Pure-numpy single-pass/cache-blocked sweep: rows are processed in
-    ~1 MiB blocks that stay cache-resident across the *whole* schedule, the
-    oracle flip uses flat indexing, diffusion means use ``np.add.reduce``
-    with exact power-of-two scaling, and measurement squares in place — the
-    identical float ops in the identical per-row order, so complex128 stays
-    bit-identical while slab traffic drops from ~4 DRAM passes per query
-    to 1-2 cache-resident ones.  The float32 path (tolerance contract, not
-    bit-identity) additionally routes reductions through ``np.einsum``.
+    Overrides only the real-dtype iteration: the oracle flip and the
+    diffusion mean run in fewer passes (``np.add.reduce`` with exact
+    power-of-two scaling), the identical float ops in the identical
+    per-row order, so complex128 stays bit-identical.  The float32 path
+    (tolerance contract, not bit-identity) routes the reductions through
+    ``np.einsum``.
 ``numba``
     Optional ``@njit(parallel=True)`` tier, registered only as *available*
     when numba imports (``importlib.util.find_spec`` — never a hard
-    dependency).  Row loops escape the GIL and fan out via ``prange``; the
-    float64 reduction replicates numpy's pairwise summation exactly, so
-    complex128 results remain bit-identical to the reference.
+    dependency).  Its JIT kernel runs the unphased programs (grk and
+    grk-simplified); phased programs take the shared sweep.  Row loops
+    escape the GIL and fan out via ``prange``; the float64 reduction
+    replicates numpy's pairwise summation exactly, so complex128 results
+    remain bit-identical to the reference.
 ``cupy``
     Explicit stub: registered so the name is reserved and the error is
     clear, never available in this build.
@@ -53,6 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.kernels import batched
+from repro.kernels.policy import ExecutionPolicy
 from repro.kernels.primitives import invert_about_mean, invert_about_mean_blocks
 
 __all__ = [
@@ -85,15 +92,17 @@ DEFAULT_KERNEL_BACKEND = "numpy"
 
 
 class KernelBackend:
-    """One implementation of the batched slab math.
+    """One implementation of the batched row math.
 
-    Subclasses override the sweep entry points (and optionally the
-    primitives they are composed of); the base class *is* the reference
-    numpy semantics, so a backend only overrides what it accelerates.
-    Complex128 results must stay bit-identical to :class:`NumpyBackend`
-    for every method, executor, shard boundary, and thread count; complex64
-    results must stay within :data:`~repro.kernels.COMPLEX64_SUCCESS_ATOL`
-    of the complex128 reference.
+    The base class *is* the reference numpy semantics: the row-blocked
+    :meth:`program_sweep_rows` composed of the batched primitives.
+    Subclasses override what they accelerate — the real-dtype
+    :meth:`grk_iteration_rows`, or the whole sweep for the programs a
+    compiled kernel covers.  Complex128 results must stay bit-identical to
+    :class:`NumpyBackend` for every method, executor, shard boundary, and
+    thread count; complex64 results must stay within
+    :data:`~repro.kernels.COMPLEX64_SUCCESS_ATOL` of the complex128
+    reference.
     """
 
     #: Registry key (``ExecutionPolicy.backend`` value, wire meta value).
@@ -132,17 +141,19 @@ class KernelBackend:
         return info
 
     # ------------------------------------------------ batched primitives
-    # Thin delegates to repro.kernels.batched: backends that accelerate
-    # whole sweeps still expose the composable per-row ops.
+    # Thin delegates to repro.kernels.batched: the composable per-row ops
+    # the sweep is made of.
     def phase_flip_rows(self, amps, targets, rows=None):
         return batched.phase_flip_rows(amps, targets, rows)
 
     def moveout_rows(self, view, targets, rows=None):
         return batched.moveout_rows(view, targets, rows)
 
-    def moveout_controlled_diffusion_rows(self, amps, targets, *, mean_out=None):
+    def moveout_controlled_diffusion_rows(
+        self, amps, targets, *, phase=np.pi, mean_out=None
+    ):
         return batched.moveout_controlled_diffusion_rows(
-            amps, targets, mean_out=mean_out
+            amps, targets, phase=phase, mean_out=mean_out
         )
 
     def block_measurement_rows(self, amps, n_blocks, *, parked=None, targets=None):
@@ -163,51 +174,82 @@ class KernelBackend:
             invert_about_mean_blocks(amps, n_blocks, mean_out=mean_out)
         return amps
 
-    # ------------------------------------------------------- slab sweeps
-    def grk_sweep_rows(self, schedule, amps, targets):
-        """Advance one ``(B_slab, N)`` GRK slab through the whole schedule.
+    # ------------------------------------------------------ program sweep
+    #: Target bytes of real state per row block: about L2-sized, so a block
+    #: stays cache-resident across the whole program.  128 rows of float64
+    #: (256 of float32) at N=1024.
+    ROW_BLOCK_BYTES = 1 << 20
 
-        Returns ``(success_probabilities, block_guesses)`` for the slab.
-        The base implementation is the seed loop structure verbatim.
+    def program_sweep_rows(self, program, targets, policy):
+        """Run *program* once per row, row ``i`` searching for ``targets[i]``.
+
+        *program* is a :class:`~repro.core.program.PartialSearchProgram`,
+        read by attribute only; *policy* is the
+        :class:`~repro.kernels.ExecutionPolicy` whose dtypes the state
+        takes.  Rows are walked in blocks of about :attr:`ROW_BLOCK_BYTES`
+        that each own their state, so every iteration re-reads cached lines
+        instead of streaming a whole shard from memory; rows never
+        interact, so the block size is invisible in the results.
+
+        Returns ``(success_probabilities, block_guesses)``: float64 and
+        intp arrays of ``len(targets)``.
         """
-        spec = schedule.spec
-        n_blocks = spec.n_blocks
-        dtype = amps.dtype
-        # One mean buffer per diffusion flavour, allocated once per slab and
-        # reused across every iteration (the hot loop runs l1+l2 ~
-        # O(sqrt(N)) passes and must not churn the allocator).
-        mean_buf = np.empty((amps.shape[0], 1), dtype=dtype)
-        block_mean_buf = np.empty((amps.shape[0], n_blocks, 1), dtype=dtype)
-        for _ in range(schedule.l1):
-            self.grk_iteration_rows(amps, targets, mean_out=mean_buf)
-        for _ in range(schedule.l2):
-            self.grk_iteration_rows(
-                amps, targets, n_blocks=n_blocks, mean_out=block_mean_buf
+        targets = np.asarray(targets, dtype=np.intp)
+        n_rows = targets.size
+        row_bytes = program.n_items * policy.real_dtype.itemsize
+        block = max(1, self.ROW_BLOCK_BYTES // row_bytes)
+        success = np.empty(n_rows, dtype=np.float64)
+        guesses = np.empty(n_rows, dtype=np.intp)
+        for start in range(0, n_rows, block):
+            rows = slice(start, start + block)
+            success[rows], guesses[rows] = self._sweep_block(
+                program, targets[rows], policy
             )
-        parked = self.moveout_controlled_diffusion_rows(
-            amps, targets, mean_out=mean_buf
-        )
+        return success, guesses
+
+    def _sweep_block(self, program, targets, policy):
+        """One cache-resident row block through the whole program."""
+        n_rows, n_blocks = targets.size, program.n_blocks
+        real = policy.real_dtype
+        amps = batched.uniform_batch(n_rows, program.n_items, dtype=real)
+        # One mean buffer per diffusion flavour, reused by every real
+        # iteration of the block (the hot loop must not churn the
+        # allocator).
+        mean_buf = np.empty((n_rows, 1), dtype=real)
+        block_mean_buf = np.empty((n_rows, n_blocks, 1), dtype=real)
+        for stage in program.stages:
+            if stage.count == 0:
+                continue
+            local = n_blocks if stage.kind == "block" else None
+            if amps.dtype == real and not stage.phased:
+                buf = mean_buf if local is None else block_mean_buf
+                for _ in range(stage.count):
+                    self.grk_iteration_rows(
+                        amps, targets, n_blocks=local, mean_out=buf
+                    )
+                continue
+            # The first phased stage promotes the block for good.
+            amps = amps.astype(policy.complex_dtype, copy=False)
+            for _ in range(stage.count):
+                batched.phased_iteration_rows(
+                    amps, targets, n_blocks=local,
+                    oracle_phase=stage.oracle_phase,
+                    diffusion_phase=stage.diffusion_phase,
+                )
+        parked = None
+        if program.final_phase is not None:
+            if program.final_phase != np.pi:
+                amps = amps.astype(policy.complex_dtype, copy=False)
+            parked = self.moveout_controlled_diffusion_rows(
+                amps, targets, phase=program.final_phase,
+                mean_out=mean_buf if amps.dtype == real else None,
+            )
         block_probs = self.block_measurement_rows(
             amps, n_blocks, parked=parked, targets=targets
         )
-        return batched.success_and_guesses(block_probs, targets, spec.block_size)
-
-    def simplified_sweep_rows(self, schedule, amps, targets):
-        """Advance one slab of the Korepin-Grover simplified algorithm."""
-        spec = schedule.spec
-        n_blocks = spec.n_blocks
-        dtype = amps.dtype
-        mean_buf = np.empty((amps.shape[0], 1), dtype=dtype)
-        block_mean_buf = np.empty((amps.shape[0], n_blocks, 1), dtype=dtype)
-        for _ in range(schedule.j1):
-            self.grk_iteration_rows(amps, targets, mean_out=mean_buf)
-        for _ in range(schedule.j2):
-            self.grk_iteration_rows(
-                amps, targets, n_blocks=n_blocks, mean_out=block_mean_buf
-            )
-        self.grk_iteration_rows(amps, targets, mean_out=mean_buf)
-        block_probs = self.block_measurement_rows(amps, n_blocks)
-        return batched.success_and_guesses(block_probs, targets, spec.block_size)
+        return batched.success_and_guesses(
+            block_probs, targets, program.block_size
+        )
 
 
 class NumpyBackend(KernelBackend):
@@ -242,163 +284,49 @@ def _make_scale(n: int, dtype: np.dtype):
 
 
 class FusedBackend(KernelBackend):
-    """Cache-blocked single-pass sweeps in pure numpy.
+    """The shared sweep with a fused real-dtype iteration, in pure numpy.
 
-    Rows are processed in blocks sized to stay cache-resident
-    (:data:`ROW_BLOCK_BYTES` of state per block), so the l1+l2 iterations
-    of the schedule re-touch warm lines instead of streaming the whole slab
-    from DRAM every pass.  Within a block each float64 row performs the
-    *identical* op sequence as the numpy reference (flat-index flips,
-    pairwise ``np.add.reduce`` means with exact scaling, in-place squaring
-    with the parked mass folded in native dtype before the float64 cast),
-    so complex128 output is bit-identical.  The float32 path only owes the
-    documented tolerance and routes reductions through ``np.einsum``
-    (vectorised where numpy's pairwise float32 reduce is scalar), skipping
-    the separate squaring pass entirely at measurement.
+    Each float64 row performs the *identical* op sequence as the numpy
+    reference (pairwise ``np.add.reduce`` means with exact power-of-two
+    scaling), so complex128 output is bit-identical.  The float32 path
+    only owes the documented tolerance and routes reductions through
+    ``np.einsum``, vectorised where numpy's pairwise float32 reduce is
+    scalar.
     """
 
     name = "fused"
     description = (
-        "cache-blocked single-pass numpy sweep (bit-identical at complex128)"
+        "fused numpy iteration in the row-blocked sweep "
+        "(bit-identical at complex128)"
     )
 
-    #: Target bytes of state per row block: ~L2-sized, so a block survives
-    #: the full schedule in cache.  256 rows of float32 / 128 of float64 at
-    #: N=1024.
-    ROW_BLOCK_BYTES = 1 << 20
-
-    def _row_block(self, n_items: int, itemsize: int) -> int:
-        return max(1, self.ROW_BLOCK_BYTES // max(1, n_items * itemsize))
-
     def grk_iteration_rows(self, amps, targets, *, n_blocks=None, mean_out=None):
-        """Fused flip + diffusion: one traversal instead of two."""
-        if not amps.flags.c_contiguous:
-            return super().grk_iteration_rows(
-                amps, targets, n_blocks=n_blocks, mean_out=mean_out
-            )
+        """Fused flip + diffusion: one reduction pass, one update pass."""
+        batched.phase_flip_rows(amps, targets)
         b, n = amps.shape
         dt = amps.dtype
-        rows = np.arange(b)
-        flat = rows * n + np.asarray(targets)
-        ar = amps.reshape(-1)
-        ar[flat] = -ar[flat]
         if n_blocks is None:
-            buf = mean_out if mean_out is not None else np.empty((b, 1), dtype=dt)
+            size, view = n, amps
+            buf = mean_out if mean_out is not None else np.empty((b, 1), dt)
             if dt == np.float32:
-                np.einsum("ij->i", amps, out=buf[:, 0])
+                np.einsum("ij->i", view, out=buf[:, 0])
             else:
-                np.add.reduce(amps, axis=-1, keepdims=True, out=buf)
-            _make_scale(n, dt)(buf)
-            np.subtract(buf, amps, out=amps)
+                np.add.reduce(view, axis=-1, keepdims=True, out=buf)
         else:
-            bs = n // n_blocks
-            view = amps.reshape(b, n_blocks, bs)
+            size = n // n_blocks
+            view = amps.reshape(b, n_blocks, size)
             buf = (
                 mean_out
                 if mean_out is not None
-                else np.empty((b, n_blocks, 1), dtype=dt)
+                else np.empty((b, n_blocks, 1), dt)
             )
             if dt == np.float32:
                 np.einsum("ijk->ij", view, out=buf[:, :, 0])
             else:
                 np.add.reduce(view, axis=-1, keepdims=True, out=buf)
-            _make_scale(bs, dt)(buf)
-            np.subtract(buf, view, out=view)
+        _make_scale(size, dt)(buf)
+        np.subtract(buf, view, out=view)
         return amps
-
-    def _sweep(self, amps, targets, spec, l1, l2, parked_step3):
-        n, k = spec.n_items, spec.n_blocks
-        bs = spec.block_size
-        dt = amps.dtype
-        fast32 = dt == np.float32
-        b = amps.shape[0]
-        scale = _make_scale(n, dt)
-        bscale = _make_scale(bs, dt)
-        add_reduce = np.add.reduce
-        subtract = np.subtract
-        rblock = self._row_block(n, dt.itemsize)
-        mean_buf = np.empty((min(rblock, b), 1), dtype=dt)
-        bmean_buf = np.empty((min(rblock, b), k, 1), dtype=dt)
-        rows_full = np.arange(min(rblock, b))
-        targets = np.asarray(targets)
-        succ = np.empty(b, dtype=np.float64)
-        guess = np.empty(b, dtype=np.intp)
-        for start in range(0, b, rblock):
-            stop = min(start + rblock, b)
-            nb = stop - start
-            a = amps[start:stop]
-            t = targets[start:stop]
-            rows = rows_full[:nb]
-            flat = rows * n + t
-            ar = a.reshape(-1)
-            mb = mean_buf[:nb]
-            bmb = bmean_buf[:nb]
-            view = a.reshape(nb, k, bs)
-            for _ in range(l1):
-                ar[flat] = -ar[flat]
-                if fast32:
-                    np.einsum("ij->i", a, out=mb[:, 0])
-                else:
-                    add_reduce(a, axis=-1, keepdims=True, out=mb)
-                scale(mb)
-                subtract(mb, a, out=a)
-            for _ in range(l2):
-                ar[flat] = -ar[flat]
-                if fast32:
-                    np.einsum("ijk->ij", view, out=bmb[:, :, 0])
-                else:
-                    add_reduce(view, axis=-1, keepdims=True, out=bmb)
-                bscale(bmb)
-                subtract(bmb, view, out=view)
-            if parked_step3:
-                # Step 3: park each row's target amplitude (the implicit
-                # ancilla-1 branch), zero the column, invert the remainder.
-                parked = ar[flat].copy()
-                ar[flat] = 0.0
-            else:
-                # Simplified final iteration: one more oracle + global
-                # inversion, no ancilla.
-                parked = None
-                ar[flat] = -ar[flat]
-            if fast32:
-                np.einsum("ij->i", a, out=mb[:, 0])
-            else:
-                add_reduce(a, axis=-1, keepdims=True, out=mb)
-            scale(mb)
-            subtract(mb, a, out=a)
-            # Measurement, replicating block_measurement_rows' op order
-            # exactly: square, block-sum, fold the parked mass in *native*
-            # dtype, THEN cast to float64.
-            tb = t // bs
-            if fast32:
-                bp = np.einsum("ijk,ijk->ij", view, view)
-            else:
-                np.multiply(a, a, out=a)
-                bp = add_reduce(view, axis=-1)
-            if parked is not None:
-                np.multiply(parked, parked, out=parked)
-                bp[rows, tb] += parked
-            if bp.dtype != np.float64:
-                bp = bp.astype(np.float64)
-            succ[start:stop] = bp[rows, tb]
-            guess[start:stop] = np.argmax(bp, axis=1)
-        return succ, guess
-
-    def grk_sweep_rows(self, schedule, amps, targets):
-        if not amps.flags.c_contiguous:
-            return super().grk_sweep_rows(schedule, amps, targets)
-        return self._sweep(
-            amps, targets, schedule.spec, schedule.l1, schedule.l2,
-            parked_step3=True,
-        )
-
-    def simplified_sweep_rows(self, schedule, amps, targets):
-        if not amps.flags.c_contiguous:
-            return super().simplified_sweep_rows(schedule, amps, targets)
-        return self._sweep(
-            amps, targets, schedule.spec, schedule.j1, schedule.j2,
-            parked_step3=False,
-        )
 
 
 class NumbaBackend(KernelBackend):
@@ -406,9 +334,10 @@ class NumbaBackend(KernelBackend):
 
     Never a hard dependency — :meth:`available` consults
     ``importlib.util.find_spec`` and the backend only compiles on first
-    use.  Rows fan out across numba's own thread pool (``prange``), which
-    escapes the GIL, so the outer ``row_threads`` seam stays at 1
-    (:attr:`internal_parallelism`).  The float64 reduction replicates
+    use.  The kernel covers the unphased programs (grk, grk-simplified);
+    phased ones run the shared sweep.  Rows fan out across numba's own
+    thread pool (``prange``), which escapes the GIL, so the outer
+    ``row_threads`` seam stays at 1 (:attr:`internal_parallelism`).  The float64 reduction replicates
     numpy's pairwise summation (8-accumulator unrolled blocks, recursive
     halving to a multiple of 8) so complex128 results stay bit-identical
     to the reference.
@@ -435,16 +364,21 @@ class NumbaBackend(KernelBackend):
             self._kernel = _build_numba_sweep()
         return self._kernel
 
-    def _run(self, amps, targets, l1, l2, spec, simplified):
-        amps = np.ascontiguousarray(amps)
-        n, k = spec.n_items, spec.n_blocks
-        bs = spec.block_size
-        dt = amps.dtype
-        succ = np.empty(amps.shape[0], dtype=np.float64)
-        guess = np.empty(amps.shape[0], dtype=np.intp)
+    def program_sweep_rows(self, program, targets, policy):
+        shape = _jit_shape(program)
+        if shape is None:
+            return super().program_sweep_rows(program, targets, policy)
+        l1, l2, simplified = shape
+        n, k = program.n_items, program.n_blocks
+        bs = n // k
+        dt = policy.real_dtype
+        targets = np.ascontiguousarray(targets, dtype=np.intp)
+        amps = batched.uniform_batch(targets.size, n, dtype=dt)
+        succ = np.empty(targets.size, dtype=np.float64)
+        guess = np.empty(targets.size, dtype=np.intp)
         self._compiled()(
             amps,
-            np.ascontiguousarray(targets, dtype=np.intp),
+            targets,
             l1,
             l2,
             k,
@@ -461,17 +395,27 @@ class NumbaBackend(KernelBackend):
         )
         return succ, guess
 
-    def grk_sweep_rows(self, schedule, amps, targets):
-        return self._run(
-            amps, targets, schedule.l1, schedule.l2, schedule.spec,
-            simplified=False,
-        )
 
-    def simplified_sweep_rows(self, schedule, amps, targets):
-        return self._run(
-            amps, targets, schedule.j1, schedule.j2, schedule.spec,
-            simplified=True,
-        )
+def _jit_shape(program):
+    """``(l1, l2, simplified)`` when the numba kernel covers *program*.
+
+    The kernel runs the two unphased shapes: ``[global l1, block l2]``
+    with Step 3 at π (grk) and ``[global l1, block l2, global 1]`` without
+    Step 3 (grk-simplified).  Anything else returns None.
+    """
+    stages = program.stages
+    if any(stage.phased for stage in stages):
+        return None
+    kinds = [stage.kind for stage in stages]
+    if kinds == ["global", "block"] and program.final_phase == np.pi:
+        return stages[0].count, stages[1].count, False
+    if (
+        kinds == ["global", "block", "global"]
+        and stages[2].count == 1
+        and program.final_phase is None
+    ):
+        return stages[0].count, stages[1].count, True
+    return None
 
 
 def _build_numba_sweep():
@@ -655,22 +599,6 @@ CALIBRATION_FILE_ENV = "REPRO_CALIBRATION_FILE"
 _PROBE_CACHE: str | None = None
 
 
-class _ProbeSpec:
-    """Minimal geometry shim so the probe avoids importing repro.core."""
-
-    def __init__(self, n_items, n_blocks):
-        self.n_items = n_items
-        self.n_blocks = n_blocks
-        self.block_size = n_items // n_blocks
-
-
-class _ProbeSchedule:
-    def __init__(self, spec, l1, l2):
-        self.spec = spec
-        self.l1 = l1
-        self.l2 = l2
-
-
 def calibration_path() -> Path:
     """Where this host's probe result persists (env-overridable)."""
     override = os.environ.get(CALIBRATION_FILE_ENV)
@@ -698,22 +626,25 @@ def run_calibration(
 ) -> dict:
     """Micro-probe every available backend and record the fastest.
 
-    A few milliseconds of ``(n_rows, n_items)`` float64 GRK sweeps per
-    backend, best-of-*repeats*; the winner is what ``backend="auto"``
-    resolves to on this host.  With *persist* the record lands at
+    A few milliseconds of float64 GRK program sweeps (``n_rows`` targets
+    at ``N = n_items``) per backend, best-of-*repeats*; the winner is what
+    ``backend="auto"`` resolves to on this host.  With *persist* the
+    record lands at
     :func:`calibration_path` so later processes (and the worker
     registration payload) skip the probe.
     """
-    schedule = _ProbeSchedule(_ProbeSpec(n_items, 4), l1=4, l2=3)
+    from repro.core.program import PartialSearchProgram
+
+    program = PartialSearchProgram.grk(n_items, 4, l1=4, l2=3)
+    targets = np.arange(n_rows, dtype=np.intp) % n_items
+    policy = ExecutionPolicy()
     timings: dict[str, float] = {}
     for name in available_kernel_backends():
         backend = _REGISTRY[name]
         best = float("inf")
         for _ in range(repeats + 1):  # first lap warms caches / JITs
-            amps = batched.uniform_batch(n_rows, n_items, dtype=np.float64)
-            targets = np.arange(n_rows, dtype=np.intp) % n_items
             t0 = time.perf_counter()
-            backend.grk_sweep_rows(schedule, amps, targets)
+            backend.program_sweep_rows(program, targets, policy)
             best = min(best, time.perf_counter() - t0)
         timings[name] = best
     if not timings:

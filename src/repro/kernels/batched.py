@@ -9,11 +9,13 @@ index depends on the row):
 - :func:`uniform_batch` — the ``(B, N)`` uniform start state.
 - :func:`phase_flip_rows` — each row flips its own target column (the
   batched oracle ``I_{t_i}``).
+- :func:`phased_iteration_rows` — one oracle + diffusion pass at arbitrary
+  phases on a complex batch (the phased stages of sure-success and CWB).
 - :func:`moveout_rows` — each row swaps its own target's ancilla pair (the
   batched bit-flip oracle, used by the compiled parametric move-out).
 - :func:`moveout_controlled_diffusion_rows` — the whole batched Step 3:
   park each row's target amplitude in the (implicit) ancilla-1 branch and
-  invert the ancilla-0 remainder about the full mean.
+  invert the ancilla-0 remainder about the full mean (at a phase for CWB).
 - :func:`block_measurement_rows` — per-row block distributions, folding
   parked ancilla-1 mass back in.
 - :func:`map_row_slabs` — fan contiguous row slabs across the
@@ -23,14 +25,21 @@ index depends on the row):
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from repro.kernels.policy import row_slabs
-from repro.kernels.primitives import invert_about_mean, uniform_state
+from repro.kernels.primitives import (
+    invert_about_mean,
+    invert_about_mean_blocks,
+    uniform_state,
+)
 
 __all__ = [
     "uniform_batch",
     "phase_flip_rows",
+    "phased_iteration_rows",
     "moveout_rows",
     "moveout_controlled_diffusion_rows",
     "block_measurement_rows",
@@ -62,6 +71,33 @@ def phase_flip_rows(
     return amps
 
 
+def phased_iteration_rows(
+    amps: np.ndarray,
+    targets: np.ndarray,
+    *,
+    n_blocks: int | None = None,
+    oracle_phase: float = np.pi,
+    diffusion_phase: float = np.pi,
+) -> np.ndarray:
+    """One phased oracle + diffusion pass over a complex ``(B, N)`` batch.
+
+    Row ``i`` multiplies its own ``targets[i]`` by ``e^{i oracle_phase}``
+    (a plain flip at π), then every row goes through the generalised
+    diffusion ``D(diffusion_phase)``: global when ``n_blocks`` is None,
+    block-local otherwise.  Per row these are the same float ops the
+    counted runners apply to a single state.
+    """
+    if oracle_phase == np.pi:
+        phase_flip_rows(amps, targets)
+    else:
+        amps[_rows_for(amps, None), targets] *= cmath.exp(1j * oracle_phase)
+    if n_blocks is None:
+        invert_about_mean(amps, diffusion_phase)
+    else:
+        invert_about_mean_blocks(amps, n_blocks, diffusion_phase)
+    return amps
+
+
 def moveout_rows(
     view: np.ndarray, targets: np.ndarray, rows: np.ndarray | None = None
 ) -> np.ndarray:
@@ -77,21 +113,26 @@ def moveout_rows(
 
 
 def moveout_controlled_diffusion_rows(
-    amps: np.ndarray, targets: np.ndarray, *, mean_out: np.ndarray | None = None
+    amps: np.ndarray,
+    targets: np.ndarray,
+    *,
+    phase: float = np.pi,
+    mean_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The batched GRK Step 3 on a ``(B, N)`` ancilla-free state.
 
     The bit-flip oracle moves each row's target amplitude into the
     ancilla-1 branch — since nothing else occupies that branch, it suffices
     to *park* the value and zero the column — and the ancilla-controlled
-    diffusion then inverts the remaining ancilla-0 amplitudes about the full
-    mean.  Returns the parked amplitudes, shape ``(B,)``; fold them back in
-    with :func:`block_measurement_rows`.
+    diffusion ``D(phase)`` then inverts the remaining ancilla-0 amplitudes
+    about the full mean (``phase != pi`` needs a complex batch, and ignores
+    ``mean_out``).  Returns the parked amplitudes, shape ``(B,)``; fold
+    them back in with :func:`block_measurement_rows`.
     """
     rows = _rows_for(amps, None)
     parked = amps[rows, targets].copy()
     amps[rows, targets] = 0.0
-    invert_about_mean(amps, mean_out=mean_out)
+    invert_about_mean(amps, phase, mean_out=mean_out)
     return parked
 
 
@@ -164,8 +205,7 @@ def sweep_row_slabs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch a ``(success, guesses)`` sweep over row slabs and rejoin.
 
-    The shared plumbing of the batched runners (GRK and simplified alike):
-    *sweep* takes a row ``slice`` and returns per-slab ``(success
+    The shared plumbing of every GRK-family batch: *sweep* takes a row ``slice`` and returns per-slab ``(success
     probabilities, block guesses)``; slabs are threaded per
     :func:`map_row_slabs` and concatenated in order — bit-identical to one
     serial sweep.  An empty batch short-circuits to empty arrays of the

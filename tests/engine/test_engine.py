@@ -211,21 +211,66 @@ class TestBatchReportShape:
             engine.search_batch(SearchRequest(n_items=64, n_blocks=4), targets=[64])
 
     def test_generic_fallback_matches_single_runs(self):
+        # grover-full has no native batch: the engine loops its single-run
+        # adapter per target inside the shard structure.
         engine = SearchEngine()
         targets = [0, 13, 40, 63]
         report = engine.search_batch(
-            SearchRequest(n_items=64, n_blocks=4, method="grk-sure-success"),
+            SearchRequest(n_items=64, n_blocks=4, method="grover-full"),
             targets=targets,
         )
+        assert report.schedule == {}
         for i, t in enumerate(targets):
             single = engine.search(
-                SearchRequest(n_items=64, n_blocks=4, target=t, method="grk-sure-success")
+                SearchRequest(n_items=64, n_blocks=4, target=t, method="grover-full")
             )
             assert report.block_guesses[i] == single.block_guess
             assert report.queries[i] == single.queries
             assert report.success_probabilities[i] == pytest.approx(
                 single.success_probability, abs=1e-12
             )
+
+    @pytest.mark.parametrize("method", ["grk-sure-success", "grk-cwb"])
+    @pytest.mark.parametrize(
+        "geometry", [(64, 4), (96, 4), (1024, 4)], ids=lambda g: "%dx%d" % g
+    )
+    def test_phased_native_batch_matches_counted_runner(self, method, geometry):
+        from repro.core.cwb import plan_cwb, run_cwb_partial_search
+        from repro.core.sure_success import (
+            plan_sure_success,
+            run_sure_success_partial_search,
+        )
+
+        solve, runner = {
+            "grk-sure-success": (
+                plan_sure_success, run_sure_success_partial_search
+            ),
+            "grk-cwb": (plan_cwb, run_cwb_partial_search),
+        }[method]
+        n, k = geometry
+        plan = solve(n, k)
+        engine = SearchEngine()
+        report = engine.search_batch(
+            SearchRequest(
+                n_items=n, n_blocks=k, method=method, options={"plan": plan}
+            )
+        )
+        single = engine.search(
+            SearchRequest(
+                n_items=n, n_blocks=k, target=0, method=method,
+                options={"plan": plan},
+            )
+        )
+        # The batch carries the same schedule provenance as a single run.
+        assert report.schedule == single.schedule
+        assert report.schedule["queries"] == plan.queries
+        for t in range(n):
+            result = runner(SingleTargetDatabase(n, t), k, plan=plan)
+            assert abs(
+                report.success_probabilities[t] - result.success_probability
+            ) <= 1e-12
+            assert report.block_guesses[t] == result.block_guess
+            assert report.queries[t] == result.queries
 
     def test_subspace_native_batch(self):
         report = SearchEngine().search_batch(

@@ -83,7 +83,7 @@ class TestShardBoundaryBitIdentity:
         n, k = 128, 4
         schedule = plan_schedule(n, k)
         targets = np.arange(n, dtype=np.intp)
-        success, guesses = execute_batch_rows(schedule, targets, "kernels")
+        success, guesses = execute_batch_rows(schedule.program, targets, "kernels")
         report = SearchEngine().search_batch(
             SearchRequest(n_items=n, n_blocks=k, shards=ShardPolicy(max_rows=11),
                           options={"schedule": schedule})

@@ -290,17 +290,25 @@ class TestRowThreadsRegression:
 # ------------------------------------------------------- identity matrix
 
 
+#: Engine-level identity geometries: a power of two and a non-power-of-two
+#: N (the latter exercises the divide-then-double diffusion scaling).
+ENGINE_GEOMETRIES = ((128, 4), (96, 4))
+
+#: Every method whose batch runs the program sweep.
+GRK_FAMILY = ("grk", "grk-simplified", "grk-sure-success", "grk-cwb")
+
+
 def _grk_run(backend_name, dtype, max_rows=None):
     schedule = plan_schedule(256, 4)
     targets = np.arange(256, dtype=np.intp)
     policy = ExecutionPolicy(dtype=dtype, backend=backend_name)
     if max_rows is None:
-        return execute_batch_rows(schedule, targets, "kernels", policy)
+        return execute_batch_rows(schedule.program, targets, "kernels", policy)
     success = []
     guesses = []
     for start in range(0, targets.size, max_rows):
         s, g = execute_batch_rows(
-            schedule, targets[start:start + max_rows], "kernels", policy
+            schedule.program, targets[start:start + max_rows], "kernels", policy
         )
         success.append(s)
         guesses.append(g)
@@ -353,44 +361,76 @@ class TestBackendIdentityMatrix:
         np.testing.assert_array_equal(got[1], ref[1])
 
     @pytest.mark.parametrize("backend", ACCEL_BACKENDS)
-    @pytest.mark.parametrize("method", ["grk", "grk-simplified"])
+    @pytest.mark.parametrize("method", GRK_FAMILY)
     @pytest.mark.parametrize("max_rows", [None, 13])
     def test_engine_end_to_end_bit_identical(self, backend, method, max_rows):
         # Through the full facade: planner, shard loop, report assembly.
         engine = SearchEngine()
-        reference = engine.search_batch(
-            SearchRequest(n_items=128, n_blocks=4, method=method)
-        )
-        report = engine.search_batch(
-            SearchRequest(
-                n_items=128, n_blocks=4, method=method,
-                shards=ShardPolicy(max_rows=max_rows) if max_rows else ShardPolicy(),
-                policy=ExecutionPolicy(backend=backend),
+        for n_items, n_blocks in ENGINE_GEOMETRIES:
+            reference = engine.search_batch(
+                SearchRequest(n_items=n_items, n_blocks=n_blocks, method=method)
             )
-        )
-        np.testing.assert_array_equal(
-            report.success_probabilities, reference.success_probabilities
-        )
-        np.testing.assert_array_equal(
-            report.block_guesses, reference.block_guesses
-        )
-        assert report.execution["backend"] == backend
+            report = engine.search_batch(
+                SearchRequest(
+                    n_items=n_items, n_blocks=n_blocks, method=method,
+                    shards=(
+                        ShardPolicy(max_rows=max_rows) if max_rows
+                        else ShardPolicy()
+                    ),
+                    policy=ExecutionPolicy(backend=backend),
+                )
+            )
+            np.testing.assert_array_equal(
+                report.success_probabilities, reference.success_probabilities
+            )
+            np.testing.assert_array_equal(
+                report.block_guesses, reference.block_guesses
+            )
+            assert report.execution["backend"] == backend
 
     @pytest.mark.parametrize("backend", ACCEL_BACKENDS)
     def test_engine_row_threads_bit_identical(self, backend):
         engine = SearchEngine()
-        reference = engine.search_batch(
-            SearchRequest(n_items=128, n_blocks=4)
-        )
-        report = engine.search_batch(
+        for method in ("grk", "grk-sure-success", "grk-cwb"):
+            for n_items, n_blocks in ENGINE_GEOMETRIES:
+                reference = engine.search_batch(
+                    SearchRequest(
+                        n_items=n_items, n_blocks=n_blocks, method=method
+                    )
+                )
+                report = engine.search_batch(
+                    SearchRequest(
+                        n_items=n_items, n_blocks=n_blocks, method=method,
+                        policy=ExecutionPolicy(backend=backend, row_threads=3),
+                    )
+                )
+                np.testing.assert_array_equal(
+                    report.success_probabilities,
+                    reference.success_probabilities,
+                )
+
+    @pytest.mark.parametrize("backend", ["numpy", *ACCEL_BACKENDS])
+    def test_row_block_size_is_invisible(self, backend, monkeypatch):
+        # The sweep walks rows in cache-sized blocks; rows never interact,
+        # so 7-row blocks must reproduce the default single block exactly.
+        engine = SearchEngine()
+        requests = [
             SearchRequest(
-                n_items=128, n_blocks=4,
-                policy=ExecutionPolicy(backend=backend, row_threads=3),
+                n_items=96, n_blocks=4, method=method,
+                policy=ExecutionPolicy(backend=backend),
             )
-        )
-        np.testing.assert_array_equal(
-            report.success_probabilities, reference.success_probabilities
-        )
+            for method in GRK_FAMILY
+        ]
+        references = [engine.search_batch(r) for r in requests]
+        monkeypatch.setattr(KernelBackend, "ROW_BLOCK_BYTES", 7 * 96 * 8)
+        for request, reference in zip(requests, references):
+            report = engine.search_batch(request)
+            np.testing.assert_array_equal(
+                report.success_probabilities, reference.success_probabilities
+            )
+            np.testing.assert_array_equal(
+                report.block_guesses, reference.block_guesses
+            )
 
 
 # ------------------------------------------- fused vs composed properties
@@ -443,13 +483,13 @@ class TestFusedProperties:
         schedule = plan_schedule(512, 8)
         rng = np.random.default_rng(5)
         targets = rng.integers(0, 512, size=24).astype(np.intp)
-        from repro.kernels import uniform_batch
+        policy = ExecutionPolicy()
 
-        ref = NumpyBackend().grk_sweep_rows(
-            schedule, uniform_batch(24, 512, dtype=np.float64), targets
+        ref = NumpyBackend().program_sweep_rows(
+            schedule.program, targets, policy
         )
-        got = FusedBackend().grk_sweep_rows(
-            schedule, uniform_batch(24, 512, dtype=np.float64), targets
+        got = FusedBackend().program_sweep_rows(
+            schedule.program, targets, policy
         )
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])

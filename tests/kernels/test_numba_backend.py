@@ -21,7 +21,6 @@ from repro.kernels import (
     ExecutionPolicy,
     auto_row_threads,
     get_kernel_backend,
-    uniform_batch,
 )
 from repro.kernels.backends import NumpyBackend
 
@@ -69,11 +68,12 @@ class TestNumbaBackend:
     def test_full_sweep_float64_bit_identical(self, numba_backend):
         schedule = plan_schedule(512, 8)
         targets = (np.arange(24, dtype=np.intp) * 31) % 512
-        ref = NumpyBackend().grk_sweep_rows(
-            schedule, uniform_batch(24, 512, dtype=np.float64), targets
+        policy = ExecutionPolicy()
+        ref = NumpyBackend().program_sweep_rows(
+            schedule.program, targets, policy
         )
-        got = numba_backend.grk_sweep_rows(
-            schedule, uniform_batch(24, 512, dtype=np.float64), targets
+        got = numba_backend.program_sweep_rows(
+            schedule.program, targets, policy
         )
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])

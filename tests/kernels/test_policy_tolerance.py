@@ -61,7 +61,10 @@ class TestEveryRegisteredMethod:
             full.success_probability, abs=COMPLEX64_SUCCESS_ATOL
         )
 
-    @pytest.mark.parametrize("method", ["grk", "grk-simplified", "subspace"])
+    @pytest.mark.parametrize(
+        "method",
+        ["grk", "grk-simplified", "grk-sure-success", "grk-cwb", "subspace"],
+    )
     def test_batched_paths_within_bound(self, method):
         engine = SearchEngine()
         full = engine.search_batch(
@@ -94,9 +97,9 @@ class TestPropertySweep:
         schedule = plan_schedule(n, k)
         rng = np.random.default_rng(seed)
         targets = rng.choice(n, size=min(16, n), replace=False).astype(np.intp)
-        full, guess_full = execute_batch_rows(schedule, targets, backend)
+        full, guess_full = execute_batch_rows(schedule.program, targets, backend)
         fast, guess_fast = execute_batch_rows(
-            schedule, targets, backend, FAST
+            schedule.program, targets, backend, FAST
         )
         np.testing.assert_allclose(
             fast, full, atol=COMPLEX64_SUCCESS_ATOL, rtol=0
@@ -116,10 +119,10 @@ class TestPropertySweep:
         schedule = plan_schedule(n, 4)
         targets = np.arange(0, n, 3, dtype=np.intp)
         serial, gs = execute_batch_rows(
-            schedule, targets, "kernels", ExecutionPolicy(dtype=dtype)
+            schedule.program, targets, "kernels", ExecutionPolicy(dtype=dtype)
         )
         threaded, gt = execute_batch_rows(
-            schedule, targets, "kernels",
+            schedule.program, targets, "kernels",
             ExecutionPolicy(dtype=dtype, row_threads=threads),
         )
         np.testing.assert_array_equal(threaded, serial)

@@ -35,10 +35,11 @@ class TestSingleSourceOfTruth:
         from repro.core import batch
 
         source = inspect.getsource(batch)
-        # The GRK loop structure lives on the kernel-backend registry now;
-        # core/batch selects a backend and dispatches, it owns no math.
+        # The GRK-family loop structure lives on the kernel-backend
+        # registry; core/batch selects a backend and dispatches the
+        # program, it owns no math.
         assert "kernels.resolve_kernel_backend" in source
-        assert "grk_sweep_rows" in source
+        assert "program_sweep_rows" in source
 
     def test_kernel_backends_compose_batched_primitives(self):
         import inspect
@@ -175,7 +176,7 @@ class TestBatchedPrimitives:
         empty = np.array([], dtype=np.intp)
         for backend in ("kernels", "compiled", "naive"):
             success, guesses = execute_batch_rows(
-                plan_schedule(64, 4), empty, backend
+                plan_schedule(64, 4).program, empty, backend
             )
             assert success.shape == guesses.shape == (0,)
         success, guesses = execute_simplified_batch_rows(

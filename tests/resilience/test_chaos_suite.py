@@ -70,7 +70,8 @@ class TestBitIdentityUnderChaosPlans:
         schedule = plan_schedule(self.N, self.K)
         targets = np.arange(self.N)
         return run_grk_batch_sharded(
-            schedule, targets, "kernels", self.POLICY, executor=executor
+            schedule.program, targets, "kernels", self.POLICY,
+            executor=executor,
         )
 
     def _assert_bit_identical(self, executor):

@@ -183,14 +183,16 @@ class TestBitIdentityUnderFaults:
         schedule = plan_schedule(self.N, self.K)
         targets = np.arange(self.N)
         return run_grk_batch_sharded(
-            schedule, targets, "kernels", self.POLICY, executor=LocalExecutor()
+            schedule.program, targets, "kernels", self.POLICY,
+            executor=LocalExecutor(),
         )
 
     def _remote(self, executor):
         schedule = plan_schedule(self.N, self.K)
         targets = np.arange(self.N)
         return run_grk_batch_sharded(
-            schedule, targets, "kernels", self.POLICY, executor=executor
+            schedule.program, targets, "kernels", self.POLICY,
+            executor=executor,
         )
 
     def test_worker_death_bit_identical(self):

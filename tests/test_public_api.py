@@ -1,6 +1,10 @@
 """The public API surface: imports, __all__, version, docstrings."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -75,6 +79,27 @@ class TestQuickstartSnippet:
         assert result.block_guess == 2717 // 1024
         assert result.queries < 3.1415 / 4 * 64
         assert result.success_probability > 0.999
+
+
+class TestImportCost:
+    def test_engine_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize only serves cold plans (optimal epsilon, phase
+        # solves); a fresh interpreter importing the engine must not pay
+        # for it.  Run out of process: this pytest process has long since
+        # imported it.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.engine; "
+             "print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEngineSurface:
