@@ -33,6 +33,40 @@ GOLDEN = {
 }
 
 
+#: (N, K) -> grk-simplified (j1, j2, queries, predicted_success)
+GOLDEN_SIMPLIFIED = {
+    (96, 4): (0, 7, 8, 0.9999778866396233),
+    (729, 3): (4, 11, 16, 0.9999979200960283),
+    (1000, 5): (11, 8, 20, 0.9999997787433833),
+    (1024, 4): (7, 12, 20, 0.9999959673795841),
+    (4096, 8): (27, 15, 43, 0.9999935435029679),
+    (1 << 20, 8): (475, 204, 680, 0.9999991596125474),
+    (1 << 60, 8): (499437056, 214086759, 713523816, 0.9999999999999998),
+}
+
+#: (N, K) -> grk-sure-success (l1, l2_base, phased tail length, queries)
+GOLDEN_SURE_SUCCESS = {
+    (96, 4): (2, 3, 2, 8),
+    (729, 3): (5, 9, 2, 17),
+    (1000, 5): (11, 8, 2, 22),
+    (1024, 4): (9, 9, 2, 21),
+    (4096, 8): (29, 12, 2, 44),
+    (1 << 20, 8): (475, 204, 2, 682),
+    (1 << 60, 8): (499437062, 214086753, 2, 713523818),
+}
+
+#: (N, K) -> grk-cwb (l1, l2, queries, extra_queries)
+GOLDEN_CWB = {
+    (96, 4): (2, 4, 7, 0),
+    (729, 3): (5, 11, 17, 1),
+    (1000, 5): (11, 9, 21, 0),
+    (1024, 4): (9, 11, 21, 1),
+    (4096, 8): (29, 14, 44, 1),
+    (1 << 20, 8): (475, 205, 681, 0),
+    (1 << 60, 8): (499437063, 214086756, 713523820, 3),
+}
+
+
 @pytest.mark.parametrize("instance", sorted(GOLDEN))
 def test_schedule_pinned(instance):
     n, k = instance
@@ -40,6 +74,42 @@ def test_schedule_pinned(instance):
     s = plan_schedule(n, k)
     assert (s.l1, s.l2, s.queries) == (l1, l2, queries)
     assert s.predicted_success == pytest.approx(success, abs=1e-11)
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_SIMPLIFIED))
+def test_simplified_schedule_pinned(instance):
+    from repro.core.simplified import plan_simplified_schedule
+
+    j1, j2, queries, success = GOLDEN_SIMPLIFIED[instance]
+    s = plan_simplified_schedule(*instance)
+    assert (s.j1, s.j2, s.queries) == (j1, j2, queries)
+    assert s.predicted_success == pytest.approx(success, abs=1e-11)
+
+
+def _analytic_plan(method, n, k) -> dict:
+    """The plan provenance the engine serves for (N, K): the same plan
+    cache answers both tiers, and at N = 2**60 only the analytic tier can
+    run it."""
+    from repro.engine import SearchEngine, SearchRequest
+
+    return SearchEngine().search(SearchRequest(
+        n_items=n, n_blocks=k, method=method, target=0,
+        wants="probability", engine="analytic",
+    )).schedule
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_SURE_SUCCESS))
+def test_sure_success_plan_pinned(instance):
+    p = _analytic_plan("grk-sure-success", *instance)
+    got = (p["l1"], p["l2_base"], len(p["phases"]) // 2, p["queries"])
+    assert got == GOLDEN_SURE_SUCCESS[instance]
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_CWB))
+def test_cwb_plan_pinned(instance):
+    p = _analytic_plan("grk-cwb", *instance)
+    got = (p["l1"], p["l2"], p["queries"], p["extra_queries"])
+    assert got == GOLDEN_CWB[instance]
 
 
 def test_twelve_item_general_algorithm_vs_figure1():
