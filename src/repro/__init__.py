@@ -12,14 +12,14 @@ The library implements, from scratch on a numpy state-vector substrate:
 - **Theorem 2's reduction** (full search from iterated partial search) and
   **Theorem 3 / Appendix B** (Zalka's bound with error) as executable,
   instance-certified computations;
-- analytic **subspace models** evaluating everything in O(1) per schedule
+- an analytic **subspace evaluator** of every GRK-family program in O(1)
   for arbitrarily large ``N``.
 
 The supported execution surface is the :mod:`repro.engine` facade: a typed
-:class:`SearchRequest` selects the method (``grk``, ``grk-sure-success``,
-``naive-blocks``, ``grover-full``, ``classical``, ``subspace``) and backend
-from the registries, and every run returns a normalized
-:class:`SearchReport` with full schedule provenance.
+:class:`SearchRequest` selects the method (``grk``, ``grk-simplified``,
+``grk-sure-success``, ``grk-cwb``, ``naive-blocks``, ``grover-full``,
+``classical``) and backend from the registries, and every run returns a
+normalized :class:`SearchReport` with full schedule provenance.
 
 Quickstart::
 

@@ -25,9 +25,12 @@ Registered on import (importing :mod:`repro.analytic` is enough):
 ``grover-full``     exact: ``sin^2((2j+1) beta)`` (+ Long's variant)
 ``classical``       exact: Section 1.1 scan accounting (deterministic
                     position arithmetic / Appendix A expectation)
-``subspace``        exact: alias of the ``grk`` model (the method was
-                    already analytic)
 ==================  ====================================================
+
+The four GRK-family models are one ``check`` and one ``evaluate``: the
+method's plan, from the same per-method cache the simulate tier runs
+(:mod:`repro.core.plans`), answers with its ``predicted_success``,
+``queries`` and ``provenance()``.
 
 Validity: every builtin model is regime ``"exact"`` — the papers give
 finite-``(N, K)`` formulas everywhere we model, cross-validated against
@@ -43,8 +46,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Mapping
+
+from repro.core.plans import FAMILY, resolve_plan
 
 __all__ = [
     "ANALYTIC_MAX_N_ITEMS",
@@ -239,221 +243,47 @@ def _target_block(request, target: int | None) -> int | None:
 
 
 # --------------------------------------------------------------------------
-# grk / subspace — the planned schedule in the subspace model
+# grk, grk-simplified, grk-sure-success, grk-cwb — the method's plan
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _cached_grk_schedule(n_items: int, n_blocks: int, epsilon):
-    from repro.core.parameters import plan_schedule
+#: The shared sure-success/CWB plan caches (perfbench's phase-solve counter
+#: reads their ``cache_info()``).
+_cached_sure_success_plan = FAMILY["grk-sure-success"].solve
+_cached_cwb_plan = FAMILY["grk-cwb"].solve
 
-    return plan_schedule(n_items, n_blocks, epsilon)
-
-
-def _grk_schedule(request):
-    from repro.core.parameters import GRKSchedule
-
-    schedule = request.option("schedule")
-    if schedule is None:
-        return _cached_grk_schedule(
-            request.n_items, request.n_blocks, request.epsilon
-        )
-    if not isinstance(schedule, GRKSchedule):
-        raise AnalyticUnsupported(
-            "options['schedule'] must be a GRKSchedule for the grk model "
-            f"(got {type(schedule).__name__})"
-        )
-    spec = schedule.spec
-    if spec.n_items != request.n_items or spec.n_blocks != request.n_blocks:
-        raise AnalyticUnsupported(
-            f"schedule is for (N={spec.n_items}, K={spec.n_blocks}), but "
-            f"the request has (N={request.n_items}, K={request.n_blocks})"
-        )
-    return schedule
+_GRK_FAMILY_DESCRIPTIONS = {
+    "grk": "planned (l1, l2) schedule in the exact 3-coordinate subspace "
+           "model (quant-ph/0407122)",
+    "grk-simplified": "ancilla-free final iteration in the exact subspace "
+                      "model (quant-ph/0504157, optimised per "
+                      "quant-ph/0510179)",
+    "grk-sure-success": "solved phased-tail plan: success 1 minus the "
+                        "machine-precision residual",
+    "grk-cwb": "solved CWB plan (quant-ph/0603136): certainty within "
+               "extra_queries of the plain GRK budget",
+}
 
 
-def _check_grk(request) -> None:
+def _check_grk_family(request) -> None:
     _check_blocks(request)
-    _reject_options(request, ("schedule",))
+    _reject_options(request, (FAMILY[request.method].option,))
 
 
-def _eval_grk(request, target: int | None) -> AnalyticAnswer:
-    schedule = _grk_schedule(request)
-    return AnalyticAnswer(
-        success_probability=schedule.predicted_success,
-        queries=schedule.queries,
-        block_guess=_target_block(request, target),
-        schedule={
-            "epsilon": schedule.epsilon,
-            "l1": schedule.l1,
-            "l2": schedule.l2,
-            "queries": schedule.queries,
-            "predicted_success": schedule.predicted_success,
-        },
-    )
-
-
-# --------------------------------------------------------------------------
-# grk-simplified — Korepin-Grover's ancilla-free final iteration
-# --------------------------------------------------------------------------
-
-@lru_cache(maxsize=512)
-def _cached_simplified_schedule(n_items: int, n_blocks: int):
-    from repro.core.simplified import plan_simplified_schedule
-
-    return plan_simplified_schedule(n_items, n_blocks)
-
-
-def _simplified_schedule(request):
-    from repro.core.simplified import SimplifiedSchedule
-
-    schedule = request.option("schedule")
-    if schedule is None:
-        return _cached_simplified_schedule(request.n_items, request.n_blocks)
-    if not isinstance(schedule, SimplifiedSchedule):
+def _eval_grk_family(request, target: int | None) -> AnalyticAnswer:
+    try:
+        plan = resolve_plan(request)
+    except RuntimeError as exc:
         raise AnalyticUnsupported(
-            "options['schedule'] must be a SimplifiedSchedule for the "
-            f"grk-simplified model (got {type(schedule).__name__})"
-        )
-    spec = schedule.spec
-    if spec.n_items != request.n_items or spec.n_blocks != request.n_blocks:
-        raise AnalyticUnsupported(
-            f"schedule is for (N={spec.n_items}, K={spec.n_blocks}), but "
-            f"the request has (N={request.n_items}, K={request.n_blocks})"
-        )
-    return schedule
-
-
-def _check_simplified(request) -> None:
-    _check_blocks(request)
-    _reject_options(request, ("schedule",))
-
-
-def _eval_simplified(request, target: int | None) -> AnalyticAnswer:
-    schedule = _simplified_schedule(request)
+            f"{request.method} phase solve failed for (N={request.n_items}, "
+            f"K={request.n_blocks}): {exc}"
+        ) from exc
+    except ValueError as exc:
+        raise AnalyticUnsupported(str(exc)) from exc
     return AnalyticAnswer(
-        success_probability=schedule.predicted_success,
-        queries=schedule.queries,
-        block_guess=_target_block(request, target),
-        schedule={
-            "j1": schedule.j1,
-            "j2": schedule.j2,
-            "queries": schedule.queries,
-            "predicted_success": schedule.predicted_success,
-        },
-    )
-
-
-# --------------------------------------------------------------------------
-# grk-sure-success / grk-cwb — solved plans' residuals
-# --------------------------------------------------------------------------
-
-#: Phase-solve retries for the sure-success/CWB models.  ``None`` is the
-#: runners' default tolerance (so small-``N`` analytic plans are identical
-#: to simulated ones); the relaxed rungs only matter at huge ``N``, where
-#: float64 cancellation in the scaled residual floors around
-#: ``1e-6 * sqrt(N)`` for some geometries even though the *failure
-#: probability* (the residual squared) stays far below any physical
-#: relevance.
-_SOLVE_TOLERANCE_LADDER = (None, 1e-8, 2e-5)
-
-#: A relaxed solve is only accepted while the plan's residual failure
-#: probability stays below this — "sure success" must remain sure.
-_MAX_RESIDUAL_FAILURE = 1e-9
-
-
-def _solve_with_ladder(planner, n_items: int, n_blocks: int, epsilon):
-    last: Exception | None = None
-    for tol in _SOLVE_TOLERANCE_LADDER:
-        kwargs = {} if tol is None else {"tolerance": tol}
-        try:
-            plan = planner(n_items, n_blocks, epsilon, **kwargs)
-        except RuntimeError as exc:
-            last = exc
-            continue
-        if plan.predicted_failure < _MAX_RESIDUAL_FAILURE:
-            return plan
-        last = RuntimeError(
-            f"solved plan's residual failure {plan.predicted_failure:.3e} "
-            f"exceeds {_MAX_RESIDUAL_FAILURE}"
-        )
-    raise last
-
-
-@lru_cache(maxsize=256)
-def _cached_sure_success_plan(n_items: int, n_blocks: int, epsilon):
-    from repro.core.sure_success import plan_sure_success
-
-    return _solve_with_ladder(plan_sure_success, n_items, n_blocks, epsilon)
-
-
-def _check_sure_success(request) -> None:
-    _check_blocks(request)
-    _reject_options(request, ("plan",))
-
-
-def _eval_sure_success(request, target: int | None) -> AnalyticAnswer:
-    plan = request.option("plan")
-    if plan is None:
-        try:
-            plan = _cached_sure_success_plan(
-                request.n_items, request.n_blocks, request.epsilon
-            )
-        except (RuntimeError, ValueError) as exc:
-            raise AnalyticUnsupported(
-                f"sure-success phase solve failed for (N={request.n_items}, "
-                f"K={request.n_blocks}): {exc}"
-            ) from exc
-    return AnalyticAnswer(
-        success_probability=max(0.0, 1.0 - plan.predicted_failure),
+        success_probability=plan.predicted_success,
         queries=plan.queries,
         block_guess=_target_block(request, target),
-        schedule={
-            "l1": plan.l1,
-            "l2_base": plan.l2_base,
-            "phases": list(plan.phases),
-            "queries": plan.queries,
-            "predicted_failure": plan.predicted_failure,
-        },
-    )
-
-
-@lru_cache(maxsize=256)
-def _cached_cwb_plan(n_items: int, n_blocks: int, epsilon):
-    from repro.core.cwb import plan_cwb
-
-    return _solve_with_ladder(plan_cwb, n_items, n_blocks, epsilon)
-
-
-def _check_cwb(request) -> None:
-    _check_blocks(request)
-    _reject_options(request, ("plan",))
-
-
-def _eval_cwb(request, target: int | None) -> AnalyticAnswer:
-    plan = request.option("plan")
-    if plan is None:
-        try:
-            plan = _cached_cwb_plan(
-                request.n_items, request.n_blocks, request.epsilon
-            )
-        except (RuntimeError, ValueError) as exc:
-            raise AnalyticUnsupported(
-                f"CWB phase solve failed for (N={request.n_items}, "
-                f"K={request.n_blocks}): {exc}"
-            ) from exc
-    return AnalyticAnswer(
-        success_probability=max(0.0, 1.0 - plan.predicted_failure),
-        queries=plan.queries,
-        block_guess=_target_block(request, target),
-        schedule={
-            "l1": plan.l1,
-            "l2": plan.l2,
-            "phases": list(plan.phases),
-            "final_phase": plan.final_phase,
-            "queries": plan.queries,
-            "extra_queries": plan.extra_queries,
-            "predicted_failure": plan.predicted_failure,
-        },
+        schedule=plan.provenance(),
     )
 
 
@@ -633,47 +463,14 @@ def _eval_classical(request, target: int | None) -> AnalyticAnswer:
 
 def register_builtin_models(*, replace: bool = False) -> None:
     """Register the built-in models (idempotent with ``replace=True``)."""
-    register_model(AnalyticModel(
-        method="grk",
-        regime="exact",
-        description="planned (l1, l2) schedule in the exact 3-coordinate "
-                    "subspace model (quant-ph/0407122)",
-        check=_check_grk,
-        evaluate=_eval_grk,
-    ), replace=replace)
-    register_model(AnalyticModel(
-        method="subspace",
-        regime="exact",
-        description="the subspace method is already closed-form; same "
-                    "model as grk",
-        check=_check_grk,
-        evaluate=_eval_grk,
-    ), replace=replace)
-    register_model(AnalyticModel(
-        method="grk-simplified",
-        regime="exact",
-        description="ancilla-free final iteration via the affine subspace "
-                    "update (quant-ph/0504157, optimised per "
-                    "quant-ph/0510179)",
-        check=_check_simplified,
-        evaluate=_eval_simplified,
-    ), replace=replace)
-    register_model(AnalyticModel(
-        method="grk-sure-success",
-        regime="exact",
-        description="solved phased-tail plan: success 1 minus the "
-                    "machine-precision residual",
-        check=_check_sure_success,
-        evaluate=_eval_sure_success,
-    ), replace=replace)
-    register_model(AnalyticModel(
-        method="grk-cwb",
-        regime="exact",
-        description="solved CWB plan (quant-ph/0603136): certainty within "
-                    "extra_queries of the plain GRK budget",
-        check=_check_cwb,
-        evaluate=_eval_cwb,
-    ), replace=replace)
+    for method, description in _GRK_FAMILY_DESCRIPTIONS.items():
+        register_model(AnalyticModel(
+            method=method,
+            regime="exact",
+            description=description,
+            check=_check_grk_family,
+            evaluate=_eval_grk_family,
+        ), replace=replace)
     register_model(AnalyticModel(
         method="naive-blocks",
         regime="exact",

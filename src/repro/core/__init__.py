@@ -12,20 +12,26 @@ Public surface:
   :func:`~repro.core.parameters.plan_schedule` — the paper's Section 3
   quantities (``theta``, ``alpha_yt``, ``theta1``, ``theta2``, ``l1``,
   ``l2``) and exact integer schedules.
-- :func:`~repro.core.algorithm.run_partial_search` — the three-step GRK
-  algorithm on the state-vector simulator, with optional stage tracing.
 - :class:`~repro.core.program.PartialSearchProgram` — the one plain-data
-  form of every GRK-family method (``plan.program``), which the batched
-  kernel sweep runs.
-- :class:`~repro.core.subspace.SubspaceGRK` — exact O(1) evolution of the
-  3-dimensional invariant subspace, for arbitrarily large ``N``.
-- :func:`~repro.core.sure_success.run_sure_success_partial_search` — the
-  "with certainty" variant (failure ~ machine epsilon, constant extra
-  queries).
-- :func:`~repro.core.simplified.run_simplified_partial_search` —
-  Korepin–Grover's ancilla-free simplification (quant-ph/0504157), whose
-  optimised asymptotic query coefficient exactly matches the Section 3.1
-  table.
+  form of every GRK-family method.  Four planners emit one as
+  ``plan.program``: :func:`~repro.core.parameters.plan_schedule` (GRK),
+  :func:`~repro.core.simplified.plan_simplified_schedule`
+  (Korepin–Grover's ancilla-free simplification, quant-ph/0504157),
+  :func:`~repro.core.sure_success.plan_sure_success` (the "with
+  certainty" phased tail) and :func:`~repro.core.cwb.plan_cwb`
+  (Choi–Walker–Braunstein, quant-ph/0603136).
+- :func:`~repro.core.algorithm.run_program` — the one counted runner of
+  any program on the state-vector simulator, with optional stage tracing;
+  :func:`~repro.core.algorithm.run_partial_search` runs a plan (GRK's by
+  default, also on the gate-level circuit backends), and the other
+  methods' ``run_*`` functions are thin wrappers over it.  The batched
+  kernel sweep (:mod:`repro.core.batch`) runs the same programs.
+- :func:`~repro.core.subspace.evaluate` — the one exact O(1) evaluator of
+  any program in the 3-dimensional invariant subspace, for arbitrarily
+  large ``N`` (:class:`~repro.core.subspace.SubspaceGRK` is its plain
+  ``(l1, l2)`` view); every planner scores candidates with it.
+- :mod:`~repro.core.plans` — one cached plan resolver per method, shared
+  by the simulate and analytic engine tiers.
 - :func:`~repro.core.naive.run_naive_partial_search` — Section 1.2's
   search-K−1-blocks baseline.
 - :func:`~repro.core.iterated.run_iterated_full_search` — Theorem 2's
@@ -37,11 +43,10 @@ Public surface:
 from repro.core.blockspec import BlockSpec
 from repro.core.parameters import GRKParameters, GRKSchedule, plan_schedule
 from repro.core.program import PartialSearchProgram
-from repro.core.algorithm import PartialSearchResult, run_partial_search
+from repro.core.algorithm import PartialSearchResult, run_partial_search, run_program
 from repro.core.batch import BatchResult, run_partial_search_batch
 from repro.core.simplified import (
     SimplifiedSchedule,
-    SimplifiedSearchResult,
     plan_simplified_schedule,
     run_simplified_partial_search,
     simplified_query_coefficient,
@@ -64,6 +69,7 @@ __all__ = [
     "PartialSearchProgram",
     "PartialSearchResult",
     "run_partial_search",
+    "run_program",
     "BatchResult",
     "run_partial_search_batch",
     "SubspaceGRK",
@@ -74,7 +80,6 @@ __all__ = [
     "run_iterated_full_search",
     "run_sure_success_partial_search",
     "SimplifiedSchedule",
-    "SimplifiedSearchResult",
     "plan_simplified_schedule",
     "run_simplified_partial_search",
     "simplified_query_coefficient",

@@ -10,7 +10,9 @@ about the average becomes the generalised reflection
 condition — every non-target-block amplitude vanishing exactly — is one
 complex equation ``w_final = 0`` in the target-independent symmetric
 subspace, so the five phases (two real constraints) are solved **offline**
-on the analytic model at zero oracle cost.
+on the shared subspace evaluator (:mod:`repro.core.subspace`) at zero
+oracle cost; the shared counted runner
+(:func:`repro.core.algorithm.run_partial_search`) executes ``plan.program``.
 
 Query accounting, which the paper-value tests pin: a phased reflection
 rotates *slower* than the π-reflection it replaces (``|1 - e^{i phi}| <= 2``),
@@ -28,22 +30,17 @@ query.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.algorithm import PartialSearchResult, _single_target_of
+from repro.core.algorithm import PartialSearchResult, run_partial_search
 from repro.core.blockspec import BlockSpec
-from repro.core.parameters import GRKSchedule, plan_schedule
+from repro.core.parameters import plan_schedule
 from repro.core.program import BLOCK, GLOBAL, PartialSearchProgram, ProgramStage
-from repro.core.subspace import SubspaceGRK
+from repro.core.subspace import evaluate, evolve
 from repro.grover.amplify import solve_phases
 from repro.oracle.database import Database
-from repro.oracle.quantum import BitFlipOracle, PhaseOracle
-from repro.statevector import ops
-from repro.statevector.measurement import block_probabilities
 
 __all__ = ["CWBPlan", "plan_cwb", "run_cwb_partial_search"]
 
@@ -52,6 +49,17 @@ __all__ = ["CWBPlan", "plan_cwb", "run_cwb_partial_search"]
 #: plain schedule undershoots on both stages); the ladder extends one rung
 #: further as a safety margin for exotic geometries.
 _ESCALATION = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
+
+
+def _tail(block_stage: ProgramStage, phases) -> tuple[ProgramStage, ...]:
+    """Everything after Step 1's ``l1 - 1`` plain iterations:
+    ``[global 1 (φo, φd), block_stage, block 1 (χo, χd)]``."""
+    phi_o, phi_d, chi_o, chi_d = phases[:4]
+    return (
+        ProgramStage(GLOBAL, 1, phi_o, phi_d),
+        block_stage,
+        ProgramStage(BLOCK, 1, chi_o, chi_d),
+    )
 
 
 @dataclass(frozen=True)
@@ -90,71 +98,33 @@ class CWBPlan:
         return self.queries - self.base_queries
 
     @property
+    def predicted_success(self) -> float:
+        """``1 - predicted_failure``, clipped at 0."""
+        return max(0.0, 1.0 - self.predicted_failure)
+
+    @property
     def program(self) -> PartialSearchProgram:
         """``[global l1-1, global 1 (φo, φd), block l2-1, block 1 (χo, χd)]``,
         Step 3 at φf."""
-        phi_o, phi_d, chi_o, chi_d = self.phases
         return PartialSearchProgram(
             self.spec.n_items,
             self.spec.n_blocks,
-            (
-                ProgramStage(GLOBAL, self.l1 - 1),
-                ProgramStage(GLOBAL, 1, phi_o, phi_d),
-                ProgramStage(BLOCK, self.l2 - 1),
-                ProgramStage(BLOCK, 1, chi_o, chi_d),
-            ),
+            (ProgramStage(GLOBAL, self.l1 - 1),)
+            + _tail(ProgramStage(BLOCK, self.l2 - 1), self.phases),
             final_phase=self.final_phase,
         )
 
-
-def _final_outside_amplitude(
-    spec: BlockSpec, start, l2: int, phases: np.ndarray
-) -> complex:
-    """Complex subspace evolution from the phased global iteration onward.
-
-    ``start`` is the (real) symmetric coordinates after ``l1 - 1`` plain
-    global iterations; ``phases`` is ``(phi_o, phi_d, chi_o, chi_d, phi_f)``.
-    Returns the final per-address amplitude in non-target blocks, whose
-    vanishing is the sure-success condition.
-    """
-    b, n = spec.block_size, spec.n_items
-    phi_o, phi_d, chi_o, chi_d, phi_f = phases
-    u = complex(start.target)
-    v = complex(start.block_rest)
-    w = complex(start.outside)
-
-    # Phased global iteration (last of Step 1): mixes u, v, AND w.
-    u *= cmath.exp(1j * phi_o)
-    f = 1.0 - cmath.exp(1j * phi_d)
-    mean = (u + (b - 1) * v + (n - b) * w) / n
-    u, v, w = f * mean - u, f * mean - v, f * mean - w
-
-    # l2 - 1 plain block iterations: uniform non-target blocks are fixed,
-    # and each iteration is the *real* rotation by 2 beta_block in the
-    # (u, v sqrt(b-1)) plane — a linear map, so it applies to the complex
-    # coordinates componentwise and its (l2-1)-th power is one rotation by
-    # 2 (l2-1) beta_block.  Closed form keeps the phase solve O(1) in l2
-    # (the per-iteration loop made planning O(sqrt(N/K)) — minutes at
-    # N = 2**40 — which the analytic tier cannot afford).
-    if l2 > 1:
-        theta = 2.0 * (l2 - 1) * math.asin(1.0 / math.sqrt(b))
-        rest_len = math.sqrt(b - 1.0)
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        x, y = u, v * rest_len
-        x, y = x * cos_t + y * sin_t, y * cos_t - x * sin_t
-        u, v = x, y / rest_len
-
-    # Phased block iteration (last of Step 2): w picks up an eigenphase.
-    u *= cmath.exp(1j * chi_o)
-    fb = 1.0 - cmath.exp(1j * chi_d)
-    block_mean = (u + (b - 1) * v) / b
-    u, v = fb * block_mean - u, fb * block_mean - v
-    w *= -cmath.exp(1j * chi_d)
-
-    # Step 3: target parked in ancilla-1, phased controlled diffusion.
-    ff = 1.0 - cmath.exp(1j * phi_f)
-    mean = ((b - 1) * v + (n - b) * w) / n
-    return ff * mean - w
+    def provenance(self) -> dict:
+        """The plan as report provenance (both engine tiers)."""
+        return {
+            "l1": self.l1,
+            "l2": self.l2,
+            "phases": list(self.phases),
+            "final_phase": self.final_phase,
+            "queries": self.queries,
+            "extra_queries": self.extra_queries,
+            "predicted_failure": self.predicted_failure,
+        }
 
 
 def plan_cwb(
@@ -170,14 +140,16 @@ def plan_cwb(
     escalation ladder — phased reflections cannot rotate *faster* than the
     π-reflections they replace, so an undershooting integer schedule needs
     the odd extra iteration before certainty becomes reachable.  The first
-    budget whose five-phase solve reaches ``tolerance`` wins.
+    budget whose five-phase solve reaches ``tolerance`` wins.  Each budget
+    evolves its ``l1 - 1`` plain global iterations once; the residual
+    evolves only the rest (the plain block iterations in one closed-form
+    rotation, so a solve stays O(1) in ``N``).
     """
     base = plan_schedule(n_items, n_blocks, epsilon)
     spec = base.spec
     if spec.block_size < 2:
         raise ValueError("sure-success needs block_size >= 2 (K < N)")
-    model = SubspaceGRK(spec)
-    scale = np.sqrt(spec.n_items - spec.block_size)
+    scale = float(np.sqrt(spec.n_items - spec.block_size))
 
     last_error: Exception | None = None
     for extra_l2, extra_l1 in _ESCALATION:
@@ -185,11 +157,16 @@ def plan_cwb(
         l2 = base.l2 + extra_l2
         if l1 < 1 or l2 < 1:  # each stage needs an iteration to phase
             continue
-        start = model.after_step1(l1 - 1)
+        start = evolve(spec, (ProgramStage(GLOBAL, l1 - 1),))
+        block_stage = ProgramStage(BLOCK, l2 - 1)
 
         def residual(phases: np.ndarray) -> np.ndarray:
-            w_final = _final_outside_amplitude(spec, start, l2, phases)
-            return np.array([w_final.real, w_final.imag]) * scale
+            phases = phases.tolist()
+            tail = PartialSearchProgram(
+                n_items, n_blocks, _tail(block_stage, phases), phases[4]
+            )
+            w_final = evaluate(tail, start).outside
+            return np.array((w_final.real * scale, w_final.imag * scale))
 
         try:
             phases = solve_phases(residual, 5, tolerance=tolerance)
@@ -228,56 +205,6 @@ def run_cwb_partial_search(
     phase solve once; *policy* selects the complex state precision exactly
     as in the other runners.
     """
-    from repro.kernels import ExecutionPolicy, uniform_state
-
-    if policy is None:
-        policy = ExecutionPolicy()
-    n = database.n_items
     if plan is None:
-        plan = plan_cwb(n, n_blocks, epsilon)
-    spec = plan.spec
-    if spec.n_items != n or spec.n_blocks != n_blocks:
-        raise ValueError("plan does not match this instance's (N, K)")
-    target = _single_target_of(database)
-    target_block = spec.block_of(target)
-
-    oracle = PhaseOracle(database)
-    start_count = database.counter.count
-    amps = uniform_state(n, dtype=policy.complex_dtype)
-
-    phi_o, phi_d, chi_o, chi_d = plan.phases
-    for _ in range(plan.l1 - 1):
-        oracle.apply(amps)
-        ops.invert_about_mean(amps)
-    oracle.apply(amps, phase=phi_o)
-    ops.invert_about_mean(amps, phase=phi_d)
-    for _ in range(plan.l2 - 1):
-        oracle.apply(amps)
-        ops.invert_about_mean_blocks(amps, n_blocks)
-    oracle.apply(amps, phase=chi_o)
-    ops.invert_about_mean_blocks(amps, n_blocks, phase=chi_d)
-
-    branches = np.zeros((2, n), dtype=amps.dtype)
-    branches[0] = amps
-    BitFlipOracle(database).apply(branches)
-    ops.invert_about_mean(branches[0], phase=plan.final_phase)
-
-    queries = database.counter.count - start_count
-    dist = block_probabilities(branches, n_blocks)
-    schedule = GRKSchedule(
-        spec=spec,
-        epsilon=epsilon if epsilon is not None else float("nan"),
-        l1=plan.l1,
-        l2=plan.l2,
-        predicted_success=1.0 - plan.predicted_failure,
-    )
-    return PartialSearchResult(
-        spec=spec,
-        schedule=schedule,
-        branches=branches,
-        block_distribution=dist,
-        block_guess=int(np.argmax(dist)),
-        success_probability=float(dist[target_block]),
-        queries=queries,
-        traces=None,
-    )
+        plan = plan_cwb(database.n_items, n_blocks, epsilon)
+    return run_partial_search(database, n_blocks, schedule=plan, policy=policy)

@@ -187,6 +187,16 @@ class GRKSchedule:
             self.spec.n_items, self.spec.n_blocks, self.l1, self.l2
         )
 
+    def provenance(self) -> dict:
+        """The schedule as report provenance (both engine tiers)."""
+        return {
+            "epsilon": self.epsilon,
+            "l1": self.l1,
+            "l2": self.l2,
+            "queries": self.queries,
+            "predicted_success": self.predicted_success,
+        }
+
 
 def plan_schedule(
     n_items: int,

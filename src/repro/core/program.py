@@ -21,9 +21,14 @@ Each planner's result exposes its program as ``.program``
 (:class:`~repro.core.parameters.GRKSchedule`,
 :class:`~repro.core.simplified.SimplifiedSchedule`,
 :class:`~repro.core.sure_success.SureSuccessPlan`,
-:class:`~repro.core.cwb.CWBPlan`).  The batched kernel sweep
-(:meth:`repro.kernels.KernelBackend.program_sweep_rows`) reads programs by
-attribute only, so :mod:`repro.kernels` never imports this module.
+:class:`~repro.core.cwb.CWBPlan`).  After planning, the program is the
+only description of a run, and three readers execute it: the counted
+runner (:func:`repro.core.algorithm.run_program`), the closed-form
+subspace evaluator (:func:`repro.core.subspace.evaluate`, which also
+scores the planners' candidates), and the batched kernel sweep
+(:meth:`repro.kernels.KernelBackend.program_sweep_rows`).  The sweep reads
+programs by attribute only, so :mod:`repro.kernels` never imports this
+module.  A new variant is a planner that emits a program.
 """
 
 from __future__ import annotations

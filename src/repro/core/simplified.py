@@ -13,8 +13,11 @@ ancilla-controlled Step 3 with **one ordinary global Grover iteration**:
 4. measure the block register.
 
 No extra qubit and no controlled diffusion makes this the easiest partial
-search to realise, and the final-step analysis collapses to one affine
-update of the three symmetric coordinates (:mod:`repro.core.subspace`).
+search to realise.  As a program it is ``[global j1, block j2, global 1]``
+with no Step 3: this module only plans ``(j1, j2)``; the shared subspace
+evaluator (:mod:`repro.core.subspace`) scores the candidates and the
+shared counted runner (:func:`repro.core.algorithm.run_partial_search`)
+executes the plan.
 
 **Zeroing condition.**  Write the post-Step-2 state as ``(u, v, w)``
 (target / rest-of-target-block / outside amplitudes).  The final iteration
@@ -42,16 +45,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.core.algorithm import PartialSearchResult, run_partial_search
 from repro.core.blockspec import BlockSpec
 from repro.core.program import BLOCK, GLOBAL, PartialSearchProgram, ProgramStage
-from repro.core.subspace import SubspaceCoordinates, SubspaceGRK
+from repro.core.subspace import SubspaceCoordinates, SubspaceGRK, evaluate, evolve
 from repro.grover.angles import grover_angle
-from repro.statevector import ops
 from repro.util.validation import require
 
 __all__ = [
     "SimplifiedSchedule",
-    "SimplifiedSearchResult",
     "simplified_query_coefficient",
     "simplified_step1_angle",
     "simplified_final_coordinates",
@@ -91,16 +93,16 @@ class SimplifiedSchedule:
     @property
     def program(self) -> PartialSearchProgram:
         """``[global j1, block j2, global 1]``, no Step 3."""
-        return PartialSearchProgram(
-            self.spec.n_items,
-            self.spec.n_blocks,
-            (
-                ProgramStage(GLOBAL, self.j1),
-                ProgramStage(BLOCK, self.j2),
-                ProgramStage(GLOBAL, 1),
-            ),
-            final_phase=None,
-        )
+        return _program(self.spec.n_items, self.spec.n_blocks, self.j1, self.j2)
+
+    def provenance(self) -> dict:
+        """The plan as report provenance (both engine tiers)."""
+        return {
+            "j1": self.j1,
+            "j2": self.j2,
+            "queries": self.queries,
+            "predicted_success": self.predicted_success,
+        }
 
 
 # --------------------------------------------------------------- asymptotics
@@ -154,28 +156,31 @@ def simplified_step1_angle(n_blocks: int) -> float:
 
 # ------------------------------------------------------------ exact finite N
 
-def simplified_final_coordinates(
-    model: SubspaceGRK, j1: int, j2: int
-) -> SubspaceCoordinates:
-    """Exact post-final-iteration coordinates for ``(j1, j2)``.
-
-    The final iteration is oracle (``u -> -u``) then global inversion about
-    the mean — three affine updates of the symmetric coordinates.
-    """
-    c = model.after_step2(j1, j2)
-    spec = model.spec
-    b, n = spec.block_size, spec.n_items
-    u, v, w = -c.target, c.block_rest, c.outside
-    mean = (u + (b - 1) * v + (n - b) * w) / n
-    return SubspaceCoordinates(
-        target=2.0 * mean - u,
-        block_rest=2.0 * mean - v,
-        outside=2.0 * mean - w,
+def _program(n_items: int, n_blocks: int, j1: int, j2: int):
+    """``[global j1, block j2, global 1]``, no Step 3."""
+    return PartialSearchProgram(
+        n_items,
+        n_blocks,
+        (
+            ProgramStage(GLOBAL, j1),
+            ProgramStage(BLOCK, j2),
+            ProgramStage(GLOBAL, 1),
+        ),
+        final_phase=None,
     )
 
 
-def _success(model: SubspaceGRK, j1: int, j2: int) -> float:
-    return simplified_final_coordinates(model, j1, j2).target_block_mass(model.spec)
+def simplified_final_coordinates(
+    model: SubspaceGRK, j1: int, j2: int
+) -> SubspaceCoordinates:
+    """Exact post-final-iteration coordinates for ``(j1, j2)``."""
+    spec = model.spec
+    return evolve(spec, _program(spec.n_items, spec.n_blocks, j1, j2).stages)
+
+
+def _success(spec: BlockSpec, j1: int, j2: int) -> float:
+    final = evaluate(_program(spec.n_items, spec.n_blocks, j1, j2))
+    return final.success_probability(spec)
 
 
 def plan_simplified_schedule(
@@ -217,14 +222,14 @@ def plan_simplified_schedule(
     j2 = analytic_j2(j1)
     if not refine:
         return SimplifiedSchedule(
-            spec=spec, j1=j1, j2=j2, predicted_success=_success(model, j1, j2)
+            spec=spec, j1=j1, j2=j2, predicted_success=_success(spec, j1, j2)
         )
 
     best: tuple[float, int, int] | None = None
     for a in range(max(0, j1 - window), j1 + window + 1):
         j2_a = analytic_j2(a)
         for bb in range(max(0, j2_a - window), j2_a + window + 1):
-            s = _success(model, a, bb)
+            s = _success(spec, a, bb)
             if (
                 best is None
                 or s > best[0] + 1e-9
@@ -237,41 +242,13 @@ def plan_simplified_schedule(
 
 # ---------------------------------------------------------------- execution
 
-@dataclass(frozen=True)
-class SimplifiedSearchResult:
-    """Outcome of one simplified-partial-search run.
-
-    Attributes:
-        spec: the ``(N, K)`` geometry.
-        schedule: the executed ``(j1, j2)`` schedule.
-        amplitudes: final state, shape ``(N,)`` (no ancilla in this
-            algorithm — that is the point).
-        block_distribution: block-measurement probabilities, shape ``(K,)``.
-        block_guess: the most likely block.
-        success_probability: probability mass on the true target block.
-        queries: oracle queries actually counted during the run.
-    """
-
-    spec: BlockSpec
-    schedule: SimplifiedSchedule
-    amplitudes: np.ndarray
-    block_distribution: np.ndarray
-    block_guess: int
-    success_probability: float
-    queries: int
-
-    @property
-    def failure_probability(self) -> float:
-        return max(0.0, 1.0 - self.success_probability)
-
-
 def run_simplified_partial_search(
     database,
     n_blocks: int,
     *,
     schedule: SimplifiedSchedule | None = None,
     policy=None,
-) -> SimplifiedSearchResult:
+) -> PartialSearchResult:
     """Execute the Korepin–Grover simplified algorithm on a counted oracle.
 
     Args:
@@ -283,52 +260,13 @@ def run_simplified_partial_search(
             precision (``None`` = the bit-identical complex128 default).
 
     Returns:
-        :class:`SimplifiedSearchResult` with the exact final distribution.
+        :class:`~repro.core.algorithm.PartialSearchResult` with the exact
+        final distribution; ``branches`` is the ``(1, N)`` final state (no
+        ancilla in this algorithm — that is the point).
     """
-    from repro.kernels import ExecutionPolicy, uniform_state
-    from repro.oracle.quantum import PhaseOracle
-
-    if policy is None:
-        policy = ExecutionPolicy()
-    n = database.n_items
     if schedule is None:
-        schedule = plan_simplified_schedule(n, n_blocks)
-    spec = schedule.spec
-    if spec.n_items != n or spec.n_blocks != n_blocks:
-        raise ValueError(
-            f"schedule is for (N={spec.n_items}, K={spec.n_blocks}), "
-            f"but this run has (N={n}, K={n_blocks})"
-        )
-    marked = database.reveal_marked()
-    if len(marked) != 1:
-        raise ValueError(
-            f"partial search requires exactly one marked item, got {len(marked)}"
-        )
-    target = next(iter(marked))
-    target_block = spec.block_of(target)
-
-    oracle = PhaseOracle(database)
-    start_count = database.counter.count
-    amps = uniform_state(n, dtype=policy.real_dtype)
-    for _ in range(schedule.j1):
-        oracle.apply(amps)
-        ops.invert_about_mean(amps)
-    for _ in range(schedule.j2):
-        oracle.apply(amps)
-        ops.invert_about_mean_blocks(amps, n_blocks)
-    oracle.apply(amps)
-    ops.invert_about_mean(amps)
-
-    dist = (amps.reshape(n_blocks, spec.block_size) ** 2).sum(axis=1)
-    return SimplifiedSearchResult(
-        spec=spec,
-        schedule=schedule,
-        amplitudes=amps,
-        block_distribution=dist,
-        block_guess=int(np.argmax(dist)),
-        success_probability=float(dist[target_block]),
-        queries=database.counter.count - start_count,
-    )
+        schedule = plan_simplified_schedule(database.n_items, n_blocks)
+    return run_partial_search(database, n_blocks, schedule=schedule, policy=policy)
 
 
 def execute_simplified_batch_rows(

@@ -11,9 +11,9 @@ This package collapses them into one stable, extensible surface:
 - the **method registry** (:func:`register_method`, :func:`get_method`,
   :func:`available_methods`) mirroring the circuit backend registry: the
   built-ins are ``grk``, ``grk-simplified``, ``grk-sure-success``,
-  ``grk-cwb``, ``naive-blocks``, ``grover-full``, ``classical``, and
-  ``subspace``, and follow-on algorithms plug in as new registrations,
-  not new top-level functions;
+  ``grk-cwb``, ``naive-blocks``, ``grover-full`` and ``classical``, and
+  follow-on algorithms plug in as new registrations, not new top-level
+  functions;
 - :class:`SearchEngine` — ``search`` / ``search_batch`` / ``sweep``, with
   memory-bounded ``(B_chunk, N)`` sharding (:class:`ExecutionPlan`,
   default budget ≲128 MiB) and optional process fan-out for all-targets

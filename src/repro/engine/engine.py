@@ -118,8 +118,8 @@ class SearchEngine:
         return request
 
     def _database_for(
-        self, spec: MethodSpec, request: SearchRequest, database: Database | None
-    ) -> Database | None:
+        self, request: SearchRequest, database: Database | None
+    ) -> Database:
         if database is not None:
             if database.n_items != request.n_items:
                 raise ValueError(
@@ -127,8 +127,6 @@ class SearchEngine:
                     f"says n_items={request.n_items}"
                 )
             return database
-        if not spec.needs_database:
-            return None
         if request.target is None:
             raise ValueError(
                 f"method {request.method!r} needs request.target or an "
@@ -166,7 +164,7 @@ class SearchEngine:
                 # through to the simulator tier.
                 if request.engine == "analytic":
                     raise
-        db = self._database_for(spec, request, database)
+        db = self._database_for(request, database)
         return spec.run(request, backend, db)
 
     # ------------------------------------------------------- search_batch
@@ -219,33 +217,8 @@ class SearchEngine:
         if targets.min() < 0 or targets.max() >= request.n_items:
             raise ValueError("targets out of address range")
         if spec.native_batch is not None:
-            return self._call_native_batch(spec, request, backend, targets)
+            return spec.native_batch(request, backend, targets, self.executor)
         return self._generic_batch(spec, request, backend, targets)
-
-    def _call_native_batch(
-        self,
-        spec: MethodSpec,
-        request: SearchRequest,
-        backend: str,
-        targets: np.ndarray,
-    ) -> BatchReport:
-        """Invoke a native batch adapter, threading the engine's executor
-        through when the adapter accepts one (older three-argument adapters
-        registered by external code keep working unchanged)."""
-        import inspect
-
-        try:
-            params = inspect.signature(spec.native_batch).parameters
-            takes_executor = "executor" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-            )
-        except (TypeError, ValueError):  # builtins/partials without signatures
-            takes_executor = False
-        if takes_executor:
-            return spec.native_batch(
-                request, backend, targets, executor=self.executor
-            )
-        return spec.native_batch(request, backend, targets)
 
     def _generic_batch(
         self,
@@ -341,8 +314,7 @@ class SearchEngine:
         simulate get ``None`` there.
         """
         from repro.core.backends import validate_backend
-        from repro.core.blockspec import BlockSpec
-        from repro.core.parameters import plan_schedule
+        from repro.core.plans import FAMILY
         from repro.core.subspace import SubspaceGRK
         from repro.util.bits import is_power_of_two
 
@@ -355,8 +327,8 @@ class SearchEngine:
             for k in n_blocks_values:
                 if k < 2 or n % k != 0 or n // k < 2:
                     continue
-                schedule = plan_schedule(n, k, epsilon)
-                model = SubspaceGRK(BlockSpec(n, k))
+                schedule = FAMILY["grk"].solve(n, k, epsilon)
+                model = SubspaceGRK(schedule.spec)
                 failure = model.failure_probability(schedule.l1, schedule.l2)
                 row = {
                     "n_items": n,
@@ -413,11 +385,7 @@ def _run_single_target_shard(task, rng):
         request = SearchRequest(
             backend=backend, target=int(t), rng=target_rngs[i], **base_fields
         )
-        database = (
-            SingleTargetDatabase(request.n_items, int(t))
-            if spec.needs_database
-            else None
-        )
+        database = SingleTargetDatabase(request.n_items, int(t))
         report = spec.run(request, backend, database)
         success[i] = report.success_probability
         guesses[i] = -1 if report.block_guess is None else report.block_guess

@@ -1,8 +1,8 @@
 """The method registry: algorithms as data, mirroring the backend registry.
 
 A *method* is one way of answering the partial-search question — the GRK
-algorithm, its sure-success variant, the naive K−1-block baseline, full
-Grover search, the classical scans, or the analytic subspace model.  Each
+algorithm and its simplified and sure-success variants, the naive
+K−1-block baseline, full Grover search, or the classical scans.  Each
 is described by a :class:`MethodSpec` naming its compatible backends and
 its adapter callables, and registered under a stable string name.  Adding a
 new algorithm (e.g. the Korepin–Grover simplified partial search of
@@ -39,24 +39,23 @@ class MethodSpec:
         backends: backend names this method can execute on, in preference
             order; the first entry is the default.
         run: adapter ``(request, backend, database) -> SearchReport``
-            executing one search.  ``database`` is ``None`` for methods with
-            ``needs_database=False``.
+            executing one search against a counted database.
         native_batch: optional adapter
-            ``(request, backend, targets) -> BatchReport`` for methods with
-            a vectorised many-targets path (``grk``, ``subspace``).  Methods
-            without one fall back to the engine's generic per-target loop.
-        needs_database: whether :meth:`SearchEngine.search` must supply a
-            counted database (from ``request.target`` or an explicit one).
+            ``(request, backend, targets, executor) -> BatchReport`` for
+            methods with a vectorised many-targets path (the GRK family);
+            ``executor`` is the engine's shard executor, through which the
+            adapter dispatches its shards.  Methods without one fall back
+            to the engine's generic per-target loop.
         needs_blocks: whether the method requires ``K >= 2`` (everything
             except full search).
         supports_trace: whether ``request.trace=True`` is honoured.
         honours_policy: whether the method's runners thread the request's
             :class:`~repro.kernels.ExecutionPolicy` into their kernels.
-            When ``False`` (the classical scans, the analytic model, and
-            runners that pin float64 state) the engine normalises the
-            request back to the default policy so shard plans and
-            execution provenance stay truthful — a non-default policy is
-            silently a no-op there, never a mis-sized shard.
+            When ``False`` (the classical scans and runners that pin
+            float64 state) the engine normalises the request back to the
+            default policy so shard plans and execution provenance stay
+            truthful — a non-default policy is silently a no-op there,
+            never a mis-sized shard.
     """
 
     name: str
@@ -64,7 +63,6 @@ class MethodSpec:
     backends: tuple[str, ...]
     run: Callable[..., Any]
     native_batch: Callable[..., Any] | None = None
-    needs_database: bool = True
     needs_blocks: bool = True
     supports_trace: bool = False
     honours_policy: bool = True

@@ -94,7 +94,7 @@ class SearchRequest:
         target: the marked address, for engines that synthesise the database
             themselves.  ``None`` is allowed when the caller passes an
             explicit database to :meth:`SearchEngine.search` (or for
-            target-independent methods like ``subspace``).
+            closed-form answers, which leave ``block_guess`` unset).
         trace: request stage snapshots (methods that cannot trace raise).
         rng: seed or ``numpy.random.Generator`` for stochastic methods.
         shards: the batch/shard policy (see :class:`ShardPolicy`).

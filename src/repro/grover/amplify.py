@@ -8,7 +8,9 @@ where ``O`` multiplies marked amplitudes by ``e^{i phi_o}`` (one oracle
 query) and ``D`` is the generalised diffusion of
 :func:`repro.statevector.ops.invert_about_mean` (or its blockwise form).
 Each step still costs exactly one query; the two continuous phases provide
-the freedom integer iteration counts lack.  Two such steps (four phases)
+the freedom integer iteration counts lack.  The counted GRK-family runner
+(:func:`repro.core.algorithm.run_program`) takes every iteration through
+these two steps; a phase of π is the plain reflection.  Two such steps (four phases)
 suffice to meet any pair of real constraints reachable in the invariant
 subspace — that is how :mod:`repro.core.sure_success` drives the
 partial-search failure probability to machine zero, realising the paper's

@@ -99,17 +99,6 @@ class TestGRKFamily:
             assert ana.queries == sim.queries
             assert ana.block_guess == sim.block_guess
 
-    def test_subspace_alias_matches_grk_model(self):
-        for n, k in ((64, 8), (256, 16)):
-            via_subspace = ENGINE.search(
-                _request(n, k, "subspace", engine="analytic", target=3)
-            )
-            via_grk = ENGINE.search(
-                _request(n, k, "grk", engine="analytic", target=3)
-            )
-            assert via_subspace.success_probability == via_grk.success_probability
-            assert via_subspace.queries == via_grk.queries
-
 
 class TestSureSuccessFamily:
     """grk-sure-success / grk-cwb: solved plans vs the statevector."""

@@ -99,7 +99,7 @@ class TestRunnerMatchesSubspaceModel:
             SubspaceGRK(sched.spec), sched.j1, sched.j2
         )
         expected = coords.to_statevector(sched.spec, target)
-        assert np.allclose(result.amplitudes, expected, atol=1e-10)
+        assert np.allclose(result.branches[0], expected, atol=1e-10)
 
     def test_distribution_normalised(self):
         result = run_simplified_partial_search(

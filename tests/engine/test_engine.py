@@ -162,14 +162,6 @@ class TestSearchMatchesRunners:
                 )
             )
 
-    def test_subspace_needs_no_database(self):
-        report = SearchEngine().search(
-            SearchRequest(n_items=2**30, n_blocks=16, method="subspace")
-        )
-        assert report.block_guess is None
-        assert report.success_probability > 0.999
-        assert report.queries == report.schedule["queries"]
-
 
 class TestSweep:
     def test_matches_deprecated_wrapper(self):
@@ -271,11 +263,3 @@ class TestBatchReportShape:
             ) <= 1e-12
             assert report.block_guesses[t] == result.block_guess
             assert report.queries[t] == result.queries
-
-    def test_subspace_native_batch(self):
-        report = SearchEngine().search_batch(
-            SearchRequest(n_items=4096, n_blocks=8, method="subspace")
-        )
-        assert report.all_correct
-        assert np.ptp(report.success_probabilities) == 0.0
-        assert report.execution.get("analytic") is True

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
-from repro.engine.registry import MethodSpec, register_method, unregister_method
 from repro.service.executor import LocalExecutor, ShardExecutor
 
 
@@ -62,37 +61,6 @@ class TestEngineDispatch:
         assert np.array_equal(default.success_probabilities,
                               custom.success_probabilities)
         assert np.array_equal(default.block_guesses, custom.block_guesses)
-
-    def test_legacy_three_argument_native_batch_still_works(self):
-        """Custom registrations predating the executor seam (adapters
-        without an ``executor`` parameter) must keep working."""
-        from repro.engine.report import BatchReport
-
-        def legacy_batch(request, backend, targets):
-            return BatchReport(
-                method="legacy-batch", backend=backend,
-                n_items=request.n_items, n_blocks=request.n_blocks,
-                targets=targets,
-                success_probabilities=np.ones(targets.size),
-                block_guesses=targets // request.block_size,
-                queries=np.zeros(targets.size, dtype=np.intp),
-            )
-
-        spec = MethodSpec(
-            name="legacy-batch", description="three-arg adapter",
-            backends=("kernels",),
-            run=lambda request, backend, database: None,
-            native_batch=legacy_batch,
-        )
-        register_method(spec)
-        try:
-            report = SearchEngine(executor=RecordingExecutor()).search_batch(
-                SearchRequest(n_items=64, n_blocks=4, method="legacy-batch")
-            )
-            assert report.method == "legacy-batch"
-            assert report.n_rows == 64
-        finally:
-            unregister_method("legacy-batch")
 
 
 class TestRequestPickling:

@@ -20,7 +20,6 @@ BUILTINS = (
     "naive-blocks",
     "grover-full",
     "classical",
-    "subspace",
 )
 
 

@@ -237,7 +237,7 @@ class TestShardIdentityUnderPolicies:
         np.testing.assert_array_equal(fanned.block_guesses, serial.block_guesses)
 
     def test_policy_blind_methods_normalise_the_policy(self):
-        # naive-blocks/grover-full/classical/subspace runners pin their own
+        # naive-blocks/grover-full/classical runners pin their own
         # dtype, so a complex64 request must NOT halve the shard byte model
         # (2x the budgeted memory for float64 state) nor stamp a dtype into
         # the provenance that was never used.

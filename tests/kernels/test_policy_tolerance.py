@@ -63,7 +63,7 @@ class TestEveryRegisteredMethod:
 
     @pytest.mark.parametrize(
         "method",
-        ["grk", "grk-simplified", "grk-sure-success", "grk-cwb", "subspace"],
+        ["grk", "grk-simplified", "grk-sure-success", "grk-cwb"],
     )
     def test_batched_paths_within_bound(self, method):
         engine = SearchEngine()

@@ -107,7 +107,7 @@ class TestRequestFingerprint:
         [
             {"n_items": 128, "n_blocks": 4},
             {"n_blocks": 8},
-            {"method": "subspace"},
+            {"method": "grk-simplified"},
             {"backend": "naive"},
             {"epsilon": 0.5},
             {"target": 3},

@@ -118,5 +118,4 @@ class TestEngineSurface:
             "naive-blocks",
             "grover-full",
             "classical",
-            "subspace",
         }
