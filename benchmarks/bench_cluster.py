@@ -42,10 +42,11 @@ import numpy as np
 from repro.cluster import (
     CachePeers,
     ClusterCoordinator,
-    ClusterExecutor,
     ClusterMembership,
+    ClusterWorkers,
 )
 from repro.engine import SearchEngine, SearchRequest
+from repro.service.executor import RemoteExecutor
 from repro.service.registry import WorkerRegistry
 from repro.service.scheduler import SearchService
 from repro.service.server import SearchServer
@@ -69,7 +70,10 @@ class _Replica:
         self.peering = CachePeers(self.membership, total_budget=120.0,
                                   reply_timeout=120.0)
         engine = SearchEngine(
-            executor=ClusterExecutor(self.membership, self.registry)
+            executor=RemoteExecutor(
+                ClusterWorkers(self.membership, self.registry),
+                fallback_local=True,
+            )
         )
         self.service = SearchService(engine, peering=self.peering,
                                      request_timeout=600.0,
@@ -174,7 +178,7 @@ def _run_chaos(config: dict) -> dict:
         FaultPlan,
         RetryPolicy,
     )
-    from repro.service.executor import LocalExecutor, RemoteExecutor
+    from repro.service.executor import LocalExecutor
     from repro.service.worker import WorkerServer
 
     schedule = plan_schedule(config["n_items"], config["n_blocks"])

@@ -8,7 +8,7 @@ amplitude in the target block and the target itself at probability 3/4.
 import numpy as np
 
 from repro.analysis.histogram import amplitude_bars
-from repro.statevector import ops
+from repro.kernels import primitives as ops
 
 N, K, TARGET = 12, 3, 5
 

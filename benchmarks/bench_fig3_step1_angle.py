@@ -12,8 +12,8 @@ import numpy as np
 
 from repro import SingleTargetDatabase
 from repro.grover.angles import grover_angle
+from repro.kernels import primitives as ops
 from repro.oracle import PhaseOracle
-from repro.statevector import ops
 from repro.core.parameters import GRKParameters
 from repro.util.tables import format_table
 

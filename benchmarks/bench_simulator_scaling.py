@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.blockspec import BlockSpec
 from repro.core.subspace import SubspaceGRK
-from repro.statevector import dense, ops
+from repro.kernels import primitives as ops
+from repro.statevector import dense
 
 DENSE_N = 1024
 

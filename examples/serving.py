@@ -16,6 +16,7 @@ import asyncio
 import numpy as np
 
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
+from repro.resilience import FaultPlan
 from repro.service import RemoteExecutor, SearchService
 from repro.service.worker import WorkerServer
 
@@ -40,7 +41,8 @@ print(f"all-targets batch: {remote.n_rows} rows in "
 print(f"remote results bit-identical to local: {identical}")
 
 # --- Act 2: worker death mid-batch, requeued, still identical -------------
-with WorkerServer(fail_after=3) as dying, WorkerServer() as survivor:
+with WorkerServer(chaos=FaultPlan.worker_crash(3)) as dying, \
+        WorkerServer() as survivor:
     engine = SearchEngine(executor=RemoteExecutor([dying.address, survivor.address]))
     after_death = engine.search_batch(REQUEST)
     requeued = engine.executor.last_run["requeued"]

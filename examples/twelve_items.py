@@ -20,7 +20,7 @@ Run:  python examples/twelve_items.py
 import numpy as np
 
 from repro.analysis.histogram import amplitude_bars
-from repro.statevector import ops
+from repro.kernels import primitives as ops
 
 N, K, TARGET = 12, 3, 5  # target in the middle block, matching the figure
 

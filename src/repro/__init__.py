@@ -46,10 +46,10 @@ serve`` / ``repro submit`` CLI — see README "Serving & distribution".
 
 The original ``run_*`` entry points (``run_partial_search``,
 ``run_grover``, ...) remain importable — the engine dispatches *to* them —
-but new code should go through :class:`SearchEngine`;
-``run_partial_search_batch`` and ``sweep_partial_search`` are deprecated
-wrappers over the engine.  See README.md for the architecture overview
-and the full deprecation path.
+but new code should go through :class:`SearchEngine`, which also owns
+batches (:meth:`SearchEngine.search_batch`) and parameter sweeps
+(:meth:`SearchEngine.sweep`).  See README.md for the architecture
+overview.
 """
 
 from repro.core import (

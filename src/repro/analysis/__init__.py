@@ -18,7 +18,7 @@ from repro.analysis.histogram import (
     block_profile,
     figure_histogram,
 )
-from repro.analysis.sweep import sweep_coefficients, sweep_partial_search
+from repro.analysis.sweep import sweep_coefficients
 
 __all__ = [
     "LARGE_K_CONSTANT",
@@ -31,5 +31,4 @@ __all__ = [
     "block_profile",
     "figure_histogram",
     "sweep_coefficients",
-    "sweep_partial_search",
 ]

@@ -1,73 +1,15 @@
-"""Parameter sweeps over ``(N, K, eps)`` grids.
+"""Asymptotic-coefficient sweeps over ``K``.
 
-Sweeps use the O(1) subspace model by default so grids with ``N = 2**40``
-cost microseconds per cell; pass ``simulate=True`` to cross-check cells on
-the full simulator — by default the compiled gate-level backend run over
-*every* target in one batched program (see :mod:`repro.circuits.compiler`),
-so even the all-targets check stays cheap at simulable sizes.
-
-The implementation lives in :meth:`repro.engine.SearchEngine.sweep` (which
-adds the memory-bounded shard policy for the simulated cells);
-:func:`sweep_partial_search` remains as a thin deprecated wrapper.
+The ``(N, K, eps)`` schedule/query/success grid lives in
+:meth:`repro.engine.SearchEngine.sweep`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.engine.engine import SWEEP_SIMULATE_MAX_ITEMS
-
-__all__ = ["sweep_partial_search", "sweep_coefficients"]
-
-#: Largest ``N`` a ``simulate=True`` sweep will run on the full simulator
-#: (alias of the engine's constant — the engine owns the implementation).
-SIMULATE_MAX_ITEMS = SWEEP_SIMULATE_MAX_ITEMS
-
-
-def sweep_partial_search(
-    n_items_values: Sequence[int],
-    n_blocks_values: Sequence[int],
-    epsilon: float | None = None,
-    *,
-    simulate: bool = False,
-    backend: str = "compiled",
-) -> list[dict]:
-    """Exact schedule/query/success grid via the subspace model.
-
-    .. deprecated::
-        Thin wrapper over :meth:`repro.engine.SearchEngine.sweep`, kept for
-        source compatibility; new code should call the engine, which also
-        exposes the shard policy for the simulated cells.
-
-    Returns one row per ``(N, K)`` with keys ``n_items``, ``n_blocks``,
-    ``epsilon``, ``l1``, ``l2``, ``queries``, ``coefficient``
-    (``queries/sqrt(N)``), ``success``, ``failure``.  Pairs where ``K`` does
-    not divide ``N`` are skipped.
-
-    With ``simulate=True`` each cell with ``N <= SIMULATE_MAX_ITEMS`` is
-    additionally executed for every target on the full simulator (the
-    batched runner with the given *backend*; cells whose geometry the
-    circuit backends cannot express fall back to the ``"kernels"`` batch),
-    adding keys ``sim_worst_success`` (min over targets) and
-    ``sim_all_correct``.  Cells too large to simulate get ``None`` there.
-    """
-    warnings.warn(
-        "sweep_partial_search is deprecated; use repro.engine.SearchEngine.sweep",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.engine import SearchEngine
-
-    return SearchEngine().sweep(
-        n_items_values,
-        n_blocks_values,
-        epsilon,
-        simulate=simulate,
-        backend=backend,
-        simulate_max_items=SIMULATE_MAX_ITEMS,
-    )
+__all__ = ["sweep_coefficients"]
 
 
 def sweep_coefficients(n_blocks_values: Iterable[int]) -> list[dict]:

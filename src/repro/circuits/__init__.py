@@ -1,6 +1,6 @@
 """Gate-level circuit IR: the paper's algorithms as real quantum circuits.
 
-The structured kernels in :mod:`repro.statevector.ops` are mathematically
+The structured kernels in :mod:`repro.kernels.primitives` are mathematically
 convenient but hide the circuit cost model.  This package expresses the same
 algorithms with an explicit gate set — ``H``, ``X``, ``Z``, phase gates,
 multi-controlled ``Z``/``X`` and a bookkeeping global phase — and simulates
@@ -34,7 +34,7 @@ the :mod:`repro.core` runners):
      conjugated bit pattern;
   2. *diffusion recognition* — the ``H* X* MCZ X* H*`` motif becomes a
      single O(N) inversion-about-the-mean kernel (the
-     :mod:`repro.statevector.ops` operator), with a following
+     :mod:`repro.kernels.primitives` operator), with a following
      ``GPHASE(pi)`` folded into its sign;
   3. *single-qubit fusion* — adjacent 2x2 gates on one wire (gates on other
      wires commute through) multiply together; identity products vanish;

@@ -11,7 +11,7 @@ All builders follow the same conventions:
   query count;
 - diffusion circuits include a ``GPHASE(pi)`` so they equal ``+I_0 = 2
   |psi_0><psi_0| - I`` *exactly* (not up to sign), letting tests compare
-  state vectors elementwise against :mod:`repro.statevector.ops`.
+  state vectors elementwise against :mod:`repro.kernels.primitives`.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ states, or a batch of per-row targets:
    sweeps per oracle call.
 3. **Diffusion recognition** — the ``H* X* MCZ X* H*`` motif (builders'
    ``_diffusion_core``) is dispatched to the O(N) inversion-about-the-mean
-   kernel of :mod:`repro.statevector.ops` fame: one reshaped mean and one
+   kernel of :mod:`repro.kernels.primitives` fame: one reshaped mean and one
    fused subtract instead of ~4·|Q| single-qubit passes plus a masked flip.
    A following ``GPHASE(pi)`` is folded into the kernel's sign.
 4. **Single-qubit fusion** — adjacent single-qubit gates on one wire (gates

@@ -1,8 +1,7 @@
 """``repro.cluster`` — federated ``repro serve`` replicas.
 
 Three pieces turn independent serving replicas into one cluster, all built
-on the existing length-prefixed wire (protocol v3,
-:mod:`repro.service.wire`):
+on the existing length-prefixed wire (:mod:`repro.service.wire`):
 
 1. **Membership** (:mod:`repro.cluster.membership`): a seed-list +
    push–pull gossip protocol.  Replicas started with ``repro serve --join
@@ -17,16 +16,17 @@ on the existing length-prefixed wire (protocol v3,
    cluster-wide).
 3. **Cluster scheduling** (:mod:`repro.cluster.executor`): workers
    ``--register`` with *one* replica and gossip propagates them to all;
-   the :class:`ClusterExecutor` ranks the cluster-wide fleet by owning
-   member load and fans shards over it, falling back to local compute when
-   the fleet is gone.
+   :class:`ClusterWorkers` ranks the cluster-wide fleet by owning member
+   load, and a :class:`~repro.service.executor.RemoteExecutor` reading it
+   fans shards over that fleet, falling back to local compute when the
+   fleet is gone.
 
 Trust model is unchanged from :mod:`repro.service`: frames are pickles,
 so replicas gossip only over trusted networks.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.executor import ClusterExecutor
+from repro.cluster.executor import ClusterWorkers
 from repro.cluster.membership import ClusterMembership, MemberState
 from repro.cluster.peering import (
     CachePeers,
@@ -37,7 +37,7 @@ from repro.cluster.peering import (
 
 __all__ = [
     "ClusterCoordinator",
-    "ClusterExecutor",
+    "ClusterWorkers",
     "ClusterMembership",
     "MemberState",
     "CachePeers",

@@ -54,7 +54,7 @@ class ClusterCoordinator:
 
     Args:
         membership: the replica's :class:`~repro.cluster.membership.ClusterMembership`
-            (shared with its :class:`~repro.cluster.executor.ClusterExecutor`
+            (shared with its :class:`~repro.cluster.executor.ClusterWorkers`
             and :class:`~repro.cluster.peering.CachePeers`).
         gossip_interval: seconds between gossip rounds.
         gossip_timeout: per-peer budget for one exchange (connect + round

@@ -1,63 +1,52 @@
 """Cluster-wide shard scheduling over the gossiped worker fleet.
 
-The :class:`~repro.service.executor.RegistryExecutor` dispatches to the
-workers registered *at this replica*; a multi-server deployment would pin
-each worker to whichever server it happened to register with.  The
-:class:`ClusterExecutor` removes that coupling: membership gossip
+A :class:`~repro.service.registry.WorkerRegistry` holds the workers
+registered *at this replica*; dispatching from it alone would pin each
+worker to whichever server it happened to register with.  Membership gossip
 (:mod:`repro.cluster.membership`) propagates every member's registered
-workers (and its current load), so a worker that ran ``repro-worker
---register`` against *any* replica serves batches submitted to *all* of
-them.
+workers (and its current load), and :class:`ClusterWorkers` is the worker
+source that reads it, so a worker that ran ``repro-worker --register``
+against *any* replica serves batches submitted to *all* of them::
+
+    RemoteExecutor(ClusterWorkers(membership, registry),
+                   fallback_local=True, breakers=breakers)
 
 Scheduling is least-loaded-first: candidate workers are ranked by their
 owning member's advertised load (this replica's own registry counts as load
-0 — local knowledge is current, gossiped knowledge is a round stale), with
-circuit-breaker state as a final tiebreak layer: half-open endpoints (just
-out of quarantine, still earning trust) sink to the tail of the ranking,
-and open ones are filtered out entirely by the inherited dispatch.  The
-dispatch mechanics are inherited from :class:`RegistryExecutor` — lanes
-capped at one per shard (trimmed from the tail, so they stay on the
-best-ranked workers), per-run :class:`~repro.service.executor.RemoteExecutor`
-with ``fallback_local=True`` — because gossip necessarily lags reality, so
-a fleet that died since the last round degrades to local compute instead of
+0 — local knowledge is current, gossiped knowledge is a round stale).  The
+executor applies circuit-breaker state on top, as for every worker source:
+it drops open endpoints, moves half-open ones (just out of quarantine,
+still earning trust) behind the rest, opens lanes on the head of the
+ranking and keeps the tail as spares.  It runs with
+``fallback_local=True`` because gossip necessarily lags reality, so a fleet
+that died since the last round degrades to local compute instead of
 aborting the batch.
 """
 
 from __future__ import annotations
 
 from repro.observability.spans import span
-from repro.service.executor import RegistryExecutor, required_kernel_backend
 
-__all__ = ["ClusterExecutor"]
+__all__ = ["ClusterWorkers"]
 
 
-class ClusterExecutor(RegistryExecutor):
-    """Dispatch shards across every worker known to the cluster.
+class ClusterWorkers:
+    """Worker source over every worker known to the cluster.
 
     Args:
         membership: the gossip table advertising each member's workers/load.
         registry: this replica's own :class:`~repro.service.registry.WorkerRegistry`
             (consulted live — fresher than our own gossip entry); ``None``
             for a replica that takes no direct registrations.
-        timeout: per-shard reply timeout handed to the remote dispatch.
-        connect_timeout: TCP connect timeout per worker.
-        retry: transient-failure policy for the per-run remote dispatch.
-        breakers: shared :class:`~repro.resilience.BreakerRegistry` —
-            open endpoints are quarantined out of dispatch and half-open
-            ones rank behind every closed endpoint.
-        chaos: optional :class:`~repro.resilience.FaultPlan` for the
-            per-run remote dispatch.
     """
 
-    def __init__(self, membership, registry=None, *, timeout: float = 300.0,
-                 connect_timeout: float = 5.0, retry=None, breakers=None,
-                 chaos=None):
-        super().__init__(registry, timeout=timeout,
-                         connect_timeout=connect_timeout, retry=retry,
-                         breakers=breakers, chaos=chaos)
-        self.membership = membership
+    kind = "cluster"
 
-    def _ranked_workers(self, backend: str | None = None) -> list[str]:
+    def __init__(self, membership, registry=None):
+        self.membership = membership
+        self.registry = registry
+
+    def ranked(self, backend: str | None = None) -> list[str]:
         """Cluster workers, least-loaded owner first, deduplicated.
 
         Local registrations rank ahead of gossiped ones: the local
@@ -73,11 +62,6 @@ class ClusterExecutor(RegistryExecutor):
         ``worker_backends`` map, where absence means numpy-only) — so a
         ``numba`` batch on a mixed fleet routes past incapable workers
         up front.
-
-        Breaker state is applied last: endpoints not currently ``closed``
-        (half-open probation, or open-but-about-to-expire) sink to the
-        tail in their original relative order, so lane trimming prefers
-        workers with a clean recent record.
         """
         ranked: list[str] = []
         seen: set[str] = set()
@@ -98,29 +82,17 @@ class ClusterExecutor(RegistryExecutor):
             if address not in seen:
                 seen.add(address)
                 ranked.append(address)
-        # Stable two-pass split, not a sort: load order within each class
-        # is preserved.
-        trusted = [a for a in ranked if self.breakers.state(a) == "closed"]
-        probation = [a for a in ranked if self.breakers.state(a) != "closed"]
-        return trusted + probation
+        return ranked
 
-    def _resolve_addresses(self, tasks: list) -> list[str]:
+    def candidates(self, backend: str) -> list[str]:
         # Ranking walks the gossip table; on a big fleet that is real work
         # worth attributing, so it gets its own span under dispatch.resolve.
-        backend = required_kernel_backend(tasks)
         with span("cluster.rank") as ranking:
-            ranked = self._ranked_workers(
-                backend if backend != "numpy" else None
-            )
+            ranked = self.ranked(None if backend == "numpy" else backend)
             ranking.attrs["workers"] = len(ranked)
             if backend != "numpy":
                 ranking.attrs["kernel_backend"] = backend
         return ranked
 
     def describe(self) -> dict:
-        return {
-            "executor": "cluster",
-            "workers": self._ranked_workers(),
-            "members": self.membership.peers(),
-            "timeout_s": self.timeout,
-        }
+        return {"workers": self.ranked(), "members": self.membership.peers()}

@@ -3,7 +3,7 @@
 Every replica keeps a local table of :class:`MemberState` — who is in the
 cluster, how alive they are, which workers they have registered, and how
 loaded they are.  The table converges by **push–pull gossip** over the
-existing length-prefixed wire (:mod:`repro.service.wire`, protocol v3): on a
+existing length-prefixed wire (:mod:`repro.service.wire`): on a
 timer each replica sends its full table to its known peers and seeds
 (``("gossip", table)``) and merges the table each answers with
 (``("gossip-ack", table)``).  Two replicas that share one seed therefore
@@ -22,8 +22,9 @@ is ignored, while a member that is genuinely back (direct contact, or a
 heartbeat above the tombstone) clears it.
 
 The table is a plain thread-safe dict: the asyncio gossip loop mutates it
-while executor threads (:class:`~repro.cluster.executor.ClusterExecutor`)
-and cache-peering clients snapshot it.
+while executor threads (through
+:class:`~repro.cluster.executor.ClusterWorkers`) and cache-peering clients
+snapshot it.
 """
 
 from __future__ import annotations
@@ -45,15 +46,14 @@ class MemberState:
         workers: the shard workers registered *at that member* (propagated
             so any replica can schedule onto the whole fleet).
         load: the member's in-flight request count when it last gossiped
-            (the :class:`~repro.cluster.executor.ClusterExecutor` routing
+            (the :class:`~repro.cluster.executor.ClusterWorkers` ranking
             signal).
         last_refresh: local monotonic stamp of the last heartbeat advance.
         worker_backends: per-worker kernel backends the member's registry
             recorded at registration, keyed by worker address.  A worker
-            missing from the map (an entry gossiped by an old replica)
-            counts as numpy-only — the conservative default mirrors the
-            shard-meta rule, so backend-aware routing never overestimates
-            a fleet it cannot see.
+            missing from the map counts as numpy-only — the conservative
+            default mirrors the shard-meta rule, so backend-aware routing
+            never overestimates a fleet it cannot see.
     """
 
     address: str
@@ -64,23 +64,15 @@ class MemberState:
     worker_backends: dict = field(default_factory=dict)
 
     def export(self) -> dict:
-        """The wire form of this entry (local stamps stay local).
-
-        ``worker_backends`` is emitted only when non-empty — compatible
-        growth on the gossip frame: old replicas simply never read the
-        key (an entry relayed *through* one loses it, degrading those
-        workers to the numpy-only default — conservative, never wrong).
-        """
-        exported = {
+        """The wire form of this entry (local stamps stay local)."""
+        return {
             "heartbeat": self.heartbeat,
             "workers": list(self.workers),
             "load": self.load,
-        }
-        if self.worker_backends:
-            exported["worker_backends"] = {
+            "worker_backends": {
                 w: list(b) for w, b in self.worker_backends.items()
-            }
-        return exported
+            },
+        }
 
 
 class ClusterMembership:
@@ -202,8 +194,8 @@ class ClusterMembership:
                         workers=tuple(str(w) for w in info.get("workers", ())),
                         load=int(info.get("load", 0)),
                         last_refresh=now,
-                        # Absent on frames from old replicas: those workers
-                        # route as numpy-only (the compatible default).
+                        # Peer input: a missing map routes those workers
+                        # as numpy-only.
                         worker_backends={
                             str(w): tuple(str(b) for b in bs)
                             for w, bs in dict(
@@ -284,8 +276,8 @@ class ClusterMembership:
         """Deduplicated ``worker address -> owning member`` over the table.
 
         Iterates members in ascending-load order, so when two members both
-        advertise one worker the less-loaded owner wins — the ordering the
-        :class:`~repro.cluster.executor.ClusterExecutor` schedules by.
+        advertise one worker the less-loaded owner wins — the ordering
+        :class:`~repro.cluster.executor.ClusterWorkers` ranks by.
         """
         with self._lock:
             members = sorted(
@@ -301,8 +293,8 @@ class ClusterMembership:
         """``worker address -> advertised kernel backends`` over the table.
 
         Same ascending-load dedup order as :meth:`cluster_workers`; a
-        worker whose owning member gossiped no backend map (an old
-        replica) counts as numpy-only.
+        worker missing from its owning member's backend map counts as
+        numpy-only.
         """
         with self._lock:
             members = sorted(

@@ -44,7 +44,6 @@ from repro.core.blockspec import BlockSpec
 from repro.core.parameters import GRKParameters, GRKSchedule, plan_schedule
 from repro.core.program import PartialSearchProgram
 from repro.core.algorithm import PartialSearchResult, run_partial_search, run_program
-from repro.core.batch import BatchResult, run_partial_search_batch
 from repro.core.simplified import (
     SimplifiedSchedule,
     plan_simplified_schedule,
@@ -70,8 +69,6 @@ __all__ = [
     "PartialSearchResult",
     "run_partial_search",
     "run_program",
-    "BatchResult",
-    "run_partial_search_batch",
     "SubspaceGRK",
     "SubspaceCoordinates",
     "NaivePartialSearchResult",

@@ -43,9 +43,9 @@ from repro.core.program import GLOBAL, PartialSearchProgram
 from repro.core.tracing import StageTrace
 from repro.grover.amplify import phased_block_grover_step, phased_grover_step
 from repro.kernels import ExecutionPolicy, uniform_state
+from repro.kernels import primitives as ops
 from repro.oracle.database import Database
 from repro.oracle.quantum import BitFlipOracle, PhaseOracle
-from repro.statevector import ops
 from repro.statevector.measurement import block_probabilities, sample_blocks
 
 __all__ = ["PartialSearchResult", "run_program", "run_partial_search"]
@@ -225,7 +225,7 @@ def run_partial_search(
         trace: record stage snapshots (copies the state ~5 times; only the
             ``"kernels"`` backend supports tracing).
         backend: execution engine.  ``"kernels"`` (default) evolves the
-            state with the structured :mod:`repro.statevector.ops`
+            state with the structured :mod:`repro.kernels.primitives`
             reflections; ``"naive"`` / ``"compiled"`` build the full
             :func:`~repro.circuits.builders.partial_search_circuit` of a
             plain GRK schedule and run it on the registered circuit

@@ -1,7 +1,7 @@
 """Backend-selection helpers shared by the core runners.
 
 Three execution backends serve the GRK runners: ``"kernels"`` (structured
-:mod:`repro.statevector.ops` reflections, any ``K | N`` geometry) and the
+:mod:`repro.kernels.primitives` reflections, any ``K | N`` geometry) and the
 two registered gate-level circuit simulators ``"naive"`` / ``"compiled"``
 (see :data:`repro.circuits.BACKENDS`), which need power-of-two geometry.
 """

@@ -14,15 +14,12 @@ grk-sure-success, grk-cwb).  On the ``"kernels"`` backend the whole loop
 structure is :meth:`repro.kernels.KernelBackend.program_sweep_rows`, which
 walks the rows in cache-resident blocks.  Memory-bounded sharding, process
 fan-out, and the supported public surface live in :mod:`repro.engine`
-(:meth:`repro.engine.SearchEngine.search_batch`);
-:func:`run_partial_search_batch` remains as a thin deprecated wrapper over
-the engine's sharded executor so existing callers keep working unchanged.
+(:meth:`repro.engine.SearchEngine.search_batch`).
 
 Query accounting note: a batch models ``B`` separate executions of the same
 circuit, so the per-run query count is the program's (``l1 + l2 + 1`` for
-grk); the returned :class:`BatchResult` reports that per-run figure
-(matching what a single :func:`repro.core.algorithm.run_partial_search`
-would count).
+grk), matching what a single :func:`repro.core.algorithm.run_partial_search`
+would count.
 
 Besides the default structured-kernel sweep, ``backend="compiled"`` runs a
 plain GRK batch through one compiled gate-level program with per-row
@@ -33,52 +30,17 @@ against.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from repro import kernels
-from repro.core.backends import circuit_geometry, validate_backend
+from repro.core.backends import circuit_geometry
 from repro.core.blockspec import BlockSpec
-from repro.core.parameters import GRKSchedule, plan_schedule
 from repro.core.program import PartialSearchProgram
 from repro.kernels import ExecutionPolicy
 
-__all__ = ["BatchResult", "execute_batch_rows", "run_partial_search_batch"]
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """Outcome of a batched run over many targets.
-
-    Attributes:
-        spec: the shared ``(N, K)`` geometry.
-        schedule: the shared integer schedule.
-        targets: the target address per batch row, shape ``(B,)``.
-        success_probabilities: exact block-measurement success per row.
-        block_guesses: argmax block per row.
-        queries_per_run: oracle queries each individual run costs.
-    """
-
-    spec: BlockSpec
-    schedule: GRKSchedule
-    targets: np.ndarray
-    success_probabilities: np.ndarray
-    block_guesses: np.ndarray
-    queries_per_run: int
-
-    @property
-    def all_correct(self) -> bool:
-        """Did every row's most-likely block equal its target's block?"""
-        true_blocks = self.targets // self.spec.block_size
-        return bool(np.all(self.block_guesses == true_blocks))
-
-    @property
-    def worst_success(self) -> float:
-        """Minimum success probability across the batch."""
-        return float(self.success_probabilities.min())
+__all__ = ["execute_batch_rows"]
 
 
 def execute_batch_rows(
@@ -101,8 +63,11 @@ def execute_batch_rows(
             exposes one as ``.program``.
         targets: shape ``(B_chunk,)`` target addresses, one row each.
         backend: ``"kernels"``, or (plain GRK programs only)
-            ``"compiled"`` or ``"naive"`` (see
-            :func:`run_partial_search_batch`).
+            ``"compiled"`` — the full gate-level circuit compiled once with
+            parametric targets — or ``"naive"``, which loops the
+            gate-by-gate simulator over the targets (the slow correctness
+            oracle).  Circuit backends need ``N`` and ``K`` to be powers
+            of two.
         policy: the :class:`~repro.kernels.ExecutionPolicy` (dtype + row
             threads + kernel backend); ``None`` = the complex128
             single-threaded numpy default, which reproduces the seed
@@ -135,81 +100,6 @@ def execute_batch_rows(
 
     return kernels.sweep_row_slabs(
         sweep, b, policy.threads_for_slab(b, program.n_items)
-    )
-
-
-def run_partial_search_batch(
-    n_items: int,
-    n_blocks: int,
-    targets,
-    epsilon: float | None = None,
-    *,
-    schedule: GRKSchedule | None = None,
-    backend: str = "kernels",
-) -> BatchResult:
-    """Run the GRK algorithm for many targets in one vectorised sweep.
-
-    .. deprecated::
-        This wrapper is kept for source compatibility; new code should use
-        :meth:`repro.engine.SearchEngine.search_batch`, which adds the
-        memory-bounded shard policy and process fan-out.  The wrapper
-        executes through the engine's sharded executor with the default
-        128 MiB budget, so large all-targets batches no longer allocate the
-        full state matrix at once.
-
-    Args:
-        n_items: database size ``N``.
-        n_blocks: block count ``K``.
-        targets: iterable of target addresses (one independent run each).
-        epsilon: Step 1 parameter (``None`` = optimal for this ``K``).
-        schedule: pre-planned schedule overriding ``epsilon``.
-        backend: ``"kernels"`` (default) advances the whole batch with the
-            structured reflections of :func:`execute_batch_rows`;
-            ``"compiled"`` compiles the full gate-level GRK circuit **once**
-            with parametric targets and runs every row through the shared
-            fused program
-            (:meth:`~repro.circuits.compiler.CompiledCircuit.run_multi_target`);
-            ``"naive"`` loops the gate-by-gate simulator over the targets —
-            the slow correctness oracle the others are tested against.
-            Circuit backends need ``N`` and ``K`` to be powers of two.
-
-    Returns:
-        :class:`BatchResult` with exact per-target success probabilities.
-
-    This bypasses the counted-oracle interface (batching is an analysis
-    tool, not an adversarial execution); its numbers are validated against
-    the counted runner in the test suite.
-    """
-    warnings.warn(
-        "run_partial_search_batch is deprecated; use "
-        "repro.engine.SearchEngine.search_batch",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    validate_backend(backend)
-    if schedule is None:
-        schedule = plan_schedule(n_items, n_blocks, epsilon)
-    spec = schedule.spec
-    if spec.n_items != n_items or spec.n_blocks != n_blocks:
-        raise ValueError("schedule does not match this instance's (N, K)")
-    targets = np.asarray(list(targets), dtype=np.intp)
-    if targets.ndim != 1 or targets.size == 0:
-        raise ValueError("targets must be a non-empty 1-D collection")
-    if targets.min() < 0 or targets.max() >= n_items:
-        raise ValueError("targets out of address range")
-
-    from repro.engine.plan import run_grk_batch_sharded
-
-    success, guesses, _ = run_grk_batch_sharded(
-        schedule.program, targets, backend
-    )
-    return BatchResult(
-        spec=spec,
-        schedule=schedule,
-        targets=targets,
-        success_probabilities=success,
-        block_guesses=guesses,
-        queries_per_run=schedule.queries,
     )
 
 
@@ -259,7 +149,7 @@ def _execute_rows_on_circuit_backend(
 
         parts = kernels.map_row_slabs(run_slab, b, policy.effective_row_threads)
         final = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    else:  # "naive" — validate_backend already rejected everything else
+    else:  # "naive" — the engine validated the backend name
         final = np.empty((b, 2 * spec.n_items), dtype=dtype)
         for i, t in enumerate(targets):
             circuit = partial_search_circuit(

@@ -14,7 +14,7 @@ The restricted search is faithful: amplitudes start uniform over the chosen
 blocks and zero elsewhere; the phase oracle acts on the full space (flipping
 a zero amplitude when the target is left out — a no-op, exactly as physics
 would have it), and diffusion reflects about the uniform state *of the
-chosen subset* (:func:`repro.statevector.ops.invert_about_mean_masked`).
+chosen subset* (:func:`repro.kernels.primitives.invert_about_mean_masked`).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 
 from repro.core.blockspec import BlockSpec
 from repro.grover.angles import optimal_iterations, success_probability_after
+from repro.kernels import primitives as ops
 from repro.oracle.database import Database
 from repro.oracle.quantum import PhaseOracle
-from repro.statevector import ops
 from repro.statevector.measurement import sample_addresses
 from repro.util.rng import as_rng
 

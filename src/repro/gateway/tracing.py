@@ -9,9 +9,8 @@ everywhere its work goes:
 - :meth:`repro.service.scheduler.SearchService.submit` captures the ambient
   ID and re-establishes it inside the worker-pool thread that executes the
   engine call;
-- the shard executors (:mod:`repro.service.executor`) copy it into each
-  shard frame's metadata dict (wire v4's ``meta`` — a *compatible* growth:
-  old workers ignore unknown keys, so no version bump);
+- the shard executor (:mod:`repro.service.executor`) copies it into each
+  shard frame's metadata dict (``meta["trace_id"]``);
 - ``repro-worker`` scopes shard execution with it and logs it, so one
   ``grep trace=<id>`` across gateway and worker logs reconstructs exactly
   which hosts computed which shards of which user request.

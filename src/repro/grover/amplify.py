@@ -6,7 +6,7 @@ A *phased* Grover step replaces both π-reflections with rotations:
 
 where ``O`` multiplies marked amplitudes by ``e^{i phi_o}`` (one oracle
 query) and ``D`` is the generalised diffusion of
-:func:`repro.statevector.ops.invert_about_mean` (or its blockwise form).
+:func:`repro.kernels.primitives.invert_about_mean` (or its blockwise form).
 Each step still costs exactly one query; the two continuous phases provide
 the freedom integer iteration counts lack.  The counted GRK-family runner
 (:func:`repro.core.algorithm.run_program`) takes every iteration through
@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.kernels import primitives as ops
 from repro.oracle.quantum import PhaseOracle
-from repro.statevector import ops
 
 __all__ = ["phased_grover_step", "phased_block_grover_step", "solve_phases"]
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import primitives as ops
 from repro.oracle.database import Database
 from repro.oracle.quantum import PhaseOracle
-from repro.statevector import ops
 from repro.statevector.measurement import sample_addresses
 from repro.util.rng import as_rng
 

@@ -28,10 +28,10 @@ import math
 import numpy as np
 
 from repro.grover.angles import grover_angle
+from repro.kernels import primitives as ops
 from repro.oracle.database import SingleTargetDatabase
 from repro.oracle.quantum import PhaseOracle
 from repro.grover.standard import GroverResult
-from repro.statevector import ops
 from repro.statevector.measurement import address_probabilities
 
 __all__ = ["long_phase", "minimum_iterations", "run_exact_grover"]

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grover.angles import optimal_iterations
+from repro.kernels import primitives as ops
 from repro.oracle.database import SingleTargetDatabase
 from repro.oracle.quantum import PhaseOracle
-from repro.statevector import ops
 from repro.statevector.measurement import address_probabilities
 
 __all__ = ["GroverResult", "run_grover"]

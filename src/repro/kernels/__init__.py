@@ -14,13 +14,13 @@ of, in both single-state ``(N,)`` and batched ``(B, N)`` forms, plus the
   :data:`COMPLEX64_SUCCESS_ATOL` tolerance contract;
 - :mod:`repro.kernels.backends` — the row-blocked program sweep every
   GRK-family batch runs, behind the pluggable :class:`KernelBackend`
-  registry (``numpy`` / ``fused`` / ``numba`` / the ``cupy`` stub) the
+  registry (``numpy`` / ``fused`` / ``numba``) the
   policy's ``backend`` knob selects between, plus the cached ``"auto"``
   micro-probe (``repro calibrate``).
 
-Consumers: :mod:`repro.statevector.ops` re-exports the primitives verbatim
-(its historical import path keeps working), the compiled circuit backend
-dispatches its fused diffusion/phase ops here, and the batched runners in
+Consumers: the single-state simulators import :mod:`repro.kernels.primitives`
+directly, the compiled circuit backend dispatches its fused diffusion/phase
+ops here, and the batched runners in
 :mod:`repro.core` hand their programs to the backend sweep — no other
 module implements oracle or diffusion math.
 """

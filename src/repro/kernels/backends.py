@@ -35,17 +35,13 @@ Registered backends:
     escape the GIL and fan out via ``prange``; the float64 reduction
     replicates numpy's pairwise summation exactly, so complex128 results
     remain bit-identical to the reference.
-``cupy``
-    Explicit stub: registered so the name is reserved and the error is
-    clear, never available in this build.
 
 Selection contract: ``ExecutionPolicy(backend="auto")`` resolves to the
 fastest *available* backend via a tiny cached micro-probe
 (:func:`probe_fastest_backend`, persisted per host by ``repro calibrate`` —
 the seed of the ROADMAP's calibrated cost model).  On the wire the resolved
-name rides shard meta as **compatible growth**: an absent key means
-``numpy``, so no protocol version bump (see
-:mod:`repro.service.protocol`).
+name rides shard meta (``meta["backend"]``; an absent key means ``numpy``,
+see :mod:`repro.service.wire`).
 """
 
 from __future__ import annotations
@@ -69,7 +65,6 @@ __all__ = [
     "NumpyBackend",
     "FusedBackend",
     "NumbaBackend",
-    "CupyBackend",
     "register_kernel_backend",
     "get_kernel_backend",
     "resolve_kernel_backend",
@@ -519,21 +514,6 @@ def _build_numba_sweep():
     return sweep
 
 
-class CupyBackend(KernelBackend):
-    """Reserved GPU entry — an explicit stub, never silently wrong."""
-
-    name = "cupy"
-    description = "GPU tier (stub: reserved name, not implemented)"
-
-    def available(self) -> bool:
-        return False
-
-    def why_unavailable(self) -> str | None:
-        if importlib.util.find_spec("cupy") is None:
-            return "not installed (cupy is absent on this host)"
-        return "a stub in this build (GPU kernels are not implemented yet)"
-
-
 # ------------------------------------------------------------------ registry
 
 _REGISTRY: dict[str, KernelBackend] = {}
@@ -686,4 +666,3 @@ def probe_fastest_backend() -> str:
 register_kernel_backend(NumpyBackend())
 register_kernel_backend(FusedBackend())
 register_kernel_backend(NumbaBackend())
-register_kernel_backend(CupyBackend())

@@ -161,14 +161,6 @@ class ExecutionPolicy:
 
         validate_kernel_backend_name(self.backend)
 
-    def __setstate__(self, state):
-        # Policies pickled before the backend field existed (protocol v2-v4
-        # shard payloads, cached requests) unpickle as the numpy backend —
-        # the same compatible-growth rule the wire meta follows.
-        state.setdefault("backend", "numpy")
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-
     @property
     def real_dtype(self) -> np.dtype:
         """Concrete storage dtype for real-amplitude kernels (GRK gate set)."""

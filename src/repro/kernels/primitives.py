@@ -1,7 +1,7 @@
 """Single-state statevector primitives: the one home of the kernel math.
 
 Every unitary the paper's algorithms use lives here, and **only** here —
-:mod:`repro.statevector.ops` re-exports these functions unchanged, the
+the single-state simulators import these functions directly, the
 compiled circuit ops (:mod:`repro.circuits.compiler`) and the batched
 runners (:mod:`repro.core.batch`) call them, so a kernel fix or a dtype
 change lands everywhere at once:

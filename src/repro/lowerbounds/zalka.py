@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.statevector import ops
+from repro.kernels import primitives as ops
 from repro.util.rng import as_rng
 
 __all__ = [

@@ -22,10 +22,8 @@ context manager: untraced requests pay one contextvar read and nothing
 else, which is what keeps tracing-off overhead unmeasurable.
 
 Spans serialize to plain dicts (:meth:`Span.to_dict`) so worker-side
-spans can ship back through wire-v4 ``meta["spans"]`` without the wire
-layer learning any new types.  Changes to that dict schema must be
-compatible growth only — add keys, never rename or remove — because
-mixed-version fleets stitch each other's spans.
+spans can ship back in a shard reply's ``meta["spans"]`` without the wire
+layer learning any new types.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import primitives as ops
 from repro.oracle.database import Database
-from repro.statevector import ops
 
 __all__ = ["PhaseOracle", "BitFlipOracle"]
 

@@ -190,7 +190,7 @@ class FaultPlan:
     @classmethod
     def worker_crash(cls, after_shards: int, *, seed: int = 0) -> "FaultPlan":
         """A plan that crashes the worker once it has served *after_shards*
-        shards — the behaviour the deprecated ``fail_after`` hook provided.
+        shards.
 
         ``after_shards=0`` crashes on the first shard *before* computing;
         ``after_shards=n`` computes the n-th shard and vanishes instead of

@@ -12,7 +12,7 @@ it is created once per request and then:
   timeout (instead of a fixed constant), and dispatch stops with
   :class:`DeadlineExceeded` the moment the budget is gone;
 - crosses the wire as **remaining seconds** (monotonic clocks do not
-  transfer between hosts), carried in the shard task frame since wire v4;
+  transfer between hosts), carried in the shard frame's meta;
   the worker rebuilds a local deadline from it and skips shards that
   arrive already expired.
 

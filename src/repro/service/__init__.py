@@ -8,12 +8,12 @@ Two layers grow the single-machine engine into a serving system:
    wraps the in-process / process-pool fan-out that PR 2 shipped;
    :class:`RemoteExecutor` speaks a small length-prefixed TCP protocol
    (:mod:`repro.service.wire`) to ``repro-worker`` processes
-   (:mod:`repro.service.worker`) on other hosts;
-   :class:`RegistryExecutor` resolves the fleet per batch from a
-   :class:`WorkerRegistry` that workers join by announcing themselves
-   (``repro-worker --register``) and the server health-checks.  Shard
-   boundaries and per-target RNG streams are fixed *before* dispatch, so
-   every executor returns bit-identical results.
+   (:mod:`repro.service.worker`) on other hosts, reading its fleet per
+   batch from a worker source: a static address list
+   (:class:`StaticWorkers`), or a :class:`WorkerRegistry` that workers join
+   by announcing themselves (``repro-worker --register``) and the server
+   health-checks.  Shard boundaries and per-target RNG streams are fixed
+   *before* dispatch, so every executor returns bit-identical results.
 
 2. **Serving layer** (:mod:`repro.service.scheduler` /
    :mod:`repro.service.server`): an :mod:`asyncio`-based
@@ -29,30 +29,25 @@ workers.
 
 Trust model: frames carry pickled payloads, so workers and servers must only
 be exposed to trusted hosts (a cluster-internal network), never the open
-internet.  The wire format is versioned and negotiates across one version of
-skew — see :data:`repro.service.wire.WIRE_VERSION` and
-:data:`repro.service.wire.MIN_WIRE_VERSION`.
+internet.  The wire format is versioned, and a receiver accepts exactly its
+own :data:`repro.service.wire.WIRE_VERSION`: deploy workers, servers and
+clients from one build.
 """
 
 from repro.service.cache import TTLCache, request_fingerprint
 from repro.service.executor import (
     LocalExecutor,
-    RegistryExecutor,
     RemoteExecutor,
     ShardExecutionError,
     ShardExecutor,
+    StaticWorkers,
     WorkerUnavailable,
 )
 from repro.service.registry import WorkerRegistry
 from repro.service.scheduler import SearchService, ServiceOverloaded, ServiceStats
 from repro.service.server import SearchServer, cluster_status, submit_remote
 from repro.service.worker import WorkerServer, register_with_server
-from repro.service.wire import (
-    MIN_WIRE_VERSION,
-    WIRE_VERSION,
-    ConnectionClosed,
-    WireError,
-)
+from repro.service.wire import WIRE_VERSION, ConnectionClosed, WireError
 
 __all__ = [
     "TTLCache",
@@ -60,7 +55,7 @@ __all__ = [
     "ShardExecutor",
     "LocalExecutor",
     "RemoteExecutor",
-    "RegistryExecutor",
+    "StaticWorkers",
     "WorkerRegistry",
     "ShardExecutionError",
     "WorkerUnavailable",
@@ -73,7 +68,6 @@ __all__ = [
     "WorkerServer",
     "register_with_server",
     "WIRE_VERSION",
-    "MIN_WIRE_VERSION",
     "WireError",
     "ConnectionClosed",
 ]

@@ -5,11 +5,11 @@ so test doubles must live in an importable module — test files collected by
 pytest's importlib mode are not.  These helpers are tiny, deterministic,
 and used only by the test suite and docs examples.
 
-Worker-side *fault* doubles used to live here too; those are now expressed
-as :class:`repro.resilience.FaultPlan` specs handed to the worker (``chaos=``
-or ``--chaos-plan``), which keeps fault injection deterministic and seeded
-instead of baked into shard code.  The doubles below model shard *behaviour*
-(payloads, deterministic failures, slowness), which the plan cannot.
+Worker-side *faults* are :class:`repro.resilience.FaultPlan` specs handed to
+the worker (``chaos=`` or ``--chaos-plan``), which keeps fault injection
+deterministic and seeded instead of baked into shard code.  The doubles below
+model shard *behaviour* (payloads, deterministic failures, slowness), which
+the plan cannot.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ def slow_shard(task, rng):
 def deadline_probe_shard(task, rng):
     """Return ``(task, had_deadline, remaining_s)`` — propagation checks.
 
-    A worker executing a wire-v4 shard rebuilds the request deadline and
-    scopes the compute with it, so this shard observes a finite, positive
-    remaining budget; a legacy (v3) dispatch observes ``None``.
+    A worker executing a shard whose meta carries ``deadline_s`` rebuilds
+    the request deadline and scopes the compute with it, so this shard
+    observes a finite, positive remaining budget; a dispatch without a
+    deadline observes ``None``.
     """
     from repro.resilience import current_deadline
 
@@ -65,7 +66,7 @@ def deadline_probe_shard(task, rng):
 def trace_probe_shard(task, rng):
     """Return ``(task, ambient_trace_id)`` — tracing propagation checks.
 
-    A worker executing a wire-v4 shard whose meta carries ``trace_id``
+    A worker executing a shard whose meta carries ``trace_id``
     scopes the compute with it, so this shard observes the same ID the
     gateway minted; an untraced dispatch observes ``None``.
     """

@@ -177,7 +177,7 @@ def _add_request_flags(p: argparse.ArgumentParser) -> None:
                         "are bit-identical for any value)")
     p.add_argument("--kernel-backend", default=None,
                    help="kernel backend for the batched sweeps: numpy "
-                        "(default), fused, numba, cupy, or 'auto' to pick "
+                        "(default), fused, numba, or 'auto' to pick "
                         "the calibrated fastest (complex128 results are "
                         "bit-identical across backends; see repro methods "
                         "for what this host can run)")
@@ -358,8 +358,8 @@ def _build_serving_stack(args, prog: str):
         from repro.cluster import (
             CachePeers,
             ClusterCoordinator,
-            ClusterExecutor,
             ClusterMembership,
+            ClusterWorkers,
         )
         from repro.service.registry import WorkerRegistry
 
@@ -376,23 +376,24 @@ def _build_serving_stack(args, prog: str):
         # --peer-wait is honoured rather than truncated.
         peering = CachePeers(membership, inflight_wait=args.peer_wait,
                              breakers=breakers)
-        executor = ClusterExecutor(membership, registry, retry=retry,
-                                   breakers=breakers)
+        workers = ClusterWorkers(membership, registry)
     elif args.remote_worker:
-        from repro.service.executor import RemoteExecutor
-
-        executor = RemoteExecutor(
-            args.remote_worker, fallback_local=args.fallback_local,
-            retry=retry, breakers=breakers,
-        )
+        workers = args.remote_worker
     else:
         # Auto-discovery: workers announce themselves with --register and
         # the server health-checks them; no static wiring needed.
-        from repro.service.executor import RegistryExecutor
         from repro.service.registry import WorkerRegistry
 
-        registry = WorkerRegistry(breakers=breakers)
-        executor = RegistryExecutor(registry, retry=retry, breakers=breakers)
+        registry = workers = WorkerRegistry(breakers=breakers)
+    from repro.service.executor import RemoteExecutor
+
+    # Registered and gossiped fleets lag reality, so a fleet that died
+    # since it was last seen degrades to local compute; a static fleet
+    # does so only with --fallback-local.
+    executor = RemoteExecutor(
+        workers, retry=retry, breakers=breakers,
+        fallback_local=registry is not None or args.fallback_local,
+    )
     return None, {
         "engine": SearchEngine(executor=executor),
         "registry": registry,

@@ -11,7 +11,7 @@ payloads.  Any executor that runs every task exactly once therefore returns
 bit-identical results, whatever the host, scheduling order, or retry
 history.
 
-Three executors ship today:
+Two executors ship today:
 
 - :class:`LocalExecutor` — the in-process / process-pool fan-out
   (:func:`repro.util.parallel.parallel_map`), the default.
@@ -22,17 +22,16 @@ Three executors ship today:
   retried with backoff under a per-run retry budget, per-endpoint circuit
   breakers quarantine flapping workers, and the request deadline — read
   from :func:`repro.resilience.current_deadline` or passed explicitly —
-  rides each shard frame and bounds each reply wait.
-- :class:`RegistryExecutor` — the auto-discovery form: resolves the worker
-  fleet from a live :class:`~repro.service.registry.WorkerRegistry` at
-  *each* ``run_shards`` call (workers announce themselves with the wire's
-  ``register`` message; the server health-checks them), filters out
-  breaker-quarantined endpoints, and builds a per-run
-  :class:`RemoteExecutor` — or runs locally while the registry is empty.
+  rides each shard frame and bounds each reply wait.  It reads its fleet
+  from a *worker source* on every run: :class:`StaticWorkers` (a fixed
+  address list), a :class:`~repro.service.registry.WorkerRegistry` (the
+  workers that announced themselves with the wire's ``register`` message)
+  or a :class:`~repro.cluster.ClusterWorkers` (every worker the gossiped
+  cluster knows, least-loaded first).
 
 Future scaling work (new transports, cluster schedulers) plugs in here by
-subclassing :class:`ShardExecutor`; the engine and the method adapters do
-not change.
+subclassing :class:`ShardExecutor` or writing a worker source; the engine
+and the method adapters do not change.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from __future__ import annotations
 import collections
 import queue
 import random
-import re
 import socket
 import threading
 import time
@@ -63,8 +61,6 @@ from repro.resilience import (
 )
 from repro.service.address import format_address, parse_address
 from repro.service.wire import (
-    MIN_WIRE_VERSION,
-    WIRE_VERSION,
     ConnectionClosed,
     WireError,
     recv_frame,
@@ -77,17 +73,12 @@ __all__ = [
     "ShardExecutor",
     "LocalExecutor",
     "RemoteExecutor",
-    "RegistryExecutor",
+    "StaticWorkers",
     "ShardExecutionError",
     "WorkerUnavailable",
     "default_executor",
     "required_kernel_backend",
 ]
-
-# Shared by worker registration, server handlers, peering, and gossip —
-# kept importable under the old private name for compatibility.
-_parse_address = parse_address
-
 
 def required_kernel_backend(tasks) -> str:
     """The kernel backend the shard tasks execute under.
@@ -136,7 +127,7 @@ class ShardExecutor(ABC):
         """Run ``func(task, rng)`` for every task; results in task order.
 
         ``workers`` is the plan's parallelism hint; executors with their own
-        notion of width (e.g. one lane per remote worker) may ignore it.
+        notion of width (e.g. remote dispatch lanes) may ignore it.
         ``deadline`` bounds the whole call (``None`` reads the ambient
         :func:`repro.resilience.current_deadline`); executors raise
         :class:`~repro.resilience.DeadlineExceeded` rather than start work
@@ -182,53 +173,78 @@ class LocalExecutor(ShardExecutor):
         return {"executor": "local"}
 
 
-#: Parses "this process speaks v2..v3" out of a peer's version-mismatch
-#: error reply — the negotiation hook a newer dialer downgrades through.
-_PEER_MAX_VERSION = re.compile(r"speaks v\d+\.\.v(\d+)")
-
-
 def _is_permanent_transport(exc: Exception) -> bool:
     """True for transport failures retrying cannot fix: a peer that is not
     speaking the repro protocol at all (bad magic — a stray service on a
-    stale registered port), or one announcing a *newer* wire version than
-    this build decodes.  Undecodable payloads and closed connections stay
-    retriable — they can be transient (corruption, a worker restart)."""
+    stale registered port), or one from another build (another wire
+    version).  Undecodable payloads and closed connections stay retriable
+    — they can be transient (corruption, a worker restart)."""
     if not isinstance(exc, WireError) or isinstance(exc, ConnectionClosed):
         return False
     text = str(exc)
     return "bad frame magic" in text or "wire version mismatch" in text
 
 
-def _downgrade_version(error_message: str) -> int | None:
-    """The peer's maximum wire version, if *error_message* is the standard
-    version-mismatch reply; ``None`` for any other error."""
-    match = _PEER_MAX_VERSION.search(str(error_message))
-    if match is None:
-        return None
-    peer_max = int(match.group(1))
-    if MIN_WIRE_VERSION <= peer_max < WIRE_VERSION:
-        return peer_max
-    return None
+class StaticWorkers:
+    """A fixed worker fleet: the source a plain address list becomes.
+
+    A worker source is what :class:`RemoteExecutor` reads its fleet from on
+    every run.  It has ``candidates(backend)`` (dialable addresses able to
+    run *backend* shards, best first), ``describe()`` (merged into the
+    executor's provenance) and a ``kind`` name (reported as
+    ``describe()["executor"]``).  The other sources are
+    :class:`~repro.service.registry.WorkerRegistry` and
+    :class:`~repro.cluster.ClusterWorkers`.
+
+    Args:
+        addresses: worker endpoints, each ``"host:port"``, ``"[v6]:port"``,
+            or ``(host, port)``; validated here, so a typo fails at
+            construction rather than on every dial.
+    """
+
+    kind = "remote"
+
+    def __init__(self, addresses: Sequence):
+        self.addresses = [parse_address(a) for a in addresses]
+        if not self.addresses:
+            raise ValueError("RemoteExecutor needs at least one worker address")
+
+    def candidates(self, backend: str) -> list[str]:
+        # A static fleet advertises no capabilities: a worker lacking the
+        # backend answers ("unavailable", ...) and the shard requeues.
+        return [format_address(h, p) for h, p in self.addresses]
+
+    def describe(self) -> dict:
+        return {"workers": self.candidates("numpy")}
 
 
 class RemoteExecutor(ShardExecutor):
     """Fan shards out to ``repro-worker`` processes over TCP.
 
-    One dispatch thread per worker address pulls shards off a shared queue,
-    ships each as a ``("shard", func, task, rng, meta)`` frame (``meta``
-    carries the remaining deadline budget; legacy v2/v3 lanes fall back to
-    the 4-tuple form), and waits for the ``("result", value)`` reply.
-    Failure handling:
+    Each run reads the fleet from the worker source, drops endpoints whose
+    circuit breaker is open, ranks half-open ones behind the rest, and
+    opens at most one dispatch lane per shard on the best candidates; the
+    other dialable candidates wait as spares.
+    A lane pulls shards off a shared queue, ships each as a
+    ``("shard", func, task, rng, meta)`` frame (``meta`` carries the
+    remaining deadline budget, the trace context and any non-numpy kernel
+    backend), and waits for the ``("result", value)`` reply.  Failure
+    handling:
 
     - **transport failure** (connection refused/reset, worker death
-      mid-shard, per-shard timeout, an undecodable frame, or a draining
-      worker's ``unavailable`` reply): the shard is requeued immediately so
-      any lane can pick it up, the endpoint's circuit breaker records the
-      failure, and the lane retries *its own* worker with decorrelated-
-      jitter backoff while the per-run :class:`~repro.resilience.RetryBudget`
-      lasts — then retires.  Because tasks carry their randomness, a
-      requeued shard reproduces the exact result the dead worker would
-      have returned.
+      mid-shard, per-shard timeout, an undecodable frame): the shard is
+      requeued immediately so any lane can pick it up, and the endpoint's
+      circuit breaker records the failure.  While a spare is left the lane
+      hands over to it at once, so every worker gets one try before any
+      gets a second; after that the lane retries *its own* worker with
+      decorrelated-jitter backoff while the per-run
+      :class:`~repro.resilience.RetryBudget` lasts.  Because tasks carry
+      their randomness, a requeued shard reproduces the exact result the
+      dead worker would have returned.
+    - **worker gone** (retries exhausted, a peer from another build, an
+      open breaker, or an ``unavailable`` reply from a draining worker or
+      one lacking the kernel backend): the lane hands over to the next
+      spare worker, and retires when none is left.
     - **shard function error** (the worker ran the shard and it raised):
       deterministic — no retry; the whole run aborts with
       :class:`ShardExecutionError`.
@@ -239,33 +255,35 @@ class RemoteExecutor(ShardExecutor):
     A shard is attempted at most ``max_attempts`` times; a shard that
     exceeds the bound (a *poison* shard crashing worker after worker) fails
     the run with :class:`WorkerUnavailable` carrying the full per-attempt
-    history instead of cycling forever.  If every worker lane dies with
-    shards outstanding, the run falls back to in-process execution when
-    ``fallback_local=True``, else raises :class:`WorkerUnavailable`.
+    history instead of cycling forever.  With no dialable worker, or with
+    shards outstanding after every lane retired, the run computes
+    in-process when ``fallback_local=True``, else raises
+    :class:`WorkerUnavailable`; quarantined endpoints are recorded either
+    way.
 
     Args:
-        addresses: worker endpoints, each ``"host:port"``, ``"[v6]:port"``,
-            or ``(host, port)``.
+        workers: a worker source (see :class:`StaticWorkers`), or a list of
+            worker addresses, which becomes a :class:`StaticWorkers`.
         timeout: per-shard reply ceiling in seconds (covers send + compute +
             receive on one worker); the live deadline can only tighten it.
         connect_timeout: TCP connect timeout per worker.
-        max_attempts: per-shard attempt bound; ``None`` = one try per worker
-            plus the retry headroom (``len(addresses) + retry.max_attempts``).
-        fallback_local: run leftover shards in-process instead of raising
-            when every worker is gone.
+        max_attempts: per-shard attempt bound; ``None`` = one try per
+            dialable candidate plus the retry headroom.
+        fallback_local: compute in-process instead of raising when no
+            worker can take the remaining shards.
         retry: transient-failure :class:`~repro.resilience.RetryPolicy`
             (``None`` = the default policy).
         retry_budget: retry tokens per :meth:`run_shards` call shared by all
             lanes; ``None`` sizes it as ``max(4, len(tasks))``.
         breakers: shared :class:`~repro.resilience.BreakerRegistry`
-            (``None`` = a private registry, scoped to this executor).
+            (``None`` = a private registry, persistent across runs).
         chaos: optional :class:`~repro.resilience.FaultPlan` consulted at
             ``executor.connect`` (dial faults for tests).
     """
 
     def __init__(
         self,
-        addresses: Sequence,
+        workers,
         *,
         timeout: float = 300.0,
         connect_timeout: float = 5.0,
@@ -276,21 +294,21 @@ class RemoteExecutor(ShardExecutor):
         breakers: BreakerRegistry | None = None,
         chaos=None,
     ):
-        self.addresses = [parse_address(a) for a in addresses]
-        if not self.addresses:
-            raise ValueError("RemoteExecutor needs at least one worker address")
+        if not hasattr(workers, "candidates"):
+            workers = StaticWorkers(workers)
+        self.workers = workers
         self.timeout = timeout
         self.connect_timeout = connect_timeout
+        self.max_attempts = max_attempts
+        self.fallback_local = fallback_local
         self.retry = retry if retry is not None else RetryPolicy()
         self.retry_budget = retry_budget
         self.breakers = breakers if breakers is not None else BreakerRegistry()
         self.chaos = chaos
-        self.max_attempts = max_attempts or (
-            len(self.addresses) + self.retry.max_attempts
-        )
-        self.fallback_local = fallback_local
-        #: Stats of the most recent :meth:`run_shards` call (requeues,
-        #: deaths, retries, breaker skips).
+        #: Stats of the most recent :meth:`run_shards` call: the lanes'
+        #: ``addresses``, ``local`` and ``quarantined`` always; a run with
+        #: any candidate adds requeues, retries, dead workers, breaker
+        #: skips and the local-fallback shard count.
         self.last_run: dict = {}
 
     # ------------------------------------------------------------ internals
@@ -312,56 +330,72 @@ class RemoteExecutor(ShardExecutor):
                 {"address": endpoint, "error": f"{type(exc).__name__}: {exc}"}
             )
 
-    def _serve_lane(self, address, func, state) -> None:
-        """One worker lane: pull shards until every shard is done or the
-        worker fails permanently.  A transport failure requeues the
-        in-flight shard immediately (any lane can pick it up), records it
-        on the endpoint's breaker, and — while the run's retry budget
-        lasts — backs off and retries this worker; once the lane's
-        consecutive failures reach the retry policy's bound, or the budget
-        is dry, the lane retires.  An idle lane keeps waiting while
-        another lane has a shard in flight — that shard may yet be
-        requeued and need picking up."""
+    @staticmethod
+    def _skip_quarantined(state, endpoint) -> None:
+        with state["lock"]:
+            state["breaker_skips"].append(endpoint)
+        # A quarantined worker never dials, but the trace should still
+        # show *why* it contributed nothing.
+        with span("shard.breaker_open", endpoint=endpoint):
+            pass
+
+    @staticmethod
+    def _take_spare(state) -> str | None:
+        with state["lock"]:
+            if not state["spares"]:
+                return None
+            endpoint = state["spares"].pop(0)
+            state["addresses"].append(endpoint)
+            return endpoint
+
+    def _serve_lane(self, endpoint, func, state) -> None:
+        """One dispatch lane: serve shards from *endpoint*; when that
+        worker fails, drains or is quarantined, take the next spare worker
+        and go on, until the run is over or no spare is left."""
         # Lanes are plain threads: re-enter the dispatch span context
         # captured in run_shards so attempt spans parent correctly (the
         # same capture/re-enter hop the trace ID and deadline make).
         recorder, parent_id = state["span_ctx"]
         with span_scope(recorder, parent_id):
-            self._lane_loop(address, func, state)
+            while endpoint is not None:
+                endpoint = self._lane_loop(endpoint, func, state)
 
-    def _lane_loop(self, address, func, state) -> None:
-        endpoint = format_address(*address)
+    def _lane_loop(self, endpoint, func, state) -> str | None:
+        """Pull shards for one worker until every shard is done or the
+        worker is gone.  A transport failure requeues the in-flight shard
+        immediately (any lane can pick it up) and records it on the
+        endpoint's breaker.  While a spare is left the worker is then
+        gone; otherwise — while the run's retry budget lasts — the lane
+        backs off and retries this worker, until its consecutive failures
+        reach the retry policy's bound.  An idle lane keeps waiting while
+        another lane has a shard in flight — that shard may yet be
+        requeued and need picking up.
+
+        Returns the spare that takes the lane over when the worker is
+        gone, None when the run is over or no spare is left.
+        """
+        address = parse_address(endpoint)
         breaker = self.breakers.get(endpoint)
         deadline: Deadline | None = state["deadline"]
         jitter = random.Random(hash((endpoint, len(state["tasks"]))))
-        lane_version: int | None = None  # None = this build's WIRE_VERSION
         lane_failures = 0
         lane_error: str | None = None  # last unrecovered transport failure
         last_delay = 0.0
         sock = None
 
         if not breaker.allow():
-            with state["lock"]:
-                state["breaker_skips"].append(endpoint)
-            # A quarantined lane never dials, but the trace should still
-            # show *why* this worker contributed nothing.
-            with span("shard.breaker_open", endpoint=endpoint):
-                pass
-            return
+            self._skip_quarantined(state, endpoint)
+            return self._take_spare(state)
 
         def halt(reason_key, value) -> None:
             with state["lock"]:
                 if state[reason_key] is None:
                     state[reason_key] = value
 
-        def mark_dead() -> None:
-            # A lane that *ends* in a failing state goes on the dead list
-            # (a failure recovered by a later success does not).
-            if lane_error is not None:
-                with state["lock"]:
-                    state["dead"].append(
-                        {"address": endpoint, "error": lane_error}
-                    )
+        def gone(error: str, spare: str | None = None) -> str | None:
+            with state["lock"]:
+                state["dead"].append({"address": endpoint, "error": error})
+            return spare or self._take_spare(state)
 
         try:
             while state["fatal"] is None and state["poisoned"] is None \
@@ -377,17 +411,19 @@ class RemoteExecutor(ShardExecutor):
                         if state["in_flight"] == 0:
                             # Nothing queued and nothing in flight anywhere:
                             # either all done, or no lane will requeue again.
+                            # A lane that *ends* in a failing state goes on
+                            # the dead list.
                             if lane_error is not None:
                                 state["dead"].append(
                                     {"address": endpoint, "error": lane_error}
                                 )
-                            return
+                            return None
                         index = None
                     else:
                         state["in_flight"] += 1
                         state["attempts"][index] += 1
                         exhausted = (
-                            state["attempts"][index] > self.max_attempts
+                            state["attempts"][index] > state["max_attempts"]
                         )
                 if index is None:
                     time.sleep(0.02)  # idle: await a possible requeue
@@ -405,11 +441,11 @@ class RemoteExecutor(ShardExecutor):
                     # — requeueing again would cycle forever.
                     halt("poisoned", index)
                     release(requeue=False)
-                    return
+                    return None
                 if deadline is not None and deadline.expired:
                     halt("expired", True)
                     release(requeue=True)
-                    return
+                    return None
                 # Each dispatch attempt is its own span (so retries show
                 # as siblings), with the wire leg as a child; the worker
                 # parents its compute span on this attempt's ID, shipped
@@ -421,22 +457,23 @@ class RemoteExecutor(ShardExecutor):
                             sock = self._connect(address)
                         message = self._shard_message(
                             func, state["tasks"][index], state["rngs"][index],
-                            deadline, lane_version, state["trace_id"],
-                            att.span_id, state["kernel_backend"],
+                            deadline, state["trace_id"], att.span_id,
+                            state["kernel_backend"],
                         )
                         if deadline is not None:
                             sock.settimeout(
                                 min(self.timeout, deadline.budget(0.001))
                             )
                         with span("wire.roundtrip", endpoint=endpoint):
-                            send_frame(sock, message, version=lane_version)
+                            send_frame(sock, message)
                             reply = recv_frame(sock)
                     except (OSError, WireError) as exc:
                         # Worker death mid-shard, refused connection,
                         # timeout, or an undecodable/corrupt frame: requeue
                         # for any lane (this one included), tell the
-                        # breaker, and retry this worker with backoff while
-                        # the run's budget lasts — an unusable worker must
+                        # breaker, and hand over to a spare — or, with none
+                        # left, retry this worker with backoff while the
+                        # run's budget lasts.  An unusable worker must
                         # degrade the fleet, never abort the batch.
                         # (ConnectionClosed is a WireError subclass.)
                         att.status = "error"
@@ -450,12 +487,13 @@ class RemoteExecutor(ShardExecutor):
                         release(requeue=True)
                         lane_failures += 1
                         lane_error = f"{type(exc).__name__}: {exc}"
-                        if _is_permanent_transport(exc) \
+                        spare = self._take_spare(state)
+                        if spare is not None \
+                                or _is_permanent_transport(exc) \
                                 or lane_failures >= self.retry.max_attempts \
                                 or not breaker.allow() \
                                 or not state["budget"].take():
-                            mark_dead()
-                            return
+                            return gone(lane_error, spare)
                         with state["lock"]:
                             state["retries"] += 1
                         last_delay = self.retry.next_delay(last_delay, jitter)
@@ -469,51 +507,32 @@ class RemoteExecutor(ShardExecutor):
                     att.attrs["outcome"] = "malformed-reply"
                     halt("fatal", f"malformed worker reply: {reply!r}")
                     release(requeue=True)
-                    return
+                    return None
                 att.attrs["outcome"] = str(reply[0])
+                detail = reply[1] if len(reply) > 1 else ""
                 if reply[0] == "unavailable":
-                    # The worker is draining: requeue elsewhere and retire
-                    # this lane without charging the breaker — a graceful
-                    # goodbye is not a failure.
+                    # The worker is draining (or lacks the kernel backend):
+                    # requeue elsewhere without charging the breaker — a
+                    # graceful goodbye is not a failure.
                     with state["lock"]:
                         state["requeued"] += 1
-                        state["dead"].append(
-                            {"address": endpoint,
-                             "error": f"draining: {reply[1] if len(reply) > 1 else ''}"}
-                        )
                     release(requeue=True)
-                    return
+                    return gone(f"draining: {detail}")
                 if reply[0] == "expired":
                     # The worker refused a shard whose budget arrived spent
                     # — the whole run is past its deadline.
                     halt("expired", True)
                     release(requeue=True)
-                    return
+                    return None
                 if reply[0] == "error":
-                    peer_max = _downgrade_version(
-                        reply[1] if len(reply) > 1 else ""
-                    )
-                    if peer_max is not None and lane_version is None:
-                        # A legacy (v2/v3) acceptor rejected our v4 frame:
-                        # pin the lane to the peer's maximum and resend in
-                        # the legacy shard form.  Deadline enforcement for
-                        # this lane degrades to the dialer-side timeout.
-                        att.attrs["outcome"] = f"wire-downgrade:v{peer_max}"
-                        lane_version = peer_max
-                        self._close(sock)
-                        sock = None
-                        with state["lock"]:
-                            state["downgraded"][endpoint] = peer_max
-                        release(requeue=True)
-                        continue
                     att.status = "error"
-                    halt("fatal", reply[1] if len(reply) > 1 else "error")
+                    halt("fatal", detail or "error")
                     release(requeue=True)
-                    return
+                    return None
                 if reply[0] != "result":
                     halt("fatal", f"unexpected reply type {reply[0]!r}")
                     release(requeue=True)
-                    return
+                    return None
                 state["results"][index] = reply[1]
                 state["done"][index] = True
                 # Traced shards reply ("result", value, {"spans": [...]}):
@@ -532,29 +551,23 @@ class RemoteExecutor(ShardExecutor):
                 lane_failures = 0
                 lane_error = None
                 last_delay = 0.0
+            return None
         finally:
             self._close(sock)
 
     @staticmethod
-    def _shard_message(func, task, rng, deadline, lane_version,
-                       trace_id=None, parent_span_id=None,
-                       kernel_backend=None) -> tuple:
-        """The shard frame: v4 ships the remaining budget (and, when the
-        request is traced, its trace ID and the dispatch-attempt span ID
-        the worker parents its compute span on) in a meta dict; lanes
-        pinned to a legacy peer send the pre-deadline 4-tuple.  Adding
-        meta keys is a *compatible* growth — old workers ignore unknown
-        keys — so tracing needs no wire version bump.
+    def _shard_message(func, task, rng, deadline, trace_id=None,
+                       parent_span_id=None, kernel_backend=None) -> tuple:
+        """The shard frame: the meta dict ships the remaining budget and,
+        when the request is traced, its trace ID and the dispatch-attempt
+        span ID the worker parents its compute span on.
 
         A non-numpy *kernel_backend* rides as ``meta["backend"]`` so a
         worker lacking it answers ``("unavailable", ...)`` — the shard
         requeues on a capable lane instead of dying inside the shard
-        function.  The numpy baseline ships no key at all: absent key ==
-        ``"numpy"`` is the compatibility rule, and old workers must keep
-        decoding today's frames unchanged.
+        function.  The numpy baseline ships no key: an absent key means
+        ``"numpy"``.
         """
-        if lane_version is not None and lane_version < 4:
-            return ("shard", func, task, rng)
         meta = {}
         if deadline is not None:
             meta["deadline_s"] = deadline.remaining()
@@ -582,6 +595,39 @@ class RemoteExecutor(ShardExecutor):
             return []
         if deadline is None:
             deadline = current_deadline()
+        kernel_backend = required_kernel_backend(tasks)
+        with span("dispatch.resolve") as resolve:
+            candidates = self.workers.candidates(kernel_backend)
+            # Open breakers mean "recently kept failing"; half-open
+            # endpoints stay dialable so they can earn their way back in,
+            # but rank behind every closed one (a stable sort keeps the
+            # source's order within each class).
+            dialable, quarantined = self.breakers.partition(candidates)
+            ranked = sorted(
+                dialable, key=lambda a: self.breakers.state(a) != "closed"
+            )
+            resolve.attrs["candidates"] = len(candidates)
+            resolve.attrs["quarantined"] = len(quarantined)
+        if not candidates:
+            self.last_run = {"addresses": [], "local": True,
+                             "quarantined": []}
+            if not self.fallback_local:
+                raise WorkerUnavailable(
+                    "no worker to dispatch to: the fleet is empty"
+                )
+            return default_executor().run_shards(
+                func, tasks, workers=workers, deadline=deadline
+            )
+        # One lane per shard is the useful maximum: extra lanes would only
+        # hold idle connections.  The rest wait as spares for a lane whose
+        # worker goes away.  With every candidate quarantined no lane
+        # opens, and the leftover shards run locally or fail the run.
+        lanes, spares = ranked[:len(tasks)], ranked[len(tasks):]
+        # The rank picks the lanes and the order spares take over; the
+        # lanes themselves start in the source's order.  A half-open
+        # endpoint that won a lane thus does not start last and find the
+        # queue drained — it gets the trial shard its breaker admits.
+        lanes.sort(key=dialable.index)
         # Captured here, in the caller's context: lanes are plain threads,
         # and contextvars do not follow work across the thread boundary.
         from repro.gateway.tracing import current_trace_id
@@ -589,7 +635,7 @@ class RemoteExecutor(ShardExecutor):
         budget = self.retry_budget
         state = {
             "trace_id": current_trace_id(),
-            "kernel_backend": required_kernel_backend(tasks),
+            "kernel_backend": kernel_backend,
             "tasks": tasks,
             # Mirror parallel_map's per-task generator argument; shard
             # functions that need reproducible randomness carry pre-spawned
@@ -598,15 +644,19 @@ class RemoteExecutor(ShardExecutor):
             "results": [None] * len(tasks),
             "done": [False] * len(tasks),
             "attempts": [0] * len(tasks),
+            "max_attempts": self.max_attempts
+            or len(dialable) + self.retry.max_attempts,
             "history": collections.defaultdict(list),
             "pending": queue.Queue(),
             "lock": threading.Lock(),
+            "addresses": list(lanes),
+            "spares": spares,
+            "quarantined": quarantined,
             "in_flight": 0,
             "requeued": 0,
             "retries": 0,
             "dead": [],
             "breaker_skips": [],
-            "downgraded": {},
             "fatal": None,
             "poisoned": None,
             "expired": False,
@@ -622,14 +672,16 @@ class RemoteExecutor(ShardExecutor):
         # captured context, so attempt spans become its children); failures
         # raised below mark it errored on the way out.
         with span("dispatch", executor="remote", shards=len(tasks),
-                  lanes=len(self.addresses)):
+                  lanes=len(lanes)):
+            for endpoint in quarantined:
+                self._skip_quarantined(state, endpoint)
             state["span_ctx"] = capture_span_context()
             threads = [
                 threading.Thread(
-                    target=self._serve_lane, args=(addr, func, state),
+                    target=self._serve_lane, args=(endpoint, func, state),
                     daemon=True,
                 )
-                for addr in self.addresses
+                for endpoint in lanes
             ]
             for t in threads:
                 t.start()
@@ -639,11 +691,13 @@ class RemoteExecutor(ShardExecutor):
 
     def _finish_run(self, func, tasks, state, deadline) -> list:
         self.last_run = {
+            "addresses": list(state["addresses"]),
+            "local": not state["addresses"],
+            "quarantined": state["quarantined"],
             "requeued": state["requeued"],
             "retries": state["retries"],
             "dead_workers": list(state["dead"]),
             "breaker_skips": list(state["breaker_skips"]),
-            "downgraded_lanes": dict(state["downgraded"]),
             "local_fallback_shards": 0,
         }
         if state["fatal"] is not None:
@@ -654,7 +708,7 @@ class RemoteExecutor(ShardExecutor):
             index = state["poisoned"]
             history = {i: list(h) for i, h in state["history"].items()}
             raise WorkerUnavailable(
-                f"shard {index} exhausted its {self.max_attempts}-attempt "
+                f"shard {index} exhausted its {state['max_attempts']}-attempt "
                 f"bound (a poison shard?); attempts: {history.get(index, [])}",
                 attempt_history=history,
             )
@@ -682,114 +736,10 @@ class RemoteExecutor(ShardExecutor):
 
     def describe(self) -> dict:
         return {
-            "executor": "remote",
-            "workers": [format_address(h, p) for h, p in self.addresses],
+            "executor": self.workers.kind,
+            **self.workers.describe(),
             "timeout_s": self.timeout,
             "retry": self.retry.describe(),
-        }
-
-
-class RegistryExecutor(ShardExecutor):
-    """Dispatch shards to whatever workers are *currently* registered.
-
-    The membership is read from a
-    :class:`~repro.service.registry.WorkerRegistry` at each
-    :meth:`run_shards` call, so ``repro serve`` no longer needs static
-    ``--remote-worker`` wiring: workers that announce themselves (the wire's
-    ``register`` message) serve the next batch, health-check evictions stop
-    routing to dead hosts, and an empty registry falls back to the local
-    executor instead of failing.  The executor's
-    :class:`~repro.resilience.BreakerRegistry` persists across runs — a
-    worker that kept failing is quarantined out of the candidate fleet
-    until its half-open probe readmits it — and remote dispatch always runs
-    with ``fallback_local=True``: the registry's liveness view necessarily
-    lags reality, so a fleet that dies mid-batch must degrade, not abort.
-
-    Args:
-        registry: the live membership to resolve per run.
-        timeout: per-shard reply timeout handed to each
-            :class:`RemoteExecutor`.
-        connect_timeout: TCP connect timeout per worker.
-        retry: transient-failure policy for the per-run remote executors.
-        breakers: shared breaker registry (``None`` = one private to this
-            executor, still persistent across runs).
-        chaos: optional :class:`~repro.resilience.FaultPlan` handed to the
-            per-run remote executors.
-    """
-
-    def __init__(self, registry, *, timeout: float = 300.0,
-                 connect_timeout: float = 5.0,
-                 retry: RetryPolicy | None = None,
-                 breakers: BreakerRegistry | None = None,
-                 chaos=None):
-        self.registry = registry
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breakers = breakers if breakers is not None else BreakerRegistry()
-        self.chaos = chaos
-        self._local = LocalExecutor()
-        #: Stats of the most recent run (addresses used, fallback flag).
-        self.last_run: dict = {}
-
-    def _resolve_addresses(self, tasks: list) -> list[str]:
-        """The worker fleet for this run — the seam subclasses override
-        (e.g. :class:`repro.cluster.ClusterExecutor` ranks the gossiped
-        cluster-wide fleet here).  Tasks requiring a non-numpy kernel
-        backend only see workers that advertised it, so a ``numba`` batch
-        on a mixed fleet routes past the numpy-only workers up front
-        (the shard-meta ``unavailable`` reply remains the backstop for
-        stale capability views)."""
-        backend = required_kernel_backend(tasks)
-        if backend != "numpy":
-            return self.registry.snapshot(backend=backend)
-        return self.registry.snapshot()
-
-    def run_shards(self, func, tasks, *, workers: int = 1,
-                   deadline: Deadline | None = None) -> list:
-        tasks = list(tasks)
-        if deadline is None:
-            deadline = current_deadline()
-        with span("dispatch.resolve") as resolve:
-            candidates = self._resolve_addresses(tasks)
-            # Quarantined endpoints are filtered out before lanes are
-            # built: an open breaker means "recently kept failing", and
-            # half-open endpoints stay dialable so they can earn their way
-            # back in.
-            addresses, quarantined = self.breakers.partition(candidates)
-            resolve.attrs["candidates"] = len(candidates)
-            resolve.attrs["quarantined"] = len(quarantined)
-        # One lane per shard is the useful maximum: extra lanes would only
-        # hold idle connections (and, for ranked fleets, trimming from the
-        # tail keeps the lanes on the best-ranked workers).
-        addresses = addresses[: max(1, len(tasks))]
-        if not addresses:
-            self.last_run = {"addresses": [], "local": True,
-                             "quarantined": quarantined}
-            return self._local.run_shards(func, tasks, workers=workers,
-                                          deadline=deadline)
-        remote = RemoteExecutor(
-            addresses,
-            timeout=self.timeout,
-            connect_timeout=self.connect_timeout,
-            fallback_local=True,
-            retry=self.retry,
-            breakers=self.breakers,
-            chaos=self.chaos,
-        )
-        try:
-            return remote.run_shards(func, tasks, workers=workers,
-                                     deadline=deadline)
-        finally:
-            self.last_run = {"addresses": addresses, "local": False,
-                             "quarantined": quarantined,
-                             **remote.last_run}
-
-    def describe(self) -> dict:
-        return {
-            "executor": "registry",
-            "workers": self.registry.snapshot(),
-            "timeout_s": self.timeout,
         }
 
 

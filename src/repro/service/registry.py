@@ -6,19 +6,18 @@ with ``--remote-worker host:port`` flags and restarted to change the fleet.
 The :class:`WorkerRegistry` removes that coupling:
 
 - workers **announce themselves** — ``repro-worker --register server:port``
-  sends one ``("register", "host:port"[, meta])`` frame to the server,
-  which adds the address here together with the kernel backends the worker
-  advertised (absent meta — an old worker — means the numpy baseline
-  every build carries);
+  sends one ``("register", "host:port", meta)`` frame to the server, which
+  adds the address here together with the kernel backends the worker
+  advertised;
 - the server **health-checks** the membership on a timer, reusing the
   protocol's existing ``("ping",)`` message (see
   :meth:`SearchServer._health_loop <repro.service.server.SearchServer>`),
   and drops workers that stop answering;
-- batched searches dispatch through a
-  :class:`~repro.service.executor.RegistryExecutor`, which snapshots the
-  live membership *per run* — so a worker registered mid-traffic serves the
-  very next batch, and an empty registry degrades to local execution
-  instead of failing.
+- the registry is a worker source: batched searches dispatch through a
+  :class:`~repro.service.executor.RemoteExecutor` that reads
+  :meth:`WorkerRegistry.candidates` *per run* — so a worker registered
+  mid-traffic serves the very next batch, and an empty registry degrades
+  to local execution (``fallback_local=True``) instead of failing.
 
 The registry is a plain thread-safe set: the asyncio server mutates it from
 the event loop while executor threads snapshot it, and every operation is a
@@ -42,6 +41,10 @@ class WorkerRegistry:
     its per-run snapshot by the backend a shard requires).
     """
 
+    #: The name :meth:`RemoteExecutor.describe
+    #: <repro.service.executor.RemoteExecutor.describe>` reports.
+    kind = "registry"
+
     def __init__(self, *, breakers=None):
         self._lock = threading.Lock()
         #: address -> registration metadata (monotonic stamps for stats).
@@ -63,9 +66,9 @@ class WorkerRegistry:
         of a live worker just refreshes its stamp and capabilities).
 
         *backends* is the kernel-backend tuple the worker advertised in its
-        registration meta; ``None`` (an old worker sending the legacy
-        2-tuple frame) records the numpy baseline every build carries, so
-        such workers only ever receive shards they can execute.
+        registration meta; ``None`` (a meta without the key) records the
+        numpy baseline every build carries, so such workers only ever
+        receive shards they can execute.
         *calibrated* is the worker's probed-fastest backend, surfaced in
         stats for operators — routing does not consult it.
         """
@@ -138,6 +141,14 @@ class WorkerRegistry:
                 address for address, meta in self._workers.items()
                 if backend in meta.get("backends", ("numpy",))
             )
+
+    def candidates(self, backend: str) -> list[str]:
+        """Worker-source view: the live workers able to run *backend*
+        shards (every worker for the numpy baseline)."""
+        return self.snapshot(backend=None if backend == "numpy" else backend)
+
+    def describe(self) -> dict:
+        return {"workers": self.snapshot()}
 
     def worker_backends(self) -> dict[str, tuple[str, ...]]:
         """``{address: advertised kernel backends}`` for the live fleet."""

@@ -4,37 +4,36 @@
 :func:`submit_remote`) send one frame per request over the shared wire
 protocol and read one frame back:
 
-- ``("submit", request, targets, batch, timeout)`` ->
+- ``("submit", request, targets, batch, timeout, meta)`` ->
   ``("result", report)`` on success, ``("overloaded", msg)`` when the
   service's admission bound rejects the request (clients should back off
   and retry), ``("timeout", msg)`` when the per-request deadline elapsed,
-  or ``("error", msg)`` for anything else;
+  or ``("error", msg)`` for anything else; ``meta["trace_id"]`` asks the
+  server to record the request's span tree;
 - ``("stats",)`` -> ``("stats", snapshot_dict)``;
 - ``("ping",)`` -> ``("pong", {})``;
-- ``("register", "host:port"[, meta])`` ->
+- ``("register", "host:port", meta)`` ->
   ``("registered", {"workers": [...]})`` — a ``repro-worker`` announcing
-  itself for shard dispatch; the optional meta dict (compatible growth)
-  advertises the worker's kernel backends so routing never sends e.g. a
-  ``numba`` shard to a numpy-only worker (servers started without a
+  itself for shard dispatch; ``meta["backends"]`` lists the worker's
+  kernel backends so routing never sends e.g. a ``numba`` shard to a
+  numpy-only worker (servers started without a
   :class:`~repro.service.registry.WorkerRegistry` answer
   ``("error", ...)``);
 - ``("deregister", "host:port")`` -> ``("deregistered", {...})`` — a
-  draining worker withdrawing itself (wire v4), so routing stops
-  immediately instead of waiting out a health-check eviction;
+  draining worker withdrawing itself, so routing stops immediately
+  instead of waiting out a health-check eviction;
+- ``("trace", trace_id)`` -> ``("trace", {...})`` — the stitched span
+  tree of a recent traced request;
 - ``("gossip", sender, table)`` / ``("cache-peek", key, wait_s)`` /
-  ``("cluster-status",)`` — the cluster messages (wire v3), routed to the
-  attached :class:`~repro.cluster.ClusterCoordinator`; servers started
-  without one answer ``("error", ...)``.
-
-Replies are sent **at the version each request arrived in** (see the
-negotiation rule in :mod:`repro.service.wire`), so a v2 client keeps
-working against a v3 server.
+  ``("cluster-status",)`` — the cluster messages, routed to the attached
+  :class:`~repro.cluster.ClusterCoordinator`; servers started without one
+  answer ``("error", ...)``.
 
 Registered workers are **health-checked**: a background loop pings each one
 (the worker protocol's existing ``("ping",)`` message) every
-``health_interval`` seconds and evicts addresses that stop answering, so
-the :class:`~repro.service.executor.RegistryExecutor` only ever dispatches
-to a recently-live fleet — no static ``--remote-worker`` wiring required.
+``health_interval`` seconds and evicts addresses that stop answering, so an
+executor reading the registry only ever dispatches to a recently-live
+fleet — no static ``--remote-worker`` wiring required.
 
 Connections are persistent: a client may pipeline many submits over one
 socket; each is admitted, cached, and bounded independently by the service.
@@ -49,12 +48,10 @@ import time
 
 from repro.service.scheduler import SearchService, ServiceOverloaded
 from repro.service.wire import (
-    MIN_WIRE_VERSION,
     ConnectionClosed,
     WireError,
     recv_frame,
     recv_frame_async,
-    recv_frame_async_ex,
     send_frame,
     send_frame_async,
 )
@@ -230,21 +227,13 @@ class SearchServer:
         try:
             while True:
                 try:
-                    message, version = await recv_frame_async_ex(reader)
+                    message = await recv_frame_async(reader)
                 except ConnectionClosed:
                     return
                 except WireError as exc:
-                    # The offending frame's version is unknown here, so
-                    # reply at MIN_WIRE_VERSION — the one version every
-                    # supported peer (v2 exact-match or v3 range) decodes.
-                    await send_frame_async(writer, ("error", str(exc)),
-                                           version=MIN_WIRE_VERSION)
+                    await send_frame_async(writer, ("error", str(exc)))
                     return
-                # Negotiation: answer at the version the request arrived
-                # in, so a v2 dialer keeps decoding a v3 server's replies.
-                await send_frame_async(
-                    writer, await self._dispatch(message), version=version
-                )
+                await send_frame_async(writer, await self._dispatch(message))
         except (OSError, ConnectionResetError):
             return
         finally:
@@ -283,28 +272,25 @@ class SearchServer:
             if self.registry is None:
                 return ("error", "this server does not accept worker "
                                  "registration (no registry configured)")
-            # register grew a third (meta) element so workers can advertise
-            # their kernel backends — compatible growth, same rule as the
-            # shard frames: an absent meta (an old worker) means the numpy
-            # baseline every build carries.
-            meta = {}
-            if (kind == "register" and len(message) == 3
-                    and isinstance(message[2], dict)):
-                meta = message[2]
-                message = message[:2]
+            arity = 3 if kind == "register" else 2
+            shape_error = ("error",
+                           f"{kind} message must be ({kind}, 'host:port'"
+                           + (", meta" if arity == 3 else "") + ")")
+            if len(message) != arity \
+                    or (arity == 3 and not isinstance(message[2], dict)):
+                return shape_error
+            address = message[1]
             try:
-                _, address = message
                 parse_address(str(address))
             except (TypeError, ValueError):
-                return ("error",
-                        f"{kind} message must be ({kind}, 'host:port'"
-                        + (", meta" if kind == "register" else "") + ")")
+                return shape_error
             if kind == "deregister":
                 removed = self.registry.remove(str(address))
                 log.info("worker %s deregistered%s", address,
                          "" if removed else " (was not registered)")
                 return ("deregistered", {"workers": self.registry.snapshot(),
                                          "removed": removed})
+            meta = message[2]
             backends = meta.get("backends")
             if backends is not None and not (
                 isinstance(backends, (list, tuple))
@@ -322,9 +308,7 @@ class SearchServer:
             return ("registered", {"workers": self.registry.snapshot()})
         if kind == "trace":
             # ("trace", trace_id) -> the stitched span tree of a recent
-            # request (wire-path counterpart of GET /v1/trace/{id}).  A new
-            # message type is compatible growth: old servers answer the
-            # standard unknown-type error, which `repro trace` surfaces.
+            # request (wire-path counterpart of GET /v1/trace/{id}).
             collector = getattr(self.service, "trace_collector", None)
             if len(message) != 2 or not isinstance(message[1], str):
                 return ("error", "trace message must be (trace, trace_id)")
@@ -336,19 +320,11 @@ class SearchServer:
             return ("trace", {"trace_id": message[1],
                               "spans": [s.to_dict() for s in spans]})
         if kind == "submit":
-            # 5-tuple is the historical form; v4 dialers may append a meta
-            # dict (currently {"trace_id": ...}) — compatible growth, same
-            # rule as the shard frames.
-            meta = {}
-            if len(message) == 6 and isinstance(message[5], dict):
-                meta = message[5]
-                message = message[:5]
-            try:
-                _, request, targets, batch, timeout = message
-            except ValueError:
+            if len(message) != 6 or not isinstance(message[5], dict):
                 return ("error",
                         "submit message must be (submit, request, targets, "
-                        "batch, timeout[, meta])")
+                        "batch, timeout, meta)")
+            _, request, targets, batch, timeout, meta = message
             from repro.gateway.tracing import sanitize_trace_id, trace_scope
             from repro.observability.spans import (
                 SpanRecorder, recording_scope, span,
@@ -405,18 +381,17 @@ def submit_remote(
 ):
     """Submit one request to a running ``repro serve`` and return the report.
 
-    With *trace_id* set, the submit frame grows a sixth (meta) element so
-    the server records a span tree under that ID — fetch it afterwards
-    with :func:`fetch_trace` or ``repro trace``.
+    With *trace_id* set, the submit frame's meta carries it so the server
+    records a span tree under that ID — fetch it afterwards with
+    :func:`fetch_trace` or ``repro trace``.
 
     Raises:
         ServiceOverloaded: the server rejected the request (backpressure).
         TimeoutError: the server reported a request deadline overrun.
         RuntimeError: any other server-side failure.
     """
-    message = ("submit", request, targets, batch, timeout)
-    if trace_id is not None:
-        message = message + ({"trace_id": trace_id},)
+    meta = {} if trace_id is None else {"trace_id": trace_id}
+    message = ("submit", request, targets, batch, timeout, meta)
     reply = _roundtrip(
         address,
         message,
@@ -438,8 +413,7 @@ def fetch_trace(address: tuple[str, int], trace_id: str, *,
     """Fetch the stitched span tree of a recent request from ``repro serve``.
 
     Returns ``{"trace_id": ..., "spans": [span dicts]}``; raises
-    ``RuntimeError`` when the server has no such trace (or predates the
-    trace message).
+    ``RuntimeError`` when the server has no such trace.
     """
     reply = _roundtrip(
         address, ("trace", str(trace_id)),

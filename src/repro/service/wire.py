@@ -7,92 +7,33 @@ One frame = a fixed 12-byte header followed by a pickled payload::
     | 4 B  | 2 B BE  | 4 B BE unsigned | length bytes   |
     +------+---------+-----------------+----------------+
 
-Every frame carries the protocol version, so a mismatched peer is detected
-on the *first* message rather than by a mid-stream unpickling crash.
+Every frame carries the protocol version, and a receiver accepts exactly
+:data:`WIRE_VERSION`, so a peer from another build is detected on the
+*first* message rather than by a mid-stream unpickling crash.
 
-**Versioning rule:** any change that an old peer cannot decode — new
-message types are fine (unknown types get an ``("error", ...)`` reply),
-but changed header layout, changed payload encoding, or changed semantics
-of an existing message type are not — MUST bump :data:`WIRE_VERSION`.
+**Versioning rule:** workers, servers and clients deploy from one build.
+Any change to a message's layout or meaning bumps :data:`WIRE_VERSION`;
+new message types need no bump (unknown types get an ``("error", ...)``
+reply).  Each request message has one arity, and the dialer's metadata
+dict is always present:
 
-**Negotiation rule (since v3):** a receiver accepts any frame whose version
-lies in ``[MIN_WIRE_VERSION, WIRE_VERSION]``, and an *acceptor* (server,
-worker, cluster peer) answers each request **at the version the request
-arrived in** (:func:`recv_frame_ex` exposes it; :func:`send_frame` takes
-``version=``), so an old dialer keeps decoding the replies.  A dialer sends
-at its own :data:`WIRE_VERSION` by default, which an older acceptor rejects
-— hence the cluster upgrade order: **acceptors first, dialers second**
-(upgrade servers/workers before the clients and drivers that dial them).
-A new dialer that must talk to a legacy fleet mid-upgrade can pin
-``version=2`` explicitly for the legacy message types.
+- ``("shard", func, task, rng, meta)`` (worker): ``meta`` may carry
+  ``deadline_s`` (the request's remaining budget in seconds — monotonic
+  clocks do not transfer between hosts), ``trace_id``,
+  ``parent_span_id`` and ``backend`` (a non-numpy kernel backend);
+- ``("register", address, meta)`` (server): ``meta["backends"]`` lists the
+  worker's kernel backends;
+- ``("submit", request, targets, batch, timeout, meta)`` (server):
+  ``meta`` may carry ``trace_id``.
+
+A frame of any other shape gets the standard ``("error", ...)`` reply.
+Receivers read the meta keys they know and ignore the rest.
 
 Payloads are pickles: compact, and numpy generators/arrays round-trip with
 bit-exact state, which is what keeps remote shard execution bit-identical
 to the in-process path.  Pickle also means frames can execute code on the
 receiver — both ends of every connection must be trusted (see the package
 docstring).
-
-Version history
----------------
-- **v1** — initial protocol: ``shard``/``ping`` (worker), ``submit`` /
-  ``stats``/``ping`` (server).
-- **v2** — shard task payloads and :class:`~repro.engine.SearchRequest`
-  frames carry an :class:`~repro.kernels.ExecutionPolicy` field (amplitude
-  dtype + row threads) that workers must honour; a v1 worker would unpack
-  the shard task tuple wrong, so the version bumps even though the frame
-  layout is unchanged.  Also adds the ``register`` message (workers
-  announce themselves to a server; see :mod:`repro.service.server`).
-- **v3** — cross-version negotiation: receivers accept the whole
-  ``[MIN_WIRE_VERSION, WIRE_VERSION]`` range instead of exact equality,
-  and acceptors echo the requester's version in replies.  That semantic
-  change to frame acceptance is itself the bump.  v3 peers additionally
-  speak the cluster messages (``gossip``/``cache-peek``/``cluster-status``,
-  see :mod:`repro.cluster`), which v2 servers answer with ``("error", ...)``
-  as the rule above allows.  v1 peers remain rejected:
-  :data:`MIN_WIRE_VERSION` is 2.
-- **v4** — deadline propagation: the worker ``shard`` message grows a
-  fifth element, a metadata dict carrying the request's **remaining
-  budget** in seconds (``{"deadline_s": float}``; monotonic clocks do not
-  transfer between hosts, so the absolute deadline never crosses the
-  wire).  Workers rebuild a local :class:`~repro.resilience.Deadline`
-  from it and answer ``("expired", msg)`` for shards that arrive already
-  dead.  A v2/v3 worker would unpack the 5-tuple wrong, hence the bump;
-  v4 workers still accept the 4-tuple form from older dialers.  Adds the
-  ``deregister`` message (a draining worker withdrawing its
-  registration) and the ``unavailable`` reply (a draining worker
-  refusing new shards — the dialer requeues elsewhere, like a transport
-  failure, instead of aborting the batch).
-
-  The meta dict is the frame's designated growth point: adding keys is a
-  **compatible** change that needs no version bump, because receivers
-  read only the keys they know and ignore the rest.  Keys so far:
-  ``deadline_s`` (above), ``trace_id`` (an opaque request-tracing string
-  from :mod:`repro.gateway.tracing`; workers scope and log shard
-  execution with it), and ``parent_span_id`` (the dialer's dispatch-
-  attempt span ID — traced workers parent their ``worker.compute`` span
-  on it, see :mod:`repro.observability`).  Only a change that breaks how
-  an *existing* key or the tuple layout is interpreted bumps the version.
-
-  Compatible growth rides the *reply* direction too: a traced shard is
-  answered ``("result", value, {"spans": [...]})`` — worker-side span
-  dicts for the dialer to stitch into the request's trace — while
-  untraced shards keep the classic 2-tuple; old dialers read ``reply[1]``
-  and ignore the extra element.  Likewise the server ``submit`` message
-  may append a sixth (meta) element (``{"trace_id": ...}``), and the
-  ``trace`` message type (``("trace", trace_id)`` -> the stitched span
-  tree) is new-type growth old servers answer with the standard unknown-
-  type error.  **Span dicts themselves follow the same rule: add keys,
-  never rename or remove** — mixed-version fleets stitch each other's
-  spans.
-
-  **v3 -> v4 upgrade rule:** the negotiation rule above still governs —
-  upgrade **acceptors first** (workers/servers, which keep answering v2–v3
-  dialers in kind), **dialers second**.  A v4 dialer that reaches a
-  not-yet-upgraded v3 acceptor gets the standard version-mismatch
-  ``("error", ...)`` reply; the shard executor recognises it, pins that
-  lane to the peer's advertised maximum, and resends the legacy 4-tuple
-  — deadline enforcement for that lane degrades to the dialer-side
-  timeout, nothing else changes.
 """
 
 from __future__ import annotations
@@ -105,24 +46,18 @@ import struct
 
 __all__ = [
     "WIRE_VERSION",
-    "MIN_WIRE_VERSION",
     "MAX_FRAME_BYTES",
     "WireError",
     "ConnectionClosed",
     "send_frame",
     "recv_frame",
-    "recv_frame_ex",
     "send_frame_async",
     "recv_frame_async",
-    "recv_frame_async_ex",
 ]
 
-#: Protocol version — bump on any incompatible change (see module docstring).
-WIRE_VERSION = 4
-
-#: Oldest peer version this build still decodes (and will answer in kind).
-#: v1 frames predate the ExecutionPolicy shard payload and are rejected.
-MIN_WIRE_VERSION = 2
+#: Protocol version — bump on any change to a message's layout or meaning
+#: (see module docstring).
+WIRE_VERSION = 5
 
 #: Frame magic: identifies the stream as the repro shard protocol.
 MAGIC = b"RPRO"
@@ -143,39 +78,27 @@ class ConnectionClosed(WireError):
     """The peer closed the stream (mid-frame or between frames)."""
 
 
-def _check_version(version: int | None) -> int:
-    if version is None:
-        return WIRE_VERSION
-    if not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
-        raise ValueError(
-            f"cannot speak wire version {version}: this build supports "
-            f"v{MIN_WIRE_VERSION}..v{WIRE_VERSION}"
-        )
-    return version
-
-
-def _encode(payload: object, version: int | None = None) -> bytes:
+def _encode(payload: object) -> bytes:
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame payload of {len(body)} bytes exceeds the "
                         f"{MAX_FRAME_BYTES}-byte bound")
-    return _HEADER.pack(MAGIC, _check_version(version), len(body)) + body
+    return _HEADER.pack(MAGIC, WIRE_VERSION, len(body)) + body
 
 
-def _check_header(header: bytes) -> tuple[int, int]:
+def _check_header(header: bytes) -> int:
     magic, version, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {magic!r} (not a repro peer?)")
-    if not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
+    if version != WIRE_VERSION:
         raise WireError(
             f"wire version mismatch: peer speaks v{version}, this process "
-            f"speaks v{MIN_WIRE_VERSION}..v{WIRE_VERSION} (upgrade the "
-            f"older end; acceptors before dialers)"
+            f"speaks v{WIRE_VERSION} (deploy both ends from one build)"
         )
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame announces {length} bytes, above the "
                         f"{MAX_FRAME_BYTES}-byte bound")
-    return version, length
+    return length
 
 
 def _decode(body: bytes) -> object:
@@ -183,9 +106,9 @@ def _decode(body: bytes) -> object:
         return pickle.loads(body)
     except Exception as exc:
         # A frame whose header decoded but whose payload does not unpickle
-        # (corruption in transit, chaos injection, deep version skew) is a
-        # *transport* failure: surface it as WireError so dialers requeue
-        # the shard instead of treating it as a deterministic shard error.
+        # (corruption in transit, chaos injection) is a *transport*
+        # failure: surface it as WireError so dialers requeue the shard
+        # instead of treating it as a deterministic shard error.
         raise WireError(
             f"undecodable frame payload ({type(exc).__name__}: {exc})"
         ) from exc
@@ -193,15 +116,9 @@ def _decode(body: bytes) -> object:
 
 # ------------------------------------------------------------- blocking I/O
 
-def send_frame(sock: socket.socket, payload: object,
-               *, version: int | None = None) -> None:
-    """Serialise *payload* and write one frame to a blocking socket.
-
-    ``version`` pins the frame's announced wire version (``None`` = this
-    build's :data:`WIRE_VERSION`); acceptors pass the version the request
-    arrived in so old dialers can decode the reply.
-    """
-    sock.sendall(_encode(payload, version))
+def send_frame(sock: socket.socket, payload: object) -> None:
+    """Serialise *payload* and write one frame to a blocking socket."""
+    sock.sendall(_encode(payload))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -218,46 +135,31 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return buf.getvalue()
 
 
-def recv_frame_ex(sock: socket.socket) -> tuple[object, int]:
-    """Read one frame from a blocking socket: ``(payload, frame_version)``.
-
-    The version is what the *peer* announced (within the supported range) —
-    acceptors reply at this version so both ends of a mixed-version pair
-    keep decoding each other.
+def recv_frame(sock: socket.socket) -> object:
+    """Read one frame from a blocking socket and return its payload.
 
     Raises:
         ConnectionClosed: the peer hung up (cleanly or mid-frame).
-        WireError: bad magic, unsupported version, or oversized frame.
+        WireError: bad magic, another wire version, or oversized frame.
     """
-    version, length = _check_header(_recv_exact(sock, _HEADER.size))
-    return _decode(_recv_exact(sock, length)), version
-
-
-def recv_frame(sock: socket.socket) -> object:
-    """Read one frame from a blocking socket and return its payload."""
-    return recv_frame_ex(sock)[0]
+    length = _check_header(_recv_exact(sock, _HEADER.size))
+    return _decode(_recv_exact(sock, length))
 
 
 # -------------------------------------------------------------- asyncio I/O
 
-async def send_frame_async(writer: asyncio.StreamWriter, payload: object,
-                           *, version: int | None = None) -> None:
+async def send_frame_async(writer: asyncio.StreamWriter,
+                           payload: object) -> None:
     """Write one frame to an asyncio stream and drain."""
-    writer.write(_encode(payload, version))
+    writer.write(_encode(payload))
     await writer.drain()
-
-
-async def recv_frame_async_ex(reader: asyncio.StreamReader) -> tuple[object, int]:
-    """Read one frame from an asyncio stream: ``(payload, frame_version)``."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-        version, length = _check_header(header)
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ConnectionClosed("peer closed the connection mid-frame") from exc
-    return _decode(body), version
 
 
 async def recv_frame_async(reader: asyncio.StreamReader) -> object:
     """Read one frame from an asyncio stream and return its payload."""
-    return (await recv_frame_async_ex(reader))[0]
+    try:
+        length = _check_header(await reader.readexactly(_HEADER.size))
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionClosed("peer closed the connection mid-frame") from exc
+    return _decode(body)

@@ -4,21 +4,20 @@ The worker listens on TCP, accepts any number of concurrent connections
 (one thread each), and answers frames of the wire protocol
 (:mod:`repro.service.wire`):
 
-- ``("shard", func, task, rng[, meta])`` -> ``("result", func(task, rng))``,
-  or ``("error", message)`` when the shard function raises.  The optional
-  fifth element (wire v4) is a metadata dict; ``meta["deadline_s"]`` is the
-  request's **remaining budget** in seconds, from which the worker rebuilds
-  a local :class:`~repro.resilience.Deadline` — a shard whose budget
-  arrives spent is answered ``("expired", message)`` without computing.
+- ``("shard", func, task, rng, meta)`` -> ``("result", func(task, rng))``,
+  or ``("error", message)`` when the shard function raises.
+  ``meta["deadline_s"]`` is the request's **remaining budget** in seconds,
+  from which the worker rebuilds a local
+  :class:`~repro.resilience.Deadline` — a shard whose budget arrives spent
+  is answered ``("expired", message)`` without computing.
 - ``("ping",)`` -> ``("pong", stats_dict)`` — liveness/health probe.
 
 The worker is stateless between shards: everything a shard needs (schedule,
 targets, pre-spawned RNG streams) arrives in the task payload, which is what
 makes results bit-identical to local execution.  Functions are pickled by
 reference (module + qualname), so the worker host needs the same ``repro``
-version importable — deploy workers and drivers from the same build, and
-bump :data:`repro.service.wire.WIRE_VERSION` on incompatible protocol
-changes.
+version importable — deploy workers and drivers from the same build (a
+peer from another build gets the wire's version-mismatch error).
 
 Run one per host::
 
@@ -26,12 +25,13 @@ Run one per host::
 
 (or ``python -m repro.service.worker``).  With ``--register SERVER:PORT``
 the worker **announces itself** to a running ``repro serve`` (one
-``("register", "host:port")`` frame, retried until the server is up), so
-the server's :class:`~repro.service.registry.WorkerRegistry` starts routing
-shards here with no ``--remote-worker`` wiring; ``--advertise HOST:PORT``
-overrides the announced address when the bind address is not what the
-server should dial (0.0.0.0 binds, NAT).  Only expose workers to trusted
-networks: frames are pickles and execute code by design.
+``("register", "host:port", meta)`` frame, retried until the server is
+up), so the server's :class:`~repro.service.registry.WorkerRegistry` starts
+routing shards here with no ``--remote-worker`` wiring;
+``--advertise HOST:PORT`` overrides the announced address when the bind
+address is not what the server should dial (0.0.0.0 binds, NAT).  Only
+expose workers to trusted networks: frames are pickles and execute code by
+design.
 
 **Graceful drain:** ``SIGTERM`` (or :meth:`WorkerServer.drain`) finishes
 the in-flight shards, answers new shard requests ``("unavailable", ...)``
@@ -55,18 +55,15 @@ import socket
 import threading
 import time
 import traceback
-import warnings
 
 from repro.resilience import Deadline, FaultPlan, deadline_scope
 from repro.service.address import format_address, parse_address
 from repro.util.structlog import LOG_FORMATS, configure_logging
 from repro.service.wire import (
-    MIN_WIRE_VERSION,
     ConnectionClosed,
     WireError,
     _encode,
     recv_frame,
-    recv_frame_ex,
     send_frame,
 )
 
@@ -103,26 +100,12 @@ class WorkerServer:
             :func:`repro.kernels.available_kernel_backends`).  A shard
             whose meta names a backend outside this set is answered
             ``("unavailable", ...)`` so the dialer requeues it on a worker
-            that advertises it — the same compatible path draining uses.
-        fail_after: **deprecated** — the pre-chaos fault hook; equivalent to
-            ``chaos=FaultPlan.worker_crash(fail_after)``.
+            that advertises it — the same requeue path draining uses.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  *, chaos: FaultPlan | None = None,
-                 backends: tuple[str, ...] | None = None,
-                 fail_after: int | None = None):
-        if fail_after is not None:
-            warnings.warn(
-                "WorkerServer(fail_after=...) is deprecated; pass "
-                "chaos=FaultPlan.worker_crash(n) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            if chaos is not None:
-                raise ValueError(
-                    "pass either chaos= or the deprecated fail_after=, not both"
-                )
-            chaos = FaultPlan.worker_crash(fail_after)
+                 backends: tuple[str, ...] | None = None):
         self._sock = socket.create_server((host, port), backlog=16)
         self._sock.settimeout(0.2)  # poll so shutdown is prompt
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
@@ -134,7 +117,7 @@ class WorkerServer:
         self.backends: tuple[str, ...] = tuple(backends)
         self.shards_served = 0
         self.shards_expired = 0
-        # Ring of the most recent trace IDs whose shards ran here (wire v4
+        # Ring of the most recent trace IDs whose shards ran here (shard
         # meta["trace_id"]) — observability for tests and `grep trace=`.
         self.seen_trace_ids: collections.deque = collections.deque(maxlen=256)
         self._lock = threading.Lock()
@@ -243,7 +226,7 @@ class WorkerServer:
                 if spec is not None and spec.kind == "drop":
                     return  # close mid-stream: the dialer sees ConnectionClosed
                 try:
-                    message, version = recv_frame_ex(conn)
+                    message = recv_frame(conn)
                 except ConnectionClosed:
                     return
                 except WireError as exc:
@@ -254,24 +237,19 @@ class WorkerServer:
                 if reply is None:  # injected crash: vanish mid-stream
                     self.stop()
                     return
-                if reply[0] in ("unavailable", "expired") and version < 4:
-                    # Pre-v4 dialers don't know these reply types; a closed
-                    # connection is the compatible signal (they requeue).
-                    return
                 spec = self._chaos_at("worker.send")
                 if spec is not None and spec.kind == "drop":
                     return  # computed, never replied — like a mid-send death
                 if spec is not None and spec.kind == "corrupt":
                     # A frame whose header decodes but whose payload does
                     # not: the dialer's _decode raises WireError -> requeue.
-                    frame = bytearray(_encode(reply, version))
+                    frame = bytearray(_encode(reply))
                     frame[-1] ^= 0xFF
                     conn.sendall(bytes(frame))
                     continue
                 if spec is not None:
                     FaultPlan.apply(spec, what="worker reply")  # slow/raise
-                # Reply at the request's version (wire negotiation rule).
-                send_frame(conn, reply, version=version)
+                send_frame(conn, reply)
         except OSError:
             return
         finally:
@@ -297,22 +275,15 @@ class WorkerServer:
         return ("error", f"unknown message type {kind!r}")
 
     def _dispatch_shard(self, message) -> tuple | None:
-        if len(message) == 4:
-            _, func, task, rng = message
-            meta = {}
-        elif len(message) == 5:
-            _, func, task, rng, meta = message
-            if not isinstance(meta, dict):
-                return ("error", "shard metadata must be a dict")
-        else:
+        if len(message) != 5 or not isinstance(message[4], dict):
             return ("error",
-                    "shard message must be (shard, func, task, rng[, meta])")
+                    "shard message must be (shard, func, task, rng, meta)")
+        _, func, task, rng, meta = message
         if self._draining:
             return ("unavailable", "worker draining: requeue elsewhere")
-        # Compatible wire growth: an absent key means the numpy backend
-        # (every pre-backend dialer), so no version bump.  A backend this
-        # worker does not advertise takes the same requeue path draining
-        # does — the dialer retries the shard on a capable worker.
+        # An absent key means the numpy backend.  A backend this worker
+        # does not advertise takes the same requeue path draining does —
+        # the dialer retries the shard on a capable worker.
         required_backend = meta.get("backend", "numpy")
         if required_backend not in self.backends:
             return ("unavailable",
@@ -339,7 +310,7 @@ class WorkerServer:
                 raise RuntimeError(
                     "chaos: injected deterministic failure at worker shard"
                 )
-            # Trace ID (wire v4 meta, gateway-originated requests): scope
+            # Trace ID (shard meta, gateway-originated requests): scope
             # the shard with it so traced code sees the ambient ID, and
             # log it — `grep trace=<id>` across gateway and worker logs
             # reconstructs which hosts computed which shards.
@@ -379,20 +350,16 @@ class WorkerServer:
             # mid-shard death the executor must survive.
             return None
         if recorder is not None:
-            # Compatible reply growth: traced shards answer a 3-tuple whose
-            # meta carries the worker-side spans; old dialers read reply[1]
-            # and ignore the extra element, untraced replies stay 2-tuples.
+            # Traced shards answer a 3-tuple whose meta carries the
+            # worker-side spans; untraced replies stay 2-tuples.
             return ("result", result,
                     {"spans": [s.to_dict() for s in recorder.drain()]})
         return ("result", result)
 
     @staticmethod
     def _best_effort_send(conn: socket.socket, payload) -> None:
-        # Sent when the *incoming* frame was undecodable, so the peer's
-        # version is unknown: MIN_WIRE_VERSION is the one version every
-        # supported peer (v2 exact-match or v3+ range) can decode.
         try:
-            send_frame(conn, payload, version=MIN_WIRE_VERSION)
+            send_frame(conn, payload)
         except OSError:
             pass
 
@@ -435,9 +402,7 @@ def register_with_server(
 
     Sends one ``("register", advertise_address, meta)`` frame — *meta* is
     :func:`worker_registration_meta`: the advertised kernel backends plus
-    this host's calibration.  The meta element is compatible growth on the
-    receiving side: workers predating it send 2-tuples and the server
-    registers them as numpy-only.  Returns the server's registration
+    this host's calibration.  Returns the server's registration
     payload (the current fleet snapshot).  Connection refusals are retried
     — workers routinely boot before their server — but a server that
     answers with an error (no registry configured, malformed address)

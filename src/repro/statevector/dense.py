@@ -2,7 +2,7 @@
 
 Building the full ``N x N`` (or ``2N x 2N`` with ancilla) unitaries is
 O(N^2) memory — useless for production runs but invaluable for tests: every
-kernel in :mod:`repro.statevector.ops` is checked elementwise against the
+kernel in :mod:`repro.kernels.primitives` is checked elementwise against the
 matrix built here, and each matrix is checked for unitarity.  Keeping the
 mirrors in the package (rather than in the test tree) also documents the
 exact linear algebra each structured kernel implements.
@@ -61,7 +61,8 @@ def block_diffusion_matrix(n_items: int, n_blocks: int, phase: float = np.pi) ->
 
 
 def masked_diffusion_matrix(n_items: int, mask) -> np.ndarray:
-    """Dense mirror of :func:`repro.statevector.ops.invert_about_mean_masked`.
+    """Dense mirror of
+    :func:`repro.kernels.primitives.invert_about_mean_masked`.
 
     ``2|u_m><u_m| - I`` on the masked subspace (``|u_m>`` uniform over the
     ``m`` masked addresses), identity outside.  Unitary for every mask.

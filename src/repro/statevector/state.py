@@ -1,15 +1,16 @@
 """Validated state-vector wrapper for the public API.
 
 Hot loops inside the library work directly on ``numpy`` arrays (see
-:mod:`repro.statevector.ops`); :class:`StateVector` is the boundary type that
-checks shapes/norms once and exposes convenient, well-documented operations.
+:mod:`repro.kernels.primitives`); :class:`StateVector` is the boundary type
+that checks shapes/norms once and exposes convenient, well-documented
+operations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.statevector import ops
+from repro.kernels import primitives as ops
 from repro.statevector.measurement import (
     address_probabilities,
     block_probabilities,

@@ -13,7 +13,8 @@ from repro.circuits import (
     uniform_superposition_circuit,
 )
 from repro.circuits.builders import move_out_circuit
-from repro.statevector import dense, ops
+from repro.kernels import primitives as ops
+from repro.statevector import dense
 from tests.conftest import random_state
 
 

@@ -10,12 +10,12 @@ shard when a stale capability view routed it wrong anyway.
 
 import pytest
 
-from repro.cluster import ClusterExecutor, ClusterMembership
+from repro.cluster import ClusterMembership, ClusterWorkers
 from repro.kernels import ExecutionPolicy, register_kernel_backend
 from repro.kernels import backends as backends_mod
 from repro.kernels.backends import NumpyBackend
 from repro.service._testing import echo_shard
-from repro.service.executor import RegistryExecutor
+from repro.service.executor import RemoteExecutor
 from repro.service.registry import WorkerRegistry
 from repro.service.worker import WorkerServer
 
@@ -45,7 +45,7 @@ class TestRegistryCapabilityFilter:
         reg = WorkerRegistry()
         reg.add("a:1", backends=("numpy", "fused"))
         reg.add("b:2", backends=("numpy", "fused", "numba"), calibrated="numba")
-        reg.add("c:3")  # legacy 2-tuple registration: numpy-only default
+        reg.add("c:3")  # no advertised backends: numpy-only default
         assert reg.snapshot() == ["a:1", "b:2", "c:3"]
         assert reg.snapshot(backend="numba") == ["b:2"]
         assert reg.snapshot(backend="fused") == ["a:1", "b:2"]
@@ -55,24 +55,24 @@ class TestRegistryCapabilityFilter:
         assert stats["calibrated"] == {"b:2": "numba"}
 
     def test_membership_filter_defaults_unknown_workers_to_numpy(self):
-        # Gossip relayed through an old replica loses the worker_backends
-        # key; those workers must degrade to the numpy-only default rather
-        # than receive shards they may not be able to run.
+        # Gossip is peer input: an entry without the worker_backends key
+        # must degrade its workers to the numpy-only default rather than
+        # send them shards they may not be able to run.
         membership = ClusterMembership("a:1")
         membership.merge({
             "b:1": {"heartbeat": 1, "workers": ["jit:1"], "load": 0,
                     "worker_backends": {"jit:1": ["numpy", "numba"]}},
             "c:1": {"heartbeat": 1, "workers": ["old:1"], "load": 0},
         })
-        ex = ClusterExecutor(membership, None)
-        assert ex._ranked_workers() == ["jit:1", "old:1"]
-        assert ex._ranked_workers(backend="numba") == ["jit:1"]
+        workers = ClusterWorkers(membership, None)
+        assert workers.ranked() == ["jit:1", "old:1"]
+        assert workers.ranked(backend="numba") == ["jit:1"]
 
 
 class TestMixedFleetRouting:
     def test_registry_executor_routes_past_incapable_workers(self, mockjit):
         reg = WorkerRegistry()
-        ex = RegistryExecutor(reg, timeout=30.0)
+        ex = RemoteExecutor(reg, fallback_local=True, timeout=30.0)
         with WorkerServer(backends=("numpy", "fused")) as plain, \
                 WorkerServer(backends=("numpy", "fused", mockjit)) as jit:
             reg.add(_addr(plain), backends=plain.backends)
@@ -87,7 +87,7 @@ class TestMixedFleetRouting:
 
     def test_numpy_batches_use_the_whole_fleet(self, mockjit):
         reg = WorkerRegistry()
-        ex = RegistryExecutor(reg, timeout=30.0)
+        ex = RemoteExecutor(reg, fallback_local=True, timeout=30.0)
         with WorkerServer(backends=("numpy", "fused")) as plain, \
                 WorkerServer(backends=("numpy", "fused", mockjit)) as jit:
             reg.add(_addr(plain), backends=plain.backends)
@@ -104,7 +104,7 @@ class TestMixedFleetRouting:
         # ("unavailable", ...) reply must requeue the shards on the worker
         # that really advertises it, not fail the batch.
         reg = WorkerRegistry()
-        ex = RegistryExecutor(reg, timeout=30.0)
+        ex = RemoteExecutor(reg, fallback_local=True, timeout=30.0)
         with WorkerServer(backends=("numpy",)) as plain, \
                 WorkerServer(backends=("numpy", mockjit)) as jit:
             reg.add(_addr(plain), backends=("numpy", mockjit))  # a lie
@@ -135,7 +135,10 @@ class TestMixedFleetRouting:
                     },
                 },
             })
-            ex = ClusterExecutor(membership, WorkerRegistry(), timeout=30.0)
+            ex = RemoteExecutor(
+                ClusterWorkers(membership, WorkerRegistry()),
+                fallback_local=True, timeout=30.0,
+            )
             tasks = [(i, ExecutionPolicy(backend=mockjit)) for i in range(4)]
             results = ex.run_shards(echo_shard, tasks, workers=2)
             assert results == tasks

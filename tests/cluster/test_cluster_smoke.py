@@ -17,10 +17,11 @@ import pytest
 from repro.cluster import (
     CachePeers,
     ClusterCoordinator,
-    ClusterExecutor,
     ClusterMembership,
+    ClusterWorkers,
 )
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
+from repro.service.executor import RemoteExecutor
 from repro.service.registry import WorkerRegistry
 from repro.service.scheduler import SearchService
 from repro.service.server import SearchServer, cluster_status
@@ -44,8 +45,10 @@ class Replica:
         )
         self.peering = CachePeers(self.membership, **(peer_kwargs or {}))
         engine = SearchEngine(
-            executor=ClusterExecutor(self.membership, self.registry,
-                                     timeout=60.0)
+            executor=RemoteExecutor(
+                ClusterWorkers(self.membership, self.registry),
+                fallback_local=True, timeout=60.0,
+            )
         )
         self.service = SearchService(engine, peering=self.peering)
         self.server = SearchServer(

@@ -208,7 +208,8 @@ class TestTargetsAndExport:
     def test_member_state_export_is_wire_shaped(self):
         state = MemberState(address="x:1", heartbeat=4, workers=("w:1",),
                             load=2, last_refresh=123.0)
-        assert state.export() == {"heartbeat": 4, "workers": ["w:1"], "load": 2}
+        assert state.export() == {"heartbeat": 4, "workers": ["w:1"],
+                                  "load": 2, "worker_backends": {}}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="suspicion_timeout"):

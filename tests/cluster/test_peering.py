@@ -66,7 +66,9 @@ class _FakePeer:
                     conn.settimeout(5.0)
                     self.requests.append(recv_frame(conn))
                     if self.delay:
-                        time.sleep(self.delay)
+                        # Interruptible, so close() never waits out a hung
+                        # peer's delay.
+                        self._stop.wait(self.delay)
                     if self.reply is not None:
                         send_frame(conn, self.reply)
                 except OSError:

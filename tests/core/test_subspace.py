@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import BlockSpec, plan_schedule, run_partial_search
 from repro.core.subspace import SubspaceGRK
+from repro.kernels import primitives as ops
 from repro.oracle import SingleTargetDatabase
-from repro.statevector import ops
 
 
 class TestAfterStep1:

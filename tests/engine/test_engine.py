@@ -164,14 +164,6 @@ class TestSearchMatchesRunners:
 
 
 class TestSweep:
-    def test_matches_deprecated_wrapper(self):
-        from repro.analysis.sweep import sweep_partial_search
-
-        engine_rows = SearchEngine().sweep([256, 1024], [2, 4])
-        with pytest.warns(DeprecationWarning):
-            wrapper_rows = sweep_partial_search([256, 1024], [2, 4])
-        assert engine_rows == wrapper_rows
-
     def test_simulated_cells_under_tiny_budget(self):
         rows = SearchEngine().sweep(
             [64], [4], simulate=True, shards=ShardPolicy(max_rows=5)

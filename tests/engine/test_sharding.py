@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import plan_schedule
-from repro.core.batch import execute_batch_rows, run_partial_search_batch
+from repro.core.batch import execute_batch_rows
 from repro.engine import (
     DEFAULT_SHARD_BYTES,
     ExecutionPolicy,
@@ -284,16 +284,3 @@ class TestShardIdentityUnderPolicies:
             fast.success_probabilities, base.success_probabilities,
             atol=COMPLEX64_SUCCESS_ATOL, rtol=0,
         )
-
-
-class TestDeprecatedWrapper:
-    def test_wrapper_warns_and_matches_engine(self):
-        n, k = 64, 8
-        with pytest.warns(DeprecationWarning, match="search_batch"):
-            old = run_partial_search_batch(n, k, range(n))
-        new = SearchEngine().search_batch(SearchRequest(n_items=n, n_blocks=k))
-        np.testing.assert_array_equal(
-            old.success_probabilities, new.success_probabilities
-        )
-        np.testing.assert_array_equal(old.block_guesses, new.block_guesses)
-        assert old.queries_per_run == new.queries_per_run

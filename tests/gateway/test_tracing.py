@@ -2,7 +2,7 @@
 
 The load-bearing test boots a loopback ``WorkerServer`` and checks the
 trace ID survives the full path — contextvar -> executor lane thread ->
-wire-v4 shard meta -> worker-side scope — so one ID really does correlate
+shard meta -> worker-side scope — so one ID really does correlate
 a request with its shards in worker logs.
 """
 
@@ -72,11 +72,6 @@ class TestTraceOnWire:
 
     def test_shard_message_meta_carries_trace_id(self):
         message = RemoteExecutor._shard_message(
-            trace_probe_shard, "task", None, None, None, "tid-7"
+            trace_probe_shard, "task", None, None, "tid-7"
         )
         assert message[4] == {"trace_id": "tid-7"}
-        # Legacy lanes (pre-v4 peers) get the 4-tuple — no meta to grow.
-        legacy = RemoteExecutor._shard_message(
-            trace_probe_shard, "task", None, None, 3, "tid-7"
-        )
-        assert len(legacy) == 4

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.grover.amplify import phased_block_grover_step, phased_grover_step, solve_phases
+from repro.kernels import primitives as ops
 from repro.oracle import PhaseOracle, SingleTargetDatabase
-from repro.statevector import ops
 
 
 class TestPhasedSteps:

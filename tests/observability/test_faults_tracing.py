@@ -2,23 +2,18 @@
 
 The trace must tell the truth when things go wrong: retried dispatch
 attempts show up as sibling ``shard.attempt`` spans under one trace ID,
-breaker-quarantined lanes leave a ``shard.breaker_open`` marker, and a
-legacy v3 worker — which predates the span meta — degrades to a
-dispatcher-side-only tree without erroring the request.
+and breaker-quarantined workers leave a ``shard.breaker_open`` marker.
 """
 
-import pickle
 import socket
-import threading
 
 import pytest
 
 from repro.gateway.tracing import trace_scope
 from repro.observability.spans import SpanRecorder, recording_scope
 from repro.resilience import BreakerRegistry, FaultPlan, FaultSpec, RetryPolicy
-from repro.service import wire
 from repro.service._testing import double_shard
-from repro.service.executor import RemoteExecutor
+from repro.service.executor import RemoteExecutor, WorkerUnavailable
 from repro.service.worker import WorkerServer
 
 pytestmark = pytest.mark.chaos
@@ -122,97 +117,26 @@ class TestBreakerOpenShowsInTheTrace:
         assert rejected[0].trace_id == "trace-chaos"
         assert ex.last_run["breaker_skips"] == [dead_endpoint]
 
+    def test_fleet_with_every_breaker_open_still_leaves_its_spans(self):
+        breakers = BreakerRegistry(failure_threshold=1, reset_timeout=60.0)
+        probes = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+        dead = [f"127.0.0.1:{p.getsockname()[1]}" for p in probes]
+        for p in probes:
+            p.close()
+        for endpoint in dead:
+            breakers.get(endpoint).record_failure()
 
-def _read_exact(conn, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = conn.recv(n - len(data))
-        if not chunk:
-            raise ConnectionError("peer closed")
-        data += chunk
-    return data
+        ex = RemoteExecutor(dead, breakers=breakers, fallback_local=True)
+        results, spans = _traced_run(ex, [1, 2])
+        assert results == [2, 4]
+        (dispatch,) = [s for s in spans if s.name == "dispatch"]
+        rejected = [s for s in spans if s.name == "shard.breaker_open"]
+        assert [s.attrs["endpoint"] for s in rejected] == dead
+        assert all(s.parent_id == dispatch.span_id for s in rejected)
+        assert ex.last_run["breaker_skips"] == dead
+        assert ex.last_run["local_fallback_shards"] == 2
 
-
-class _LegacyV3Worker:
-    """A wire-v3 acceptor (predates the span meta): rejects v4 frames with
-    the standard version-mismatch error and serves the legacy 4-tuple."""
-
-    MAX_VERSION = 3
-
-    def __init__(self):
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self.address = self._sock.getsockname()[:2]
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        self._sock.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,),
-                             daemon=True).start()
-
-    def _serve(self, conn):
-        with conn:
-            conn.settimeout(5.0)
-            while True:
-                try:
-                    header = _read_exact(conn, wire._HEADER.size)
-                except (ConnectionError, OSError):
-                    return
-                magic, version, length = wire._HEADER.unpack(header)
-                assert magic == wire.MAGIC
-                if version > self.MAX_VERSION:
-                    conn.sendall(wire._encode(
-                        ("error",
-                         f"wire version mismatch: peer speaks v{version}, "
-                         f"this process speaks v2..v{self.MAX_VERSION} "
-                         f"(upgrade the older end; acceptors before "
-                         f"dialers)"),
-                        2,
-                    ))
-                    return
-                message = pickle.loads(_read_exact(conn, length))
-                assert message[0] == "shard" and len(message) == 4
-                _, func, task, rng = message
-                conn.sendall(wire._encode(("result", func(task, rng)),
-                                          version))
-
-    def close(self):
-        self._stop.set()
-        self._sock.close()
-
-
-class TestLegacyWorkerDegradesToDispatchOnlySpans:
-    def test_v3_worker_means_no_compute_spans_and_no_errors(self):
-        legacy = _LegacyV3Worker()
-        try:
-            ex = RemoteExecutor([legacy.address])
-            results, spans = _traced_run(ex, [1, 2, 3])
-        finally:
-            legacy.close()
-        assert results == [2, 4, 6]
-        endpoint = f"{legacy.address[0]}:{legacy.address[1]}"
-        assert ex.last_run["downgraded_lanes"] == {endpoint: 3}
-        # The trace still covers the dispatch side...
-        names = {s.name for s in spans}
-        assert "dispatch" in names
-        assert "shard.attempt" in names
-        assert "wire.roundtrip" in names
-        # ...but a pre-meta worker ships no spans back, and the downgrade
-        # is an annotated outcome, not an error.
-        assert "worker.compute" not in names
-        downgraded = [s for s in spans
-                      if s.attrs.get("outcome") == "wire-downgrade:v3"]
-        assert len(downgraded) == 1
-        assert downgraded[0].status == "ok"
-        served = [s for s in spans
-                  if s.attrs.get("outcome") == "result"]
-        assert len(served) == 3
-        assert all(s.status == "ok" for s in spans)
+        strict = RemoteExecutor(dead, breakers=breakers)
+        with pytest.raises(WorkerUnavailable):
+            _traced_run(strict, [1, 2])
+        assert strict.last_run["breaker_skips"] == dead

@@ -22,8 +22,8 @@ class TestBuildTree:
                                                    "late-child"]
 
     def test_orphans_attach_under_the_root(self):
-        # A worker span whose dispatch-attempt parent never shipped (e.g.
-        # the v3-degraded path) must still appear in the tree.
+        # A worker span whose dispatch-attempt parent never shipped must
+        # still appear in the tree.
         spans = [
             _span("root", "r", start=0.0, dur=3.0),
             _span("orphan", "o", parent_id="gone", start=1.0),

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.statevector import dense, ops
+from repro.kernels import primitives as ops
+from repro.statevector import dense
 
 
 def unit_vectors(min_size=2, max_size=48):

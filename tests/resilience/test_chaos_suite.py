@@ -9,7 +9,6 @@ deadline-bound requests fail within their budget, and breakers walk
 closed -> open -> half-open -> closed.
 """
 
-import pickle
 import socket
 import threading
 import time
@@ -29,7 +28,6 @@ from repro.resilience import (
     RetryPolicy,
     deadline_scope,
 )
-from repro.service import wire
 from repro.service._testing import (
     deadline_probe_shard,
     double_shard,
@@ -138,14 +136,21 @@ class TestBitIdentityUnderChaosPlans:
                            probability=0.5)],
                 seed=21,
             )
-            with WorkerServer(chaos=plan) as flaky, WorkerServer() as healthy:
-                ex = RemoteExecutor([flaky.address, healthy.address])
+            # Every shard goes through the flaky worker alone, so the
+            # fault site's visit sequence depends only on the seed, never
+            # on how shards split between lanes.
+            with WorkerServer(chaos=plan) as flaky:
+                ex = RemoteExecutor(
+                    [flaky.address],
+                    retry=RetryPolicy(max_attempts=6, base_delay=0.001,
+                                      max_delay=0.005),
+                )
                 out = ex.run_shards(double_shard, list(range(12)))
             return out, plan.describe()["faults"][0]["fired"]
 
         (out_a, fired_a), (out_b, fired_b) = run_once(), run_once()
         assert out_a == out_b == [2 * i for i in range(12)]
-        assert fired_a == fired_b
+        assert fired_a == fired_b == 4
 
 
 class TestDeadlineBoundsSlowWorkers:
@@ -356,108 +361,3 @@ class TestWorkerDrain:
             finally:
                 hold.close()
                 drainer.join(timeout=10.0)
-
-
-def _read_exact(conn, n: int) -> bytes:
-    data = b""
-    while len(data) < n:
-        chunk = conn.recv(n - len(data))
-        if not chunk:
-            raise ConnectionError("peer closed")
-        data += chunk
-    return data
-
-
-class LegacyV3Worker:
-    """A handcrafted wire-v3 acceptor: rejects v4 frames with the standard
-    version-mismatch error (at its own MIN version, exactly as a v3 build's
-    worker does) and serves the legacy 4-tuple shard form."""
-
-    MAX_VERSION = 3
-
-    def __init__(self):
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self.address = self._sock.getsockname()[:2]
-        self.v4_rejections = 0
-        self.legacy_served = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        self._sock.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,),
-                             daemon=True).start()
-
-    def _serve(self, conn):
-        with conn:
-            conn.settimeout(5.0)
-            while True:
-                try:
-                    header = _read_exact(conn, wire._HEADER.size)
-                except (ConnectionError, OSError):
-                    return
-                magic, version, length = wire._HEADER.unpack(header)
-                assert magic == wire.MAGIC
-                if version > self.MAX_VERSION:
-                    # What a v3 build's _check_header raises, relayed the
-                    # way its worker does: an error reply at ITS minimum.
-                    self.v4_rejections += 1
-                    conn.sendall(wire._encode(
-                        ("error",
-                         f"wire version mismatch: peer speaks v{version}, "
-                         f"this process speaks v2..v{self.MAX_VERSION} "
-                         f"(upgrade the older end; acceptors before "
-                         f"dialers)"),
-                        2,
-                    ))
-                    return
-                message = pickle.loads(_read_exact(conn, length))
-                assert message[0] == "shard" and len(message) == 4, \
-                    f"a v3 peer must only see legacy shard frames: {message!r}"
-                _, func, task, rng = message
-                self.legacy_served += 1
-                conn.sendall(wire._encode(("result", func(task, rng)),
-                                          version))
-
-    def close(self):
-        self._stop.set()
-        self._sock.close()
-
-
-class TestWireV4AgainstV3Peer:
-    def test_dialer_downgrades_and_completes(self):
-        """The upgrade rule in action: a v4 dialer against a v3 acceptor
-        pins the lane to v3 after one rejected frame and finishes the
-        batch in the legacy shard form."""
-        legacy = LegacyV3Worker()
-        try:
-            ex = RemoteExecutor([legacy.address])
-            assert ex.run_shards(double_shard, [1, 2, 3]) == [2, 4, 6]
-            endpoint = f"{legacy.address[0]}:{legacy.address[1]}"
-            assert ex.last_run["downgraded_lanes"] == {endpoint: 3}
-            assert legacy.v4_rejections == 1
-            assert legacy.legacy_served == 3
-        finally:
-            legacy.close()
-
-    def test_v3_dialer_against_v4_worker(self):
-        """The other direction: a legacy dialer sending the 4-tuple at v3
-        gets a v3-encoded result back from a v4 worker."""
-        with WorkerServer() as w:
-            with socket.create_connection(w.address, timeout=5.0) as sock:
-                sock.settimeout(5.0)
-                sock.sendall(wire._encode(("shard", double_shard, 21, None), 3))
-                header = _read_exact(sock, wire._HEADER.size)
-                _, version, length = wire._HEADER.unpack(header)
-                assert version == 3  # replies ride at the request's version
-                reply = pickle.loads(_read_exact(sock, length))
-            assert reply == ("result", 42)
-            assert w.shards_served == 1

@@ -72,7 +72,7 @@ class TestSharedAcrossTheStack:
         from repro.service.executor import RemoteExecutor
 
         ex = RemoteExecutor(["[::1]:9000"])
-        assert ex.addresses == [("::1", 9000)]
+        assert ex.workers.addresses == [("::1", 9000)]
 
     def test_remote_executor_rejects_portless(self):
         from repro.service.executor import RemoteExecutor

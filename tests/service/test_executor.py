@@ -243,3 +243,85 @@ class TestBitIdentityUnderFaults:
         assert np.array_equal(local.block_guesses, remote.block_guesses)
         assert np.array_equal(local.queries, remote.queries)
         assert remote.execution["executor"] == "remote"
+
+
+def _addr(worker: WorkerServer) -> str:
+    return f"{worker.address[0]}:{worker.address[1]}"
+
+
+def _dead_endpoints(n: int) -> list[str]:
+    """*n* distinct local ports with nothing listening on them."""
+    probes = [socket.create_server(("127.0.0.1", 0)) for _ in range(n)]
+    endpoints = [f"127.0.0.1:{p.getsockname()[1]}" for p in probes]
+    for p in probes:
+        p.close()
+    return endpoints
+
+
+class TestSpareHandover:
+    """Lanes are capped at one per shard; the remaining candidates wait as
+    spares, and a lane whose worker dies hands over to one instead of
+    retiring — whatever the worker source."""
+
+    @pytest.mark.parametrize("source", ["static", "registry"])
+    def test_dying_first_worker_hands_its_shard_to_a_spare(self, source):
+        from repro.resilience import RetryPolicy
+        from repro.service.registry import WorkerRegistry
+
+        with WorkerServer() as a, WorkerServer() as b:
+            # The registry dispatches in sorted order: make the worker that
+            # sorts first the dying one, so the only lane opens on it.
+            dying, healthy = sorted([a, b], key=_addr)
+            dying.chaos = FaultPlan.worker_crash(0)
+            if source == "static":
+                workers = [dying.address, healthy.address]
+            else:
+                workers = WorkerRegistry()
+                workers.add(_addr(dying))
+                workers.add(_addr(healthy))
+            ex = RemoteExecutor(
+                workers, fallback_local=True,
+                retry=RetryPolicy(max_attempts=2, base_delay=0.01,
+                                  max_delay=0.02),
+            )
+            assert ex.run_shards(double_shard, [21]) == [42]
+            assert ex.last_run["local_fallback_shards"] == 0
+            assert healthy.shards_served == 1
+            assert dying.chaos.fired("worker.shard") == 1
+
+    def test_two_dead_workers_ahead_of_a_healthy_one(self):
+        """Default policies: each dead worker gets one try before the spare
+        behind them serves the shard, well inside its attempt bound."""
+        with WorkerServer() as healthy:
+            ex = RemoteExecutor([*_dead_endpoints(2), healthy.address],
+                                connect_timeout=0.5)
+            assert ex.run_shards(double_shard, [21]) == [42]
+            assert healthy.shards_served == 1
+            assert ex.last_run["local_fallback_shards"] == 0
+            assert ex.last_run["retries"] == 0
+            assert len(ex.last_run["dead_workers"]) == 2
+
+    def test_registry_of_dead_workers_falls_back_to_local(self):
+        """A registered fleet that died since it was last seen degrades to
+        local compute; the shard is not mistaken for a poison shard."""
+        from repro.service.registry import WorkerRegistry
+
+        registry = WorkerRegistry()
+        for endpoint in _dead_endpoints(2):
+            registry.add(endpoint)
+        ex = RemoteExecutor(registry, fallback_local=True, connect_timeout=0.5)
+        assert ex.run_shards(double_shard, [21]) == [42]
+        assert ex.last_run["local_fallback_shards"] == 1
+        assert len(ex.last_run["dead_workers"]) == 2
+
+    def test_hung_worker_hands_over_after_one_timeout(self):
+        hung = HungWorker()
+        try:
+            with WorkerServer() as healthy:
+                ex = RemoteExecutor([hung.address, healthy.address],
+                                    timeout=0.5)
+                assert ex.run_shards(echo_shard, [7]) == [7]
+                assert healthy.shards_served == 1
+                assert ex.last_run["retries"] == 0
+        finally:
+            hung.close()

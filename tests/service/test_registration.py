@@ -5,7 +5,8 @@ The contract under test: a ``repro serve`` started with a
 :class:`WorkerRegistry` needs no ``--remote-worker`` wiring — workers
 announce themselves over the wire, the health loop (reusing the worker
 protocol's ``ping``) evicts the dead, and the
-:class:`RegistryExecutor` resolves the live fleet per batch, degrading to
+:class:`RemoteExecutor` reading the registry resolves the live fleet per
+batch, degrading to
 local execution when nobody is registered.
 """
 
@@ -17,7 +18,7 @@ import pytest
 
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
 from repro.service._testing import echo_shard
-from repro.service.executor import RegistryExecutor
+from repro.service.executor import RemoteExecutor
 from repro.service.registry import WorkerRegistry
 from repro.service.scheduler import SearchService
 from repro.service.server import SearchServer
@@ -59,7 +60,7 @@ class TestWorkerRegistry:
 
 class TestRegistryExecutor:
     def test_empty_registry_runs_locally(self):
-        ex = RegistryExecutor(WorkerRegistry())
+        ex = RemoteExecutor(WorkerRegistry(), fallback_local=True)
         results = ex.run_shards(echo_shard, [1, 2, 3])
         assert results == [1, 2, 3]
         assert ex.last_run == {"addresses": [], "local": True,
@@ -68,7 +69,7 @@ class TestRegistryExecutor:
 
     def test_dispatches_to_registered_worker(self):
         reg = WorkerRegistry()
-        ex = RegistryExecutor(reg, timeout=30.0)
+        ex = RemoteExecutor(reg, fallback_local=True, timeout=30.0)
         with WorkerServer() as worker:
             reg.add(_addr(worker))
             results = ex.run_shards(echo_shard, list(range(5)))
@@ -79,7 +80,7 @@ class TestRegistryExecutor:
 
     def test_worker_registered_mid_traffic_serves_next_batch(self):
         reg = WorkerRegistry()
-        ex = RegistryExecutor(reg, timeout=30.0)
+        ex = RemoteExecutor(reg, fallback_local=True, timeout=30.0)
         assert ex.run_shards(echo_shard, [0]) == [0]  # local
         with WorkerServer() as worker:
             reg.add(_addr(worker))
@@ -107,7 +108,8 @@ class TestRegistryExecutor:
         threading.Thread(target=serve_garbage, args=(srv,), daemon=True).start()
         reg = WorkerRegistry()
         reg.add(f"127.0.0.1:{srv.getsockname()[1]}")
-        ex = RegistryExecutor(reg, timeout=5.0, connect_timeout=2.0)
+        ex = RemoteExecutor(reg, fallback_local=True, timeout=5.0,
+                            connect_timeout=2.0)
         try:
             assert ex.run_shards(echo_shard, [1, 2]) == [1, 2]
             assert ex.last_run["local_fallback_shards"] == 2
@@ -122,7 +124,8 @@ class TestRegistryExecutor:
         port = probe.getsockname()[1]
         probe.close()
         reg.add(f"127.0.0.1:{port}")
-        ex = RegistryExecutor(reg, timeout=5.0, connect_timeout=0.5)
+        ex = RemoteExecutor(reg, fallback_local=True, timeout=5.0,
+                            connect_timeout=0.5)
         assert ex.run_shards(echo_shard, [7, 8]) == [7, 8]
         assert ex.last_run["local_fallback_shards"] == 2
 
@@ -150,14 +153,17 @@ class TestRegisterMessage:
     def test_register_and_stats(self):
         async def scenario():
             registry = WorkerRegistry()
-            engine = SearchEngine(executor=RegistryExecutor(registry))
+            engine = SearchEngine(
+                executor=RemoteExecutor(registry, fallback_local=True)
+            )
             async with SearchService(engine) as service:
                 server = SearchServer(service, registry=registry,
                                       health_interval=60.0)
                 await server.start()
                 addr = server.address
                 reply = await asyncio.to_thread(
-                    _roundtrip, addr, ("register", "127.0.0.1:7737")
+                    _roundtrip, addr,
+                    ("register", "127.0.0.1:7737", {"backends": ["numpy"]}),
                 )
                 assert reply[0] == "registered"
                 assert reply[1]["workers"] == ["127.0.0.1:7737"]
@@ -173,7 +179,8 @@ class TestRegisterMessage:
                 server = SearchServer(service)
                 await server.start()
                 reply = await asyncio.to_thread(
-                    _roundtrip, server.address, ("register", "127.0.0.1:7737")
+                    _roundtrip, server.address,
+                    ("register", "127.0.0.1:7737", {"backends": ["numpy"]}),
                 )
                 assert reply[0] == "error"
                 assert "registration" in reply[1]
@@ -188,7 +195,9 @@ class TestRegisterMessage:
                 server = SearchServer(service, registry=registry)
                 await server.start()
                 for bad in [("register",), ("register", "no-port"),
-                            ("register", "host:NaN")]:
+                            ("register", "host:NaN"),
+                            ("register", "no-port", {}),
+                            ("register", "host:NaN", {})]:
                     reply = await asyncio.to_thread(
                         _roundtrip, server.address, bad
                     )
@@ -209,7 +218,8 @@ class TestDeregisterMessage:
                 await server.start()
                 addr = server.address
                 await asyncio.to_thread(
-                    _roundtrip, addr, ("register", "127.0.0.1:7737")
+                    _roundtrip, addr,
+                    ("register", "127.0.0.1:7737", {"backends": ["numpy"]}),
                 )
                 reply = await asyncio.to_thread(
                     _roundtrip, addr, ("deregister", "127.0.0.1:7737")
@@ -312,7 +322,8 @@ class TestWorkerSelfRegistration:
     def test_register_with_server_end_to_end(self):
         async def scenario():
             registry = WorkerRegistry()
-            executor = RegistryExecutor(registry, timeout=30.0)
+            executor = RemoteExecutor(registry, fallback_local=True,
+                                      timeout=30.0)
             engine = SearchEngine(executor=executor)
             async with SearchService(engine) as service:
                 server = SearchServer(service, registry=registry,

@@ -1,5 +1,6 @@
 """Frame-level tests of the length-prefixed wire format."""
 
+import pickle
 import socket
 import struct
 import threading
@@ -159,94 +160,157 @@ class TestAsyncio:
         assert reply == ("ack", {"q": 1})
 
 
-class TestNegotiation:
-    """v3 cross-version negotiation: receivers accept the supported range
-    and expose the frame version so acceptors can answer in kind."""
+def _raw_frame(payload, version: int) -> bytes:
+    """A frame as another build would write it: same layout, other
+    version."""
+    body = pickle.dumps(payload)
+    return struct.pack(">4sHI", wire.MAGIC, version, len(body)) + body
 
-    def test_supported_range_is_v2_to_v4(self):
-        assert wire.MIN_WIRE_VERSION == 2
-        assert wire.WIRE_VERSION == 4
 
-    def test_v2_frame_accepted_and_version_exposed(self):
+def _send_raw(address, frame: bytes):
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        sock.sendall(frame)
+        return wire.recv_frame(sock)
+
+
+def _ask(address, message):
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        wire.send_frame(sock, message)
+        return wire.recv_frame(sock)
+
+
+def _with_server(registry, scenario):
+    """Run ``scenario(address)`` in a thread against a live SearchServer."""
+    import asyncio
+
+    from repro.engine import SearchEngine
+    from repro.service.scheduler import SearchService
+    from repro.service.server import SearchServer
+
+    async def main():
+        async with SearchService(SearchEngine()) as service:
+            server = SearchServer(service, registry=registry)
+            await server.start()
+            try:
+                return await asyncio.to_thread(scenario, server.address)
+            finally:
+                await server.stop()
+
+    return asyncio.run(main())
+
+
+class TestOneVersion:
+    """A receiver accepts exactly WIRE_VERSION: a peer from another build
+    is told so on its first frame."""
+
+    def test_previous_version_rejected_by_both_receivers(self):
+        import asyncio
+
         a, b = _socketpair()
         try:
-            wire.send_frame(a, ("ping",), version=wire.MIN_WIRE_VERSION)
-            payload, version = wire.recv_frame_ex(b)
-            assert payload == ("ping",)
-            assert version == wire.MIN_WIRE_VERSION
-        finally:
-            a.close()
-            b.close()
-
-    def test_default_send_is_current_version(self):
-        a, b = _socketpair()
-        try:
-            wire.send_frame(a, ("ping",))
-            assert wire.recv_frame_ex(b) == (("ping",), wire.WIRE_VERSION)
-        finally:
-            a.close()
-            b.close()
-
-    def test_v1_frame_rejected(self):
-        a, b = _socketpair()
-        try:
-            a.sendall(struct.pack(">4sHI", b"RPRO", 1, 4) + b"ABCD")
+            a.sendall(_raw_frame(("ping",), wire.WIRE_VERSION - 1))
             with pytest.raises(wire.WireError, match="version mismatch"):
                 wire.recv_frame(b)
         finally:
             a.close()
             b.close()
 
-    def test_cannot_send_unsupported_version(self):
-        a, b = _socketpair()
+        async def read_async():
+            reader = asyncio.StreamReader()
+            reader.feed_data(_raw_frame(("ping",), wire.WIRE_VERSION - 1))
+            reader.feed_eof()
+            return await wire.recv_frame_async(reader)
+
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            asyncio.run(read_async())
+
+    def test_worker_and_server_answer_with_the_mismatch(self):
+        from repro.service.worker import WorkerServer
+
+        old_ping = _raw_frame(("ping",), wire.WIRE_VERSION - 1)
+        with WorkerServer() as worker:
+            reply = _send_raw(worker.address, old_ping)
+        assert reply[0] == "error"
+        assert reply[1].startswith("wire version mismatch")
+        reply = _with_server(None, lambda addr: _send_raw(addr, old_ping))
+        assert reply[0] == "error"
+        assert reply[1].startswith("wire version mismatch")
+
+    def test_dialer_retires_a_lane_whose_worker_speaks_another_version(self):
+        from repro.resilience import RetryPolicy
+        from repro.service._testing import echo_shard
+        from repro.service.executor import RemoteExecutor
+
+        srv = socket.create_server(("127.0.0.1", 0))
+        srv.settimeout(0.05)
+        stop = threading.Event()
+        connections = []
+
+        def serve_other_build():
+            while not stop.is_set():
+                try:
+                    conn, _ = srv.accept()
+                except socket.timeout:
+                    continue
+                connections.append(conn)
+                conn.recv(1 << 16)
+                conn.sendall(_raw_frame(("result", "x"),
+                                        wire.WIRE_VERSION - 1))
+
+        thread = threading.Thread(target=serve_other_build, daemon=True)
+        thread.start()
         try:
-            with pytest.raises(ValueError, match="wire version"):
-                wire.send_frame(a, ("ping",), version=1)
-            with pytest.raises(ValueError, match="wire version"):
-                wire.send_frame(a, ("ping",), version=wire.WIRE_VERSION + 1)
+            ex = RemoteExecutor(
+                [srv.getsockname()[:2]], fallback_local=True, timeout=5.0,
+                retry=RetryPolicy(max_attempts=5, base_delay=0.01,
+                                  max_delay=0.02),
+            )
+            assert ex.run_shards(echo_shard, [1, 2]) == [1, 2]
         finally:
-            a.close()
-            b.close()
+            stop.set()
+            thread.join(timeout=5.0)
+            srv.close()
+            for conn in connections:
+                conn.close()
+        assert len(connections) == 1
+        assert ex.last_run["retries"] == 0
+        assert ex.last_run["local_fallback_shards"] == 2
+        (dead,) = ex.last_run["dead_workers"]
+        assert "wire version mismatch" in dead["error"]
 
-    def test_server_replies_at_the_request_version(self):
-        """The acceptor half of the negotiation rule: a v2 dialer gets v2
-        replies from a v3 server, so mixed-version pairs keep talking."""
-        import asyncio
 
-        from repro.engine import SearchEngine
-        from repro.service.scheduler import SearchService
-        from repro.service.server import SearchServer
+class TestOneArityPerMessage:
+    """Each request message has one shape; any other gets an error reply."""
 
-        async def scenario():
-            async with SearchService(SearchEngine()) as service:
-                server = SearchServer(service)
-                await server.start()
-
-                def old_client():
-                    with socket.create_connection(server.address,
-                                                  timeout=5.0) as sock:
-                        sock.settimeout(5.0)
-                        wire.send_frame(sock, ("ping",),
-                                        version=wire.MIN_WIRE_VERSION)
-                        return wire.recv_frame_ex(sock)
-
-                reply, version = await asyncio.to_thread(old_client)
-                await server.stop()
-                return reply, version
-
-        import asyncio as aio
-
-        reply, version = aio.run(scenario())
-        assert reply == ("pong", {})
-        assert version == wire.MIN_WIRE_VERSION
-
-    def test_worker_replies_at_the_request_version(self):
+    def test_four_tuple_shard_is_an_error(self):
+        from repro.service._testing import echo_shard
         from repro.service.worker import WorkerServer
 
         with WorkerServer() as worker:
-            with socket.create_connection(worker.address, timeout=5.0) as sock:
-                sock.settimeout(5.0)
-                wire.send_frame(sock, ("ping",), version=wire.MIN_WIRE_VERSION)
-                reply, version = wire.recv_frame_ex(sock)
-        assert reply[0] == "pong"
-        assert version == wire.MIN_WIRE_VERSION
+            reply = _ask(worker.address, ("shard", echo_shard, 1, None))
+            assert reply[0] == "error"
+            assert "(shard, func, task, rng, meta)" in reply[1]
+            assert worker.shards_served == 0
+
+    def test_two_tuple_register_and_five_tuple_submit_are_errors(self):
+        from repro.engine import SearchRequest
+        from repro.service.registry import WorkerRegistry
+
+        registry = WorkerRegistry()
+
+        def scenario(address):
+            return (
+                _ask(address, ("register", "127.0.0.1:7737")),
+                _ask(address, ("submit", SearchRequest(n_items=16,
+                                                       n_blocks=4),
+                               None, False, None)),
+            )
+
+        register, submit = _with_server(registry, scenario)
+        assert register[0] == "error"
+        assert "(register, 'host:port', meta)" in register[1]
+        assert len(registry) == 0
+        assert submit[0] == "error"
+        assert "timeout, meta)" in submit[1]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.statevector import dense, ops
+from repro.kernels import primitives as ops
+from repro.statevector import dense
 from tests.conftest import random_state
 
 

@@ -12,9 +12,9 @@ import pytest
 
 from repro.circuits import partial_search_circuit, run_circuit
 from repro.core import plan_schedule, run_partial_search
-from repro.core.batch import run_partial_search_batch
 from repro.core.blockspec import BlockSpec
 from repro.core.subspace import SubspaceGRK
+from repro.engine import SearchEngine, SearchRequest
 from repro.oracle import SingleTargetDatabase
 
 INSTANCES = [
@@ -70,7 +70,11 @@ def test_three_way_agreement(n_bits, k_bits, target):
 def test_batch_agrees_with_all(n_bits, k_bits, target):
     n_items, n_blocks = 1 << n_bits, 1 << k_bits
     sched = plan_schedule(n_items, n_blocks)
-    batch = run_partial_search_batch(n_items, n_blocks, [target], schedule=sched)
+    batch = SearchEngine().search_batch(
+        SearchRequest(n_items=n_items, n_blocks=n_blocks,
+                      options={"schedule": sched}),
+        targets=[target],
+    )
     model = SubspaceGRK(BlockSpec(n_items, n_blocks))
     assert batch.success_probabilities[0] == pytest.approx(
         model.success_probability(sched.l1, sched.l2), abs=1e-10

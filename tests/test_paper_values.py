@@ -18,7 +18,7 @@ from repro import (
     run_partial_search,
 )
 from repro.analysis.theory import LARGE_K_CONSTANT, large_k_coefficient, savings_factor
-from repro.statevector import ops
+from repro.kernels import primitives as ops
 
 
 class TestKorepinGroverSimplified:
