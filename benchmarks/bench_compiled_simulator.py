@@ -20,15 +20,14 @@ comparable perf snapshot.  Four measurements:
   under every :class:`~repro.kernels.ExecutionPolicy` variant — the
   complex128 baseline, ``dtype="complex64"``, ``row_threads``, and both —
   with per-variant speedups and the complex64 tolerance check.
-- ``kernels_backends``: the pluggable kernel tiers (``fused``, and
-  ``numba`` when installed) against the ``numpy`` reference on the same
-  batched workload, at both dtypes — complex128 checked bit-identical,
-  complex64 within tolerance, with per-backend speedups.
+- ``kernels_sweep``: the program sweep against the composed reference
+  iteration on the same batched workload, at both dtypes — complex128
+  checked bit-identical, complex64 within tolerance, with the speedups.
 - ``acceptance``: the PR gate — compiled >= 5x naive on the single
   circuit, batched >= 10x the single-run loop, the sharded batch
   bit-identical under its budget, at least one policy knob buying
-  throughput on the batched kernels, and the fused backend clearing its
-  complex64 speedup floor.
+  throughput on the batched kernels, and the sweep clearing its
+  complex64 speedup floor over the reference.
 
 ``--quick`` runs a reduced configuration (fewer qubits, smaller budgets,
 relaxed speedup floors) for the CI smoke job; the JSON records which mode
@@ -70,7 +69,7 @@ CONFIGS = {
         "row_threads": 4,
         "floor_compiled_vs_naive": 5.0,
         "floor_batched_vs_loop": 10.0,
-        "floor_fused_complex64": 1.15,
+        "floor_sweep_complex64": 1.15,
     },
     "quick": {
         "single_address_qubits": 10,
@@ -82,7 +81,7 @@ CONFIGS = {
         "row_threads": 2,
         "floor_compiled_vs_naive": 3.0,
         "floor_batched_vs_loop": 5.0,
-        "floor_fused_complex64": 1.05,
+        "floor_sweep_complex64": 1.05,
     },
 }
 
@@ -235,79 +234,80 @@ def bench_kernels_batched(cfg: dict) -> dict:
     return results
 
 
-def bench_kernels_backends(cfg: dict) -> dict:
-    """The pluggable kernel backends on the standard batched workload.
+def bench_kernels_sweep(cfg: dict) -> dict:
+    """The program sweep against the composed reference iteration on the
+    standard batched workload.
 
-    Every available non-numpy backend (``fused`` always; ``numba`` when
-    the optional dependency is installed) is held to the registry's core
-    contract end to end through the engine — complex128 bit-identical to
-    the numpy reference, complex64 within the documented tolerance — and
-    then *timed at the sweep level* (``program_sweep_rows`` over every
-    target, the code the backend knob actually swaps): the engine's fixed
-    per-batch overhead (planning, report assembly) is the same for every
-    backend and would dilute the tier-vs-tier ratio.  Both ratios are
-    recorded against the numpy backend's row-blocked sweep at the same
-    dtype.  Row blocking lives in that shared sweep, so at complex128
-    fused only owes bit identity (its ratio sits near 1); the complex64
-    ratio, where fused's einsum reductions still pay, feeds the
-    acceptance floor.
+    ``program_sweep_rows`` over every target is timed at both dtypes twice:
+    with its own iteration, and with the composed reference
+    (``phase_flip_rows`` then ``invert_about_mean`` /
+    ``invert_about_mean_blocks``) swapped in.  Timing at the sweep level
+    keeps the engine's fixed per-batch overhead out of the ratio, and the
+    two are timed alternately so drift on a shared host hits both.
+    complex128 must be bit-identical to the reference, complex64 within
+    the documented tolerance of it.  At complex128 the sweep only owes bit
+    identity (its ratio sits near 1); the complex64 ratio, where the
+    einsum reductions pay, feeds the acceptance floor.
     """
-    from repro.kernels import available_kernel_backends, get_kernel_backend
+    from repro.kernels import (
+        invert_about_mean,
+        invert_about_mean_blocks,
+        phase_flip_rows,
+        program_sweep_rows,
+        sweep,
+    )
+
+    def composed(amps, targets, *, n_blocks=None, mean_out=None):
+        phase_flip_rows(amps, targets)
+        if n_blocks is None:
+            invert_about_mean(amps, mean_out=mean_out)
+        else:
+            invert_about_mean_blocks(amps, n_blocks, mean_out=mean_out)
+        return amps
 
     n = cfg["kernels_batch_qubits"]
     n_items = 1 << n
-    sched = plan_schedule(n_items, 1 << N_BLOCK_BITS)
+    program = plan_schedule(n_items, 1 << N_BLOCK_BITS).program
     targets = np.arange(n_items, dtype=np.intp)
-    engine = SearchEngine()
+    own = sweep.grk_iteration_rows
 
-    def run(policy: ExecutionPolicy):
-        return engine.search_batch(
-            SearchRequest(
-                n_items=n_items,
-                n_blocks=1 << N_BLOCK_BITS,
-                backend="kernels",
-                policy=policy,
-                shards=ShardPolicy(max_bytes=1 << 62),  # one unsharded chunk
-            )
-        )
+    def run(iteration, policy):
+        sweep.grk_iteration_rows = iteration
+        try:
+            t0 = time.perf_counter()
+            out = program_sweep_rows(program, targets, policy)
+            return out, time.perf_counter() - t0
+        finally:
+            sweep.grk_iteration_rows = own
 
     results = {
         "n_address_qubits": n,
         "n_targets": int(n_items),
-        "backends": list(available_kernel_backends()),
-        "speedup_base": "numpy program_sweep_rows (row-blocked), same dtype",
+        "speedup_base": "program_sweep_rows with the composed reference "
+                        "iteration, same dtype",
     }
-
-    def sweep_time(backend, policy, repeats: int = 5) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            backend.program_sweep_rows(sched.program, targets, policy)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
+    reference_c128 = None
     for dtype in ("complex128", "complex64"):
         policy = ExecutionPolicy(dtype=dtype)
-        baseline = run(policy)
-        t_base = sweep_time(get_kernel_backend("numpy"), policy)
-        results[f"numpy_{dtype}_s"] = t_base
-        for name in available_kernel_backends():
-            if name == "numpy":
-                continue
-            report = run(ExecutionPolicy(dtype=dtype, backend=name))
-            if dtype == "complex128":
-                assert np.array_equal(report.success_probabilities,
-                                      baseline.success_probabilities), (
-                    f"{name} complex128 must be bit-identical to numpy")
-            else:
-                err = float(np.abs(report.success_probabilities
-                                   - baseline.success_probabilities).max())
-                assert err <= COMPLEX64_SUCCESS_ATOL, (
-                    f"{name} drifted {err} > {COMPLEX64_SUCCESS_ATOL}")
-                results[f"max_success_error_{name}_{dtype}"] = err
-            t = sweep_time(get_kernel_backend(name), policy)
-            results[f"{name}_{dtype}_s"] = t
-            results[f"speedup_{name}_vs_numpy_{dtype}"] = t_base / t
+        ref, _ = run(composed, policy)  # warm both paths
+        got, _ = run(own, policy)
+        if dtype == "complex128":
+            assert np.array_equal(got[0], ref[0]) \
+                and np.array_equal(got[1], ref[1]), (
+                    "complex128 sweep must be bit-identical to the reference")
+            reference_c128 = ref
+        else:
+            err = float(np.abs(got[0] - reference_c128[0]).max())
+            assert err <= COMPLEX64_SUCCESS_ATOL, (
+                f"complex64 sweep drifted {err} > {COMPLEX64_SUCCESS_ATOL}")
+            results["max_success_error_complex64"] = err
+        t_ref = t_own = float("inf")
+        for _ in range(5):
+            t_ref = min(t_ref, run(composed, policy)[1])
+            t_own = min(t_own, run(own, policy)[1])
+        results[f"reference_{dtype}_s"] = t_ref
+        results[f"sweep_{dtype}_s"] = t_own
+        results[f"speedup_sweep_vs_reference_{dtype}"] = t_ref / t_own
     return results
 
 
@@ -380,17 +380,6 @@ def _delta_vs_baseline(results: dict, baseline_path: str) -> dict:
          "kernels_batched", "kernels_batched_s"),
         ("kernels_batched", "kernels_batched_complex64_threaded_s",
          "kernels_batched", "kernels_batched_s"),
-        # The backend tiers compare against the baseline file's *numpy*
-        # sweeps on the same geometry — what the identical batch cost
-        # before (or without) each accelerated backend.
-        ("kernels_backends", "fused_complex128_s",
-         "kernels_batched", "kernels_batched_s"),
-        ("kernels_backends", "fused_complex64_s",
-         "kernels_batched", "kernels_batched_complex64_s"),
-        ("kernels_backends", "numba_complex128_s",
-         "kernels_batched", "kernels_batched_s"),
-        ("kernels_backends", "numba_complex64_s",
-         "kernels_batched", "kernels_batched_complex64_s"),
         ("sharded", "sharded_s", "sharded", "sharded_s"),
     ]:
         before = baseline.get(baseline_section, {}).get(baseline_key)
@@ -414,7 +403,7 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
     single = bench_single(cfg)
     batched = bench_batched(cfg)
     kernels_batched = bench_kernels_batched(cfg)
-    kernels_backends = bench_kernels_backends(cfg)
+    kernels_sweep = bench_kernels_sweep(cfg)
     sharded = bench_sharded(cfg)
     results = {
         "bench": "compiled_simulator",
@@ -423,12 +412,12 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
             "naive gate-by-gate vs compiled fused program vs batched "
             "multi-target execution of the GRK partial-search circuit, plus "
             "the engine's memory-bounded sharded all-targets batch and the "
-            "pluggable kernel backend tiers"
+            "program sweep against its composed reference iteration"
         ),
         "single": single,
         "batched": batched,
         "kernels_batched": kernels_batched,
-        "kernels_backends": kernels_backends,
+        "kernels_sweep": kernels_sweep,
         "sharded": sharded,
         "acceptance": {
             f"compiled_at_least_{cfg['floor_compiled_vs_naive']:g}x_naive":
@@ -447,13 +436,12 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
                 kernels_batched["speedup_complex64_vs_baseline"],
                 kernels_batched["speedup_row_threads_vs_baseline"],
             ) > 1.05,
-            # The fused backend is pure numpy, so its complex64 floor holds
-            # on any host.  Its complex128 ratio is recorded but carries no
-            # floor (row blocking, its old premise, is in the shared sweep
-            # now), and neither does the optional numba tier.
-            f"fused_at_least_{cfg['floor_fused_complex64']:g}x_numpy_c64":
-                kernels_backends["speedup_fused_vs_numpy_complex64"]
-                >= cfg["floor_fused_complex64"],
+            # The sweep is pure numpy, so its complex64 floor holds on any
+            # host.  Its complex128 ratio is recorded but carries no floor:
+            # there it owes only bit identity.
+            f"sweep_at_least_{cfg['floor_sweep_complex64']:g}x_reference_c64":
+                kernels_sweep["speedup_sweep_vs_reference_complex64"]
+                >= cfg["floor_sweep_complex64"],
         },
     }
     if baseline:

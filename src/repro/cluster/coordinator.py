@@ -112,8 +112,7 @@ class ClusterCoordinator:
                 "address before start()"
             )
         self.membership.bump(workers=self._local_workers(),
-                             load=self._local_load(),
-                             worker_backends=self._local_worker_backends())
+                             load=self._local_load())
         if self._task is None:
             self._task = asyncio.create_task(self._gossip_loop())
 
@@ -130,12 +129,6 @@ class ClusterCoordinator:
     def _local_workers(self):
         return self.registry.snapshot() if self.registry is not None else ()
 
-    def _local_worker_backends(self):
-        if self.registry is None:
-            return {}
-        backends = getattr(self.registry, "worker_backends", None)
-        return backends() if callable(backends) else {}
-
     def _local_load(self) -> int:
         return self.service.stats.in_flight if self.service is not None else 0
 
@@ -146,8 +139,7 @@ class ClusterCoordinator:
         waiting out the interval.
         """
         self.membership.bump(workers=self._local_workers(),
-                             load=self._local_load(),
-                             worker_backends=self._local_worker_backends())
+                             load=self._local_load())
         dropped = self.membership.drop_expired()
         for address in dropped:
             log.warning("cluster member %s suspected dead; dropped", address)
@@ -314,10 +306,6 @@ class ClusterCoordinator:
         info = {
             "membership": self.membership.stats(),
             "workers": sorted(self.membership.cluster_workers()),
-            "worker_backends": {
-                w: list(b)
-                for w, b in sorted(self.membership.worker_backends().items())
-            },
             "gossip": {
                 "interval_s": self.gossip_interval,
                 "rounds": self.rounds,

@@ -46,7 +46,7 @@ class ClusterWorkers:
         self.membership = membership
         self.registry = registry
 
-    def ranked(self, backend: str | None = None) -> list[str]:
+    def ranked(self) -> list[str]:
         """Cluster workers, least-loaded owner first, deduplicated.
 
         Local registrations rank ahead of gossiped ones: the local
@@ -55,43 +55,28 @@ class ClusterWorkers:
         :meth:`~repro.cluster.membership.ClusterMembership.cluster_workers`,
         whose insertion order *is* the (load, address) ranking — one
         implementation of the ordering, shared with the status surface.
-
-        With *backend* set, only workers that advertised that kernel
-        backend make the ranking (the local registry filters its own
-        snapshot; gossiped workers are checked against the membership's
-        ``worker_backends`` map, where absence means numpy-only) — so a
-        ``numba`` batch on a mixed fleet routes past incapable workers
-        up front.
         """
         ranked: list[str] = []
         seen: set[str] = set()
         if self.registry is not None:
-            for address in self.registry.snapshot(backend=backend):
+            for address in self.registry.snapshot():
                 if address not in seen:
                     seen.add(address)
                     ranked.append(address)
-        capabilities = (
-            self.membership.worker_backends() if backend is not None else {}
-        )
         for address, owner in self.membership.cluster_workers().items():
             if owner == self.membership.self_address:
                 continue  # our own workers came from the live registry
-            if backend is not None \
-                    and backend not in capabilities.get(address, ("numpy",)):
-                continue
             if address not in seen:
                 seen.add(address)
                 ranked.append(address)
         return ranked
 
-    def candidates(self, backend: str) -> list[str]:
+    def candidates(self) -> list[str]:
         # Ranking walks the gossip table; on a big fleet that is real work
         # worth attributing, so it gets its own span under dispatch.resolve.
         with span("cluster.rank") as ranking:
-            ranked = self.ranked(None if backend == "numpy" else backend)
+            ranked = self.ranked()
             ranking.attrs["workers"] = len(ranked)
-            if backend != "numpy":
-                ranking.attrs["kernel_backend"] = backend
         return ranked
 
     def describe(self) -> dict:

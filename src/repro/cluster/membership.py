@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["MemberState", "ClusterMembership"]
 
@@ -49,11 +49,6 @@ class MemberState:
             (the :class:`~repro.cluster.executor.ClusterWorkers` ranking
             signal).
         last_refresh: local monotonic stamp of the last heartbeat advance.
-        worker_backends: per-worker kernel backends the member's registry
-            recorded at registration, keyed by worker address.  A worker
-            missing from the map counts as numpy-only — the conservative
-            default mirrors the shard-meta rule, so backend-aware routing
-            never overestimates a fleet it cannot see.
     """
 
     address: str
@@ -61,7 +56,6 @@ class MemberState:
     workers: tuple[str, ...]
     load: int
     last_refresh: float
-    worker_backends: dict = field(default_factory=dict)
 
     def export(self) -> dict:
         """The wire form of this entry (local stamps stay local)."""
@@ -69,9 +63,6 @@ class MemberState:
             "heartbeat": self.heartbeat,
             "workers": list(self.workers),
             "load": self.load,
-            "worker_backends": {
-                w: list(b) for w, b in self.worker_backends.items()
-            },
         }
 
 
@@ -137,13 +128,12 @@ class ClusterMembership:
             # (e.g. relayed by a peer) must not shadow the live self entry.
             self._members.pop(self.self_address, None)
 
-    def bump(self, *, workers=(), load: int = 0, worker_backends=None) -> int:
+    def bump(self, *, workers=(), load: int = 0) -> int:
         """Advance this replica's heartbeat and refresh its own entry.
 
         Called once per gossip round with the *current* local worker
-        registry and load (plus the registry's per-worker kernel-backend
-        map), so the table always exports a fresh self state.  Requires
-        :meth:`bind` to have run.
+        registry and load, so the table always exports a fresh self state.
+        Requires :meth:`bind` to have run.
         """
         if self.self_address is None:
             raise RuntimeError("membership is not bound to a self address")
@@ -155,10 +145,6 @@ class ClusterMembership:
                 workers=tuple(str(w) for w in workers),
                 load=int(load),
                 last_refresh=self._clock(),
-                worker_backends={
-                    str(w): tuple(str(b) for b in bs)
-                    for w, bs in dict(worker_backends or {}).items()
-                },
             )
             return self._heartbeat
 
@@ -194,14 +180,6 @@ class ClusterMembership:
                         workers=tuple(str(w) for w in info.get("workers", ())),
                         load=int(info.get("load", 0)),
                         last_refresh=now,
-                        # Peer input: a missing map routes those workers
-                        # as numpy-only.
-                        worker_backends={
-                            str(w): tuple(str(b) for b in bs)
-                            for w, bs in dict(
-                                info.get("worker_backends") or {}
-                            ).items()
-                        },
                     )
                 except (TypeError, KeyError, ValueError):
                     continue
@@ -288,26 +266,6 @@ class ClusterMembership:
                 for worker in state.workers:
                     owners.setdefault(worker, state.address)
             return owners
-
-    def worker_backends(self) -> dict[str, tuple[str, ...]]:
-        """``worker address -> advertised kernel backends`` over the table.
-
-        Same ascending-load dedup order as :meth:`cluster_workers`; a
-        worker missing from its owning member's backend map counts as
-        numpy-only.
-        """
-        with self._lock:
-            members = sorted(
-                self._members.values(), key=lambda s: (s.load, s.address)
-            )
-            capabilities: dict[str, tuple[str, ...]] = {}
-            for state in members:
-                for worker in state.workers:
-                    capabilities.setdefault(
-                        worker,
-                        tuple(state.worker_backends.get(worker, ("numpy",))),
-                    )
-            return capabilities
 
     def __len__(self) -> int:
         with self._lock:

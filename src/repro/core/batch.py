@@ -11,8 +11,8 @@ This module owns the *chunk primitive* :func:`execute_batch_rows`: one
 shard of rows on a named backend, for any
 :class:`~repro.core.program.PartialSearchProgram` (grk, grk-simplified,
 grk-sure-success, grk-cwb).  On the ``"kernels"`` backend the whole loop
-structure is :meth:`repro.kernels.KernelBackend.program_sweep_rows`, which
-walks the rows in cache-resident blocks.  Memory-bounded sharding, process
+structure is :func:`repro.kernels.program_sweep_rows`, which walks the
+rows in cache-resident blocks.  Memory-bounded sharding, process
 fan-out, and the supported public surface live in :mod:`repro.engine`
 (:meth:`repro.engine.SearchEngine.search_batch`).
 
@@ -69,14 +69,11 @@ def execute_batch_rows(
             oracle).  Circuit backends need ``N`` and ``K`` to be powers
             of two.
         policy: the :class:`~repro.kernels.ExecutionPolicy` (dtype + row
-            threads + kernel backend); ``None`` = the complex128
-            single-threaded numpy default, which reproduces the seed
-            results bit for bit.  ``row_threads`` splits the chunk into
-            contiguous row slabs whose sweeps run on the GIL-releasing
-            thread seam, and ``policy.backend`` selects which registered
-            :class:`~repro.kernels.KernelBackend` sweeps each slab — both
-            bit-identical at complex128, since rows never interact and
-            every backend replays the reference float op sequence.
+            threads); ``None`` = the complex128 single-threaded default,
+            which reproduces the seed results bit for bit.
+            ``row_threads`` splits the chunk into contiguous row slabs
+            whose sweeps run on the GIL-releasing thread seam —
+            bit-identical at complex128, since rows never interact.
 
     Returns:
         ``(success_probabilities, block_guesses)`` arrays of shape
@@ -93,10 +90,9 @@ def execute_batch_rows(
         return _execute_rows_on_circuit_backend(program, targets, backend, policy)
 
     b = targets.size
-    kernel_backend = kernels.resolve_kernel_backend(policy.backend)
 
     def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        return kernel_backend.program_sweep_rows(program, targets[sl], policy)
+        return kernels.program_sweep_rows(program, targets[sl], policy)
 
     return kernels.sweep_row_slabs(
         sweep, b, policy.threads_for_slab(b, program.n_items)
@@ -130,7 +126,8 @@ def _execute_rows_on_circuit_backend(
     The policy's dtype flows into the circuit kernels; ``row_threads``
     slabs the compiled multi-target run (program constants are shared and
     the diffusion scratch is thread-local, so slabs are bit-identical to
-    the single sweep).
+    the single sweep).  A circuit row holds ``2N`` complex amplitudes, so
+    ``"auto"`` sizes its slab as ``4N`` real words.
     """
     from repro.circuits import partial_search_circuit, run_circuit
 
@@ -147,7 +144,9 @@ def _execute_rows_on_circuit_backend(
         def run_slab(sl: slice) -> np.ndarray:
             return compiled.run_multi_target(targets[sl], dtype=dtype)
 
-        parts = kernels.map_row_slabs(run_slab, b, policy.effective_row_threads)
+        parts = kernels.map_row_slabs(
+            run_slab, b, policy.threads_for_slab(b, 4 * spec.n_items)
+        )
         final = parts[0] if len(parts) == 1 else np.concatenate(parts)
     else:  # "naive" — the engine validated the backend name
         final = np.empty((b, 2 * spec.n_items), dtype=dtype)

@@ -26,7 +26,7 @@ only description of a run, and three readers execute it: the counted
 runner (:func:`repro.core.algorithm.run_program`), the closed-form
 subspace evaluator (:func:`repro.core.subspace.evaluate`, which also
 scores the planners' candidates), and the batched kernel sweep
-(:meth:`repro.kernels.KernelBackend.program_sweep_rows`).  The sweep reads
+(:func:`repro.kernels.program_sweep_rows`).  The sweep reads
 programs by attribute only, so :mod:`repro.kernels` never imports this
 module.  A new variant is a planner that emits a program.
 """

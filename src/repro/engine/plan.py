@@ -147,11 +147,11 @@ def plan_shards(
     if policy.workers > 1:
         rows = min(rows, -(-n_rows // policy.workers))
     rows = int(min(rows, n_rows))
-    # Pin backend="auto" and row_threads="auto" to concrete choices here,
-    # once, so every shard of the batch — local or remote — runs the same
-    # kernels at the same width and the plan's provenance records what
-    # actually ran.  The resolved shard size makes row_threads
-    # workload-aware: tiny slabs stay serial (the 0.884x bench regression).
+    # Pin row_threads="auto" to a concrete count here, once, so every
+    # shard of the batch — local or remote — runs at the same width and
+    # the plan's provenance records what actually ran.  The resolved shard
+    # size makes it workload-aware: tiny slabs stay serial (the 0.884x
+    # bench regression).
     execution = execution.resolve(slab_bytes=rows * row_bytes // ROW_OVERHEAD)
     return ExecutionPlan(
         n_rows=n_rows,

@@ -86,7 +86,8 @@ class SearchRequest:
             structure" (only the ``grover-full`` method accepts it).
         method: registry name of the algorithm (see
             :data:`repro.engine.registry.available_methods`).
-        backend: execution backend name, or ``None`` for the method's
+        backend: name of what executes the rows (``"kernels"``,
+            ``"compiled"``, ``"naive"``, ...), or ``None`` for the method's
             default.  Compatibility is validated at dispatch.
         epsilon: Step 1 stopping parameter in ``(0, 1)``; ``None`` uses the
             optimal value for this ``K`` (methods that have no epsilon
@@ -99,17 +100,14 @@ class SearchRequest:
         rng: seed or ``numpy.random.Generator`` for stochastic methods.
         shards: the batch/shard policy (see :class:`ShardPolicy`).
         policy: the :class:`~repro.kernels.ExecutionPolicy` (amplitude
-            dtype, row threads, kernel backend) the kernels execute under.
-            The default is complex128 / single-threaded / numpy —
-            bit-identical to the seed implementation; ``dtype="complex64"``
-            halves shard memory (the planner admits 2x the rows per shard)
-            at the documented tolerance, ``row_threads > 1`` fans
-            independent batch rows across a thread pool with no effect on
-            results, and ``backend`` selects the kernel backend (``fused``
-            and ``numba`` accelerate the sweeps; complex128 results stay
-            bit-identical across backends).  Travels with the request
-            across process pools and the service wire, so remote workers
-            honour it too.
+            dtype and row threads) the kernels execute under.  The default
+            is complex128 / single-threaded — bit-identical to the seed
+            implementation; ``dtype="complex64"`` halves shard memory (the
+            planner admits 2x the rows per shard) at the documented
+            tolerance, and ``row_threads > 1`` fans independent batch rows
+            across a thread pool with no effect on results.  Travels with
+            the request across process pools and the service wire, so
+            remote workers honour it too.
         options: method-specific extras (e.g. ``schedule=`` for ``grk``,
             ``plan=`` for ``grk-sure-success``, ``strategy=`` for
             ``classical``).  Stored read-only.

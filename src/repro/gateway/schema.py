@@ -56,7 +56,11 @@ __all__ = [
 ]
 
 #: Version of the edge request/reply schema (see the rule in the module
-#: docstring).  Independent of the intra-fleet ``WIRE_VERSION``.
+#: docstring).  Independent of the intra-fleet ``WIRE_VERSION``.  One
+#: exception to the rule: the kernel-backend request field and its
+#: methods reply field went without a bump, since no client outside this
+#: build exists and a payload still carrying the field gets a 400 that
+#: names it.
 SCHEMA_VERSION = 1
 
 #: Largest database size the edge accepts for requests that will
@@ -141,7 +145,7 @@ def _check_options(options, errors) -> dict:
 _KNOWN_FIELDS = frozenset({
     "schema_version", "n_items", "n_blocks", "method", "backend", "epsilon",
     "target", "targets", "batch", "seed", "dtype", "row_threads",
-    "kernel_backend", "options", "timeout", "wants", "engine",
+    "options", "timeout", "wants", "engine",
 })
 
 
@@ -352,25 +356,6 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
                        "message": "must be an integer >= 1 or 'auto'"})
         row_threads = 1
 
-    # Optional field — compatible schema growth, no version bump: absent
-    # means the numpy baseline, mirroring the shard-meta wire rule.
-    kernel_backend = payload.get("kernel_backend", "numpy")
-    if not isinstance(kernel_backend, str) or not kernel_backend:
-        errors.append({"field": "kernel_backend",
-                       "message": "must be a non-empty string"})
-        kernel_backend = "numpy"
-    else:
-        from repro.kernels import KERNEL_BACKEND_AUTO, kernel_backend_names
-
-        known_backends = (KERNEL_BACKEND_AUTO, *kernel_backend_names())
-        if kernel_backend not in known_backends:
-            errors.append({
-                "field": "kernel_backend",
-                "message": f"unknown kernel backend {kernel_backend!r}; "
-                           f"one of: {', '.join(known_backends)}",
-            })
-            kernel_backend = "numpy"
-
     options = _check_options(payload.get("options"), errors)
 
     timeout = payload.get("timeout")
@@ -395,8 +380,7 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
             epsilon=epsilon,
             target=target,
             rng=seed,
-            policy=ExecutionPolicy(dtype=dtype, row_threads=row_threads,
-                                   backend=kernel_backend),
+            policy=ExecutionPolicy(dtype=dtype, row_threads=row_threads),
             options=options,
             wants=wants,
             engine=engine,
@@ -482,16 +466,13 @@ def encode_error(code: str, message: str, *, errors: list[dict] | None = None,
 
 
 def encode_methods() -> dict:
-    """The ``GET /v1/methods`` reply: the live method registry, plus the
-    kernel-backend registry (``kernel_backends``) and the per-method
-    ``analytic`` capability column — both compatible reply-field growth —
-    so edge clients can discover what ``"kernel_backend"`` values this
-    deployment executes and which methods the closed-form tier answers
-    (``null`` = simulation only; otherwise the model's validity regime,
-    ``exact`` vs large-``K`` ``asymptotic``, and its ``n_items`` bound)."""
+    """The ``GET /v1/methods`` reply: the live method registry with the
+    per-method ``analytic`` capability column, so edge clients can
+    discover which methods the closed-form tier answers (``null`` =
+    simulation only; otherwise the model's validity regime, ``exact`` vs
+    large-``K`` ``asymptotic``, and its ``n_items`` bound)."""
     from repro.analytic import get_model, has_model
     from repro.engine.registry import available_methods, get_method
-    from repro.kernels import describe_kernel_backends
 
     methods = []
     for name in available_methods():
@@ -511,8 +492,7 @@ def encode_methods() -> dict:
             "analytic": analytic,
         })
     return {"schema_version": SCHEMA_VERSION, "kind": "methods",
-            "methods": methods,
-            "kernel_backends": json_safe(describe_kernel_backends())}
+            "methods": methods}
 
 
 # ----------------------------------------------------------- body encodings

@@ -12,16 +12,14 @@ of, in both single-state ``(N,)`` and batched ``(B, N)`` forms, plus the
 - :mod:`repro.kernels.policy` — :class:`ExecutionPolicy`, the logical
   ``complex128``/``complex64`` precision names, and the documented
   :data:`COMPLEX64_SUCCESS_ATOL` tolerance contract;
-- :mod:`repro.kernels.backends` — the row-blocked program sweep every
-  GRK-family batch runs, behind the pluggable :class:`KernelBackend`
-  registry (``numpy`` / ``fused`` / ``numba``) the
-  policy's ``backend`` knob selects between, plus the cached ``"auto"``
-  micro-probe (``repro calibrate``).
+- :mod:`repro.kernels.sweep` — :func:`program_sweep_rows`, the row-blocked
+  program sweep every GRK-family batch runs, with its fused unphased
+  iteration (bit-identical to the composed primitives at complex128).
 
 Consumers: the single-state simulators import :mod:`repro.kernels.primitives`
 directly, the compiled circuit backend dispatches its fused diffusion/phase
 ops here, and the batched runners in
-:mod:`repro.core` hand their programs to the backend sweep — no other
+:mod:`repro.core` hand their programs to the sweep — no other
 module implements oracle or diffusion math.
 """
 
@@ -60,19 +58,7 @@ from repro.kernels.batched import (
     sweep_row_slabs,
     uniform_batch,
 )
-from repro.kernels.backends import (
-    DEFAULT_KERNEL_BACKEND,
-    KERNEL_BACKEND_AUTO,
-    KernelBackend,
-    available_kernel_backends,
-    describe_kernel_backends,
-    get_kernel_backend,
-    kernel_backend_names,
-    probe_fastest_backend,
-    register_kernel_backend,
-    resolve_kernel_backend,
-    validate_kernel_backend_name,
-)
+from repro.kernels.sweep import program_sweep_rows
 
 __all__ = [
     "COMPLEX64_SUCCESS_ATOL",
@@ -83,17 +69,7 @@ __all__ = [
     "auto_row_threads",
     "ExecutionPolicy",
     "row_slabs",
-    "DEFAULT_KERNEL_BACKEND",
-    "KERNEL_BACKEND_AUTO",
-    "KernelBackend",
-    "register_kernel_backend",
-    "get_kernel_backend",
-    "resolve_kernel_backend",
-    "kernel_backend_names",
-    "available_kernel_backends",
-    "describe_kernel_backends",
-    "probe_fastest_backend",
-    "validate_kernel_backend_name",
+    "program_sweep_rows",
     "uniform_state",
     "phase_flip",
     "phase_rotate",

@@ -21,7 +21,7 @@ cores stream it*:
 Precision contract
 ------------------
 ``complex128`` (default) is **bit-identical to the seed implementation** for
-every backend, executor, shard boundary, and ``row_threads`` setting: rows
+every executor, shard boundary, and ``row_threads`` setting: rows
 never interact, reductions stay per-row, and the kernels perform the exact
 same float operations in the same order.  ``complex64`` is a *lossy* speed
 mode: success probabilities are validated against complex128 within
@@ -74,39 +74,26 @@ ROW_THREADS_AUTO = "auto"
 MAX_AUTO_ROW_THREADS = 8
 
 #: Below this many bytes of resident state per shard, ``"auto"`` stays at 1
-#: thread for the numpy-family backends: the GIL'd dispatch overhead of the
-#: thread seam exceeds the bandwidth win on small slabs (the bench ledger
-#: recorded a 0.884x *slowdown* threading the standard 8 MiB workload).
-#: Calibrated against ``bench_compiled_simulator.py``'s kernels_batched
-#: workload; backends that thread internally (numba) ignore it.
+#: thread: the GIL'd dispatch overhead of the thread seam exceeds the
+#: bandwidth win on small slabs (the bench ledger recorded a 0.884x
+#: *slowdown* threading the standard 8 MiB workload).  Set from
+#: ``bench_compiled_simulator.py``'s kernels_batched workload.
 AUTO_ROW_THREADS_MIN_SLAB_BYTES = 64 * 2**20
 
 
-def auto_row_threads(
-    backend: str | None = None, slab_bytes: int | None = None
-) -> int:
+def auto_row_threads(slab_bytes: int | None = None) -> int:
     """The thread count ``row_threads="auto"`` resolves to.
 
-    With no context (the legacy call), a cpu-count-aware default: the cpus
-    this *process* may actually run on (its affinity mask — container
-    quotas and ``taskset`` bind tighter than the machine's core count),
-    capped at :data:`MAX_AUTO_ROW_THREADS`.
+    With no context, a cpu-count-aware default: the cpus this *process*
+    may actually run on (its affinity mask — container quotas and
+    ``taskset`` bind tighter than the machine's core count), capped at
+    :data:`MAX_AUTO_ROW_THREADS`.
 
-    *backend*/*slab_bytes* make the resolution workload-aware (the planner
-    and the sweep dispatchers pass them): backends that parallelise rows
-    internally (``numba``'s ``prange``) resolve to 1 so the outer seam
-    never oversubscribes them, and the numpy-family backends resolve to 1
-    below :data:`AUTO_ROW_THREADS_MIN_SLAB_BYTES` — threading a slab that
-    small is the regression the bench ledger pinned at 0.884x.
+    *slab_bytes* makes the resolution workload-aware (the planner and the
+    slab dispatchers pass it): below
+    :data:`AUTO_ROW_THREADS_MIN_SLAB_BYTES` it resolves to 1 — threading a
+    slab that small is the regression the bench ledger pinned at 0.884x.
     """
-    if backend is not None:
-        try:
-            from repro.kernels.backends import get_kernel_backend
-
-            if get_kernel_backend(backend).internal_parallelism:
-                return 1
-        except ValueError:
-            pass  # unknown names fail in policy validation, not here
     if slab_bytes is not None and slab_bytes < AUTO_ROW_THREADS_MIN_SLAB_BYTES:
         return 1
     try:
@@ -118,7 +105,7 @@ def auto_row_threads(
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How kernels execute: precision, row parallelism, kernel backend.
+    """How kernels execute: precision and row parallelism.
 
     Attributes:
         dtype: logical amplitude precision, ``"complex128"`` (default) or
@@ -129,19 +116,10 @@ class ExecutionPolicy:
             (:func:`auto_row_threads`; the planner resolves it before
             shards ship, so workers receive a concrete count).  Results are
             bit-identical for any value — rows never interact.
-        backend: which :class:`repro.kernels.backends.KernelBackend`
-            executes the slab math — ``"numpy"`` (default, the seed
-            implementation and bit reference), ``"fused"``, ``"numba"``,
-            or ``"auto"`` to pick the fastest available via the cached
-            micro-probe.  Like ``row_threads``, ``"auto"`` is resolved
-            once by the planner; the resolved name ships in shard payloads
-            and wire meta (absent key = ``"numpy"``, compatible growth).
-            complex128 results are bit-identical across backends.
     """
 
     dtype: str = "complex128"
     row_threads: int | str = 1
-    backend: str = "numpy"
 
     def __post_init__(self):
         if self.dtype not in DTYPE_NAMES:
@@ -155,11 +133,6 @@ class ExecutionPolicy:
                 f"row_threads={self.row_threads!r} must be an int >= 1 "
                 f"or {ROW_THREADS_AUTO!r}"
             )
-        # Lazy import: backends composes the batched kernels, which import
-        # this module — validation is the only edge pointing back.
-        from repro.kernels.backends import validate_kernel_backend_name
-
-        validate_kernel_backend_name(self.backend)
 
     @property
     def real_dtype(self) -> np.dtype:
@@ -178,68 +151,43 @@ class ExecutionPolicy:
 
     @property
     def is_default(self) -> bool:
-        """True for the stock policy (complex128, serial rows, numpy)."""
-        return (
-            self.dtype == "complex128"
-            and self.row_threads == 1
-            and self.backend == "numpy"
-        )
-
-    @property
-    def effective_row_threads(self) -> int:
-        """The concrete thread count (``"auto"`` resolved on this host)."""
-        if self.row_threads == ROW_THREADS_AUTO:
-            return auto_row_threads(self.backend)
-        return self.row_threads
+        """True for the stock policy (complex128, serial rows)."""
+        return self.dtype == "complex128" and self.row_threads == 1
 
     def threads_for_slab(self, n_rows: int, n_items: int) -> int:
-        """The thread count for one resident ``(n_rows, n_items)`` slab.
+        """The thread count for one resident ``(n_rows, n_items)`` slab of
+        real words (a circuit row of ``2N`` complex amplitudes is ``4N``).
 
-        Like :attr:`effective_row_threads` but workload-aware: ``"auto"``
-        falls back to 1 when the slab is below
+        ``"auto"`` falls back to 1 when the slab is below
         :data:`AUTO_ROW_THREADS_MIN_SLAB_BYTES` (threading small slabs is
-        the 0.884x regression the bench ledger pinned) or when the backend
-        parallelises internally.  Concrete counts pass through untouched —
-        an explicit ``row_threads=4`` is always honoured.
+        the 0.884x regression the bench ledger pinned).  Concrete counts
+        pass through untouched — an explicit ``row_threads=4`` is always
+        honoured.
         """
         if self.row_threads == ROW_THREADS_AUTO:
             return auto_row_threads(
-                self.backend, n_rows * n_items * self.real_dtype.itemsize
+                n_rows * n_items * self.real_dtype.itemsize
             )
         return self.row_threads
 
     def resolve(self, *, slab_bytes: int | None = None) -> "ExecutionPolicy":
-        """This policy with every ``"auto"`` pinned to a concrete choice.
+        """This policy with ``row_threads="auto"`` pinned to a count.
 
         The planner resolves once, on the driver, before tasks are built —
         so every shard of a batch runs at the same width whatever host it
         lands on, and the provenance records what actually ran.
-        ``backend="auto"`` resolves to the probe winner
-        (:func:`repro.kernels.backends.probe_fastest_backend`);
         ``row_threads="auto"`` resolves per :func:`auto_row_threads`, made
         workload-aware when the caller knows *slab_bytes*.
         """
-        backend = self.backend
-        if backend == "auto":
-            from repro.kernels.backends import probe_fastest_backend
-
-            backend = probe_fastest_backend()
-        row_threads = self.row_threads
-        if row_threads == ROW_THREADS_AUTO:
-            row_threads = auto_row_threads(backend, slab_bytes)
-        if backend == self.backend and row_threads == self.row_threads:
+        if self.row_threads != ROW_THREADS_AUTO:
             return self
         return ExecutionPolicy(
-            dtype=self.dtype, row_threads=row_threads, backend=backend
+            dtype=self.dtype, row_threads=auto_row_threads(slab_bytes)
         )
 
     def describe(self) -> dict:
         """Provenance record merged into execution metadata."""
-        return {
-            "dtype": self.dtype,
-            "row_threads": self.row_threads,
-            "backend": self.backend,
-        }
+        return {"dtype": self.dtype, "row_threads": self.row_threads}
 
 
 def row_slabs(n_rows: int, row_threads: int) -> list[slice]:

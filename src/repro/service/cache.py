@@ -60,21 +60,6 @@ def request_fingerprint(request, targets=None) -> str | None:
     if isinstance(request.rng, np.random.Generator):
         return None
     dtype = request.policy.dtype
-    # The kernel backend is structural only at complex64: complex128
-    # results are bit-identical across backends (pinned by the backend
-    # matrix tests), so pinning it there would split the cache between
-    # provably equal results; complex64 backends agree only to tolerance,
-    # and a cache must never swap one approximate bitstream for another.
-    # "auto" resolves through the calibration probe so the fingerprint
-    # names the backend that would actually run.
-    kernel_backend = request.policy.backend
-    if dtype == "complex64" and kernel_backend == "auto":
-        try:
-            from repro.kernels import probe_fastest_backend
-
-            kernel_backend = probe_fastest_backend()
-        except Exception:
-            pass
     try:
         from repro.engine.registry import get_method
 
@@ -89,8 +74,6 @@ def request_fingerprint(request, targets=None) -> str | None:
             dtype = "complex128"
     except Exception:
         pass
-    backend_part = (f"kernel_backend={kernel_backend}"
-                    if dtype == "complex64" else "kernel_backend=<any>")
     # The engine tier is structural: an analytic answer and a simulated one
     # are different results (closed-form exact vs statevector float path)
     # and must not share an entry.  Within the analytic tier the execution
@@ -107,15 +90,11 @@ def request_fingerprint(request, targets=None) -> str | None:
             tier = "simulate"
     if tier == "analytic":
         dtype = "complex128"
-        backend_part = "kernel_backend=<any>"
     parts = [
-        # v5: the resolved engine tier became structural (new tier
-        # component; analytic entries normalise the kernel fields away).
-        # v4: the kernel backend became structural at complex64 (new
-        # backend_part component).  Fingerprints are opaque keys, so the
-        # version bump just makes old/new replicas miss instead of
-        # colliding during a rolling upgrade.
-        "fingerprint-v5",
+        # Bump the version whenever the components change: fingerprints
+        # are opaque keys, so old and new replicas then miss instead of
+        # colliding.
+        "fingerprint-v6",
         f"tier={tier}",
         f"n_items={request.n_items}",
         f"n_blocks={request.n_blocks}",
@@ -128,10 +107,8 @@ def request_fingerprint(request, targets=None) -> str | None:
         # Only the dtype is structural: row_threads (like the shard policy)
         # is bit-invisible in the output, but complex64 results genuinely
         # differ from complex128 and must not share a cache entry —
-        # except for policy-blind methods, normalised above.  The kernel
-        # backend joins it at complex64 only (see backend_part above).
+        # except for policy-blind methods, normalised above.
         f"dtype={dtype}",
-        backend_part,
         f"options={_stable(dict(request.options))}",
         "targets=<all>" if targets is None else f"targets={_stable(np.asarray(targets))}",
     ]

@@ -9,7 +9,6 @@ Subcommands::
     repro trace           # render a recent request's span waterfall
     repro worker          # run a shard-execution worker (alias of repro-worker)
     repro methods         # list the method registry (name, backends, description)
-    repro calibrate       # probe kernel backends, persist the fastest for "auto"
     repro cluster status  # print a replica's membership/peering/fleet status
 
 Two-host quickstart (see README "Serving & distribution"): start the
@@ -175,12 +174,6 @@ def _add_request_flags(p: argparse.ArgumentParser) -> None:
                    help="threads across independent batch rows: an integer "
                         "or 'auto' for a cpu-count-aware default (results "
                         "are bit-identical for any value)")
-    p.add_argument("--kernel-backend", default=None,
-                   help="kernel backend for the batched sweeps: numpy "
-                        "(default), fused, numba, or 'auto' to pick "
-                        "the calibrated fastest (complex128 results are "
-                        "bit-identical across backends; see repro methods "
-                        "for what this host can run)")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-request deadline override in seconds")
     p.add_argument("--wants", default=None,
@@ -262,9 +255,6 @@ def _add_worker(sub: argparse._SubParsersAction) -> None:
                    help="address the server should dial back")
     p.add_argument("--register-interval", type=float, default=None,
                    help="seconds between registration re-announcements")
-    p.add_argument("--backends", default=None, metavar="NAME[,NAME...]",
-                   help="kernel backends this worker serves and advertises "
-                        "(default: every backend available on this host)")
     p.add_argument("--chaos-plan", default=None, metavar="PLAN",
                    help="deterministic fault-injection plan (JSON text or a "
                         "path to a JSON file) applied at this worker's "
@@ -279,23 +269,7 @@ def _add_worker(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_methods(sub: argparse._SubParsersAction) -> None:
-    sub.add_parser("methods",
-                   help="list the registered search methods and the kernel "
-                        "backends this host can run")
-
-
-def _add_calibrate(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "calibrate",
-        help="time every available kernel backend on a probe workload and "
-             "persist the fastest — what backend='auto' resolves to on "
-             "this host (workers also advertise it at registration)",
-    )
-    p.add_argument("--no-persist", action="store_true",
-                   help="print the timings without writing the calibration "
-                        "file")
-    p.add_argument("--json", action="store_true",
-                   help="emit the calibration record as JSON")
+    sub.add_parser("methods", help="list the registered search methods")
 
 
 def _add_cluster(sub: argparse._SubParsersAction) -> None:
@@ -572,7 +546,6 @@ def _cmd_submit(args) -> int:
     policy = ExecutionPolicy(
         dtype=args.dtype or "complex128",
         row_threads=1 if args.row_threads is None else args.row_threads,
-        backend=args.kernel_backend or "numpy",
     )
     request = SearchRequest(
         n_items=args.n_items,
@@ -651,8 +624,6 @@ def _cmd_curl(args) -> int:
         payload["dtype"] = args.dtype
     if args.row_threads is not None:
         payload["row_threads"] = args.row_threads
-    if args.kernel_backend is not None:
-        payload["kernel_backend"] = args.kernel_backend
     if args.timeout is not None:
         payload["timeout"] = args.timeout
     if args.wants is not None:
@@ -746,8 +717,6 @@ def _cmd_worker(args) -> int:
         argv += ["--advertise", args.advertise]
     if args.register_interval is not None:
         argv += ["--register-interval", str(args.register_interval)]
-    if args.backends:
-        argv += ["--backends", args.backends]
     if args.chaos_plan:
         argv += ["--chaos-plan", args.chaos_plan]
     argv += ["--drain-timeout", str(args.drain_timeout)]
@@ -760,7 +729,6 @@ def _cmd_worker(args) -> int:
 def _cmd_methods(_args) -> int:
     from repro.analytic import get_model, has_model
     from repro.engine.registry import available_methods, get_method
-    from repro.kernels import describe_kernel_backends
 
     for name in available_methods():
         spec = get_method(name)
@@ -771,32 +739,6 @@ def _cmd_methods(_args) -> int:
             analytic = "analytic:-"
         print(f"{name:18s} [{', '.join(spec.backends)}]  "
               f"{analytic:18s} {spec.description}")
-    print()
-    print("kernel backends (request with --kernel-backend / "
-          "\"kernel_backend\"):")
-    for info in describe_kernel_backends():
-        status = ("available" if info["available"]
-                  else f"unavailable: {info['why_unavailable']}")
-        print(f"  {info['name']:8s} [{status}]  {info['description']}")
-    return 0
-
-
-def _cmd_calibrate(args) -> int:
-    from repro.kernels.backends import calibration_path, run_calibration
-
-    record = run_calibration(persist=not args.no_persist)
-    if args.json:
-        json.dump(record, sys.stdout, indent=2)
-        print()
-        return 0
-    for name, ms in sorted(record["timings_ms"].items(), key=lambda kv: kv[1]):
-        marker = " <- fastest" if name == record["fastest"] else ""
-        print(f"{name:8s} {ms:8.3f} ms{marker}")
-    if args.no_persist:
-        print("(not persisted: --no-persist)")
-    else:
-        print(f"persisted to {calibration_path()} — backend='auto' now "
-              f"resolves to {record['fastest']!r} on this host")
     return 0
 
 
@@ -824,7 +766,6 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "worker": _cmd_worker,
     "methods": _cmd_methods,
-    "calibrate": _cmd_calibrate,
     "cluster": _cmd_cluster,
 }
 
@@ -842,7 +783,6 @@ def main(argv=None) -> int:
     _add_trace(sub)
     _add_worker(sub)
     _add_methods(sub)
-    _add_calibrate(sub)
     _add_cluster(sub)
     args = parser.parse_args(argv)
     return _COMMANDS[args.command](args)

@@ -77,27 +77,7 @@ __all__ = [
     "ShardExecutionError",
     "WorkerUnavailable",
     "default_executor",
-    "required_kernel_backend",
 ]
-
-def required_kernel_backend(tasks) -> str:
-    """The kernel backend the shard tasks execute under.
-
-    Shard tasks of the kernels-backed methods carry the batch's resolved
-    :class:`~repro.kernels.ExecutionPolicy` (every shard of one plan shares
-    it), so inspecting the first task suffices.  Tasks without a policy —
-    the circuit and classical methods, or custom executor payloads — run
-    the ``"numpy"`` baseline every worker has, so they need no routing
-    filter and no shard-meta key.
-    """
-    if not tasks or not isinstance(tasks[0], tuple):
-        return "numpy"
-    from repro.kernels import ExecutionPolicy
-
-    for element in tasks[0]:
-        if isinstance(element, ExecutionPolicy):
-            return element.backend
-    return "numpy"
 
 
 class ShardExecutionError(RuntimeError):
@@ -189,10 +169,9 @@ class StaticWorkers:
     """A fixed worker fleet: the source a plain address list becomes.
 
     A worker source is what :class:`RemoteExecutor` reads its fleet from on
-    every run.  It has ``candidates(backend)`` (dialable addresses able to
-    run *backend* shards, best first), ``describe()`` (merged into the
-    executor's provenance) and a ``kind`` name (reported as
-    ``describe()["executor"]``).  The other sources are
+    every run.  It has ``candidates()`` (the dialable addresses, best
+    first), ``describe()`` (merged into the executor's provenance) and a
+    ``kind`` name (reported as ``describe()["executor"]``).  The other sources are
     :class:`~repro.service.registry.WorkerRegistry` and
     :class:`~repro.cluster.ClusterWorkers`.
 
@@ -209,13 +188,11 @@ class StaticWorkers:
         if not self.addresses:
             raise ValueError("RemoteExecutor needs at least one worker address")
 
-    def candidates(self, backend: str) -> list[str]:
-        # A static fleet advertises no capabilities: a worker lacking the
-        # backend answers ("unavailable", ...) and the shard requeues.
+    def candidates(self) -> list[str]:
         return [format_address(h, p) for h, p in self.addresses]
 
     def describe(self) -> dict:
-        return {"workers": self.candidates("numpy")}
+        return {"workers": self.candidates()}
 
 
 class RemoteExecutor(ShardExecutor):
@@ -227,9 +204,8 @@ class RemoteExecutor(ShardExecutor):
     other dialable candidates wait as spares.
     A lane pulls shards off a shared queue, ships each as a
     ``("shard", func, task, rng, meta)`` frame (``meta`` carries the
-    remaining deadline budget, the trace context and any non-numpy kernel
-    backend), and waits for the ``("result", value)`` reply.  Failure
-    handling:
+    remaining deadline budget and the trace context), and waits for the
+    ``("result", value)`` reply.  Failure handling:
 
     - **transport failure** (connection refused/reset, worker death
       mid-shard, per-shard timeout, an undecodable frame): the shard is
@@ -242,9 +218,9 @@ class RemoteExecutor(ShardExecutor):
       their randomness, a requeued shard reproduces the exact result the
       dead worker would have returned.
     - **worker gone** (retries exhausted, a peer from another build, an
-      open breaker, or an ``unavailable`` reply from a draining worker or
-      one lacking the kernel backend): the lane hands over to the next
-      spare worker, and retires when none is left.
+      open breaker, or an ``unavailable`` reply from a draining worker):
+      the lane hands over to the next spare worker, and retires when none
+      is left.
     - **shard function error** (the worker ran the shard and it raised):
       deterministic — no retry; the whole run aborts with
       :class:`ShardExecutionError`.
@@ -458,7 +434,6 @@ class RemoteExecutor(ShardExecutor):
                         message = self._shard_message(
                             func, state["tasks"][index], state["rngs"][index],
                             deadline, state["trace_id"], att.span_id,
-                            state["kernel_backend"],
                         )
                         if deadline is not None:
                             sock.settimeout(
@@ -511,9 +486,9 @@ class RemoteExecutor(ShardExecutor):
                 att.attrs["outcome"] = str(reply[0])
                 detail = reply[1] if len(reply) > 1 else ""
                 if reply[0] == "unavailable":
-                    # The worker is draining (or lacks the kernel backend):
-                    # requeue elsewhere without charging the breaker — a
-                    # graceful goodbye is not a failure.
+                    # The worker is draining: requeue elsewhere without
+                    # charging the breaker — a graceful goodbye is not a
+                    # failure.
                     with state["lock"]:
                         state["requeued"] += 1
                     release(requeue=True)
@@ -557,17 +532,10 @@ class RemoteExecutor(ShardExecutor):
 
     @staticmethod
     def _shard_message(func, task, rng, deadline, trace_id=None,
-                       parent_span_id=None, kernel_backend=None) -> tuple:
+                       parent_span_id=None) -> tuple:
         """The shard frame: the meta dict ships the remaining budget and,
         when the request is traced, its trace ID and the dispatch-attempt
-        span ID the worker parents its compute span on.
-
-        A non-numpy *kernel_backend* rides as ``meta["backend"]`` so a
-        worker lacking it answers ``("unavailable", ...)`` — the shard
-        requeues on a capable lane instead of dying inside the shard
-        function.  The numpy baseline ships no key: an absent key means
-        ``"numpy"``.
-        """
+        span ID the worker parents its compute span on."""
         meta = {}
         if deadline is not None:
             meta["deadline_s"] = deadline.remaining()
@@ -575,8 +543,6 @@ class RemoteExecutor(ShardExecutor):
             meta["trace_id"] = trace_id
             if parent_span_id is not None:
                 meta["parent_span_id"] = parent_span_id
-        if kernel_backend is not None and kernel_backend != "numpy":
-            meta["backend"] = kernel_backend
         return ("shard", func, task, rng, meta)
 
     @staticmethod
@@ -595,9 +561,8 @@ class RemoteExecutor(ShardExecutor):
             return []
         if deadline is None:
             deadline = current_deadline()
-        kernel_backend = required_kernel_backend(tasks)
         with span("dispatch.resolve") as resolve:
-            candidates = self.workers.candidates(kernel_backend)
+            candidates = self.workers.candidates()
             # Open breakers mean "recently kept failing"; half-open
             # endpoints stay dialable so they can earn their way back in,
             # but rank behind every closed one (a stable sort keeps the
@@ -635,7 +600,6 @@ class RemoteExecutor(ShardExecutor):
         budget = self.retry_budget
         state = {
             "trace_id": current_trace_id(),
-            "kernel_backend": kernel_backend,
             "tasks": tasks,
             # Mirror parallel_map's per-task generator argument; shard
             # functions that need reproducible randomness carry pre-spawned

@@ -6,9 +6,8 @@ with ``--remote-worker host:port`` flags and restarted to change the fleet.
 The :class:`WorkerRegistry` removes that coupling:
 
 - workers **announce themselves** — ``repro-worker --register server:port``
-  sends one ``("register", "host:port", meta)`` frame to the server, which
-  adds the address here together with the kernel backends the worker
-  advertised;
+  sends one ``("register", "host:port", {})`` frame to the server, which
+  adds the address here;
 - the server **health-checks** the membership on a timer, reusing the
   protocol's existing ``("ping",)`` message (see
   :meth:`SearchServer._health_loop <repro.service.server.SearchServer>`),
@@ -36,9 +35,7 @@ class WorkerRegistry:
     """Thread-safe live-worker membership keyed by ``"host:port"``.
 
     Attributes are intentionally minimal — the registry records *who is
-    alive* and which kernel backends each worker advertised at
-    registration; shard scheduling stays the executor's job (it filters
-    its per-run snapshot by the backend a shard requires).
+    alive*; shard scheduling stays the executor's job.
     """
 
     #: The name :meth:`RemoteExecutor.describe
@@ -61,30 +58,14 @@ class WorkerRegistry:
         with self._lock:
             return len(self._workers)
 
-    def add(self, address: str, *, backends=None, calibrated=None) -> bool:
+    def add(self, address: str) -> bool:
         """Register *address*; returns True when it is new (re-registration
-        of a live worker just refreshes its stamp and capabilities).
-
-        *backends* is the kernel-backend tuple the worker advertised in its
-        registration meta; ``None`` (a meta without the key) records the
-        numpy baseline every build carries, so such workers only ever
-        receive shards they can execute.
-        *calibrated* is the worker's probed-fastest backend, surfaced in
-        stats for operators — routing does not consult it.
-        """
+        of a live worker just refreshes its stamp)."""
         address = str(address)
-        if backends is None:
-            backends = ("numpy",)
-        backends = tuple(str(b) for b in backends)
         now = time.monotonic()
         with self._lock:
             fresh = address not in self._workers
-            self._workers[address] = {
-                "registered_at": now,
-                "last_seen": now,
-                "backends": backends,
-                "calibrated": calibrated,
-            }
+            self._workers[address] = {"registered_at": now, "last_seen": now}
             self.registrations += 1
             return fresh
 
@@ -127,52 +108,24 @@ class WorkerRegistry:
             if address in self._workers:
                 self._workers[address]["last_seen"] = now
 
-    def snapshot(self, *, backend: str | None = None) -> list[str]:
-        """The live addresses, sorted for deterministic dispatch order.
-
-        With *backend* set, only workers that advertised that kernel
-        backend are returned — the routing filter the executors use so a
-        ``backend="numba"`` shard never lands on a numpy-only worker.
-        """
+    def snapshot(self) -> list[str]:
+        """The live addresses, sorted for deterministic dispatch order."""
         with self._lock:
-            if backend is None:
-                return sorted(self._workers)
-            return sorted(
-                address for address, meta in self._workers.items()
-                if backend in meta.get("backends", ("numpy",))
-            )
+            return sorted(self._workers)
 
-    def candidates(self, backend: str) -> list[str]:
-        """Worker-source view: the live workers able to run *backend*
-        shards (every worker for the numpy baseline)."""
-        return self.snapshot(backend=None if backend == "numpy" else backend)
+    def candidates(self) -> list[str]:
+        """Worker-source view: every live worker."""
+        return self.snapshot()
 
     def describe(self) -> dict:
         return {"workers": self.snapshot()}
 
-    def worker_backends(self) -> dict[str, tuple[str, ...]]:
-        """``{address: advertised kernel backends}`` for the live fleet."""
-        with self._lock:
-            return {
-                address: meta.get("backends", ("numpy",))
-                for address, meta in sorted(self._workers.items())
-            }
-
     def stats(self) -> dict:
-        """``{workers, backends, registrations, evictions[, breakers]}``
-        for the stats surface."""
+        """``{workers, registrations, evictions[, breakers]}`` for the
+        stats surface."""
         with self._lock:
             stats = {
                 "workers": sorted(self._workers),
-                "backends": {
-                    address: list(meta.get("backends", ("numpy",)))
-                    for address, meta in sorted(self._workers.items())
-                },
-                "calibrated": {
-                    address: meta.get("calibrated")
-                    for address, meta in sorted(self._workers.items())
-                    if meta.get("calibrated")
-                },
                 "registrations": self.registrations,
                 "evictions": self.evictions,
             }

@@ -14,11 +14,9 @@ protocol and read one frame back:
 - ``("ping",)`` -> ``("pong", {})``;
 - ``("register", "host:port", meta)`` ->
   ``("registered", {"workers": [...]})`` — a ``repro-worker`` announcing
-  itself for shard dispatch; ``meta["backends"]`` lists the worker's
-  kernel backends so routing never sends e.g. a ``numba`` shard to a
-  numpy-only worker (servers started without a
-  :class:`~repro.service.registry.WorkerRegistry` answer
-  ``("error", ...)``);
+  itself for shard dispatch; workers send an empty *meta* dict (servers
+  started without a :class:`~repro.service.registry.WorkerRegistry`
+  answer ``("error", ...)``);
 - ``("deregister", "host:port")`` -> ``("deregistered", {...})`` — a
   draining worker withdrawing itself, so routing stops immediately
   instead of waiting out a health-check eviction;
@@ -290,21 +288,9 @@ class SearchServer:
                          "" if removed else " (was not registered)")
                 return ("deregistered", {"workers": self.registry.snapshot(),
                                          "removed": removed})
-            meta = message[2]
-            backends = meta.get("backends")
-            if backends is not None and not (
-                isinstance(backends, (list, tuple))
-                and all(isinstance(b, str) for b in backends)
-            ):
-                return ("error", "register meta 'backends' must be a "
-                                 "list of backend names")
-            fresh = self.registry.add(
-                str(address), backends=backends,
-                calibrated=meta.get("calibrated"),
-            )
-            log.info("worker %s %s (backends: %s)", address,
-                     "registered" if fresh else "re-registered",
-                     ",".join(backends) if backends else "numpy")
+            fresh = self.registry.add(str(address))
+            log.info("worker %s %s", address,
+                     "registered" if fresh else "re-registered")
             return ("registered", {"workers": self.registry.snapshot()})
         if kind == "trace":
             # ("trace", trace_id) -> the stitched span tree of a recent

@@ -19,10 +19,10 @@ dict is always present:
 
 - ``("shard", func, task, rng, meta)`` (worker): ``meta`` may carry
   ``deadline_s`` (the request's remaining budget in seconds — monotonic
-  clocks do not transfer between hosts), ``trace_id``,
-  ``parent_span_id`` and ``backend`` (a non-numpy kernel backend);
-- ``("register", address, meta)`` (server): ``meta["backends"]`` lists the
-  worker's kernel backends;
+  clocks do not transfer between hosts), ``trace_id`` and
+  ``parent_span_id``;
+- ``("register", address, meta)`` (server): workers send an empty
+  ``meta``;
 - ``("submit", request, targets, batch, timeout, meta)`` (server):
   ``meta`` may carry ``trace_id``.
 
@@ -57,7 +57,7 @@ __all__ = [
 
 #: Protocol version — bump on any change to a message's layout or meaning
 #: (see module docstring).
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 #: Frame magic: identifies the stream as the repro shard protocol.
 MAGIC = b"RPRO"

@@ -25,7 +25,7 @@ Run one per host::
 
 (or ``python -m repro.service.worker``).  With ``--register SERVER:PORT``
 the worker **announces itself** to a running ``repro serve`` (one
-``("register", "host:port", meta)`` frame, retried until the server is
+``("register", "host:port", {})`` frame, retried until the server is
 up), so the server's :class:`~repro.service.registry.WorkerRegistry` starts
 routing shards here with no ``--remote-worker`` wiring;
 ``--advertise HOST:PORT`` overrides the announced address when the bind
@@ -70,7 +70,6 @@ from repro.service.wire import (
 __all__ = [
     "WorkerServer",
     "register_with_server",
-    "worker_registration_meta",
     "deregister_from_server",
     "start_reannounce_loop",
     "main",
@@ -95,26 +94,14 @@ class WorkerServer:
         chaos: a :class:`~repro.resilience.FaultPlan` consulted at the
             ``worker.recv`` / ``worker.shard`` / ``worker.send`` sites.
             ``None`` (default) injects nothing.
-        backends: kernel backend names this worker executes (``None`` =
-            every available backend on this host,
-            :func:`repro.kernels.available_kernel_backends`).  A shard
-            whose meta names a backend outside this set is answered
-            ``("unavailable", ...)`` so the dialer requeues it on a worker
-            that advertises it — the same requeue path draining uses.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 *, chaos: FaultPlan | None = None,
-                 backends: tuple[str, ...] | None = None):
+                 *, chaos: FaultPlan | None = None):
         self._sock = socket.create_server((host, port), backlog=16)
         self._sock.settimeout(0.2)  # poll so shutdown is prompt
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         self.chaos = chaos
-        if backends is None:
-            from repro.kernels import available_kernel_backends
-
-            backends = available_kernel_backends()
-        self.backends: tuple[str, ...] = tuple(backends)
         self.shards_served = 0
         self.shards_expired = 0
         # Ring of the most recent trace IDs whose shards ran here (shard
@@ -268,8 +255,7 @@ class WorkerServer:
         if kind == "ping":
             return ("pong", {"shards_served": self.shards_served,
                              "shards_expired": self.shards_expired,
-                             "draining": self._draining,
-                             "backends": list(self.backends)})
+                             "draining": self._draining})
         if kind == "shard":
             return self._dispatch_shard(message)
         return ("error", f"unknown message type {kind!r}")
@@ -281,14 +267,6 @@ class WorkerServer:
         _, func, task, rng, meta = message
         if self._draining:
             return ("unavailable", "worker draining: requeue elsewhere")
-        # An absent key means the numpy backend.  A backend this worker
-        # does not advertise takes the same requeue path draining does —
-        # the dialer retries the shard on a capable worker.
-        required_backend = meta.get("backend", "numpy")
-        if required_backend not in self.backends:
-            return ("unavailable",
-                    f"worker lacks kernel backend {required_backend!r} "
-                    f"(has: {', '.join(self.backends)}): requeue elsewhere")
         deadline_s = meta.get("deadline_s")
         if deadline_s is not None and deadline_s <= 0:
             # The budget was spent in transit: refuse without computing —
@@ -364,31 +342,6 @@ class WorkerServer:
             pass
 
 
-def worker_registration_meta(
-    backends: tuple[str, ...] | None = None,
-) -> dict:
-    """The capability payload a registration frame advertises.
-
-    ``backends`` is what routing filters on (never send a numba shard to a
-    numpy-only worker); ``calibrated`` is this host's persisted
-    ``repro calibrate`` winner when one exists — the seed of the ROADMAP's
-    cost-model item (the probe is *not* run here: registration must stay
-    cheap, so an uncalibrated host simply omits the key).
-    """
-    from repro.kernels import available_kernel_backends
-    from repro.kernels.backends import load_calibration
-
-    meta: dict = {
-        "backends": list(
-            backends if backends is not None else available_kernel_backends()
-        ),
-    }
-    record = load_calibration()
-    if record is not None:
-        meta["calibrated"] = record["fastest"]
-    return meta
-
-
 def register_with_server(
     server_address: str,
     advertise_address: str,
@@ -396,14 +349,12 @@ def register_with_server(
     attempts: int = 10,
     delay: float = 0.5,
     timeout: float = 5.0,
-    backends: tuple[str, ...] | None = None,
 ) -> dict:
     """Announce *advertise_address* to a ``repro serve`` at *server_address*.
 
-    Sends one ``("register", advertise_address, meta)`` frame — *meta* is
-    :func:`worker_registration_meta`: the advertised kernel backends plus
-    this host's calibration.  Returns the server's registration
-    payload (the current fleet snapshot).  Connection refusals are retried
+    Sends one ``("register", advertise_address, {})`` frame (the meta dict
+    is empty: every worker runs every shard).  Returns the server's
+    registration payload (the current fleet snapshot).  Connection refusals are retried
     — workers routinely boot before their server — but a server that
     answers with an error (no registry configured, malformed address)
     fails immediately: retrying cannot help.
@@ -421,7 +372,6 @@ def register_with_server(
     """
     host, port = parse_address(server_address)
     adv_host, adv_port = parse_address(advertise_address)
-    meta = worker_registration_meta(backends)
     last_exc: OSError | None = None
     for attempt in range(attempts):
         if attempt:
@@ -432,7 +382,7 @@ def register_with_server(
                 if adv_host in ("0.0.0.0", "::"):
                     adv_host = sock.getsockname()[0]
                 advertise_address = format_address(adv_host, adv_port)
-                send_frame(sock, ("register", advertise_address, meta))
+                send_frame(sock, ("register", advertise_address, {}))
                 reply = recv_frame(sock)
         except (OSError, ConnectionClosed) as exc:
             last_exc = exc if isinstance(exc, OSError) else OSError(str(exc))
@@ -478,7 +428,6 @@ def start_reannounce_loop(
     *,
     interval: float = DEFAULT_REANNOUNCE_INTERVAL,
     stop_event: threading.Event | None = None,
-    backends: tuple[str, ...] | None = None,
 ) -> threading.Thread:
     """Re-announce this worker to the server every *interval* seconds.
 
@@ -499,8 +448,7 @@ def start_reannounce_loop(
         while not stop.wait(interval):
             try:
                 register_with_server(
-                    server_address, advertise_address, attempts=1,
-                    backends=backends,
+                    server_address, advertise_address, attempts=1
                 )
             except (OSError, RuntimeError, ValueError) as exc:
                 log.warning("re-registration with %s failed (will retry): %s",
@@ -533,10 +481,6 @@ def main(argv=None) -> int:
                         help="seconds between registration re-announcements "
                              "(heals health-check evictions and server "
                              "restarts; 0 disables)")
-    parser.add_argument("--backends", default=None, metavar="NAME[,NAME...]",
-                        help="kernel backends this worker serves and "
-                             "advertises (default: every backend available "
-                             "on this host); names must be available here")
     parser.add_argument("--chaos-plan", default=None, metavar="PLAN",
                         help="arm a seeded FaultPlan: a JSON file path or an "
                              "inline JSON object (testing only)")
@@ -555,23 +499,7 @@ def main(argv=None) -> int:
     chaos = FaultPlan.from_json(args.chaos_plan) if args.chaos_plan else None
     if chaos is not None:
         log.warning("chaos armed: %r", chaos)
-    backends = None
-    if args.backends:
-        from repro.kernels import available_kernel_backends
-
-        backends = tuple(
-            name.strip() for name in args.backends.split(",") if name.strip()
-        )
-        unavailable = [b for b in backends
-                       if b not in available_kernel_backends()]
-        if unavailable:
-            parser.error(
-                f"--backends names unavailable kernel backends "
-                f"{', '.join(unavailable)} (available here: "
-                f"{', '.join(available_kernel_backends())})"
-            )
-    server = WorkerServer(args.host, args.port, chaos=chaos,
-                          backends=backends)
+    server = WorkerServer(args.host, args.port, chaos=chaos)
     # Announce readiness on stdout so harnesses can wait for the port.
     print(f"repro-worker ready on {format_address(*server.address)}",
           flush=True)
@@ -580,8 +508,7 @@ def main(argv=None) -> int:
     if args.register:
         keep_announcing = True
         try:
-            register_with_server(args.register, advertise,
-                                 backends=server.backends)
+            register_with_server(args.register, advertise)
             registered = True
             print(f"repro-worker registered with {args.register} as {advertise}",
                   flush=True)
@@ -601,7 +528,6 @@ def main(argv=None) -> int:
             start_reannounce_loop(
                 args.register, advertise,
                 interval=args.register_interval, stop_event=server._stop,
-                backends=server.backends,
             )
 
     def _on_sigterm(signum, frame):

@@ -209,7 +209,7 @@ class TestTargetsAndExport:
         state = MemberState(address="x:1", heartbeat=4, workers=("w:1",),
                             load=2, last_refresh=123.0)
         assert state.export() == {"heartbeat": 4, "workers": ["w:1"],
-                                  "load": 2, "worker_backends": {}}
+                                  "load": 2}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="suspicion_timeout"):

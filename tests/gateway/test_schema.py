@@ -55,9 +55,14 @@ class TestDecodeRejects:
         assert "grk" in err.value.errors[0]["message"]
 
     def test_unknown_field(self):
-        with pytest.raises(SchemaError) as err:
-            decode_submit({"n_items": 64, "n_blocks": 8, "bogus": 1})
-        assert fields_of(err.value) == {"bogus"}
+        # A removed field is as unknown as one that never existed, even
+        # with a value it once accepted.
+        for field, value in (("bogus", 1), ("kernel_backend", "numpy")):
+            with pytest.raises(SchemaError) as err:
+                decode_submit({"n_items": 64, "n_blocks": 8, field: value})
+            assert err.value.errors == [
+                {"field": field, "message": "unknown field"}
+            ]
 
     def test_all_errors_collected_in_one_reject(self):
         with pytest.raises(SchemaError) as err:
@@ -173,6 +178,7 @@ class TestReplyEnvelopes:
 
     def test_methods_envelope_lists_registry(self):
         body = encode_methods()
+        assert set(body) == {"schema_version", "kind", "methods"}
         names = [m["name"] for m in body["methods"]]
         assert "grk" in names
         assert json.loads(dumps(body)) == body

@@ -42,7 +42,6 @@ class TestExecutionPolicy:
         assert ExecutionPolicy(dtype="complex64", row_threads=3).describe() == {
             "dtype": "complex64",
             "row_threads": 3,
-            "backend": "numpy",
         }
 
     def test_frozen_and_hashable(self):
@@ -95,12 +94,13 @@ class TestAutoRowThreads:
         assert 1 <= resolved.row_threads <= MAX_AUTO_ROW_THREADS
         assert resolved.row_threads == auto_row_threads()
         assert resolved.dtype == policy.dtype
-        assert policy.effective_row_threads == resolved.row_threads
+        # A slab far above the serial threshold resolves like the planner.
+        assert policy.threads_for_slab(8192, 8192) == resolved.row_threads
 
     def test_concrete_policies_resolve_to_themselves(self):
         policy = ExecutionPolicy(dtype="complex64", row_threads=3)
         assert policy.resolve() is policy
-        assert policy.effective_row_threads == 3
+        assert policy.threads_for_slab(1, 64) == 3
 
     def test_other_strings_rejected(self):
         with pytest.raises(ValueError, match="row_threads"):
@@ -110,7 +110,7 @@ class TestAutoRowThreads:
         import pickle
 
         for policy in (ExecutionPolicy(row_threads="auto"),
-                       ExecutionPolicy(dtype="complex64", backend="fused")):
+                       ExecutionPolicy(dtype="complex64", row_threads=2)):
             assert pickle.loads(pickle.dumps(policy)) == policy
             assert policy in {policy}
 

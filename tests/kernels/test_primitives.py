@@ -29,20 +29,18 @@ class TestSingleSourceOfTruth:
         from repro.core import batch
 
         source = inspect.getsource(batch)
-        # The GRK-family loop structure lives on the kernel-backend
-        # registry; core/batch selects a backend and dispatches the
-        # program, it owns no math.
-        assert "kernels.resolve_kernel_backend" in source
-        assert "program_sweep_rows" in source
+        # The GRK-family loop structure lives in the kernel sweep;
+        # core/batch dispatches the program, it owns no math.
+        assert "kernels.program_sweep_rows" in source
 
     def test_kernel_backends_compose_batched_primitives(self):
         import inspect
 
-        from repro.kernels import backends
+        from repro.kernels import sweep
 
-        source = inspect.getsource(backends.KernelBackend)
-        # The reference backend is a *composition* of the batched
-        # primitives — the single source of truth stays in repro.kernels.
+        source = inspect.getsource(sweep)
+        # The sweep is a *composition* of the batched primitives — the
+        # single source of truth stays in repro.kernels.
         assert "batched.phase_flip_rows" in source
         assert "batched.moveout_controlled_diffusion_rows" in source
         assert "batched.block_measurement_rows" in source

@@ -163,7 +163,7 @@ class TestRegisterMessage:
                 addr = server.address
                 reply = await asyncio.to_thread(
                     _roundtrip, addr,
-                    ("register", "127.0.0.1:7737", {"backends": ["numpy"]}),
+                    ("register", "127.0.0.1:7737", {}),
                 )
                 assert reply[0] == "registered"
                 assert reply[1]["workers"] == ["127.0.0.1:7737"]
@@ -180,7 +180,7 @@ class TestRegisterMessage:
                 await server.start()
                 reply = await asyncio.to_thread(
                     _roundtrip, server.address,
-                    ("register", "127.0.0.1:7737", {"backends": ["numpy"]}),
+                    ("register", "127.0.0.1:7737", {}),
                 )
                 assert reply[0] == "error"
                 assert "registration" in reply[1]
@@ -219,7 +219,7 @@ class TestDeregisterMessage:
                 addr = server.address
                 await asyncio.to_thread(
                     _roundtrip, addr,
-                    ("register", "127.0.0.1:7737", {"backends": ["numpy"]}),
+                    ("register", "127.0.0.1:7737", {}),
                 )
                 reply = await asyncio.to_thread(
                     _roundtrip, addr, ("deregister", "127.0.0.1:7737")
