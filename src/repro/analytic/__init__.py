@@ -23,6 +23,7 @@ from repro.analytic.models import (
     ANALYTIC_MAX_N_ITEMS,
     ANALYTIC_SUCCESS_ATOL,
     AnalyticAnswer,
+    AnalyticBatchAnswer,
     AnalyticModel,
     AnalyticUnsupported,
     available_models,
@@ -39,6 +40,7 @@ __all__ = [
     "ANALYTIC_SUCCESS_ATOL",
     "ANALYTIC_BATCH_ALL_TARGETS_MAX",
     "AnalyticAnswer",
+    "AnalyticBatchAnswer",
     "AnalyticModel",
     "AnalyticUnsupported",
     "available_models",

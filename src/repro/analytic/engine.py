@@ -4,7 +4,9 @@ This is the glue between the :mod:`repro.analytic.models` registry and the
 :class:`~repro.engine.engine.SearchEngine`: :func:`resolve_engine_tier`
 decides whether a request runs closed-form or on the statevector tier, and
 :func:`evaluate_analytic` / :func:`evaluate_analytic_batch` shape a model's
-:class:`~repro.analytic.models.AnalyticAnswer` into the same
+:class:`~repro.analytic.models.AnalyticAnswer` (one call, from
+``evaluate``) or :class:`~repro.analytic.models.AnalyticBatchAnswer` (a
+whole batch, from one ``evaluate_batch`` call) into the same
 ``SearchReport`` / ``BatchReport`` every simulated run produces — same
 cache, same wire, same gateway encoding, zero shards, no executor.
 
@@ -27,15 +29,9 @@ attribution shows the closed-form tier next to ``shards.plan`` /
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analytic.models import (
-    AnalyticAnswer,
-    AnalyticUnsupported,
-    get_model,
-    has_model,
-)
+from repro.analytic.models import AnalyticUnsupported, get_model, has_model
 from repro.engine.report import BatchReport, SearchReport
+from repro.engine.request import batch_targets
 
 __all__ = [
     "ANALYTIC_BATCH_ALL_TARGETS_MAX",
@@ -100,7 +96,7 @@ def analytic_eligible(request) -> bool:
         return False
 
 
-def _answer_to_schedule(answer: AnalyticAnswer, model) -> dict:
+def _answer_to_schedule(answer, model) -> dict:
     schedule = {
         "engine": "analytic",
         "regime": model.regime,
@@ -167,7 +163,17 @@ def evaluate_analytic(request, database=None) -> SearchReport:
 
 
 def evaluate_analytic_batch(request, targets=None) -> BatchReport:
-    """Per-target closed-form batch — zero shards, no executor.
+    """Closed-form batch — zero shards, no executor, no per-row loop.
+
+    The model's ``evaluate_batch`` answers every row at once: one scalar
+    evaluation per geometry plus numpy arithmetic on the target array, so
+    a batch costs well under a microsecond per row.  Its rows equal
+    per-row ``evaluate`` answers exactly.  An
+    :class:`~repro.analytic.models.AnalyticUnsupported` it raises
+    propagates, so ``engine="auto"`` falls through to simulation as it
+    does for a single call.  Targets go through
+    :func:`~repro.engine.request.batch_targets`, the simulate tier's
+    validation.
 
     ``targets=None`` materialises the all-targets sweep only up to
     :data:`ANALYTIC_BATCH_ALL_TARGETS_MAX` items; beyond that, listing the
@@ -179,32 +185,15 @@ def evaluate_analytic_batch(request, targets=None) -> BatchReport:
 
     model = get_model(request.method)
     model.check(request)
-    if targets is None:
-        if request.n_items > ANALYTIC_BATCH_ALL_TARGETS_MAX:
-            raise AnalyticUnsupported(
-                f"all-targets analytic batch at n_items={request.n_items} "
-                f"would materialise > {ANALYTIC_BATCH_ALL_TARGETS_MAX} "
-                "targets; pass an explicit targets collection"
-            )
-        targets = np.arange(request.n_items, dtype=np.intp)
-    else:
-        targets = np.asarray(list(targets), dtype=np.intp)
-    if targets.ndim != 1 or targets.size == 0:
-        raise ValueError("targets must be a non-empty 1-D collection")
-    if targets.min() < 0 or targets.max() >= request.n_items:
-        raise ValueError("targets out of address range")
-    success = np.empty(targets.size)
-    guesses = np.empty(targets.size, dtype=np.intp)
-    queries = np.empty(targets.size, dtype=np.intp)
+    if targets is None and request.n_items > ANALYTIC_BATCH_ALL_TARGETS_MAX:
+        raise AnalyticUnsupported(
+            f"all-targets analytic batch at n_items={request.n_items} "
+            f"would materialise > {ANALYTIC_BATCH_ALL_TARGETS_MAX} "
+            "targets; pass an explicit targets collection"
+        )
+    targets = batch_targets(targets, request.n_items)
     with span("analytic.eval", method=request.method, rows=targets.size) as sp:
-        first: AnalyticAnswer | None = None
-        for i, t in enumerate(targets):
-            answer = model.evaluate(request, int(t))
-            if first is None:
-                first = answer
-            success[i] = answer.success_probability
-            guesses[i] = -1 if answer.block_guess is None else answer.block_guess
-            queries[i] = answer.queries
+        answer = model.evaluate_batch(request, targets)
         sp.attrs["regime"] = model.regime
         sp.attrs["n_items"] = request.n_items
     return BatchReport(
@@ -213,9 +202,9 @@ def evaluate_analytic_batch(request, targets=None) -> BatchReport:
         n_items=request.n_items,
         n_blocks=request.n_blocks,
         targets=targets,
-        success_probabilities=success,
-        block_guesses=guesses,
-        queries=queries,
-        schedule=_answer_to_schedule(first, model),
+        success_probabilities=answer.success_probabilities,
+        block_guesses=answer.block_guesses,
+        queries=answer.queries,
+        schedule=_answer_to_schedule(answer, model),
         execution={"engine": "analytic", "n_shards": 0, "workers": 0},
     )

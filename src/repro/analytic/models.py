@@ -32,6 +32,16 @@ method's plan, from the same per-method cache the simulate tier runs
 (:mod:`repro.core.plans`), answers with its ``predicted_success``,
 ``queries`` and ``provenance()``.
 
+Every model answers in two shapes.  ``evaluate(request, target)`` answers
+one call; ``evaluate_batch(request, targets)`` answers a whole batch from
+one scalar evaluation per geometry plus numpy arithmetic on the ``intp``
+target array.  That suffices because an answer depends on the target
+only through its block (the answered block, and naive-blocks' pinned
+left-out block) or, for the deterministic classical scan, its position.
+A batch form never restates a formula: it calls its model's
+``evaluate``, or a helper ``evaluate`` also calls, so batch rows equal
+per-row ``evaluate`` answers bit for bit.
+
 Validity: every builtin model is regime ``"exact"`` — the papers give
 finite-``(N, K)`` formulas everywhere we model, cross-validated against
 the simulator on the overlap range (``n <= 12``, all ``K`` partitions)
@@ -44,9 +54,10 @@ which float64 loses the integer geometry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
+
+import numpy as np
 
 from repro.core.plans import FAMILY, resolve_plan
 
@@ -55,6 +66,7 @@ __all__ = [
     "ANALYTIC_SUCCESS_ATOL",
     "AnalyticUnsupported",
     "AnalyticAnswer",
+    "AnalyticBatchAnswer",
     "AnalyticModel",
     "register_model",
     "unregister_model",
@@ -118,6 +130,28 @@ class AnalyticAnswer:
 
 
 @dataclass(frozen=True)
+class AnalyticBatchAnswer:
+    """One closed-form batch evaluation, ready to shape into a ``BatchReport``.
+
+    Attributes:
+        success_probabilities: per-row success, float64, shape ``(B,)``.
+        queries: per-row query counts, intp, shape ``(B,)``.
+        block_guesses: per-row answered block, intp, shape ``(B,)``.
+        schedule: provenance shared by every row, equal to the first
+            row's :attr:`AnalyticAnswer.schedule`.
+        answer_kind: shared by every row, as in :class:`AnalyticAnswer`.
+
+    The arrays are freshly allocated: the report keeps them.
+    """
+
+    success_probabilities: np.ndarray
+    queries: np.ndarray
+    block_guesses: np.ndarray
+    schedule: Mapping[str, Any] = field(default_factory=dict)
+    answer_kind: str = "exact"
+
+
+@dataclass(frozen=True)
 class AnalyticModel:
     """A closed-form model of one registered method.
 
@@ -133,7 +167,13 @@ class AnalyticModel:
         evaluate: ``(request, target) -> AnalyticAnswer``.  May raise
             :class:`AnalyticUnsupported` for evaluation-time failures the
             structural check cannot see (e.g. a phase solve that does not
-            converge).
+            converge).  Single calls run it.
+        evaluate_batch: ``(request, targets) -> AnalyticBatchAnswer`` for
+            a validated, non-empty ``intp`` array of addresses.  Row ``i``
+            must equal ``evaluate(request, targets[i])`` exactly; batches
+            run it, and it raises :class:`AnalyticUnsupported` where
+            ``evaluate`` would.  Build it from ``evaluate`` or from a
+            helper ``evaluate`` calls, never from a copied formula.
         max_n_items: inclusive ``N`` bound this model accepts.
     """
 
@@ -142,6 +182,7 @@ class AnalyticModel:
     description: str
     check: Callable[[Any], None]
     evaluate: Callable[[Any, int | None], AnalyticAnswer]
+    evaluate_batch: Callable[[Any, np.ndarray], AnalyticBatchAnswer]
     max_n_items: int = ANALYTIC_MAX_N_ITEMS
 
     def __post_init__(self):
@@ -238,8 +279,28 @@ def _reject_options(request, allowed: tuple[str, ...]) -> None:
         )
 
 
-def _target_block(request, target: int | None) -> int | None:
-    return None if target is None else target // request.block_size
+def _target_block(request, target):
+    """The block holding *target*: one address, an int64 array of them, or
+    ``None``."""
+    if target is None:
+        return None
+    if request.n_blocks == 1:
+        # One block holds every address.  Its size N reaches 2**63, which
+        # int64 array arithmetic cannot divide by.
+        return target * 0
+    return target // request.block_size
+
+
+def _uniform_batch(request, targets, answer) -> AnalyticBatchAnswer:
+    """Batch rows that all share *answer* apart from their block guess."""
+    rows = targets.size
+    return AnalyticBatchAnswer(
+        success_probabilities=np.full(rows, answer.success_probability),
+        queries=np.full(rows, answer.queries, dtype=np.intp),
+        block_guesses=_target_block(request, targets),
+        schedule=answer.schedule,
+        answer_kind=answer.answer_kind,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -287,6 +348,10 @@ def _eval_grk_family(request, target: int | None) -> AnalyticAnswer:
     )
 
 
+def _eval_grk_family_batch(request, targets) -> AnalyticBatchAnswer:
+    return _uniform_batch(request, targets, _eval_grk_family(request, None))
+
+
 # --------------------------------------------------------------------------
 # naive-blocks — restricted Grover over (K-1) N / K items
 # --------------------------------------------------------------------------
@@ -302,18 +367,28 @@ def _check_naive(request) -> None:
         )
 
 
-def _eval_naive(request, target: int | None) -> AnalyticAnswer:
+def _naive_run(request) -> tuple[int, float, dict]:
+    """``(queries, p_searched, schedule)`` of the restricted Grover run:
+    its query cost, its success when the target is among the searched
+    addresses, and its provenance."""
     from repro.grover.angles import optimal_iterations, success_probability_after
 
-    n, k = request.n_items, request.n_blocks
-    m = n - request.block_size  # the searched (K-1) N / K addresses
+    m = request.n_items - request.block_size  # the searched (K-1) N / K items
     iterations = request.option("iterations")
     if iterations is None:
         iterations = optimal_iterations(m)
     queries = iterations + 1  # quantum iterations + one verification probe
-    p_searched = success_probability_after(m, iterations)
+    schedule = {
+        "iterations": iterations,
+        "searched_items": m,
+        "left_out_block": request.option("left_out_block"),
+    }
+    return queries, success_probability_after(m, iterations), schedule
+
+
+def _eval_naive(request, target: int | None) -> AnalyticAnswer:
+    queries, p_searched, schedule = _naive_run(request)
     left_out = request.option("left_out_block")
-    schedule = {"iterations": iterations, "searched_items": m}
     if left_out is not None and target is not None:
         # Fully pinned: this run is deterministic in distribution.
         hit_left_out = target // request.block_size == left_out
@@ -321,20 +396,35 @@ def _eval_naive(request, target: int | None) -> AnalyticAnswer:
             success_probability=1.0 if hit_left_out else p_searched,
             queries=queries,
             block_guess=_target_block(request, target),
-            schedule={**schedule, "left_out_block": left_out},
+            schedule=schedule,
         )
     # Random left-out block (the paper's prescription): with probability
     # 1/K the target sits in the untouched block and verification failure
     # identifies it with certainty; otherwise the restricted Grover angle
     # applies.  (An unpinned target under a pinned left-out block averages
     # identically over the uniform target.)
+    k = request.n_blocks
     expected = (1.0 / k) + (1.0 - 1.0 / k) * p_searched
     return AnalyticAnswer(
         success_probability=expected,
         queries=queries,
         block_guess=_target_block(request, target),
-        schedule={**schedule, "left_out_block": left_out},
+        schedule=schedule,
         answer_kind="expected",
+    )
+
+
+def _eval_naive_batch(request, targets) -> AnalyticBatchAnswer:
+    left_out = request.option("left_out_block")
+    if left_out is None:
+        return _uniform_batch(request, targets, _eval_naive(request, None))
+    queries, p_searched, schedule = _naive_run(request)
+    blocks = _target_block(request, targets)
+    return AnalyticBatchAnswer(
+        success_probabilities=np.where(blocks == left_out, 1.0, p_searched),
+        queries=np.full(targets.size, queries, dtype=np.intp),
+        block_guesses=blocks,
+        schedule=schedule,
     )
 
 
@@ -382,6 +472,10 @@ def _eval_grover_full(request, target: int | None) -> AnalyticAnswer:
     )
 
 
+def _eval_grover_full_batch(request, targets) -> AnalyticBatchAnswer:
+    return _uniform_batch(request, targets, _eval_grover_full(request, None))
+
+
 # --------------------------------------------------------------------------
 # classical — Section 1.1 scan accounting
 # --------------------------------------------------------------------------
@@ -403,6 +497,29 @@ def _check_classical(request) -> None:
         )
 
 
+def _scan_left_out(request) -> int:
+    """The block the deterministic scan skips (the runner's default: the
+    last one)."""
+    left_out = request.option("left_out_block")
+    return request.n_blocks - 1 if left_out is None else left_out
+
+
+def _scan(target, n: int, b: int, left_out: int):
+    """``(block, queries)`` of the deterministic scan for *target*.
+
+    The scan probes blocks 0..K-1 (skipping *left_out*) in address order
+    and stops on the hit.  A target in the left-out block costs every
+    probe, ``N - b``, and is answered by elimination.  The two cases blend
+    by arithmetic instead of a branch, so one expression takes a Python
+    int and an int64 array of targets alike.  Ranking the left-out block
+    below itself (``>=``) keeps every intermediate within int64 up to
+    ``N = 2**63``; the blend discards that row's ``found`` anyway.
+    """
+    block = target // b
+    found = (block - (block >= left_out)) * b + (target - block * b) + 1
+    return block, found + (block == left_out) * (n - b - found)
+
+
 def _eval_classical(request, target: int | None) -> AnalyticAnswer:
     n, k, b = request.n_items, request.n_blocks, request.block_size
     strategy = request.option("strategy", "deterministic")
@@ -419,18 +536,9 @@ def _eval_classical(request, target: int | None) -> AnalyticAnswer:
             schedule={"strategy": strategy, "expected_queries": expected},
             answer_kind="expected",
         )
-    left_out = request.option("left_out_block")
-    if left_out is None:
-        left_out = k - 1  # the runner's fixed default
+    left_out = _scan_left_out(request)
     if target is not None:
-        # The scan probes blocks 0..K-1 (skipping left_out) in address
-        # order and stops on the hit — exact position arithmetic.
-        target_block = target // b
-        if target_block == left_out:
-            queries = n - b  # every probe misses; answer by elimination
-        else:
-            blocks_before = target_block - (1 if left_out < target_block else 0)
-            queries = blocks_before * b + (target - target_block * b) + 1
+        target_block, queries = _scan(target, n, b, left_out)
         return AnalyticAnswer(
             success_probability=1.0,
             queries=queries,
@@ -457,6 +565,21 @@ def _eval_classical(request, target: int | None) -> AnalyticAnswer:
     )
 
 
+def _eval_classical_batch(request, targets) -> AnalyticBatchAnswer:
+    if request.option("strategy", "deterministic") == "randomized":
+        return _uniform_batch(request, targets, _eval_classical(request, None))
+    left_out = _scan_left_out(request)
+    blocks, queries = _scan(
+        targets, request.n_items, request.block_size, left_out
+    )
+    return AnalyticBatchAnswer(
+        success_probabilities=np.ones(targets.size),
+        queries=queries,
+        block_guesses=blocks,
+        schedule={"strategy": "deterministic", "left_out_block": left_out},
+    )
+
+
 # --------------------------------------------------------------------------
 # registration
 # --------------------------------------------------------------------------
@@ -470,6 +593,7 @@ def register_builtin_models(*, replace: bool = False) -> None:
             description=description,
             check=_check_grk_family,
             evaluate=_eval_grk_family,
+            evaluate_batch=_eval_grk_family_batch,
         ), replace=replace)
     register_model(AnalyticModel(
         method="naive-blocks",
@@ -478,6 +602,7 @@ def register_builtin_models(*, replace: bool = False) -> None:
                     "expectation over the random left-out block",
         check=_check_naive,
         evaluate=_eval_naive,
+        evaluate_batch=_eval_naive_batch,
     ), replace=replace)
     register_model(AnalyticModel(
         method="grover-full",
@@ -486,6 +611,7 @@ def register_builtin_models(*, replace: bool = False) -> None:
                     "variant at success 1)",
         check=_check_grover_full,
         evaluate=_eval_grover_full,
+        evaluate_batch=_eval_grover_full_batch,
     ), replace=replace)
     register_model(AnalyticModel(
         method="classical",
@@ -494,4 +620,5 @@ def register_builtin_models(*, replace: bool = False) -> None:
                     "arithmetic / Appendix A expectation, success 1",
         check=_check_classical,
         evaluate=_eval_classical,
+        evaluate_batch=_eval_classical_batch,
     ), replace=replace)

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.engine.registry import MethodSpec, get_method
 from repro.engine.report import BatchReport, SearchReport
-from repro.engine.request import SearchRequest, ShardPolicy
+from repro.engine.request import SearchRequest, ShardPolicy, batch_targets
 from repro.oracle.database import Database, SingleTargetDatabase
 
 __all__ = ["SearchEngine"]
@@ -176,8 +176,10 @@ class SearchEngine:
         Args:
             request: shared problem description (``request.target`` is
                 ignored; per-row targets come from *targets*).
-            targets: 1-D collection of target addresses; ``None`` means
-                *every* address of the instance (the all-targets sweep).
+            targets: 1-D collection of integer target addresses; ``None``
+                means *every* address of the instance (the all-targets
+                sweep).  Both tiers validate it with
+                :func:`~repro.engine.request.batch_targets`.
 
         The batch splits into ``(B_chunk, N)`` shards sized by
         ``request.shards`` (default budget ≲128 MiB) so all-targets sweeps
@@ -208,14 +210,7 @@ class SearchEngine:
             except AnalyticUnsupported:
                 if request.engine == "analytic":
                     raise
-        if targets is None:
-            targets = np.arange(request.n_items, dtype=np.intp)
-        else:
-            targets = np.asarray(list(targets), dtype=np.intp)
-        if targets.ndim != 1 or targets.size == 0:
-            raise ValueError("targets must be a non-empty 1-D collection")
-        if targets.min() < 0 or targets.max() >= request.n_items:
-            raise ValueError("targets out of address range")
+        targets = batch_targets(targets, request.n_items)
         if spec.native_batch is not None:
             return spec.native_batch(request, backend, targets, self.executor)
         return self._generic_batch(spec, request, backend, targets)

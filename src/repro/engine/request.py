@@ -5,7 +5,8 @@ method and backend names (resolved against the registries at execution
 time, not here), the Step 1 parameter, tracing, randomness, and the
 batch/shard policy.  A :class:`ShardPolicy` bounds how much state a batched
 execution may hold in memory at once and whether shards fan out across a
-process pool.
+process pool.  :func:`batch_targets` turns a batch's target collection into
+the validated address array both engine tiers run.
 
 Validation philosophy: structural facts that cannot depend on the registry
 (geometry, ranges, types) are checked eagerly in ``__post_init__`` so a bad
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.blockspec import BlockSpec
 from repro.kernels import ExecutionPolicy
 
@@ -30,6 +33,7 @@ __all__ = [
     "ExecutionPolicy",
     "ShardPolicy",
     "SearchRequest",
+    "batch_targets",
 ]
 
 #: Default per-shard memory budget for batched execution (128 MiB).  An
@@ -235,3 +239,38 @@ class SearchRequest:
 def _rebuild_request(fields: dict) -> "SearchRequest":
     """Module-level pickle hook for :meth:`SearchRequest.__reduce__`."""
     return SearchRequest.from_fields(fields)
+
+
+def batch_targets(targets, n_items: int) -> np.ndarray:
+    """The validated ``intp`` target array of a batch over *n_items* addresses.
+
+    Both engine tiers read their batch targets through this function.
+    ``None`` means every address.  An integer ndarray converts in one
+    step; any other iterable (list, range, generator) goes through
+    ``list()``.  The result is always a fresh array: reports keep it and
+    the service cache stores reports, so sharing the caller's buffer
+    would let a later write to it rewrite a cached report.
+
+    Raises:
+        ValueError: the targets are empty or not 1-D; they are not
+            integers (floats and bools are refused, not truncated); a value
+            lies outside int64; or an address lies outside
+            ``[0, n_items)``.
+    """
+    if targets is None:
+        return np.arange(n_items, dtype=np.intp)
+    if not isinstance(targets, np.ndarray):
+        targets = np.asarray(list(targets))
+    if targets.ndim != 1 or targets.size == 0:
+        raise ValueError("targets must be a non-empty 1-D collection")
+    if targets.dtype.kind not in "iu" or (
+        targets.dtype.kind == "u" and targets.max() > np.iinfo(np.int64).max
+    ):
+        raise ValueError(
+            f"targets must be integers within int64, got {targets.dtype} "
+            "values"
+        )
+    targets = targets.astype(np.intp)
+    if targets.min() < 0 or targets.max() >= n_items:
+        raise ValueError("targets out of address range")
+    return targets

@@ -1,13 +1,16 @@
-"""The AnalyticModel registry: registration mechanics, validity gates, and
-closed-form behaviour at sizes no statevector could ever hold."""
+"""The AnalyticModel registry: registration mechanics, validity gates,
+closed-form behaviour at sizes no statevector could ever hold, and batch
+forms that answer exactly as per-row evaluation does."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.analytic import (
     ANALYTIC_MAX_N_ITEMS,
     AnalyticAnswer,
+    AnalyticBatchAnswer,
     AnalyticModel,
     AnalyticUnsupported,
     available_models,
@@ -18,7 +21,7 @@ from repro.analytic import (
     register_model,
     unregister_model,
 )
-from repro.engine import SearchRequest
+from repro.engine import SearchEngine, SearchRequest
 from repro.engine.registry import available_methods
 
 pytestmark = pytest.mark.analytic
@@ -76,7 +79,9 @@ class TestRegistry:
         with pytest.raises(ValueError, match="regime"):
             AnalyticModel(method="x", regime="vibes", description="",
                           check=lambda r: None,
-                          evaluate=lambda r, t: AnalyticAnswer(1.0, 1))
+                          evaluate=lambda r, t: AnalyticAnswer(1.0, 1),
+                          evaluate_batch=lambda r, ts: AnalyticBatchAnswer(
+                              np.ones(ts.size), np.ones_like(ts), ts * 0))
 
 
 class TestValidityGates:
@@ -121,6 +126,8 @@ class TestValidityGates:
                            options={"exact": True, "iterations": too_few})
         with pytest.raises(AnalyticUnsupported, match="iterations"):
             get_model("grover-full").evaluate(request, 0)
+        with pytest.raises(AnalyticUnsupported, match="iterations"):
+            get_model("grover-full").evaluate_batch(request, np.arange(4))
 
     def test_mismatched_schedule_rejected(self):
         from repro.core.parameters import plan_schedule
@@ -183,3 +190,77 @@ class TestHugeN:
         # ~ (pi/4) sqrt((K-1) N / K) + 1 queries.
         m = n - n // k
         assert answer.queries == pytest.approx((math.pi / 4) * math.sqrt(m), rel=1e-3)
+
+
+#: Every builtin model under each option set that changes how its answer
+#: depends on the target.
+BATCH_CASES = [
+    ("grk", {}),
+    ("grk-simplified", {}),
+    ("grk-sure-success", {}),
+    ("grk-cwb", {}),
+    ("naive-blocks", {}),
+    ("naive-blocks", {"left_out_block": 1}),
+    ("grover-full", {}),
+    ("grover-full", {"exact": True}),
+    ("grover-full", {"iterations": 3}),
+    ("classical", {}),
+    ("classical", {"left_out_block": 0}),
+    ("classical", {"strategy": "randomized"}),
+]
+#: From a small instance up to the models' bound N = 2**63.
+BATCH_GEOMETRIES = [(16, 4), (64, 8), (1 << 20, 8), (1 << 40, 1 << 10),
+                    (1 << 63, 2)]
+#: Cold phase solves take seconds at (2**40, 2**10) and CWB's at
+#: (2**63, 2), and (16, 4) has no sure-success solution at all; these
+#: geometries solve in well under a second.
+PHASE_SOLVED_GEOMETRIES = [(64, 8), (1 << 20, 8), (1 << 63, 8)]
+
+
+def _batch_params():
+    for method, options in BATCH_CASES:
+        geometries = BATCH_GEOMETRIES
+        if method in ("grk-sure-success", "grk-cwb"):
+            geometries = PHASE_SOLVED_GEOMETRIES
+        if method == "grover-full":
+            # K = 1: the one block's size, 2**63, does not fit int64.
+            geometries = geometries + [(1 << 63, 1)]
+        label = ",".join(f"{k}={v}" for k, v in options.items()) or "default"
+        for n, k in geometries:
+            yield pytest.param(method, options, n, k,
+                               id=f"{method}-{label}-2^{n.bit_length() - 1}x{k}")
+
+
+class TestBatchIdentity:
+    """``evaluate_batch`` rows are per-row ``evaluate`` answers, bit for bit."""
+
+    def test_every_builtin_model_is_covered(self):
+        assert {method for method, _ in BATCH_CASES} == set(available_models())
+
+    @pytest.mark.parametrize("method,options,n,k", list(_batch_params()))
+    def test_batch_rows_equal_per_row_evaluate(self, method, options, n, k):
+        b = n // k
+        edges = {t for t in (0, b - 1, b, (k - 1) * b, n - 1) if t < n}
+        rng = np.random.default_rng(16)
+        targets = np.concatenate([
+            np.array(sorted(edges), dtype=np.int64),
+            rng.integers(0, n - 1, size=16, endpoint=True),
+        ])
+        request = _request(n, k, method, options=options)
+        report = SearchEngine().search_batch(request, targets=targets)
+        assert report.backend == "analytic"
+        assert report.success_probabilities.dtype == np.float64
+        assert report.queries.dtype == report.block_guesses.dtype == np.intp
+
+        model = get_model(method)
+        rows = [model.evaluate(request, t) for t in report.targets.tolist()]
+        np.testing.assert_array_equal(
+            report.success_probabilities,
+            [row.success_probability for row in rows],
+        )
+        np.testing.assert_array_equal(report.queries,
+                                      [row.queries for row in rows])
+        np.testing.assert_array_equal(report.block_guesses,
+                                      [row.block_guess for row in rows])
+        first = SearchEngine().search(request.replace(target=int(targets[0])))
+        assert report.schedule == first.schedule

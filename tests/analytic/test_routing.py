@@ -155,6 +155,39 @@ class TestEngineRouting:
         assert attrs["answer_kind"] == "exact"
         assert attrs["n_items"] == 1 << 30
 
+        recorder = SpanRecorder(trace_id="t-analytic-batch")
+        with recording_scope(recorder):
+            ENGINE.search_batch(_request(wants="probability"),
+                                targets=[0, 9, 63])
+        [batch] = [s for s in recorder.snapshot() if s.name == "analytic.eval"]
+        assert {key: batch.attrs[key] for key in
+                ("method", "rows", "regime", "n_items")} == {
+            "method": "grk", "rows": 3, "regime": "exact", "n_items": 64}
+
+    def test_batch_refusal_auto_falls_through_forced_raises(self):
+        # A model may refuse at evaluation time (a phase solve that does
+        # not converge); a batch then behaves as a single call does.
+        import dataclasses
+
+        from repro.analytic import get_model, register_model
+
+        def refuse(request, targets):
+            raise AnalyticUnsupported("no closed form for this batch")
+
+        register_model(dataclasses.replace(get_model("grk"),
+                                           evaluate_batch=refuse),
+                       replace=True)
+        try:
+            auto = ENGINE.search_batch(_request(wants="probability"),
+                                       targets=[0, 9])
+            assert auto.backend != "analytic"
+            assert auto.n_rows == 2
+            with pytest.raises(AnalyticUnsupported, match="no closed form"):
+                ENGINE.search_batch(_request(engine="analytic"),
+                                    targets=[0, 9])
+        finally:
+            register_builtin_models(replace=True)
+
 
 class TestCacheFingerprint:
     def test_tier_is_structural(self):

@@ -187,12 +187,40 @@ class TestBatchReportShape:
                 SearchRequest(n_items=64, n_blocks=4, trace=True)
             )
 
-    def test_batch_target_validation(self):
+    @pytest.mark.parametrize("wants", ["report", "probability"],
+                             ids=["simulate", "analytic"])
+    def test_batch_target_validation(self, wants):
+        # Both tiers read their targets through one normaliser.
         engine = SearchEngine()
+        request = SearchRequest(n_items=64, n_blocks=4, wants=wants)
         with pytest.raises(ValueError, match="non-empty"):
-            engine.search_batch(SearchRequest(n_items=64, n_blocks=4), targets=[])
+            engine.search_batch(request, targets=[])
         with pytest.raises(ValueError, match="address range"):
-            engine.search_batch(SearchRequest(n_items=64, n_blocks=4), targets=[64])
+            engine.search_batch(request, targets=[64])
+        # Fractions and bools are refused, not truncated to addresses, and
+        # a value past int64 is a ValueError, not an OverflowError.
+        for bad in ([1.5, 2.9], np.array([1.5, 63.9]), [True, False], [2**64]):
+            with pytest.raises(ValueError, match="integers"):
+                engine.search_batch(request, targets=bad)
+
+        listed = engine.search_batch(request, targets=[3, 17, 63])
+        assert (listed.backend == "analytic") == (wants == "probability")
+        narrow = engine.search_batch(
+            request, targets=np.array([3, 17, 63], dtype=np.int32)
+        )
+        assert narrow.targets.dtype == listed.targets.dtype == np.intp
+        for field in ("targets", "success_probabilities", "block_guesses",
+                      "queries"):
+            np.testing.assert_array_equal(getattr(narrow, field),
+                                          getattr(listed, field))
+        assert narrow.schedule == listed.schedule
+        assert narrow.execution == listed.execution
+
+        # The report keeps its own copy of the caller's buffer.
+        caller = np.array([3, 17, 63], dtype=np.int64)
+        report = engine.search_batch(request, targets=caller)
+        caller[:] = 0
+        np.testing.assert_array_equal(report.targets, [3, 17, 63])
 
     def test_generic_fallback_matches_single_runs(self):
         # grover-full has no native batch: the engine loops its single-run
