@@ -1,4 +1,4 @@
-"""Ablations of the schedule-design choices DESIGN.md calls out.
+"""Ablations of the GRK schedule's design choices.
 
 Three knobs, each isolated:
 

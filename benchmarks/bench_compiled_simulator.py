@@ -23,11 +23,16 @@ comparable perf snapshot.  Four measurements:
 - ``kernels_sweep``: the program sweep against the composed reference
   iteration on the same batched workload, at both dtypes — complex128
   checked bit-identical, complex64 within tolerance, with the speedups.
+- ``baselines``: all-targets engine batches of the paper's baselines
+  (grover-full plain and exact, seeded naive-blocks, classical) beside
+  grk's at the same geometry, each with its ratio to grk.
 - ``acceptance``: the PR gate — compiled >= 5x naive on the single
   circuit, batched >= 10x the single-run loop, the sharded batch
   bit-identical under its budget, at least one policy knob buying
-  throughput on the batched kernels, and the sweep clearing its
-  complex64 speedup floor over the reference.
+  throughput on the batched kernels, the sweep clearing its complex64
+  speedup floor over the reference, and every quantum baseline batch
+  within 8x of grk's (they run as programs on the same sweep; a
+  per-target loop costs 15-60x).
 
 ``--quick`` runs a reduced configuration (fewer qubits, smaller budgets,
 relaxed speedup floors) for the CI smoke job; the JSON records which mode
@@ -311,6 +316,45 @@ def bench_kernels_sweep(cfg: dict) -> dict:
     return results
 
 
+#: The baseline batches timed beside grk: ``(label, method, options, seed)``.
+#: classical is recorded but not gated: its scans run in Python, one per
+#: target, with no state to batch.
+BASELINES = (
+    ("grover-full", "grover-full", {}, None),
+    ("grover-full-exact", "grover-full", {"exact": True}, None),
+    ("naive-blocks", "naive-blocks", {}, 1),
+    ("classical", "classical", {}, None),
+)
+
+#: Largest quantum-baseline batch time, as a multiple of grk's batch.
+MAX_BASELINE_VS_GRK = 8.0
+
+
+def bench_baselines(cfg: dict) -> dict:
+    """All-targets batch seconds of the baselines beside grk's, at
+    ``N = 2**kernels_batch_qubits`` and ``K = 4`` (best of five, warm:
+    the quick geometry's batches take milliseconds)."""
+    n = cfg["kernels_batch_qubits"]
+    engine = SearchEngine()
+
+    def run(method, options=None, seed=None):
+        return engine.search_batch(SearchRequest(
+            n_items=1 << n, n_blocks=1 << N_BLOCK_BITS, method=method,
+            options=options or {}, rng=seed,
+        ))
+
+    run("grk")  # warm the plan cache
+    t_grk = _time(lambda: run("grk"), repeats=5)
+    results = {"n_address_qubits": n, "n_targets": 1 << n, "grk_s": t_grk}
+    for label, method, options, seed in BASELINES:
+        report = run(method, options, seed)
+        assert report.all_correct, f"{label} batch answered a wrong block"
+        t = _time(lambda: run(method, options, seed), repeats=5)
+        results[f"{label}_s"] = t
+        results[f"{label}_vs_grk"] = t / t_grk
+    return results
+
+
 def bench_sharded(cfg: dict) -> dict:
     """The ROADMAP sharding item, measured: all-targets batch under a byte
     budget vs the unsharded single-shard execution (peak RSS + identity)."""
@@ -404,6 +448,7 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
     batched = bench_batched(cfg)
     kernels_batched = bench_kernels_batched(cfg)
     kernels_sweep = bench_kernels_sweep(cfg)
+    baselines = bench_baselines(cfg)
     sharded = bench_sharded(cfg)
     results = {
         "bench": "compiled_simulator",
@@ -411,13 +456,15 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
         "description": (
             "naive gate-by-gate vs compiled fused program vs batched "
             "multi-target execution of the GRK partial-search circuit, plus "
-            "the engine's memory-bounded sharded all-targets batch and the "
-            "program sweep against its composed reference iteration"
+            "the engine's memory-bounded sharded all-targets batch, the "
+            "program sweep against its composed reference iteration, and "
+            "the baselines' all-targets batches beside grk's"
         ),
         "single": single,
         "batched": batched,
         "kernels_batched": kernels_batched,
         "kernels_sweep": kernels_sweep,
+        "baselines": baselines,
         "sharded": sharded,
         "acceptance": {
             f"compiled_at_least_{cfg['floor_compiled_vs_naive']:g}x_naive":
@@ -442,6 +489,10 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
             f"sweep_at_least_{cfg['floor_sweep_complex64']:g}x_reference_c64":
                 kernels_sweep["speedup_sweep_vs_reference_complex64"]
                 >= cfg["floor_sweep_complex64"],
+            f"baselines_at_most_{MAX_BASELINE_VS_GRK:g}x_grk": all(
+                baselines[f"{label}_vs_grk"] <= MAX_BASELINE_VS_GRK
+                for label, method, *_ in BASELINES if method != "classical"
+            ),
         },
     }
     if baseline:

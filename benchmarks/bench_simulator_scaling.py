@@ -1,6 +1,6 @@
 """X2 — simulator engineering: structured O(N) kernels vs dense matrices.
 
-Not a paper artifact, but the substrate claim DESIGN.md makes: one Grover
+Not a paper artifact, but the claim the simulator rests on: one Grover
 iteration via the structured kernels costs O(N) (two vector sweeps), vs the
 O(N^2) dense matrix product; the subspace model costs O(1) per schedule.
 pytest-benchmark records the timings; the assertions pin the asymptotic

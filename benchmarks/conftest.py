@@ -1,7 +1,7 @@
 """Shared infrastructure for the benchmark harness.
 
-Each ``bench_*.py`` regenerates one table or figure of the paper (see the
-experiment index in DESIGN.md).  Conventions:
+Each ``bench_*.py`` regenerates one table or figure of the paper, named in
+its module docstring.  Conventions:
 
 - the computational kernel is timed with pytest-benchmark (``--benchmark-only``);
 - the regenerated rows/series are rendered as ASCII and written to

@@ -10,7 +10,8 @@ per-target runs.
 This module owns the *chunk primitive* :func:`execute_batch_rows`: one
 shard of rows on a named backend, for any
 :class:`~repro.core.program.PartialSearchProgram` (grk, grk-simplified,
-grk-sure-success, grk-cwb).  On the ``"kernels"`` backend the whole loop
+grk-sure-success, grk-cwb, and the full-search programs of grover-full
+and naive-blocks).  On the ``"kernels"`` backend the whole loop
 structure is :func:`repro.kernels.program_sweep_rows`, which walks the
 rows in cache-resident blocks.  Memory-bounded sharding, process
 fan-out, and the supported public surface live in :mod:`repro.engine`
@@ -49,7 +50,7 @@ def execute_batch_rows(
     backend: str,
     policy: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one shard of a GRK-family batch: *program* once per target.
+    """Run one shard of a program batch: *program* once per target.
 
     This is the shard primitive the engine's execution planner dispatches:
     rows evolve independently, so concatenating the outputs of consecutive

@@ -1,4 +1,4 @@
-"""One program form for the GRK family.
+"""One program form for the GRK family and the quantum baselines.
 
 GRK (quant-ph/0407122), Korepin–Grover's simplification (quant-ph/0504157),
 the phased sure-success tail and Choi–Walker–Braunstein (quant-ph/0603136)
@@ -15,7 +15,15 @@ as plain data, so every consumer reads one form:
                        block 1 (φo2, φd2)]``, Step 3 at π
 ``grk-cwb``            ``[global l1-1, global 1 (φo, φd), block l2-1,
                        block 1 (χo, χd)]``, Step 3 at φf
+``grover-full``        ``[global j]`` with ``K = N``, no Step 3; Long's
+                       exact variant ``[global J+1 (φ, φ)]``
+``naive-blocks``       ``[global j]`` over the ``M = N - N/K`` searched
+                       addresses with ``K = M``, no Step 3
 =====================  =====================================================
+
+The baselines are full searches.  With one address per block and no
+Step 3, the block readout measures the address register: success is
+``|a_t|^2`` and the guess is the most probable address.
 
 Each planner's result exposes its program as ``.program``
 (:class:`~repro.core.parameters.GRKSchedule`,

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.engine.registry import MethodSpec, get_method
 from repro.engine.report import BatchReport, SearchReport
 from repro.engine.request import SearchRequest, ShardPolicy, batch_targets
@@ -53,8 +51,8 @@ class SearchEngine:
             (:class:`~repro.service.executor.LocalExecutor`); pass a
             :class:`~repro.service.executor.RemoteExecutor` to fan shards
             out to ``repro-worker`` hosts.  Results are bit-identical
-            whatever the executor: shard boundaries and per-target RNG
-            streams are fixed before dispatch.
+            whatever the executor: shard boundaries and every random draw
+            are fixed before dispatch.
 
     The engine is stateless apart from those defaults — it is cheap to
     construct and safe to share.
@@ -181,16 +179,14 @@ class SearchEngine:
                 sweep).  Both tiers validate it with
                 :func:`~repro.engine.request.batch_targets`.
 
-        The batch splits into ``(B_chunk, N)`` shards sized by
-        ``request.shards`` (default budget ≲128 MiB) so all-targets sweeps
-        at 12 address qubits no longer allocate a 0.5 GB state matrix;
-        results are bit-identical to the unsharded execution.  With
-        ``request.shards.workers > 1`` shards fan out across a process
-        pool.  Methods without a vectorised path run a per-target loop
-        inside the same shard structure; their per-target RNG streams are
-        spawned from ``request.rng`` *before* sharding, so stochastic
-        results are likewise invariant to shard boundaries and worker
-        count.
+        Every simulated method runs one program over the batch in
+        ``(B_chunk, N)`` shards sized by ``request.shards`` (default budget
+        ≲128 MiB), so all-targets sweeps at 12 address qubits no longer
+        allocate a 0.5 GB state matrix; results are bit-identical to the
+        unsharded execution.  With ``request.shards.workers > 1`` shards
+        fan out across a process pool.  Shard tasks are plain data:
+        naive-blocks draws its per-row left-out blocks from ``request.rng``
+        before sharding.  The classical scans run in-process, no shard.
 
         Returns:
             :class:`BatchReport` with per-row success/guess/query arrays.
@@ -211,74 +207,7 @@ class SearchEngine:
                 if request.engine == "analytic":
                     raise
         targets = batch_targets(targets, request.n_items)
-        if spec.native_batch is not None:
-            return spec.native_batch(request, backend, targets, self.executor)
-        return self._generic_batch(spec, request, backend, targets)
-
-    def _generic_batch(
-        self,
-        spec: MethodSpec,
-        request: SearchRequest,
-        backend: str,
-        targets: np.ndarray,
-    ) -> BatchReport:
-        """Per-target fallback for methods without a vectorised batch.
-
-        Single-target methods hold one state row at a time, so the shard
-        plan degenerates to work chunking — but it still drives the process
-        fan-out and keeps the report's execution provenance uniform.
-        """
-        from repro.engine.plan import plan_shards
-        from repro.observability.spans import span
-        from repro.util.rng import spawn_rngs
-
-        with span("shards.plan", backend=backend) as planned:
-            plan = plan_shards(
-                targets.size, request.n_items, backend, request.shards,
-                request.policy,
-            )
-            planned.attrs["shards"] = plan.n_shards
-        # Plain-field task payloads: requests carry a read-only options proxy
-        # that process pools cannot pickle, so shards rebuild the request.
-        base_fields = {
-            "n_items": request.n_items,
-            "n_blocks": request.n_blocks,
-            "method": request.method,
-            "epsilon": request.epsilon,
-            "policy": plan.policy,  # "auto" row_threads resolved by the plan
-            "options": dict(request.options),
-        }
-        # One independent stream per *target*, spawned before sharding, so
-        # stochastic methods give the same per-row results whatever the
-        # shard policy or worker count (numpy Generators pickle fine).
-        # The resolved MethodSpec ships in the payload: worker processes
-        # import a fresh registry, so re-resolving by name there would
-        # silently drop custom/replaced registrations.
-        rngs = spawn_rngs(request.rng, targets.size)
-        tasks = [
-            (spec, base_fields, backend, targets[sl], rngs[sl])
-            for sl in plan.slices()
-        ]
-        results = self.executor.run_shards(
-            _run_single_target_shard, tasks, workers=plan.workers
-        )
-        with span("merge", shards=len(results)):
-            success = np.concatenate([r[0] for r in results])
-            guesses = np.concatenate([r[1] for r in results])
-            queries = np.concatenate([r[2] for r in results])
-        schedule: dict = {}
-        return BatchReport(
-            method=request.method,
-            backend=backend,
-            n_items=request.n_items,
-            n_blocks=request.n_blocks,
-            targets=targets,
-            success_probabilities=success,
-            block_guesses=guesses,
-            queries=queries,
-            schedule=schedule,
-            execution={**plan.describe(), **self.executor.describe()},
-        )
+        return spec.batch(request, backend, targets, self.executor)
 
     # -------------------------------------------------------------- sweep
     def sweep(
@@ -359,30 +288,3 @@ class SearchEngine:
                         row["sim_all_correct"] = report.all_correct
                 rows.append(row)
         return rows
-
-
-def _run_single_target_shard(task, rng):
-    """One generic-fallback shard: loop the single-run adapter per target.
-
-    Module-level so process pools can pickle it.  The shard carries one
-    pre-spawned generator per target (derived from the request's seed
-    *before* sharding), so per-row randomness — and therefore results — do
-    not depend on shard boundaries or worker count; the per-shard *rng*
-    argument from :func:`parallel_map` goes unused.  The parent already
-    validated the request and resolved the method, so the shard calls the
-    shipped adapter directly instead of consulting the worker's registry.
-    """
-    spec, base_fields, backend, targets, target_rngs = task
-    success = np.empty(targets.size)
-    guesses = np.empty(targets.size, dtype=np.intp)
-    queries = np.empty(targets.size, dtype=np.intp)
-    for i, t in enumerate(targets):
-        request = SearchRequest(
-            backend=backend, target=int(t), rng=target_rngs[i], **base_fields
-        )
-        database = SingleTargetDatabase(request.n_items, int(t))
-        report = spec.run(request, backend, database)
-        success[i] = report.success_probability
-        guesses[i] = -1 if report.block_guess is None else report.block_guess
-        queries[i] = report.queries
-    return success, guesses, queries

@@ -10,6 +10,8 @@ shard list through a :class:`repro.service.executor.ShardExecutor` — by
 default the in-process/process-pool :class:`~repro.service.executor.LocalExecutor`,
 or any custom executor (e.g. the TCP-distributed
 :class:`~repro.service.executor.RemoteExecutor`) installed on the engine.
+Every simulated batch ships one shard function, whose tasks are plain
+data: a program, targets, a backend name and an execution policy.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ __all__ = [
 #: conservative envelope validated by the sharded-batch bench.
 ROW_OVERHEAD = 4
 
-#: Nominal per-row bookkeeping bytes for backends that hold no state vector
-#: (the classical scans and the analytic model) — one row costs a report's
-#: worth of scalars, so the byte budget effectively never shards them.
-STATELESS_ROW_BYTES = 4096
-
 
 def state_row_bytes(
     backend: str, n_items: int, policy: ExecutionPolicy | None = None
@@ -51,16 +48,16 @@ def state_row_bytes(
     backends hold a complex row of ``2N`` (ancilla doubles the space); both
     are scaled by :data:`ROW_OVERHEAD` for kernel temporaries and by the
     policy's dtype width — ``dtype="complex64"`` halves every amplitude, so
-    a fixed shard byte budget admits **2x the rows per shard**.  Stateless
-    backends (``classical``, ``analytic``) cost
-    :data:`STATELESS_ROW_BYTES` regardless of ``N``.
+    a fixed shard byte budget admits **2x the rows per shard**.  A backend
+    that holds no state (``classical``, ``analytic``) raises ``ValueError``:
+    it plans no shards.
     """
     scale = 1.0 if policy is None else policy.itemsize_scale
     if backend in CIRCUIT_BACKENDS:
         return int(2 * n_items * 16 * ROW_OVERHEAD * scale)
     if backend == KERNEL_BACKEND:
         return int(n_items * 8 * ROW_OVERHEAD * scale)
-    return STATELESS_ROW_BYTES
+    raise ValueError(f"backend {backend!r} holds no state to shard")
 
 
 @dataclass(frozen=True)
@@ -124,8 +121,9 @@ def plan_shards(
     """Fit a shard plan for ``n_rows`` batch rows of an ``N``-item instance.
 
     The row count per shard is the largest that keeps the modelled working
-    set under ``policy.max_bytes`` (clamped to ``[1, n_rows]`` — a single
-    row always runs even if it alone exceeds the budget), further capped by
+    set under ``policy.max_bytes`` (at least 1 and at most ``n_rows`` — a
+    single row always runs even if it alone exceeds the budget, and zero
+    rows plan zero shards), further capped by
     ``policy.max_rows`` when set.  With ``policy.workers > 1`` the rows are
     additionally capped at an even split across the pool, so a batch whose
     byte budget would fit in one shard still fans out.  *execution* (the
@@ -134,8 +132,8 @@ def plan_shards(
     twice the ``B_chunk`` — and rides on the plan so shards execute under
     it.
     """
-    if n_rows < 1:
-        raise ValueError("n_rows must be >= 1")
+    if n_rows < 0:
+        raise ValueError("n_rows must be >= 0")
     if policy is None:
         policy = ShardPolicy()
     if execution is None:
@@ -146,7 +144,7 @@ def plan_shards(
         rows = min(rows, policy.max_rows)
     if policy.workers > 1:
         rows = min(rows, -(-n_rows // policy.workers))
-    rows = int(min(rows, n_rows))
+    rows = int(max(1, min(rows, n_rows)))
     # Pin row_threads="auto" to a concrete count here, once, so every
     # shard of the batch — local or remote — runs at the same width and
     # the plan's provenance records what actually ran.  The resolved shard
@@ -163,16 +161,16 @@ def plan_shards(
     )
 
 
-def _grk_shard(task, rng):
-    """Execute one GRK-family shard (module-level so process pools can
-    pickle it).
+def _program_shard(task, rng):
+    """Execute one shard of a program batch (module-level so process pools
+    can pickle it).
 
-    ``rng`` is the :func:`parallel_map` per-task generator; the batch is
+    ``rng`` is the :func:`parallel_map` per-task generator; the shard is
     deterministic so it goes unused — shard results are bit-identical
-    regardless of worker count or scheduling order.  The task carries the
-    plain-data program and the :class:`~repro.kernels.ExecutionPolicy`
-    (wire-format payload field since protocol v2), so remote workers
-    execute at the requested dtype and row parallelism.
+    regardless of worker count or scheduling order.  The task is plain
+    data: the program, the targets, the backend name and the
+    :class:`~repro.kernels.ExecutionPolicy`, so remote workers execute at
+    the requested dtype and row parallelism.
     """
     program, targets, backend, execution = task
     from repro.core.batch import execute_batch_rows
@@ -188,14 +186,15 @@ def run_grk_batch_sharded(
     executor=None,
     execution: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ExecutionPlan]:
-    """Run a GRK-family batch over *targets* in memory-bounded shards.
+    """Run a program batch over *targets* in memory-bounded shards.
 
-    *program* is the :class:`~repro.core.program.PartialSearchProgram` of
-    any GRK-family plan (``plan.program``); shards ship it as plain data.
-    Returns ``(success_probabilities, block_guesses, plan)`` with the
-    arrays concatenated in target order — bit-identical to the unsharded
-    execution, because every batch row evolves independently under the
-    same kernels.  *executor* selects
+    *program* is any :class:`~repro.core.program.PartialSearchProgram`
+    (a GRK-family ``plan.program`` or a baseline's full-search program);
+    shards ship it as plain data.  Returns ``(success_probabilities,
+    block_guesses, plan)`` with the arrays concatenated in target order —
+    bit-identical to the unsharded execution, because every batch row
+    evolves independently under the same kernels; an empty batch
+    dispatches nothing.  *executor* selects
     where shards run (``None`` = the default local executor); every
     executor preserves bit-identity because shard boundaries are fixed
     here, before dispatch.  *execution* is the kernels'
@@ -219,9 +218,11 @@ def run_grk_batch_sharded(
             (program, targets[sl], backend, execution) for sl in plan.slices()
         ]
         planned.attrs["shards"] = plan.n_shards
+    if not tasks:
+        return np.empty(0), np.empty(0, dtype=np.intp), plan
     if executor is None:
         executor = default_executor()
-    results = executor.run_shards(_grk_shard, tasks, workers=plan.workers)
+    results = executor.run_shards(_program_shard, tasks, workers=plan.workers)
     with span("merge", shards=len(results)):
         success = np.concatenate([r[0] for r in results])
         guesses = np.concatenate([r[1] for r in results])

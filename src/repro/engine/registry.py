@@ -16,7 +16,7 @@ The built-in methods are registered by :mod:`repro.engine.methods` when
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = [
@@ -40,12 +40,13 @@ class MethodSpec:
             order; the first entry is the default.
         run: adapter ``(request, backend, database) -> SearchReport``
             executing one search against a counted database.
-        native_batch: optional adapter
-            ``(request, backend, targets, executor) -> BatchReport`` for
-            methods with a vectorised many-targets path (the GRK family);
-            ``executor`` is the engine's shard executor, through which the
-            adapter dispatches its shards.  Methods without one fall back
-            to the engine's generic per-target loop.
+        batch: adapter ``(request, backend, targets, executor) ->
+            BatchReport`` answering one row per target.  Every method
+            needs one; there is no per-target fallback.  Simulated
+            methods run a program through the sharded sweep
+            (:func:`repro.engine.plan.run_grk_batch_sharded`), dispatching
+            its shards through ``executor``, the engine's shard executor;
+            stateless methods answer in-process and leave it unused.
         needs_blocks: whether the method requires ``K >= 2`` (everything
             except full search).
         supports_trace: whether ``request.trace=True`` is honoured.
@@ -62,7 +63,7 @@ class MethodSpec:
     description: str
     backends: tuple[str, ...]
     run: Callable[..., Any]
-    native_batch: Callable[..., Any] | None = None
+    batch: Callable[..., Any]
     needs_blocks: bool = True
     supports_trace: bool = False
     honours_policy: bool = True

@@ -13,8 +13,9 @@ of, in both single-state ``(N,)`` and batched ``(B, N)`` forms, plus the
   ``complex128``/``complex64`` precision names, and the documented
   :data:`COMPLEX64_SUCCESS_ATOL` tolerance contract;
 - :mod:`repro.kernels.sweep` — :func:`program_sweep_rows`, the row-blocked
-  program sweep every GRK-family batch runs, with its fused unphased
-  iteration (bit-identical to the composed primitives at complex128).
+  program sweep every simulated batch runs (the GRK family and the
+  full-search baselines), with its fused unphased iteration
+  (bit-identical to the composed primitives at complex128).
 
 Consumers: the single-state simulators import :mod:`repro.kernels.primitives`
 directly, the compiled circuit backend dispatches its fused diffusion/phase

@@ -90,7 +90,11 @@ def phased_iteration_rows(
     if oracle_phase == np.pi:
         phase_flip_rows(amps, targets)
     else:
-        amps[_rows_for(amps, None), targets] *= cmath.exp(1j * oracle_phase)
+        # Out of place: numpy's in-place complex multiply rounds some
+        # elements differently depending on the array's length, which
+        # would make a row's result depend on its shard's size.
+        rows = _rows_for(amps, None)
+        amps[rows, targets] = amps[rows, targets] * cmath.exp(1j * oracle_phase)
     if n_blocks is None:
         invert_about_mean(amps, diffusion_phase)
     else:
@@ -205,7 +209,7 @@ def sweep_row_slabs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch a ``(success, guesses)`` sweep over row slabs and rejoin.
 
-    The shared plumbing of every GRK-family batch: *sweep* takes a row ``slice`` and returns per-slab ``(success
+    The shared plumbing of every simulated batch: *sweep* takes a row ``slice`` and returns per-slab ``(success
     probabilities, block guesses)``; slabs are threaded per
     :func:`map_row_slabs` and concatenated in order — bit-identical to one
     serial sweep.  An empty batch short-circuits to empty arrays of the

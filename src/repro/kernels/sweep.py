@@ -1,8 +1,8 @@
-"""The program sweep: the one implementation of every GRK-family batch.
+"""The program sweep: the one implementation of every simulated batch.
 
-Every simulator batch of the GRK family bottoms out in
-:func:`program_sweep_rows`: one target per row, one
-:class:`~repro.core.program.PartialSearchProgram` (global and block
+Every simulator batch, of the GRK family and of the full-search
+baselines, bottoms out in :func:`program_sweep_rows`: one target per row,
+one :class:`~repro.core.program.PartialSearchProgram` (global and block
 iterations, optional phases, optional Step 3) for all of them.  The sweep
 is memory-bandwidth bound, so it walks the rows in blocks of about
 :data:`ROW_BLOCK_BYTES` that each allocate their own state and stay

@@ -12,7 +12,7 @@ Two layers grow the single-machine engine into a serving system:
    batch from a worker source: a static address list
    (:class:`StaticWorkers`), or a :class:`WorkerRegistry` that workers join
    by announcing themselves (``repro-worker --register``) and the server
-   health-checks.  Shard boundaries and per-target RNG streams are fixed
+   health-checks.  Shard boundaries and every random draw are fixed
    *before* dispatch, so every executor returns bit-identical results.
 
 2. **Serving layer** (:mod:`repro.service.scheduler` /

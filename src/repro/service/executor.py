@@ -5,11 +5,12 @@
 and then hands the shard list to a :class:`ShardExecutor`.  The contract is
 deliberately tiny — ``run_shards(func, tasks)`` returning results *in task
 order* — because everything that matters for reproducibility is decided
-before dispatch: shard boundaries come from the plan, and per-target RNG
-streams are spawned from the request seed and shipped *inside* the task
-payloads.  Any executor that runs every task exactly once therefore returns
-bit-identical results, whatever the host, scheduling order, or retry
-history.
+before dispatch: shard boundaries come from the plan, and every random
+draw (naive-blocks' per-row left-out blocks) happens in the engine before
+dispatch, so no RNG stream ships inside a task.  A task is plain data: a program, its
+targets, a backend name and an execution policy.  Any executor that runs
+every task exactly once therefore returns bit-identical results, whatever
+the host, scheduling order, or retry history.
 
 Two executors ship today:
 

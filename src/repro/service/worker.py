@@ -12,8 +12,8 @@ The worker listens on TCP, accepts any number of concurrent connections
   is answered ``("expired", message)`` without computing.
 - ``("ping",)`` -> ``("pong", stats_dict)`` — liveness/health probe.
 
-The worker is stateless between shards: everything a shard needs (schedule,
-targets, pre-spawned RNG streams) arrives in the task payload, which is what
+The worker is stateless between shards: everything a shard needs (program,
+targets, backend, policy) arrives as plain data in the task payload, which
 makes results bit-identical to local execution.  Functions are pickled by
 reference (module + qualname), so the worker host needs the same ``repro``
 version importable — deploy workers and drivers from the same build (a

@@ -280,12 +280,6 @@ def _batch_parity_params():
                            id=f"{method}-{n}x{k}" + (f"-{label}" if label else ""))
 
 
-#: Guesses compare exactly for every method but naive-blocks, whose
-#: simulated rows sample theirs from one measurement.
-GUESS_EXACT = ("grk", "grk-simplified", "grk-sure-success", "grk-cwb",
-               "grover-full", "classical")
-
-
 class TestBatchParity:
     """The all-targets analytic batch against the simulated batch."""
 
@@ -303,5 +297,6 @@ class TestBatchParity:
             ana.success_probabilities, sim.success_probabilities, atol=ATOL
         )
         np.testing.assert_array_equal(ana.queries, sim.queries)
-        if method in GUESS_EXACT:
-            np.testing.assert_array_equal(ana.block_guesses, sim.block_guesses)
+        # Guesses compare exactly for every method: naive-blocks' simulated
+        # rows guess their most likely answer, not a sampled one.
+        np.testing.assert_array_equal(ana.block_guesses, sim.block_guesses)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import plan_schedule, run_partial_search
+from repro.core.naive import run_naive_partial_search
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
 from repro.oracle import QueryCounter, SingleTargetDatabase
+from repro.util.rng import spawn_rngs
 
 
 class TestRequestValidation:
@@ -222,26 +224,6 @@ class TestBatchReportShape:
         caller[:] = 0
         np.testing.assert_array_equal(report.targets, [3, 17, 63])
 
-    def test_generic_fallback_matches_single_runs(self):
-        # grover-full has no native batch: the engine loops its single-run
-        # adapter per target inside the shard structure.
-        engine = SearchEngine()
-        targets = [0, 13, 40, 63]
-        report = engine.search_batch(
-            SearchRequest(n_items=64, n_blocks=4, method="grover-full"),
-            targets=targets,
-        )
-        assert report.schedule == {}
-        for i, t in enumerate(targets):
-            single = engine.search(
-                SearchRequest(n_items=64, n_blocks=4, target=t, method="grover-full")
-            )
-            assert report.block_guesses[i] == single.block_guess
-            assert report.queries[i] == single.queries
-            assert report.success_probabilities[i] == pytest.approx(
-                single.success_probability, abs=1e-12
-            )
-
     @pytest.mark.parametrize("method", ["grk-sure-success", "grk-cwb"])
     @pytest.mark.parametrize(
         "geometry", [(64, 4), (96, 4), (1024, 4)], ids=lambda g: "%dx%d" % g
@@ -283,3 +265,91 @@ class TestBatchReportShape:
             ) <= 1e-12
             assert report.block_guesses[t] == result.block_guess
             assert report.queries[t] == result.queries
+
+
+#: ``(method, options, seed)`` of every baseline batch form.
+BASELINE_BATCHES = [
+    ("grover-full", {}, None),
+    ("grover-full", {"exact": True}, None),
+    ("grover-full", {"iterations": 3}, None),
+    ("naive-blocks", {"left_out_block": 2}, None),
+    ("naive-blocks", {}, 42),
+    ("classical", {}, None),
+    ("classical", {"strategy": "randomized"}, 42),
+]
+
+
+def _baseline_id(case):
+    method, options, seed = case
+    label = ",".join(f"{key}={value}" for key, value in options.items())
+    return "-".join(str(part) for part in (method, label, seed) if part)
+
+
+class TestBaselineBatchRows:
+    """Every baseline batch row equals a single run on its target, driven
+    by the row's own stream (``spawn_rngs(request.rng, B)[i]``)."""
+
+    @pytest.mark.parametrize("method,options,seed", BASELINE_BATCHES,
+                             ids=[_baseline_id(c) for c in BASELINE_BATCHES])
+    @pytest.mark.parametrize("geometry", [(64, 4), (96, 6)],
+                             ids=lambda g: "%dx%d" % g)
+    def test_rows_equal_single_runs(self, method, options, seed, geometry):
+        n, k = geometry
+        b = n // k
+        picked = np.random.default_rng(5).integers(n, size=12)
+        targets = np.concatenate([[0, b - 1, b, n - 1], picked])
+        engine = SearchEngine()
+        request = SearchRequest(n_items=n, n_blocks=k, method=method,
+                                options=options, rng=seed)
+        report = engine.search_batch(request, targets=targets)
+        streams = spawn_rngs(seed, targets.size)
+        for i, t in enumerate(targets):
+            single = engine.search(
+                request.replace(target=int(t), rng=streams[i])
+            )
+            success = report.success_probabilities[i]
+            if method == "grover-full" and not options:
+                assert success == single.success_probability
+            else:
+                assert abs(success - single.success_probability) <= 1e-12
+            assert report.queries[i] == single.queries
+            if method == "naive-blocks":
+                # Success is exactly 1 on the rows whose target sits in the
+                # left-out block the single run drew from the same stream.
+                left_out = single.schedule["left_out_block"]
+                assert (success == 1.0) == (t // b == left_out)
+            else:
+                assert report.block_guesses[i] == single.block_guess
+        # The batch carries the keys a single run reports.
+        for key in ("iterations", "exact", "strategy"):
+            if key in single.schedule:
+                assert report.schedule[key] == single.schedule[key]
+        if method == "naive-blocks":
+            assert report.schedule["left_out_block"] == options.get(
+                "left_out_block"
+            )
+
+    def test_naive_blocks_guess_is_the_most_likely_answer(self):
+        # With no iteration a searched target keeps 1/48 of the mass, so
+        # the most likely answer of every row is its left-out block.
+        n, k, seed = 64, 4, 3
+        report = SearchEngine().search_batch(
+            SearchRequest(n_items=n, n_blocks=k, method="naive-blocks",
+                          rng=seed, options={"iterations": 0})
+        )
+        streams = spawn_rngs(seed, n)
+        searched = 0
+        for t in range(n):
+            left_out = run_naive_partial_search(
+                SingleTargetDatabase(n, t), k, iterations=0, rng=streams[t]
+            ).left_out_block
+            assert report.block_guesses[t] == left_out
+            if t // (n // k) == left_out:
+                assert report.success_probabilities[t] == 1.0
+            else:
+                searched += 1
+                assert report.success_probabilities[t] == pytest.approx(
+                    1 / 48, abs=1e-15
+                )
+        assert searched > 0
+        assert (report.queries == 1).all()  # the verification probe

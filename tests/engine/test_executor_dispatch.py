@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.engine import SearchEngine, SearchRequest, ShardPolicy
+from repro.core.program import PartialSearchProgram
+from repro.engine import ExecutionPolicy, SearchEngine, SearchRequest, ShardPolicy
 from repro.service.executor import LocalExecutor, ShardExecutor
 
 
@@ -17,7 +18,9 @@ class RecordingExecutor(ShardExecutor):
         self._local = LocalExecutor(use_processes=False)
 
     def run_shards(self, func, tasks, *, workers=1):
-        self.calls.append({"n_tasks": len(list(tasks)), "workers": workers})
+        tasks = list(tasks)
+        self.calls.append({"n_tasks": len(tasks), "workers": workers,
+                           "func": func, "tasks": tasks})
         return self._local.run_shards(func, tasks, workers=workers)
 
     def describe(self):
@@ -36,16 +39,82 @@ class TestEngineDispatch:
         assert report.execution["executor"] == "recording"
         assert report.execution["n_shards"] == 4
 
-    def test_generic_batch_goes_through_engine_executor(self):
+    @pytest.mark.parametrize("method", ["naive-blocks", "grover-full"])
+    def test_baselines_ship_the_grk_shard_function(self, method):
         ex = RecordingExecutor()
         engine = SearchEngine(executor=ex)
+        engine.search_batch(
+            SearchRequest(n_items=64, n_blocks=4, shards=ShardPolicy(max_rows=32))
+        )
         report = engine.search_batch(
-            SearchRequest(n_items=64, n_blocks=4, method="naive-blocks",
+            SearchRequest(n_items=64, n_blocks=4, method=method,
                           rng=3, shards=ShardPolicy(max_rows=32))
         )
-        assert len(ex.calls) == 1
-        assert ex.calls[0]["n_tasks"] == 2
+        grk, baseline = ex.calls
+        assert baseline["func"] is grk["func"]
         assert report.execution["executor"] == "recording"
+        # Every task is plain data: no method adapter, no request, no RNG.
+        for task in baseline["tasks"]:
+            program, targets, backend, policy = task
+            assert isinstance(program, PartialSearchProgram)
+            assert program.n_blocks == program.n_items  # one address each
+            assert program.final_phase is None
+            assert targets.dtype == np.intp
+            assert backend == "kernels"
+            assert isinstance(policy, ExecutionPolicy)
+            blob = pickle.dumps(task)
+            assert b"repro.engine" not in blob
+            assert b"numpy.random" not in blob
+
+    def test_classical_batch_runs_in_process(self):
+        ex = RecordingExecutor()
+        report = SearchEngine(executor=ex).search_batch(
+            SearchRequest(n_items=64, n_blocks=4, method="classical", rng=3,
+                          options={"strategy": "randomized"},
+                          shards=ShardPolicy(workers=2))
+        )
+        assert ex.calls == []
+        assert report.execution == {"n_shards": 0, "workers": 0,
+                                    "executor": "in-process",
+                                    "ignored_workers": 2}
+        assert report.all_correct
+
+    def test_classical_batch_honours_the_ambient_deadline(self):
+        from repro.resilience import Deadline, DeadlineExceeded, deadline_scope
+
+        expired = Deadline.after(0.0, clock=lambda: 0.0)
+        with deadline_scope(expired), pytest.raises(DeadlineExceeded):
+            SearchEngine().search_batch(
+                SearchRequest(n_items=64, n_blocks=4, method="classical")
+            )
+
+    def test_naive_batch_of_left_out_rows_sends_no_shard(self):
+        ex = RecordingExecutor()
+        report = SearchEngine(executor=ex).search_batch(
+            SearchRequest(n_items=64, n_blocks=4, method="naive-blocks",
+                          options={"left_out_block": 1}),
+            targets=range(16, 32),
+        )
+        assert ex.calls == []
+        assert report.execution["n_rows"] == report.execution["n_shards"] == 0
+        assert report.execution["executor"] == "recording"
+        assert (report.success_probabilities == 1.0).all()
+        assert (report.block_guesses == 1).all()
+
+    @pytest.mark.parametrize("method,options", [
+        ("naive-blocks", {"left_out_block": 4}),
+        ("naive-blocks", {"iterations": -1}),
+        ("grover-full", {"exact": True, "iterations": 2}),
+        ("grover-full", {"iterations": -1}),
+    ])
+    def test_bad_options_fail_before_dispatch(self, method, options):
+        ex = RecordingExecutor()
+        with pytest.raises(ValueError):
+            SearchEngine(executor=ex).search_batch(
+                SearchRequest(n_items=64, n_blocks=4, method=method, rng=0,
+                              options=options)
+            )
+        assert ex.calls == []
 
     def test_default_executor_is_local(self):
         report = SearchEngine().search_batch(

@@ -27,6 +27,10 @@ class TestRegistryContents:
     def test_builtins_registered(self):
         assert set(BUILTINS) <= set(available_methods())
 
+    def test_every_method_has_a_batch_adapter(self):
+        for name in available_methods():
+            assert callable(get_method(name).batch)
+
     @pytest.mark.parametrize("name", BUILTINS)
     def test_get_method_round_trip(self, name):
         spec = get_method(name)
@@ -81,6 +85,7 @@ class TestRegistration:
             description="registry round-trip fixture",
             backends=("kernels",),
             run=lambda request, backend, database: None,
+            batch=lambda request, backend, targets, executor: None,
         )
         try:
             register_method(spec)
@@ -93,8 +98,14 @@ class TestRegistration:
         with pytest.raises(ValueError):
             get_method("test-noop")
 
+    def test_spec_needs_a_batch_adapter(self):
+        with pytest.raises(TypeError, match="batch"):
+            MethodSpec(name="no-batch", description="", backends=("kernels",),
+                       run=lambda *a: None)
+
     def test_spec_needs_backends(self):
         with pytest.raises(ValueError, match="backend"):
             MethodSpec(
-                name="broken", description="", backends=(), run=lambda *a: None
+                name="broken", description="", backends=(),
+                run=lambda *a: None, batch=lambda *a: None,
             )

@@ -27,6 +27,9 @@ class TestPlanMath:
         assert state_row_bytes("compiled", 4096) == 4 * state_row_bytes(
             "kernels", 4096
         )
+        # Backends that hold no state plan no shards.
+        with pytest.raises(ValueError, match="no state"):
+            state_row_bytes("classical", 4096)
 
     def test_shard_rows_fit_budget(self):
         plan = plan_shards(4096, 4096, "compiled", ShardPolicy(max_bytes=2**27))
@@ -39,6 +42,9 @@ class TestPlanMath:
         plan = plan_shards(8, 1 << 20, "kernels", ShardPolicy(max_bytes=1024))
         assert plan.shard_rows == 1
         assert plan.n_shards == 8
+        # Zero rows plan zero shards.
+        empty = plan_shards(0, 64, "kernels", ShardPolicy(workers=2))
+        assert empty.n_shards == 0 and list(empty.slices()) == []
 
     def test_max_rows_caps_budget_rows(self):
         plan = plan_shards(100, 64, "kernels", ShardPolicy(max_rows=7))
@@ -110,8 +116,8 @@ class TestShardBoundaryBitIdentity:
         )
 
     def test_stochastic_methods_shard_invariant(self):
-        # Per-target RNG streams are spawned before sharding, so a seeded
-        # stochastic method returns identical rows whatever the shard size.
+        # The classical scans run in-process and draw every row's stream
+        # from the request seed, so the shard policy cannot move a row.
         engine = SearchEngine()
         def run(rows):
             return engine.search_batch(
@@ -127,6 +133,35 @@ class TestShardBoundaryBitIdentity:
             got = run(rows)
             np.testing.assert_array_equal(got.queries, base.queries)
             np.testing.assert_array_equal(got.block_guesses, base.block_guesses)
+
+    @pytest.mark.parametrize("method,options,seed", [
+        ("grover-full", {}, None),
+        ("grover-full", {"exact": True}, None),
+        ("naive-blocks", {}, 42),
+    ], ids=["grover-full", "grover-full-exact", "naive-blocks-seeded"])
+    def test_baseline_shards_invisible(self, method, options, seed):
+        # The baselines run their programs through the same sharded sweep;
+        # naive-blocks draws its left-out blocks before sharding.
+        n, k = 64, 4
+        engine = SearchEngine()
+
+        def run(shards):
+            return engine.search_batch(
+                SearchRequest(n_items=n, n_blocks=k, method=method,
+                              options=options, rng=seed, shards=shards)
+            )
+
+        base = run(ShardPolicy(max_rows=n))
+        assert base.execution["n_shards"] == 1
+        for shards in (ShardPolicy(max_rows=1), ShardPolicy(max_rows=7),
+                       ShardPolicy(max_rows=16, workers=2)):
+            got = run(shards)
+            assert got.execution["n_shards"] > 1
+            np.testing.assert_array_equal(
+                got.success_probabilities, base.success_probabilities
+            )
+            np.testing.assert_array_equal(got.block_guesses, base.block_guesses)
+            np.testing.assert_array_equal(got.queries, base.queries)
 
     def test_process_fanout_bit_identical(self):
         n, k = 64, 4
@@ -195,8 +230,6 @@ class TestShardIdentityUnderPolicies:
             plan_shards(4096, n, "kernels", budget, half).shard_rows
             == 2 * plan_shards(4096, n, "kernels", budget).shard_rows
         )
-        # Stateless backends have no state to shrink.
-        assert state_row_bytes("classical", n, half) == state_row_bytes("classical", n)
 
     def test_row_threads_bit_identical_to_serial(self):
         n, k = 128, 4
@@ -237,10 +270,10 @@ class TestShardIdentityUnderPolicies:
         np.testing.assert_array_equal(fanned.block_guesses, serial.block_guesses)
 
     def test_policy_blind_methods_normalise_the_policy(self):
-        # naive-blocks/grover-full/classical runners pin their own
-        # dtype, so a complex64 request must NOT halve the shard byte model
-        # (2x the budgeted memory for float64 state) nor stamp a dtype into
-        # the provenance that was never used.
+        # naive-blocks/grover-full/classical single runs pin their own
+        # dtype, so their batches run at the default policy too: a
+        # complex64 request must NOT change the shard byte model nor stamp
+        # a dtype into the provenance that was never used.
         engine = SearchEngine()
         budget = ShardPolicy(max_bytes=8 * state_row_bytes("kernels", 64))
         base = engine.search_batch(
@@ -259,6 +292,17 @@ class TestShardIdentityUnderPolicies:
         np.testing.assert_array_equal(
             fast.success_probabilities, base.success_probabilities
         )
+        # A batch whose every target is left out runs no shard; its record
+        # keeps the same keys.
+        left_out = engine.search_batch(
+            SearchRequest(n_items=64, n_blocks=4, method="naive-blocks",
+                          shards=budget, options={"left_out_block": 1},
+                          policy=ExecutionPolicy(dtype="complex64")),
+            targets=range(16, 32),
+        )
+        assert left_out.execution.keys() == base.execution.keys()
+        assert left_out.execution["n_shards"] == 0
+        assert left_out.execution["dtype"] == "complex128"
 
     def test_simplified_method_honours_policy(self):
         n, k = 64, 4

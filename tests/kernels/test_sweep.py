@@ -251,6 +251,23 @@ class TestIterationProperties:
         sweep.grk_iteration_rows(view_got, targets, n_blocks=4)
         np.testing.assert_array_equal(view_got, view_ref)
 
+    @pytest.mark.parametrize("n_blocks", [None, 4])
+    def test_phased_iteration_row_count_invisible(self, n_blocks):
+        # A row's phased iteration must not depend on how many rows share
+        # its batch: shards of one row reproduce the whole batch.
+        rng = np.random.default_rng(17)
+        amps = rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64))
+        targets = rng.integers(0, 64, size=9)
+        phases = {"oracle_phase": 0.7, "diffusion_phase": 2.1}
+        whole = amps.copy()
+        kernels.phased_iteration_rows(whole, targets, n_blocks=n_blocks,
+                                      **phases)
+        for sl in (slice(i, i + 1) for i in range(9)):
+            row = amps[sl].copy()
+            kernels.phased_iteration_rows(row, targets[sl],
+                                          n_blocks=n_blocks, **phases)
+            np.testing.assert_array_equal(row, whole[sl])
+
     def test_full_sweep_float64_bit_identical(self, reference):
         schedule = plan_schedule(512, 8)
         rng = np.random.default_rng(5)
@@ -261,6 +278,37 @@ class TestIterationProperties:
         got = program_sweep_rows(schedule.program, targets, policy)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
+
+
+# ---------------------------------------------------------- item readout
+
+
+class TestItemReadout:
+    """With one address per block (``K = N``) and no Step 3 the block
+    readout reads ``|a_t|^2`` and guesses the most probable address: full
+    search's answer, row by row, in the sweep and the counted runner."""
+
+    @pytest.mark.parametrize("n_items", [64, 96, 256])
+    def test_rows_equal_the_counted_full_search(self, n_items):
+        from repro.core.algorithm import run_program
+        from repro.core.program import GLOBAL, PartialSearchProgram, ProgramStage
+        from repro.grover.standard import run_grover
+        from repro.oracle import SingleTargetDatabase
+
+        j = 5
+        program = PartialSearchProgram(
+            n_items, n_items, (ProgramStage(GLOBAL, j),), final_phase=None
+        )
+        targets = np.arange(n_items, dtype=np.intp)
+        success, guesses = program_sweep_rows(program, targets,
+                                              ExecutionPolicy())
+        for t in targets:
+            single = run_grover(SingleTargetDatabase(n_items, int(t)), j)
+            assert success[t] == single.success_probability
+            assert guesses[t] == single.best_guess
+            counted = run_program(SingleTargetDatabase(n_items, int(t)), program)
+            assert counted.success_probability == single.success_probability
+            assert counted.queries == single.queries
 
 
 # ------------------------------------- row_threads small-slab regression

@@ -2,7 +2,7 @@
 
 The load-bearing invariant — results bit-identical to
 :class:`LocalExecutor` whatever dies — holds because shard boundaries and
-per-target RNG streams are fixed before dispatch; these tests kill workers
+every random draw are fixed before dispatch; these tests kill workers
 mid-shard, wedge them past the timeout, and exhaust them entirely to check
 the invariant survives requeueing.
 """
@@ -226,8 +226,9 @@ class TestBitIdentityUnderFaults:
         assert ex.last_run["local_fallback_shards"] > 0
 
     def test_stochastic_method_bit_identical_remote(self):
-        """Per-target RNG streams ship inside the tasks, so even stochastic
-        methods survive worker death with identical results."""
+        """naive-blocks draws every row's left-out block before dispatch,
+        so even a seeded stochastic batch survives worker death with
+        identical results."""
         request = SearchRequest(
             n_items=64, n_blocks=4, method="naive-blocks", rng=42,
             shards=ShardPolicy(max_rows=8),

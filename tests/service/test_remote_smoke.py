@@ -100,6 +100,30 @@ class TestRemoteSmoke:
         assert np.array_equal(local.queries, remote.queries)
         assert remote.all_correct
 
+    @pytest.mark.parametrize("method,options,seed", [
+        ("grover-full", {}, None),
+        ("grover-full", {"exact": True}, None),
+        ("naive-blocks", {}, 42),
+    ], ids=["grover-full", "grover-full-exact", "naive-blocks-seeded"])
+    def test_baseline_batches_bit_identical(self, worker_addresses, method,
+                                            options, seed):
+        """The baselines ship the same plain-data shards as grk: remote
+        rows equal the in-process rows bit for bit."""
+        request = SearchRequest(
+            n_items=1024, n_blocks=4, method=method, options=options,
+            rng=seed, shards=ShardPolicy(max_rows=100),
+        )
+        local = SearchEngine().search_batch(request)
+        remote = SearchEngine(
+            executor=RemoteExecutor(worker_addresses)
+        ).search_batch(request)
+        assert remote.execution["executor"] == "remote"
+        assert remote.execution["n_shards"] > 1
+        assert np.array_equal(local.success_probabilities,
+                              remote.success_probabilities)
+        assert np.array_equal(local.block_guesses, remote.block_guesses)
+        assert np.array_equal(local.queries, remote.queries)
+
     def test_worker_honours_execution_policy(self, worker_addresses):
         """The ExecutionPolicy rides the wire (protocol v2): a remote
         complex64/threaded batch returns bit-identically to the local run
