@@ -59,7 +59,8 @@ def test_table1_coefficients(benchmark, report):
     )
 
     # Shape assertions: match the paper to its printed precision (K=3's
-    # optimum is 0.5908 vs the printed 0.592 — see EXPERIMENTS.md).
+    # optimum is 0.5908 vs the printed 0.592 — see CHANGES.md and
+    # tests/test_paper_values.py::TestSection31Table).
     by_k = {r["n_blocks"]: r for r in rows if r["n_blocks"]}
     for k in TABLE_K_VALUES:
         tol = 0.0016 if k == 3 else 0.0006

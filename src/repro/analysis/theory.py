@@ -89,7 +89,8 @@ def simplified_partial_coefficient(n_blocks: int) -> float:
     ``pi/4 = 0.785`` as ``(pi/4)(1 - 0.42497/sqrt(K))`` from below).
 
     Delegates to the cached continuous optimiser in
-    :mod:`repro.core.simplified` — one scipy solve per ``K``, then O(1).
+    :mod:`repro.core.simplified` — one bounded Brent minimisation per
+    ``K``, then O(1).
     """
     from repro.core.simplified import simplified_query_coefficient
 

@@ -8,6 +8,9 @@ program: it minimises the normalised query count
 
 over the feasible ``eps`` range (eq. (4) caps it at ``sin(theta) = 2/sqrt(K)``
 for ``K > 4``; see :func:`repro.core.parameters.max_feasible_epsilon`).
+The interior search is bounded Brent minimisation
+(:func:`repro.util.minimize.minimize_bounded`, which reproduces scipy's
+``minimize_scalar(method="bounded")`` bit for bit) to ``xatol = 1e-12``.
 Boundary minima are real — for ``K = 2`` the optimum is exactly ``eps = 1``
 (skip Step 1 entirely and search both halves locally) — so endpoints are
 compared explicitly rather than trusting the interior search.
@@ -21,6 +24,7 @@ from functools import lru_cache
 
 from repro.core.parameters import GRKParameters, max_feasible_epsilon
 from repro.lowerbounds.partial import lower_bound_coefficient
+from repro.util.minimize import minimize_bounded
 
 __all__ = [
     "OptimalEpsilon",
@@ -63,8 +67,6 @@ class OptimalEpsilon:
 @lru_cache(maxsize=None)
 def optimal_epsilon(n_blocks: int) -> OptimalEpsilon:
     """Minimise ``q(eps, K)`` over the feasible domain (cached per ``K``)."""
-    from scipy import optimize  # deferred: cold plans only (see solve_phases)
-
     if n_blocks < 2:
         raise ValueError("n_blocks must be >= 2")
     hi = max_feasible_epsilon(n_blocks)
@@ -72,12 +74,10 @@ def optimal_epsilon(n_blocks: int) -> OptimalEpsilon:
     def objective(eps: float) -> float:
         return normalized_query_coefficient(min(max(eps, 0.0), hi), n_blocks)
 
-    result = optimize.minimize_scalar(
-        objective, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-12}
-    )
+    result = minimize_bounded(objective, 0.0, hi, xatol=1e-12)
     candidates = [(objective(0.0), 0.0), (objective(hi), hi)]
     if result.success:
-        candidates.append((float(result.fun), float(result.x)))
+        candidates.append((result.fun, result.x))
     best_value, best_eps = min(candidates)
     return OptimalEpsilon(
         n_blocks=n_blocks,

@@ -50,6 +50,7 @@ from repro.core.blockspec import BlockSpec
 from repro.core.program import BLOCK, GLOBAL, PartialSearchProgram, ProgramStage
 from repro.core.subspace import SubspaceCoordinates, SubspaceGRK, evaluate, evolve
 from repro.grover.angles import grover_angle
+from repro.util.minimize import minimize_bounded
 from repro.util.validation import require
 
 __all__ = [
@@ -113,10 +114,10 @@ def _continuous_optimum(n_blocks: int) -> tuple[float, float]:
 
     ``phi`` is the Step 1 stopping angle ``(2 j1 + 1) beta``; the zeroing
     condition fixes the Step 2 exit angle ``gamma(phi)``, leaving a 1-D
-    minimisation of ``phi/2 + (gamma - gamma0) / (2 sqrt(K))``.
+    minimisation of ``phi/2 + (gamma - gamma0) / (2 sqrt(K))`` over
+    ``[0, pi/2]``, done by the same bounded Brent search as
+    :func:`repro.core.optimizer.optimal_epsilon`.
     """
-    from scipy.optimize import minimize_scalar
-
     k = n_blocks
 
     def cost(phi: float) -> float:
@@ -129,12 +130,8 @@ def _continuous_optimum(n_blocks: int) -> tuple[float, float]:
         gamma0 = math.atan2(s, c / math.sqrt(k))
         return phi / 2.0 + (gamma - gamma0) / (2.0 * math.sqrt(k))
 
-    res = minimize_scalar(
-        cost, bounds=(0.0, math.pi / 2.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    phi = float(res.x)
-    return phi, float(cost(phi))
+    phi = minimize_bounded(cost, 0.0, math.pi / 2.0, xatol=1e-12).x
+    return phi, cost(phi)
 
 
 def simplified_query_coefficient(n_blocks: int) -> float:

@@ -59,3 +59,60 @@ class TestSolvePhases:
 
         sol = solve_phases(residual, 1, starts=[[0.0]], tolerance=1e-12)
         assert sol[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_two_calls_give_the_same_phases(self):
+        # CWB at (1024, 4) climbs one budget rung: twelve failed starts,
+        # then a solve.
+        from repro.core.cwb import plan_cwb
+
+        first, second = plan_cwb(1024, 4), plan_cwb(1024, 4)
+        assert first.phases == second.phases
+        assert first.final_phase == second.final_phase
+
+    @pytest.mark.parametrize("n_residuals", [1, 2])
+    def test_one_and_two_residual_problems_solve(self, n_residuals):
+        # One or two real equations in four phases (the planners' shapes).
+        def residual(phases):
+            z = np.exp(1j * phases).sum() - 1.5
+            return np.array([z.real, z.imag][:n_residuals])
+
+        sol = solve_phases(residual, 4, tolerance=1e-12)
+        assert sol.shape == (4,)
+        assert np.max(np.abs(residual(sol))) <= 1e-12
+
+    def test_infeasible_problem_reports_best_residual(self):
+        # |e^{i x0} + e^{i x1}| <= 2, so the residual is at least 1.
+        def residual(phases):
+            return np.array([abs(np.exp(1j * phases).sum()) - 3.0])
+
+        with pytest.raises(RuntimeError, match=r"best residual 1\.000e\+00"):
+            solve_phases(residual, 2, tolerance=1e-12)
+
+    def test_explicit_starts_are_honoured(self):
+        # r = x² - 1 has roots at ±1: the first start is tried first and
+        # picks its own root, whatever the default starts (around π) find.
+        calls = []
+
+        def residual(phases):
+            calls.append(phases.copy())
+            return np.array([phases[0] ** 2 - 1.0])
+
+        assert solve_phases(residual, 1, starts=[[-0.6], [0.6]])[0] == pytest.approx(-1.0)
+        assert calls[0].tolist() == [-0.6]
+        assert solve_phases(residual, 1, starts=[[0.6], [-0.6]])[0] == pytest.approx(1.0)
+        assert solve_phases(residual, 1)[0] == pytest.approx(1.0)
+
+    def test_phases_without_leverage_end_each_start_at_once(self):
+        # A residual the phases cannot move has a zero gradient: each start
+        # costs one evaluation and one Jacobian, not a full descent.
+        calls = []
+
+        def residual(phases):
+            calls.append(phases.copy())
+            return np.array([1e-3, 0.0])
+
+        with pytest.raises(RuntimeError, match=r"best residual 1\.000e-03"):
+            solve_phases(residual, 5, tolerance=1e-12)
+        assert len(calls) == 12 * (1 + 5)
+        assert np.array_equal(calls[0], np.full(5, np.pi))
+

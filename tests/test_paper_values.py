@@ -1,8 +1,8 @@
 """Integration tests pinning the paper's published numbers.
 
 Every check here corresponds to a specific artifact of the paper; the
-benchmark harness prints the same quantities as tables.  See EXPERIMENTS.md
-for the full paper-vs-measured record.
+benchmark harness prints the same quantities as tables.  CHANGES.md records
+how each change moved them.
 """
 
 import math

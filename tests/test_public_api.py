@@ -81,25 +81,68 @@ class TestQuickstartSnippet:
         assert result.success_probability > 0.999
 
 
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run *code* in a fresh interpreter with this checkout's ``src`` first
+    on its path (this pytest process has long since imported everything)."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+
+
 class TestImportCost:
     def test_engine_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize only serves cold plans (optimal epsilon, phase
-        # solves); a fresh interpreter importing the engine must not pay
-        # for it.  Run out of process: this pytest process has long since
-        # imported it.
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro.engine; "
-             "print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, timeout=120, env=env,
+        # A fresh interpreter importing the engine must not pay for
+        # scipy.optimize.
+        proc = _run_fresh(
+            "import sys, repro.engine; print('scipy.optimize' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cold_plans_and_analytic_answers_need_no_scipy(self):
+        # numpy is the only runtime dependency: every cold path (the 1-D
+        # optima, the phase solves, the closed-form tier) runs with scipy
+        # unimportable.
+        proc = _run_fresh("""
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+
+from repro.analytic import available_models
+from repro.core.cwb import plan_cwb
+from repro.core.optimizer import coefficient_table
+from repro.core.parameters import plan_schedule
+from repro.core.plans import FAMILY
+from repro.core.simplified import plan_simplified_schedule, simplified_query_coefficient
+from repro.core.sure_success import plan_sure_success
+from repro.engine import SearchEngine, SearchRequest
+
+plan_cwb(1024, 4)
+plan_sure_success(1024, 4)
+for n, k in ((1024, 4), (1 << 60, 8)):
+    plan_schedule(n, k)
+    plan_simplified_schedule(n, k)
+    for method in ("grk-sure-success", "grk-cwb"):
+        FAMILY[method].solve(n, k, None)
+assert len(coefficient_table()) == 7
+assert 0.6 < simplified_query_coefficient(8) < 0.7
+engine = SearchEngine()
+for method in available_models():
+    report = engine.search(SearchRequest(
+        n_items=1 << 20, n_blocks=8, method=method, target=3,
+        wants="probability", engine="analytic"))
+    assert report.backend == "analytic", (method, report.backend)
+assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == ["scipy"]
+print("ok", len(available_models()))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0] == "ok"
+        assert int(proc.stdout.split()[1]) >= 7
 
 
 class TestEngineSurface:

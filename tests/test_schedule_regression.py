@@ -7,7 +7,7 @@ optimal-eps values) shows up here as an exact-integer diff — deliberately
 brittle, so a silent drift in the science cannot hide inside tolerances.
 
 If a change is *intended* (e.g. a better optimiser), update these values and
-record the effect on the T1/F2 benches in EXPERIMENTS.md.
+record the effect on the T1/F2 benches in CHANGES.md.
 """
 
 import pytest

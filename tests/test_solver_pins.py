@@ -202,6 +202,8 @@ def test_grid_has_sixty_geometries_and_ten_unsolvable():
     assert plans.count(None) == 10
 
 
+# 10-17 s for all 120 solves, so it runs in the analytic leg of CI.
+@pytest.mark.analytic
 @pytest.mark.parametrize(
     "method, grid",
     [("grk-sure-success", SURE_SUCCESS_GRID), ("grk-cwb", CWB_GRID)],
