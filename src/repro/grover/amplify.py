@@ -21,9 +21,9 @@ vanish and not *how*: :func:`solve_phases` drives a caller-supplied real
 residual (one or two equations in four to six phases, for the planners) to
 zero with a hand-written Levenberg–Marquardt descent from twelve fixed
 starts.  Its Jacobian comes from forward differences and each damped step
-is one small ``numpy.linalg.solve``; a residual costs microseconds, so a
-solve that succeeds takes a few milliseconds and a budget that cannot reach
-certainty (every start fails) some tens of milliseconds.
+is one small ``numpy.linalg.solve``.  A residual costs microseconds, so a
+solve that succeeds takes a few milliseconds; a budget that cannot reach
+certainty, where every start fails, takes about 0.1–0.2 s.
 """
 
 from __future__ import annotations
