@@ -45,9 +45,10 @@ backpressure, TTL cache, single-flight coalescing), and the ``repro
 serve`` / ``repro submit`` CLI — see README "Serving & distribution".
 
 The original ``run_*`` entry points (``run_partial_search``,
-``run_grover``, ...) remain importable — the engine dispatches *to* them —
-but new code should go through :class:`SearchEngine`, which also owns
-batches (:meth:`SearchEngine.search_batch`) and parameter sweeps
+``run_naive_partial_search``, ...) remain importable — the engine
+dispatches *to* them — but new code should go through
+:class:`SearchEngine`, which also owns batches
+(:meth:`SearchEngine.search_batch`) and parameter sweeps
 (:meth:`SearchEngine.sweep`).  See README.md for the architecture
 overview.
 """

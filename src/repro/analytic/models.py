@@ -279,6 +279,20 @@ def _reject_options(request, allowed: tuple[str, ...]) -> None:
         )
 
 
+def _check_options(request, *keys: str) -> None:
+    """Read each option in *keys* through
+    :meth:`~repro.engine.request.SearchRequest.checked_option`, the check
+    the simulate tier runs, and refuse a bad value.  A request without
+    options, the common case, skips the loop."""
+    if not request.options:
+        return
+    try:
+        for key in keys:
+            request.checked_option(key)
+    except ValueError as exc:
+        raise AnalyticUnsupported(str(exc)) from None
+
+
 def _target_block(request, target):
     """The block holding *target*: one address, an int64 array of them, or
     ``None``."""
@@ -359,12 +373,7 @@ def _eval_grk_family_batch(request, targets) -> AnalyticBatchAnswer:
 def _check_naive(request) -> None:
     _check_blocks(request)
     _reject_options(request, ("left_out_block", "iterations"))
-    left_out = request.option("left_out_block")
-    if left_out is not None and not 0 <= left_out < request.n_blocks:
-        raise AnalyticUnsupported(
-            f"left_out_block={left_out} out of range for "
-            f"n_blocks={request.n_blocks}"
-        )
+    _check_options(request, "left_out_block", "iterations")
 
 
 def _naive_run(request) -> tuple[int, float, dict]:
@@ -435,9 +444,7 @@ def _eval_naive_batch(request, targets) -> AnalyticBatchAnswer:
 def _check_grover_full(request) -> None:
     _check_size(request)
     _reject_options(request, ("exact", "iterations"))
-    iterations = request.option("iterations")
-    if iterations is not None and iterations < 0:
-        raise AnalyticUnsupported(f"iterations={iterations} must be >= 0")
+    _check_options(request, "exact", "iterations")
 
 
 def _eval_grover_full(request, target: int | None) -> AnalyticAnswer:
@@ -489,12 +496,7 @@ def _check_classical(request) -> None:
             f"unknown classical strategy {strategy!r} "
             "(modelled: deterministic, randomized)"
         )
-    left_out = request.option("left_out_block")
-    if left_out is not None and not 0 <= left_out < request.n_blocks:
-        raise AnalyticUnsupported(
-            f"left_out_block={left_out} out of range for "
-            f"n_blocks={request.n_blocks}"
-        )
+    _check_options(request, "left_out_block")
 
 
 def _scan_left_out(request) -> int:

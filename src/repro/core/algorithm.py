@@ -1,10 +1,12 @@
-"""One counted runner for every GRK-family program, and the GRK entry point.
+"""One counted runner for every program, and the GRK entry point.
 
 :func:`run_program` executes any :class:`~repro.core.program.PartialSearchProgram`
 against a counted oracle: every iteration is one (phased) oracle query and
 one (phased) global or block-local diffusion, and the optional Step 3 spends
-one more query.  GRK's program is the algorithm of Figure 2, exactly as
-published:
+one more query.  The GRK family runs through it, and so do the quantum
+baselines' single runs: grover-full's full-search program, and
+naive-blocks' over its searched addresses (:mod:`repro.core.naive`).
+GRK's program is the algorithm of Figure 2, exactly as published:
 
 1. ``l1`` standard Grover iterations on the full address space, stopping
    ``theta = eps*pi/2`` short of the target.
@@ -115,8 +117,12 @@ def run_program(
     operations the textbook algorithm does.
 
     Args:
-        database: database with exactly one marked address of the
-            program's ``N``; its counter accumulates ``program.queries``.
+        database: database over the program's ``N`` with at most one
+            marked address; its counter accumulates ``program.queries``.
+            With none marked every iteration still counts its query, the
+            oracle flips nothing and success is 0.0: the searched
+            addresses of a naive-blocks run whose target sits in the
+            left-out block.
         program: the stages to run.
         policy: :class:`~repro.kernels.ExecutionPolicy` selecting the state
             precision (``None`` = the bit-identical complex128 default;
@@ -127,6 +133,10 @@ def run_program(
 
     Returns:
         :class:`PartialSearchResult` whose ``schedule`` is *program*.
+
+    Raises:
+        ValueError: the database has two or more marked addresses, or a
+            different ``N``.
     """
     if policy is None:
         policy = ExecutionPolicy()
@@ -136,7 +146,11 @@ def run_program(
             f"program is for N={n}, but the database has N={database.n_items}"
         )
     spec = BlockSpec(n, n_blocks)
-    target = _single_target_of(database)
+    marked = database.reveal_marked()
+    if len(marked) > 1:
+        raise ValueError(
+            f"a program run needs at most one marked item, got {len(marked)}"
+        )
     oracle = PhaseOracle(database)
     start_count = database.counter.count
     phased = any(s.phased for s in program.stages) or (
@@ -187,13 +201,14 @@ def run_program(
                "blocks", branches)
 
     dist = block_probabilities(branches, n_blocks)
+    success = float(dist[spec.block_of(min(marked))]) if marked else 0.0
     return PartialSearchResult(
         spec=spec,
         schedule=program,
         branches=branches,
         block_distribution=dist,
         block_guess=int(np.argmax(dist)),
-        success_probability=float(dist[spec.block_of(target)]),
+        success_probability=success,
         queries=database.counter.count - start_count,
         traces=tuple(traces) if traces is not None else None,
     )
@@ -243,6 +258,7 @@ def run_partial_search(
         distribution, it does not sample).
     """
     validate_backend(backend)
+    target = _single_target_of(database)
     if policy is None:
         policy = ExecutionPolicy()
     n = database.n_items
@@ -257,13 +273,15 @@ def run_partial_search(
     if backend != "kernels":
         if trace:
             raise ValueError("stage tracing requires the 'kernels' backend")
-        return _run_on_circuit_backend(database, schedule, backend, policy)
+        return _run_on_circuit_backend(database, target, schedule, backend,
+                                       policy)
     result = run_program(database, schedule.program, policy=policy, trace=trace)
     return replace(result, schedule=schedule)
 
 
 def _run_on_circuit_backend(
     database: Database,
+    target: int,
     schedule,
     backend: str,
     policy: ExecutionPolicy,
@@ -277,7 +295,6 @@ def _run_on_circuit_backend(
     from repro.circuits import execute, partial_search_circuit
 
     spec = schedule.spec
-    target = _single_target_of(database)
     n_address_qubits, n_block_bits = circuit_geometry(spec, backend)
     circuit = partial_search_circuit(
         n_address_qubits, n_block_bits, target, *schedule.program.grk_counts()

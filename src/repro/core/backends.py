@@ -11,16 +11,25 @@ from __future__ import annotations
 from repro.core.blockspec import BlockSpec
 from repro.util.bits import ilog2
 
-__all__ = ["KERNEL_BACKEND", "CIRCUIT_BACKENDS", "validate_backend", "circuit_geometry"]
+__all__ = [
+    "KERNEL_BACKEND",
+    "CIRCUIT_BACKENDS",
+    "STATE_BACKENDS",
+    "validate_backend",
+    "circuit_geometry",
+]
 
 KERNEL_BACKEND = "kernels"
 CIRCUIT_BACKENDS = ("naive", "compiled")
+#: The backends that hold a state vector.  Any other backend (the classical
+#: scans) holds no state, so an ``ExecutionPolicy`` has nothing to act on.
+STATE_BACKENDS = (KERNEL_BACKEND, *CIRCUIT_BACKENDS)
 
 
 def validate_backend(backend: str) -> str:
     """Check *backend* is a known runner backend; returns it unchanged."""
-    if backend != KERNEL_BACKEND and backend not in CIRCUIT_BACKENDS:
-        known = ", ".join((KERNEL_BACKEND, *CIRCUIT_BACKENDS))
+    if backend not in STATE_BACKENDS:
+        known = ", ".join(STATE_BACKENDS)
         raise ValueError(f"unknown backend {backend!r} (known: {known})")
     return backend
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.util.bits import block_slice, ilog2, is_power_of_two, join_address, split_address
 from repro.util.validation import require, require_divides
 
@@ -86,16 +84,6 @@ class BlockSpec:
         """The addresses in block ``y`` as a ``range``."""
         s = self.slice_of(y)
         return range(s.start, s.stop)
-
-    def mask_of(self, blocks) -> np.ndarray:
-        """Boolean mask over addresses selecting the given block indices.
-
-        Used by the naive baseline to restrict search to K−1 chosen blocks.
-        """
-        mask = np.zeros(self.n_items, dtype=bool)
-        for y in blocks:
-            mask[self.slice_of(int(y))] = True
-        return mask
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"BlockSpec(N={self.n_items}, K={self.n_blocks}, block={self.block_size})"

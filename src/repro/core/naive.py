@@ -10,28 +10,38 @@ its block; otherwise the target must be in the left-out block.  Queries:
 — an ``O(1/K)`` saving, the quantum analogue of the classical trick, and the
 baseline the GRK algorithm's ``Theta(1/sqrt(K))`` saving is measured against.
 
-The restricted search is faithful: amplitudes start uniform over the chosen
-blocks and zero elsewhere; the phase oracle acts on the full space (flipping
-a zero amplitude when the target is left out — a no-op, exactly as physics
-would have it), and diffusion reflects about the uniform state *of the
-chosen subset* (:func:`repro.kernels.primitives.invert_about_mean_masked`).
+The left-out block starts at amplitude zero and nothing changes it, so
+the restricted search is a full search over the ``M = N - N/K`` searched
+addresses: :func:`naive_program` writes it as ``[global j]`` over ``M``
+items with one address per block and no Step 3, and :func:`renumber` maps
+an address to its index among the searched ones.  A single run executes
+that program through the counted runner
+(:func:`repro.core.algorithm.run_program`); the engine's batch runs the
+same program on the kernel sweep.  Section 1.2's operator as written, the
+masked diffusion :func:`repro.kernels.primitives.invert_about_mean_masked`
+over all ``N`` addresses, is the reference the program is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.core.algorithm import run_program
 from repro.core.blockspec import BlockSpec
-from repro.grover.angles import optimal_iterations, success_probability_after
-from repro.kernels import primitives as ops
+from repro.core.program import GLOBAL, PartialSearchProgram, ProgramStage
+from repro.grover.angles import optimal_iterations
+from repro.kernels import ExecutionPolicy
 from repro.oracle.database import Database
-from repro.oracle.quantum import PhaseOracle
 from repro.statevector.measurement import sample_addresses
 from repro.util.rng import as_rng
+from repro.util.validation import require_int
 
-__all__ = ["NaivePartialSearchResult", "run_naive_partial_search"]
+__all__ = [
+    "NaivePartialSearchResult",
+    "naive_program",
+    "renumber",
+    "run_naive_partial_search",
+]
 
 
 @dataclass(frozen=True)
@@ -46,7 +56,8 @@ class NaivePartialSearchResult:
         block_guess: the algorithm's answer.
         success_probability: exact probability the answer is correct,
             *conditioned on this left-out choice* (1 when the target was in
-            the left-out block; the restricted-Grover success otherwise).
+            the left-out block; otherwise the target's probability in the
+            final state, the restricted-Grover success).
         queries: total oracle queries (quantum iterations + 1 verification).
     """
 
@@ -59,6 +70,31 @@ class NaivePartialSearchResult:
     queries: int
 
 
+def naive_program(
+    n_items: int, n_blocks: int, iterations: int | None = None
+) -> PartialSearchProgram:
+    """Full search over the ``M = N - N/K`` searched addresses: ``[global
+    j]`` with ``K = M`` and no Step 3.  ``iterations`` defaults to the
+    optimum for ``M`` items."""
+    m = n_items - n_items // n_blocks
+    j = optimal_iterations(m) if iterations is None else iterations
+    return PartialSearchProgram(m, m, (ProgramStage(GLOBAL, j),), None)
+
+
+def renumber(addresses, block_size: int, left_out_block):
+    """``(searched, index)`` of one address or an ``intp`` array of them.
+
+    ``searched`` says whether an address lies outside the left-out block,
+    and ``index`` is its place among the searched addresses (meaningful
+    only where ``searched``): the addresses past the left-out block move
+    down by one block.  *left_out_block* may be one block or one per
+    address.
+    """
+    blocks = addresses // block_size
+    searched = blocks != left_out_block
+    return searched, addresses - block_size * (blocks > left_out_block)
+
+
 def run_naive_partial_search(
     database: Database,
     n_blocks: int,
@@ -66,8 +102,16 @@ def run_naive_partial_search(
     left_out_block: int | None = None,
     iterations: int | None = None,
     rng=None,
+    policy: ExecutionPolicy | None = None,
 ) -> NaivePartialSearchResult:
     """Run the K−1-block baseline against a counted oracle.
+
+    The program of :func:`naive_program` runs on a database of the
+    searched addresses that shares *database*'s query counter, so its
+    iterations are charged there; when the target sits in the left-out
+    block that database marks nothing and the oracle flips nothing.  One
+    address is then sampled from the final state, mapped back past the
+    left-out block, and verified with one counted classical query.
 
     Args:
         database: database with exactly one marked address.
@@ -77,6 +121,8 @@ def run_naive_partial_search(
         iterations: Grover iterations over the restricted space; default is
             the optimum for ``(K-1) N / K`` items.
         rng: randomness for the block choice and the final measurement.
+        policy: :class:`~repro.kernels.ExecutionPolicy` selecting the state
+            precision (``None`` = the complex128 default).
 
     Returns:
         :class:`NaivePartialSearchResult`.
@@ -87,46 +133,40 @@ def run_naive_partial_search(
     if len(marked) != 1:
         raise ValueError("naive partial search requires exactly one marked item")
     target = next(iter(marked))
-    target_block = spec.block_of(target)
 
     gen = as_rng(rng)
     if left_out_block is None:
         left_out_block = int(gen.integers(spec.n_blocks))
-    if not 0 <= left_out_block < spec.n_blocks:
-        raise ValueError(f"left_out_block {left_out_block} out of range")
+    left_out_block = require_int("left_out_block", left_out_block, 0,
+                                 spec.n_blocks)
+    if iterations is not None:
+        iterations = require_int("iterations", iterations, 0)
 
-    searched = [y for y in range(spec.n_blocks) if y != left_out_block]
-    mask = spec.mask_of(searched)
-    m = int(mask.sum())
-    if iterations is None:
-        iterations = optimal_iterations(m)
-
-    amps = np.zeros(n)
-    amps[mask] = 1.0 / np.sqrt(m)
-
-    oracle = PhaseOracle(database)
+    size = spec.block_size
+    program = naive_program(n, n_blocks, iterations)
+    searched, index = renumber(target, size, left_out_block)
     start_count = database.counter.count
-    for _ in range(iterations):
-        oracle.apply(amps)
-        ops.invert_about_mean_masked(amps, mask)
-
-    measured = int(sample_addresses(amps, rng=gen))
-    verified = bool(database.query(measured))  # counted classical query
-    block_guess = spec.block_of(measured) if verified else left_out_block
-    queries = database.counter.count - start_count
-
-    if target_block == left_out_block:
-        # Target untouched: the state stayed uniform over the searched
-        # blocks, verification fails, and the left-out answer is correct.
-        success = 1.0
+    if program.n_items == 1:
+        # N = K = 2 leaves one searched address, which keeps all the
+        # amplitude; run_program needs a geometry of two addresses or more.
+        database.counter.increment(program.queries)
+        success, measured = 1.0, 0
     else:
-        success = success_probability_after(m, iterations)
+        restricted = Database(program.n_items, [index] if searched else [],
+                              counter=database.counter)
+        run = run_program(restricted, program, policy=policy)
+        success = run.success_probability
+        measured = int(sample_addresses(run.branches, rng=gen))
+    measured += size * (measured >= left_out_block * size)
+    verified = bool(database.query(measured))  # counted classical query
     return NaivePartialSearchResult(
         spec=spec,
         left_out_block=left_out_block,
         measured_address=measured,
         verified=verified,
-        block_guess=block_guess,
-        success_probability=success,
-        queries=queries,
+        block_guess=spec.block_of(measured) if verified else left_out_block,
+        # A left-out target stays untouched: verification fails and the
+        # left-out answer is correct.
+        success_probability=success if searched else 1.0,
+        queries=database.counter.count - start_count,
     )

@@ -19,11 +19,13 @@ as plain data, so every consumer reads one form:
                        exact variant ``[global J+1 (φ, φ)]``
 ``naive-blocks``       ``[global j]`` over the ``M = N - N/K`` searched
                        addresses with ``K = M``, no Step 3
+                       (:func:`repro.core.naive.naive_program`)
 =====================  =====================================================
 
 The baselines are full searches.  With one address per block and no
 Step 3, the block readout measures the address register: success is
-``|a_t|^2`` and the guess is the most probable address.
+``|a_t|^2`` and the guess is the most probable address.  A baseline's
+single run and its batch read the same program, as the GRK family's do.
 
 Each planner's result exposes its program as ``.program``
 (:class:`~repro.core.parameters.GRKSchedule`,

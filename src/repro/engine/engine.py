@@ -19,9 +19,15 @@ from __future__ import annotations
 
 import math
 
+from repro.core.backends import STATE_BACKENDS
 from repro.engine.registry import MethodSpec, get_method
 from repro.engine.report import BatchReport, SearchReport
-from repro.engine.request import SearchRequest, ShardPolicy, batch_targets
+from repro.engine.request import (
+    ExecutionPolicy,
+    SearchRequest,
+    ShardPolicy,
+    batch_targets,
+)
 from repro.oracle.database import Database, SingleTargetDatabase
 
 __all__ = ["SearchEngine"]
@@ -100,18 +106,16 @@ class SearchEngine:
         return spec, backend
 
     def _effective_request(
-        self, request: SearchRequest, spec: MethodSpec | None = None
+        self, request: SearchRequest, backend: str
     ) -> SearchRequest:
         if self._default_shards is not None and request.shards == ShardPolicy():
             request = request.replace(shards=self._default_shards)
-        # Methods whose runners ignore the ExecutionPolicy get it
-        # normalised away: otherwise a complex64 request would halve the
-        # planner's row-byte model (2x the budgeted shard memory, since
-        # the state stays float64) and stamp a dtype into the provenance
-        # that was never used.
-        if spec is not None and not spec.honours_policy and not request.policy.is_default:
-            from repro.kernels import ExecutionPolicy
-
+        # A backend that holds no state (the classical scans) ignores the
+        # ExecutionPolicy, so it is normalised away: a complex64 request
+        # would otherwise stamp a dtype into the provenance that was never
+        # used.  The backend test comes first, so a kernels request pays
+        # one tuple lookup.
+        if backend not in STATE_BACKENDS and not request.policy.is_default:
             request = request.replace(policy=ExecutionPolicy())
         return request
 
@@ -150,7 +154,7 @@ class SearchEngine:
             :class:`SearchReport` — normalized answer plus provenance.
         """
         spec, backend = self._resolve(request)
-        request = self._effective_request(request, spec)
+        request = self._effective_request(request, backend)
         if self._engine_tier(request) == "analytic":
             from repro.analytic import AnalyticUnsupported, evaluate_analytic
 
@@ -192,7 +196,7 @@ class SearchEngine:
             :class:`BatchReport` with per-row success/guess/query arrays.
         """
         spec, backend = self._resolve(request)
-        request = self._effective_request(request, spec)
+        request = self._effective_request(request, backend)
         if request.trace:
             raise ValueError("batched execution does not support tracing")
         if self._engine_tier(request) == "analytic":

@@ -19,10 +19,10 @@ Registered on import (importing :mod:`repro.engine` is enough):
 ``grk-cwb``         Choi–Walker–Braunstein sure success (quant-ph/0603136):
                     per-stage phase conditions, certainty within a
                     constant of the plain GRK budget
-``naive-blocks``    Section 1.2's K−1-block quantum baseline; a batch runs
-                    ``[global j]`` over the ``N - N/K`` searched addresses
-``grover-full``     standard full search (+ Long's exact variant); a batch
-                    runs ``[global j]`` (exact: ``[global J+1 (φ, φ)]``)
+``naive-blocks``    Section 1.2's K−1-block quantum baseline: ``[global
+                    j]`` over the ``N - N/K`` searched addresses
+``grover-full``     standard full search (+ Long's exact variant):
+                    ``[global j]`` (exact: ``[global J+1 (φ, φ)]``)
 ``classical``       Section 1.1's deterministic/randomized scans; a batch
                     runs them in-process, one per target
 ==================  ====================================================
@@ -31,10 +31,15 @@ The four GRK-family methods share one run adapter and one batch adapter:
 each resolves its plan through :func:`repro.core.plans.resolve_plan` (the
 same cache the analytic tier reads), runs ``plan.program`` — one counted
 run, or the sharded kernel sweep over every target — and reports
-``plan.provenance()``.  The quantum baselines' batches run full-search
-programs (one address per block, no Step 3) on the same sweep; their
-single runs stay on the counted runners, the reference the batch rows are
-tested against.
+``plan.provenance()``.  The quantum baselines build one full-search
+program each (one address per block, no Step 3) and run it in both
+shapes too: a single run through the counted runner
+(:func:`repro.core.algorithm.run_program`), a batch on the same sweep.
+Every method honours the request's ExecutionPolicy except classical,
+whose backend holds no state.  The baselines read their ``iterations``,
+``left_out_block`` and ``exact`` options through
+:meth:`SearchRequest.checked_option`, so a bad value raises
+``ValueError`` before anything runs.
 """
 
 from __future__ import annotations
@@ -148,9 +153,10 @@ def _run_naive_blocks(request: SearchRequest, backend: str, database) -> SearchR
     result = run_naive_partial_search(
         database,
         request.n_blocks,
-        left_out_block=request.option("left_out_block"),
-        iterations=request.option("iterations"),
+        left_out_block=request.checked_option("left_out_block"),
+        iterations=request.checked_option("iterations"),
         rng=request.rng,
+        policy=request.policy,
     )
     return SearchReport(
         method="naive-blocks",
@@ -163,6 +169,7 @@ def _run_naive_blocks(request: SearchRequest, backend: str, database) -> SearchR
         schedule={
             "left_out_block": result.left_out_block,
             "iterations": result.queries - 1,  # quantum iterations + 1 probe
+            "searched_items": request.n_items - request.block_size,
         },
         answer=result.block_guess,
         raw=result,
@@ -174,74 +181,83 @@ def _batch_naive_blocks(
 ) -> BatchReport:
     """Section 1.2's baseline as full search over the searched addresses.
 
-    The left-out block starts at amplitude 0 and nothing changes it, so
-    the ``M = N - N/K`` searched addresses evolve exactly like a full
-    search over ``M`` items.  One program serves every row whose target is
-    searched, renumbered to skip its row's left-out block; a row whose
-    target is left out runs nothing and answers that block with
-    certainty.  Each row pays ``j`` iterations plus the verification query
-    and guesses its most likely answer: the target's block at success
-    >= 1/2, else the left-out block.  Unpinned, row ``i`` leaves out the
-    first draw of ``spawn_rngs(request.rng, B)[i]``, as a single run does.
+    One program (:func:`repro.core.naive.naive_program`, the one a single
+    run executes) serves every row whose target is searched, renumbered
+    to skip its row's left-out block; a row whose target is left out runs
+    nothing and answers that block with certainty.  Each row pays ``j``
+    iterations plus the verification query and guesses its most likely
+    answer: the target's block at success >= 1/2, else the left-out
+    block.  Unpinned, row ``i`` leaves out the first draw of
+    ``spawn_rngs(request.rng, B)[i]``, as a single run does.
     ``execution`` describes the sweep over the searched rows (``n_rows``
     counts them; none searched is an empty plan of zero shards).
     """
-    from repro.core.program import GLOBAL, PartialSearchProgram, ProgramStage
-    from repro.grover.angles import optimal_iterations
+    from repro.core.naive import naive_program, renumber
     from repro.util.rng import spawn_rngs
 
     k, size = request.n_blocks, request.block_size
-    m = request.n_items - size
-    j = request.option("iterations")
-    stage = ProgramStage(GLOBAL, optimal_iterations(m) if j is None else j)
-    program = PartialSearchProgram(m, m, (stage,), None)
-    pinned = request.option("left_out_block")
+    program = naive_program(request.n_items, k,
+                            request.checked_option("iterations"))
+    pinned = request.checked_option("left_out_block")
     if pinned is None:
         left_out = np.array([rng.integers(k) for rng in
                              spawn_rngs(request.rng, targets.size)], np.intp)
-    elif 0 <= pinned < k:
-        left_out = np.full(targets.size, pinned, dtype=np.intp)
     else:
-        raise ValueError(f"left_out_block {pinned} out of range")
+        left_out = np.full(targets.size, pinned, dtype=np.intp)
 
-    blocks = targets // size
-    searched = blocks != left_out
-    shifted = targets - size * (blocks > left_out)
+    searched, index = renumber(targets, size, left_out)
     success = np.ones(targets.size)
     success[searched], _, execution = _sweep(
-        request, backend, program, shifted[searched], executor
+        request, backend, program, index[searched], executor
     )
-    guesses = np.where(success >= 0.5, blocks, left_out)
-    schedule = {"iterations": stage.count, "searched_items": m,
+    guesses = np.where(success >= 0.5, targets // size, left_out)
+    j = program.stages[0].count
+    schedule = {"iterations": j, "searched_items": program.n_items,
                 "left_out_block": pinned}
     return _batch_report(request, backend, targets, success, guesses,
-                         execution, stage.count + 1, schedule)
+                         execution, j + 1, schedule)
 
 
 # --------------------------------------------------------------------------
 # grover-full
 # --------------------------------------------------------------------------
 
-def _run_grover_full(request: SearchRequest, backend: str, database) -> SearchReport:
-    from repro.grover.exact import run_exact_grover
-    from repro.grover.standard import run_grover
+def _grover_full_program(request: SearchRequest):
+    """``(program, schedule)`` of full search: one address per block and
+    no Step 3, ``[global j]`` or, with ``exact=True``, Long's
+    phase-matched ``[global J+1 (φ, φ)]``."""
+    from repro.core.program import GLOBAL, PartialSearchProgram, ProgramStage
+    from repro.grover.angles import optimal_iterations
+    from repro.grover.exact import long_phase, minimum_iterations
 
-    exact = bool(request.option("exact", False))
-    iterations = request.option("iterations")
+    n, j = request.n_items, request.checked_option("iterations")
+    exact = request.checked_option("exact")
     if exact:
-        result = run_exact_grover(database, total_iterations=iterations)
+        j = minimum_iterations(n) + 1 if j is None else j
+        stage = ProgramStage(GLOBAL, j, long_phase(n, j), long_phase(n, j))
     else:
-        result = run_grover(database, iterations=iterations)
+        stage = ProgramStage(GLOBAL, optimal_iterations(n) if j is None else j)
+    program = PartialSearchProgram(n, n, (stage,), None)
+    return program, {"iterations": stage.count, "exact": exact}
+
+
+def _run_grover_full(request: SearchRequest, backend: str, database) -> SearchReport:
+    """The program once, counted; the guess is the most probable
+    address's block."""
+    from repro.core.algorithm import run_program
+
+    program, schedule = _grover_full_program(request)
+    result = run_program(database, program, policy=request.policy)
     return SearchReport(
         method="grover-full",
         backend=backend,
         n_items=request.n_items,
         n_blocks=request.n_blocks,
-        block_guess=result.best_guess // request.block_size,
+        block_guess=result.block_guess // request.block_size,
         success_probability=result.success_probability,
         queries=result.queries,
-        schedule={"iterations": result.iterations, "exact": exact},
-        answer=result.best_guess,
+        schedule=schedule,
+        answer=result.block_guess,
         raw=result,
     )
 
@@ -249,27 +265,15 @@ def _run_grover_full(request: SearchRequest, backend: str, database) -> SearchRe
 def _batch_grover_full(
     request: SearchRequest, backend: str, targets: np.ndarray, executor
 ) -> BatchReport:
-    """Full search as one program with one address per block: ``[global
-    j]``, or Long's phase-matched ``[global J+1 (φ, φ)]`` with
-    ``exact=True``.  Its guess is the most probable address's block."""
-    from repro.core.program import GLOBAL, PartialSearchProgram, ProgramStage
-    from repro.grover.angles import optimal_iterations
-    from repro.grover.exact import long_phase, minimum_iterations
-
-    n, j = request.n_items, request.option("iterations")
-    exact = bool(request.option("exact", False))
-    if exact:
-        j = minimum_iterations(n) + 1 if j is None else j
-        stage = ProgramStage(GLOBAL, j, long_phase(n, j), long_phase(n, j))
-    else:
-        stage = ProgramStage(GLOBAL, optimal_iterations(n) if j is None else j)
-    program = PartialSearchProgram(n, n, (stage,), None)
+    """The program once per target on the sweep; a row guesses the most
+    probable address's block."""
+    program, schedule = _grover_full_program(request)
     success, addresses, execution = _sweep(
         request, backend, program, targets, executor
     )
     return _batch_report(
         request, backend, targets, success, addresses // request.block_size,
-        execution, stage.count, {"iterations": stage.count, "exact": exact},
+        execution, schedule["iterations"], schedule,
     )
 
 
@@ -284,10 +288,10 @@ def _run_classical(request: SearchRequest, backend: str, database) -> SearchRepo
     )
 
     strategy = request.option("strategy", "deterministic")
+    left_out = request.checked_option("left_out_block")
     if strategy == "deterministic":
         result = deterministic_partial_search(
-            database, request.n_blocks,
-            left_out_block=request.option("left_out_block"),
+            database, request.n_blocks, left_out_block=left_out
         )
     elif strategy == "randomized":
         result = randomized_partial_search(database, request.n_blocks, rng=request.rng)
@@ -365,7 +369,6 @@ def register_builtin_methods(*, replace: bool = False) -> None:
             backends=(KERNEL_BACKEND,),
             run=_run_naive_blocks,
             batch=_batch_naive_blocks,
-            honours_policy=False,
         ),
         replace=replace,
     )
@@ -377,7 +380,6 @@ def register_builtin_methods(*, replace: bool = False) -> None:
             run=_run_grover_full,
             batch=_batch_grover_full,
             needs_blocks=False,
-            honours_policy=False,
         ),
         replace=replace,
     )
@@ -388,7 +390,6 @@ def register_builtin_methods(*, replace: bool = False) -> None:
             backends=(CLASSICAL_BACKEND,),
             run=_run_classical,
             batch=_batch_classical,
-            honours_policy=False,
         ),
         replace=replace,
     )

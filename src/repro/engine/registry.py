@@ -50,13 +50,12 @@ class MethodSpec:
         needs_blocks: whether the method requires ``K >= 2`` (everything
             except full search).
         supports_trace: whether ``request.trace=True`` is honoured.
-        honours_policy: whether the method's runners thread the request's
-            :class:`~repro.kernels.ExecutionPolicy` into their kernels.
-            When ``False`` (the classical scans and runners that pin
-            float64 state) the engine normalises the request back to the
-            default policy so shard plans and execution provenance stay
-            truthful — a non-default policy is silently a no-op there,
-            never a mis-sized shard.
+
+    Every method runs at the request's
+    :class:`~repro.kernels.ExecutionPolicy` unless its backend holds no
+    state (:data:`repro.core.backends.STATE_BACKENDS`): the engine then
+    normalises the request back to the default policy, so a classical
+    request never records a dtype that was not used.
     """
 
     name: str
@@ -66,7 +65,6 @@ class MethodSpec:
     batch: Callable[..., Any]
     needs_blocks: bool = True
     supports_trace: bool = False
-    honours_policy: bool = True
 
     def __post_init__(self):
         if not self.name:

@@ -42,7 +42,8 @@ class SearchReport:
         answer: method-native answer (full address for ``grover-full`` and
             ``classical``; equals ``block_guess`` for block methods).
         raw: the method's original result object (``PartialSearchResult``,
-            ``GroverResult``, ...), for callers needing amplitudes/traces.
+            ``NaivePartialSearchResult``, ...), for callers needing
+            amplitudes/traces.
     """
 
     method: str

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.blockspec import BlockSpec
 from repro.kernels import ExecutionPolicy
+from repro.util.validation import require_int
 
 __all__ = [
     "DEFAULT_SHARD_BYTES",
@@ -191,6 +192,30 @@ class SearchRequest:
     def option(self, key: str, default: Any = None) -> Any:
         """Read one method-specific option with a default."""
         return self.options.get(key, default)
+
+    def checked_option(self, key: str) -> Any:
+        """Read ``iterations``, ``left_out_block`` or ``exact``, checked.
+
+        ``iterations`` must be an integer ``>= 0`` and ``left_out_block``
+        an integer in ``[0, K)``; numpy integers count, bools and floats do
+        not.  Both default to ``None``.  ``exact`` must be a bool and
+        defaults to ``False``.  Every tier checks these options through
+        this method, so a bad value fails the same way everywhere.
+
+        Raises:
+            ValueError: naming the option and the bad value.
+        """
+        value = self.options.get(key)
+        if key == "exact":
+            if value is None:
+                return False
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"option exact={value!r} must be a bool")
+            return bool(value)
+        if value is None:
+            return None
+        high = self.n_blocks if key == "left_out_block" else None
+        return require_int(f"option {key}", value, 0, high)
 
     def replace(self, **changes: Any) -> "SearchRequest":
         """A copy of this request with the given fields replaced."""

@@ -61,16 +61,18 @@ def request_fingerprint(request, targets=None) -> str | None:
         return None
     dtype = request.policy.dtype
     try:
+        from repro.core.backends import STATE_BACKENDS
         from repro.engine.registry import get_method
 
-        # Methods that ignore the ExecutionPolicy have it normalised away
-        # by the engine before execution (engine.py), so a complex64
-        # request and a complex128 request produce the identical run —
-        # fingerprint them identically too, or provably equal requests
-        # would split the cache and defeat coalescing/peering.  Unknown
-        # methods fall back to the raw dtype (the engine would reject the
-        # request anyway).
-        if not get_method(request.method).honours_policy:
+        # A backend that holds no state (the classical scans) has the
+        # ExecutionPolicy normalised away by the engine before execution
+        # (engine.py), so a complex64 request and a complex128 request
+        # produce the identical run — fingerprint them identically too, or
+        # provably equal requests would split the cache and defeat
+        # coalescing/peering.  Unknown methods and backends fall back to
+        # the raw dtype (the engine would reject the request anyway).
+        backend = get_method(request.method).resolve_backend(request.backend)
+        if backend not in STATE_BACKENDS:
             dtype = "complex128"
     except Exception:
         pass
@@ -107,7 +109,7 @@ def request_fingerprint(request, targets=None) -> str | None:
         # Only the dtype is structural: row_threads (like the shard policy)
         # is bit-invisible in the output, but complex64 results genuinely
         # differ from complex128 and must not share a cache entry —
-        # except for policy-blind methods, normalised above.
+        # except on a backend that holds no state, normalised above.
         f"dtype={dtype}",
         f"options={_stable(dict(request.options))}",
         "targets=<all>" if targets is None else f"targets={_stable(np.asarray(targets))}",

@@ -40,9 +40,6 @@ def default_workers() -> int:
     return max(1, min(8, cpus))
 
 
-_default_workers = default_workers  # backwards-compatible alias
-
-
 def parallel_map(
     func: Callable,
     tasks: Sequence,
@@ -68,7 +65,7 @@ def parallel_map(
     tasks = list(tasks)
     rngs = spawn_rngs(seed, len(tasks))
     if workers is None:
-        workers = _default_workers()
+        workers = default_workers()
     if not use_processes or workers <= 1 or len(tasks) <= 1:
         return [func(task, rng) for task, rng in zip(tasks, rngs)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -7,9 +7,17 @@ then trust the values — the pattern the HPC guides recommend).
 
 from __future__ import annotations
 
+from numbers import Integral
+
 from repro.util.bits import is_power_of_two
 
-__all__ = ["require", "require_in_range", "require_power_of_two", "require_divides"]
+__all__ = [
+    "require",
+    "require_in_range",
+    "require_int",
+    "require_power_of_two",
+    "require_divides",
+]
 
 
 def require(condition: bool, message: str) -> None:
@@ -28,6 +36,22 @@ def require_in_range(name: str, value, low, high, *, inclusive: bool = True):
         bracket = "]" if inclusive else ")"
         raise ValueError(f"{name}={value!r} out of range [{low}, {high}{bracket}")
     return value
+
+
+def require_int(name: str, value, low: int, high: int | None = None) -> int:
+    """Validate an integer with ``low <= value`` (and ``value < high`` when
+    *high* is given); return it as a Python ``int``.
+
+    numpy integers count; bools and floats do not, so nothing is truncated
+    or coerced.  Raises ``ValueError`` either way, naming *name*.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    if high is not None and not low <= value < high:
+        raise ValueError(f"{name}={value} out of range [{low}, {high})")
+    if value < low:
+        raise ValueError(f"{name}={value} must be >= {low}")
+    return int(value)
 
 
 def require_power_of_two(name: str, value: int) -> int:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import plan_schedule, run_partial_search
+from repro.core import plan_schedule, run_partial_search, run_program
+from repro.core.program import GLOBAL, PartialSearchProgram, ProgramStage
 from repro.grover.angles import queries_for_full_search
 from repro.oracle import Database, SingleTargetDatabase
 
@@ -104,6 +105,25 @@ class TestValidation:
     def test_multi_marked_rejected(self):
         with pytest.raises(ValueError, match="exactly one"):
             run_partial_search(Database(64, [1, 2]), 4)
+
+    @pytest.mark.parametrize("backend", ["kernels", "compiled", "naive"])
+    def test_unmarked_rejected_by_every_backend(self, backend):
+        with pytest.raises(ValueError, match="exactly one"):
+            run_partial_search(Database(64, []), 4, backend=backend)
+
+    def test_program_with_no_marked_address_still_runs(self):
+        # naive-blocks' searched addresses mark nothing when the target sits
+        # in the left-out block: every iteration still counts its query.
+        for program in (plan_schedule(64, 4).program,
+                        PartialSearchProgram(48, 48, (ProgramStage(GLOBAL, 5),),
+                                             None)):
+            db = Database(program.n_items, [])
+            res = run_program(db, program)
+            assert res.success_probability == 0.0
+            assert res.queries == db.queries_used == program.queries
+            assert np.isclose((res.branches ** 2).sum(), 1.0)
+        with pytest.raises(ValueError, match="at most one"):
+            run_program(Database(64, [1, 2]), plan_schedule(64, 4).program)
 
     def test_schedule_instance_mismatch(self):
         sched = plan_schedule(64, 4)

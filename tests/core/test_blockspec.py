@@ -1,6 +1,5 @@
 """Unit tests for BlockSpec."""
 
-import numpy as np
 import pytest
 
 from repro.core import BlockSpec
@@ -53,13 +52,3 @@ class TestAddressing:
         assert spec.slice_of(1) == slice(4, 8)
         assert list(spec.addresses_of(2)) == [8, 9, 10, 11]
 
-    def test_mask(self):
-        spec = BlockSpec(12, 3)
-        mask = spec.mask_of([0, 2])
-        np.testing.assert_array_equal(mask[:4], True)
-        np.testing.assert_array_equal(mask[4:8], False)
-        np.testing.assert_array_equal(mask[8:], True)
-
-    def test_mask_empty(self):
-        spec = BlockSpec(12, 3)
-        assert spec.mask_of([]).sum() == 0

@@ -102,6 +102,37 @@ class TestSearchMatchesRunners:
         assert report.schedule["l2"] == direct.schedule.l2
         assert report.raw.spec == direct.spec
 
+    @pytest.mark.parametrize("options", [{}, {"exact": True},
+                                         {"iterations": 3}],
+                             ids=["plain", "exact", "iterations=3"])
+    @pytest.mark.parametrize("n,k", [(256, 4), (96, 6)])
+    def test_grover_full_matches_the_reference_runners(self, options, n, k):
+        # The single run executes grover-full's program through run_program;
+        # run_grover and run_exact_grover stay the independent references.
+        from repro.grover.exact import run_exact_grover
+        from repro.grover.standard import run_grover
+
+        engine = SearchEngine()
+        for target in (0, 37, n - 1):
+            report = engine.search(SearchRequest(
+                n_items=n, n_blocks=k, target=target, method="grover-full",
+                options=options,
+            ))
+            db = SingleTargetDatabase(n, target)
+            if options.get("exact"):
+                ref = run_exact_grover(db)
+            else:
+                ref = run_grover(db, options.get("iterations"))
+            amps = report.raw.branches[0]
+            assert amps.dtype == ref.amplitudes.dtype
+            np.testing.assert_array_equal(amps, ref.amplitudes)
+            assert report.success_probability == ref.success_probability
+            assert report.answer == ref.best_guess
+            assert report.block_guess == ref.best_guess // (n // k)
+            assert report.queries == ref.queries == db.queries_used
+            assert report.schedule == {"iterations": ref.iterations,
+                                       "exact": bool(options.get("exact"))}
+
     def test_explicit_database_accumulates_queries(self):
         db = SingleTargetDatabase(256, 7, counter=QueryCounter())
         engine = SearchEngine()

@@ -132,6 +132,74 @@ class TestEngineDispatch:
         assert np.array_equal(default.block_guesses, custom.block_guesses)
 
 
+#: Option values no tier may truncate, coerce or ignore (N=64, K=4).
+BAD_BASELINE_OPTIONS = [
+    ("grover-full", {"iterations": 2.5}),
+    ("grover-full", {"iterations": -1}),
+    ("grover-full", {"iterations": True}),
+    ("grover-full", {"exact": "false"}),
+    ("grover-full", {"exact": 1}),
+    ("naive-blocks", {"left_out_block": "1"}),
+    ("naive-blocks", {"left_out_block": 1.5}),
+    ("naive-blocks", {"left_out_block": 4}),
+    ("naive-blocks", {"left_out_block": np.int64(-1)}),
+    ("naive-blocks", {"iterations": 2.5}),
+    ("classical", {"left_out_block": True}),
+    ("classical", {"left_out_block": 1.0}),
+]
+
+
+class TestBadBaselineOptions:
+    """``iterations``, ``left_out_block`` and ``exact`` are checked once,
+    by ``SearchRequest.checked_option``, in every tier."""
+
+    @pytest.mark.parametrize(
+        "method,options", BAD_BASELINE_OPTIONS,
+        ids=[f"{m}-{k}={v!r}" for m, o in BAD_BASELINE_OPTIONS
+             for k, v in o.items()],
+    )
+    def test_every_tier_refuses(self, method, options):
+        from repro.analytic import AnalyticUnsupported
+
+        ex = RecordingExecutor()
+        engine = SearchEngine(executor=ex)
+        request = SearchRequest(n_items=64, n_blocks=4, method=method,
+                                target=20, rng=0, options=options)
+        match = r"option (iterations|left_out_block|exact)="
+        for wants in ("report", "probability"):  # auto falls through
+            with pytest.raises(ValueError, match=match) as single:
+                engine.search(request.replace(wants=wants))
+            assert type(single.value) is ValueError
+            with pytest.raises(ValueError, match=match) as batch:
+                engine.search_batch(request.replace(wants=wants),
+                                    targets=range(16))
+            assert type(batch.value) is ValueError
+        assert ex.calls == []  # no shard was sent
+        analytic = request.replace(wants="probability", engine="analytic")
+        with pytest.raises(AnalyticUnsupported, match=match):
+            engine.search(analytic)
+        with pytest.raises(AnalyticUnsupported, match=match):
+            engine.search_batch(analytic, targets=range(16))
+
+    def test_numpy_integers_and_bools_are_accepted(self):
+        engine = SearchEngine()
+        plain = engine.search(SearchRequest(
+            n_items=64, n_blocks=4, method="naive-blocks", target=20, rng=5,
+            options={"left_out_block": 2, "iterations": 3},
+        ))
+        numpy = engine.search(SearchRequest(
+            n_items=64, n_blocks=4, method="naive-blocks", target=20, rng=5,
+            options={"left_out_block": np.int64(2),
+                     "iterations": np.uint8(3)},
+        ))
+        assert numpy == plain
+        exact = engine.search(SearchRequest(
+            n_items=64, n_blocks=4, method="grover-full", target=20,
+            options={"exact": np.bool_(True)},
+        ))
+        assert exact.schedule["exact"] is True
+
+
 class TestRequestPickling:
     def test_round_trip_preserves_fields(self):
         request = SearchRequest(

@@ -269,40 +269,89 @@ class TestShardIdentityUnderPolicies:
         )
         np.testing.assert_array_equal(fanned.block_guesses, serial.block_guesses)
 
-    def test_policy_blind_methods_normalise_the_policy(self):
-        # naive-blocks/grover-full/classical single runs pin their own
-        # dtype, so their batches run at the default policy too: a
-        # complex64 request must NOT change the shard byte model nor stamp
-        # a dtype into the provenance that was never used.
+    def test_stateless_backend_normalises_the_policy(self):
+        # classical is the one method whose backend holds no state: its
+        # adapters see the default policy, its batch records no dtype, and
+        # complex64 and complex128 requests fingerprint alike.
+        from dataclasses import replace
+
+        from repro.engine import get_method, register_method
+        from repro.service.cache import request_fingerprint
+
+        spec = get_method("classical")
+        seen = []
+        register_method(replace(
+            spec,
+            run=lambda r, *a: seen.append(r.policy) or spec.run(r, *a),
+            batch=lambda r, *a: seen.append(r.policy) or spec.batch(r, *a),
+        ), replace=True)
+        try:
+            engine = SearchEngine()
+            base = SearchRequest(n_items=64, n_blocks=4, method="classical",
+                                 target=20)
+            fast = base.replace(policy=ExecutionPolicy(dtype="complex64",
+                                                       row_threads=2))
+            assert engine.search(fast) == engine.search(base)
+            batch = engine.search_batch(fast, targets=range(16))
+        finally:
+            register_method(spec, replace=True)
+        assert seen == [ExecutionPolicy()] * 3
+        assert "dtype" not in batch.execution
+        assert request_fingerprint(fast) == request_fingerprint(base)
+        # A backend that holds state keeps the dtype in the fingerprint.
+        grk = SearchRequest(n_items=64, n_blocks=4, target=20)
+        assert request_fingerprint(
+            grk.replace(policy=ExecutionPolicy(dtype="complex64"))
+        ) != request_fingerprint(grk)
+
+    @pytest.mark.parametrize(
+        "method,options,seed",
+        [("grover-full", {}, None), ("grover-full", {"exact": True}, None),
+         ("naive-blocks", {}, 42)],
+        ids=["grover-full", "grover-full-exact", "naive-blocks"],
+    )
+    def test_baselines_honour_the_policy(self, method, options, seed):
+        from repro.kernels import COMPLEX64_SUCCESS_ATOL
+        from repro.service.cache import request_fingerprint
+
+        n, k = 256, 4
+        searched = n if method == "grover-full" else n - n // k
         engine = SearchEngine()
-        budget = ShardPolicy(max_bytes=8 * state_row_bytes("kernels", 64))
-        base = engine.search_batch(
-            SearchRequest(n_items=64, n_blocks=4, method="naive-blocks",
-                          rng=0, shards=budget),
-            targets=range(16),
+        request = SearchRequest(
+            n_items=n, n_blocks=k, method=method, options=options, rng=seed,
+            shards=ShardPolicy(max_bytes=8 * state_row_bytes("kernels",
+                                                             searched)),
         )
-        fast = engine.search_batch(
-            SearchRequest(n_items=64, n_blocks=4, method="naive-blocks",
-                          rng=0, shards=budget,
-                          policy=ExecutionPolicy(dtype="complex64")),
-            targets=range(16),
+        fast_policy = ExecutionPolicy(dtype="complex64")
+        base = engine.search_batch(request)
+        fast = engine.search_batch(request.replace(policy=fast_policy))
+        assert fast.execution["dtype"] == "complex64"
+        assert base.execution["shard_rows"] == 8
+        assert fast.execution["shard_rows"] == 16
+        np.testing.assert_allclose(
+            fast.success_probabilities, base.success_probabilities,
+            atol=COMPLEX64_SUCCESS_ATOL, rtol=0,
         )
-        assert fast.execution["shard_rows"] == base.execution["shard_rows"]
-        assert fast.execution["dtype"] == "complex128"
+        np.testing.assert_array_equal(fast.block_guesses, base.block_guesses)
+        threaded = engine.search_batch(
+            request.replace(policy=ExecutionPolicy(row_threads=3))
+        )
+        assert threaded.execution["row_threads"] == 3
         np.testing.assert_array_equal(
-            fast.success_probabilities, base.success_probabilities
+            threaded.success_probabilities, base.success_probabilities
         )
-        # A batch whose every target is left out runs no shard; its record
-        # keeps the same keys.
-        left_out = engine.search_batch(
-            SearchRequest(n_items=64, n_blocks=4, method="naive-blocks",
-                          shards=budget, options={"left_out_block": 1},
-                          policy=ExecutionPolicy(dtype="complex64")),
-            targets=range(16, 32),
+        np.testing.assert_array_equal(threaded.block_guesses,
+                                      base.block_guesses)
+        # Single runs run at the request's dtype too, and cache apart.
+        single = request.replace(target=200)  # a searched block at seed 42
+        full = engine.search(single)
+        half = engine.search(single.replace(policy=fast_policy))
+        assert abs(half.success_probability
+                   - full.success_probability) <= COMPLEX64_SUCCESS_ATOL
+        assert half.success_probability != full.success_probability
+        assert request_fingerprint(single) != request_fingerprint(
+            single.replace(policy=fast_policy)
         )
-        assert left_out.execution.keys() == base.execution.keys()
-        assert left_out.execution["n_shards"] == 0
-        assert left_out.execution["dtype"] == "complex128"
 
     def test_simplified_method_honours_policy(self):
         n, k = 64, 4

@@ -289,6 +289,43 @@ class TestErrorMapping:
 
         run(main())
 
+    def test_bad_baseline_options_are_400(self):
+        # The edge passes any JSON scalar into options; the engine's one
+        # option check refuses these in every tier instead of failing with
+        # a TypeError (500) or truncating the value.
+        cases = [
+            ("/v1/search", "grover-full", {"iterations": 2.5}, {}),
+            ("/v1/search", "grover-full", {"exact": "false"}, {}),
+            ("/v1/search", "naive-blocks", {"left_out_block": "1"}, {}),
+            ("/v1/search", "naive-blocks", {"left_out_block": 1.5}, {}),
+            ("/v1/search", "naive-blocks", {"iterations": 2.5},
+             {"wants": "probability"}),
+            ("/v1/search", "naive-blocks", {"left_out_block": 1.5},
+             {"wants": "probability", "engine": "analytic"}),
+            ("/v1/search", "classical", {"left_out_block": True}, {}),
+            ("/v1/batch", "naive-blocks", {"left_out_block": 1.5},
+             {"targets": [1, 20, 40]}),
+        ]
+
+        async def main():
+            async with gateway_stack() as stack:
+                for path, method, options, extra in cases:
+                    doc = {"schema_version": SCHEMA_VERSION, "n_items": 64,
+                           "n_blocks": 4, "method": method,
+                           "options": options, **extra}
+                    if path == "/v1/search":
+                        doc["target"] = 20
+                    status, _, body = await fetch(
+                        stack.base + path, method="POST",
+                        body=json.dumps(doc).encode(),
+                    )
+                    reply = json.loads(body)
+                    assert status == 400, (method, options, reply)
+                    assert reply["error"] == "invalid-request"
+                    assert f"option {next(iter(options))}=" in reply["message"]
+
+        run(main())
+
 
 class TestTenancyOverHttp:
     def tenants(self):

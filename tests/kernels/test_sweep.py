@@ -310,6 +310,37 @@ class TestItemReadout:
             assert counted.success_probability == single.success_probability
             assert counted.queries == single.queries
 
+    @pytest.mark.parametrize("n_items", [64, 96, 256])
+    def test_exact_rows_equal_the_counted_exact_search(self, n_items):
+        # Long's phase-matched variant: [global J+1 (φ, φ)].
+        from repro.core.algorithm import run_program
+        from repro.core.program import GLOBAL, PartialSearchProgram, ProgramStage
+        from repro.grover.exact import (
+            long_phase,
+            minimum_iterations,
+            run_exact_grover,
+        )
+        from repro.oracle import SingleTargetDatabase
+
+        j = minimum_iterations(n_items) + 1
+        phi = long_phase(n_items, j)
+        program = PartialSearchProgram(
+            n_items, n_items, (ProgramStage(GLOBAL, j, phi, phi),),
+            final_phase=None,
+        )
+        targets = np.arange(n_items, dtype=np.intp)
+        success, guesses = program_sweep_rows(program, targets,
+                                              ExecutionPolicy())
+        for t in targets:
+            single = run_exact_grover(SingleTargetDatabase(n_items, int(t)))
+            assert abs(success[t] - single.success_probability) <= 1e-12
+            assert guesses[t] == single.best_guess == t
+            counted = run_program(SingleTargetDatabase(n_items, int(t)), program)
+            np.testing.assert_array_equal(counted.branches[0],
+                                          single.amplitudes)
+            assert counted.success_probability == single.success_probability
+            assert counted.queries == single.queries == j
+
 
 # ------------------------------------- row_threads small-slab regression
 

@@ -1,11 +1,13 @@
 """Unit tests for repro.util.validation."""
 
+import numpy as np
 import pytest
 
 from repro.util.validation import (
     require,
     require_divides,
     require_in_range,
+    require_int,
     require_power_of_two,
 )
 
@@ -32,6 +34,26 @@ class TestRequireInRange:
     def test_below(self):
         with pytest.raises(ValueError, match="x=-1"):
             require_in_range("x", -1, 0, 10)
+
+
+class TestRequireInt:
+    def test_accepts_python_and_numpy_integers(self):
+        assert require_int("j", 3, 0) == 3
+        value = require_int("j", np.int64(3), 0, 4)
+        assert value == 3 and type(value) is int
+        assert require_int("j", np.uint8(0), 0, 1) == 0
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(False), "2",
+                                       None])
+    def test_refuses_non_integers(self, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            require_int("j", value, 0)
+
+    def test_bounds(self):
+        with pytest.raises(ValueError, match="j=-1 must be >= 0"):
+            require_int("j", -1, 0)
+        with pytest.raises(ValueError, match=r"out of range \[0, 4\)"):
+            require_int("j", 4, 0, 4)
 
 
 class TestRequirePowerOfTwo:
