@@ -342,6 +342,17 @@ class TestShardIdentityUnderPolicies:
         )
         np.testing.assert_array_equal(threaded.block_guesses,
                                       base.block_guesses)
+        if method == "naive-blocks":
+            # A batch whose every target is left out runs no shard; its
+            # record keeps the same keys, the policy included.
+            left_out = engine.search_batch(
+                request.replace(policy=fast_policy,
+                                options={"left_out_block": 1}),
+                targets=range(64, 128),
+            )
+            assert left_out.execution.keys() == fast.execution.keys()
+            assert left_out.execution["n_shards"] == 0
+            assert left_out.execution["dtype"] == "complex64"
         # Single runs run at the request's dtype too, and cache apart.
         single = request.replace(target=200)  # a searched block at seed 42
         full = engine.search(single)
