@@ -42,15 +42,68 @@ from repro.core.backends import circuit_geometry, validate_backend
 from repro.core.blockspec import BlockSpec
 from repro.core.parameters import plan_schedule
 from repro.core.program import GLOBAL, PartialSearchProgram
-from repro.core.tracing import StageTrace
 from repro.grover.amplify import phased_block_grover_step, phased_grover_step
 from repro.kernels import ExecutionPolicy, uniform_state
 from repro.kernels import primitives as ops
 from repro.oracle.database import Database
 from repro.oracle.quantum import BitFlipOracle, PhaseOracle
-from repro.statevector.measurement import block_probabilities, sample_blocks
+from repro.statevector.measurement import (
+    address_probabilities,
+    block_probabilities,
+    sample_blocks,
+)
 
-__all__ = ["PartialSearchResult", "run_program", "run_partial_search"]
+__all__ = [
+    "PartialSearchResult",
+    "StageTrace",
+    "run_program",
+    "run_partial_search",
+]
+
+
+@dataclass(frozen=True)
+class StageTrace:
+    """One recorded stage of a run (``run_program(..., trace=True)``).
+
+    Tracing is opt-in (it copies the state at each stage) and exists so the
+    benchmark harness can regenerate the paper's amplitude histograms
+    (Figures 1, 3–5) from an actual run rather than from the analytic model.
+
+    Attributes:
+        label: short machine-friendly stage id (e.g. ``"after_step1"``).
+        description: human-readable description of what just happened.
+        amplitudes: state snapshot — shape ``(N,)`` before Step 3 or
+            ``(2, N)`` once the ancilla branch exists.
+        queries: oracle queries spent up to (and including) this stage.
+    """
+
+    label: str
+    description: str
+    amplitudes: np.ndarray
+    queries: int
+
+    @property
+    def n_items(self) -> int:
+        """Address-space size ``N``."""
+        return self.amplitudes.shape[-1]
+
+    def address_probabilities(self) -> np.ndarray:
+        """``P(x)`` at this stage (ancilla traced out if present)."""
+        return address_probabilities(self.amplitudes)
+
+    def block_probabilities(self, n_blocks: int) -> np.ndarray:
+        """Block-measurement distribution at this stage."""
+        return block_probabilities(self.amplitudes, n_blocks)
+
+    def flat_amplitudes(self) -> np.ndarray:
+        """Address amplitudes with any ancilla branches summed.
+
+        Only meaningful for plotting: coherent branches are combined by
+        simple addition, which matches Figure 1's single-histogram view
+        because at most one branch is nonzero per address in these runs.
+        """
+        amps = self.amplitudes
+        return amps if amps.ndim == 1 else amps.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -127,9 +180,8 @@ def run_program(
         policy: :class:`~repro.kernels.ExecutionPolicy` selecting the state
             precision (``None`` = the bit-identical complex128 default;
             ``row_threads`` has no effect on a single run).
-        trace: record a :class:`~repro.core.tracing.StageTrace` after
-            every stage (labels ``initial``, ``after_step{i}``,
-            ``after_moveout``, ``final``).
+        trace: record a :class:`StageTrace` after every stage (labels
+            ``initial``, ``after_step{i}``, ``after_moveout``, ``final``).
 
     Returns:
         :class:`PartialSearchResult` whose ``schedule`` is *program*.

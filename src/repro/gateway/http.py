@@ -246,8 +246,8 @@ class GatewayServer:
             body = payload.encode() if isinstance(payload, str) else payload
             ctype = content_type or "text/plain; charset=utf-8"
         else:
-            ctype = content_type or _schema.CONTENT_TYPE_JSON
-            body = _schema.dumps(payload, ctype)
+            ctype = _schema.CONTENT_TYPE_JSON
+            body = _schema.dumps(payload)
         lines = [
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
             f"Content-Type: {ctype}",
@@ -379,7 +379,7 @@ class GatewayServer:
         tenant_name = "-"
         method_name = "-"
 
-        def finish(status, payload, extra=None, *, outcome, content_type=None):
+        def finish(status, payload, extra=None, *, outcome):
             self.metrics.observe(
                 route=path, tenant=tenant_name, method=method_name,
                 outcome=outcome, seconds=time.monotonic() - started,
@@ -387,7 +387,7 @@ class GatewayServer:
             log.info("%s %d %s trace=%s tenant=%s %.1fms", path, status,
                      outcome, trace_id, tenant_name,
                      (time.monotonic() - started) * 1e3)
-            return (status, payload, extra or {}, trace_id, content_type)
+            return (status, payload, extra or {}, trace_id, None)
 
         try:
             tenant = self.tenants.resolve(
@@ -395,15 +395,8 @@ class GatewayServer:
             )
             tenant_name = tenant.tenant.name
             with span("gateway.parse"):
-                decoded = _schema.decode_submit(
-                    _schema.loads(
-                        body,
-                        headers.get("content-type",
-                                    _schema.CONTENT_TYPE_JSON).split(";")[0]
-                               .strip() or _schema.CONTENT_TYPE_JSON,
-                    ),
-                    batch=batch,
-                )
+                decoded = _schema.decode_submit(_schema.loads(body),
+                                                batch=batch)
             method_name = decoded.request.method
             with span("tenant.admit", tenant=tenant_name):
                 tenant.admit()
@@ -437,11 +430,7 @@ class GatewayServer:
                 )
             reply = _schema.encode_report(report)
             reply["trace_id"] = trace_id
-            accept = headers.get("accept", "")
-            ctype = None
-            if _schema.CONTENT_TYPE_MSGPACK in accept and _schema.have_msgpack():
-                ctype = _schema.CONTENT_TYPE_MSGPACK
-            return finish(200, reply, outcome="ok", content_type=ctype)
+            return finish(200, reply, outcome="ok")
         except ServiceOverloaded as exc:
             return finish(
                 429,

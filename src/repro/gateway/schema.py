@@ -22,11 +22,6 @@ Validation philosophy: collect **every** field error before rejecting, so
 a client fixes its payload in one round trip.  :class:`SchemaError` carries
 the machine-readable ``[{"field", "message"}, ...]`` list that the gateway
 returns as a structured 400 body.
-
-msgpack is supported opportunistically for body encoding when the optional
-``msgpack`` package is importable (:func:`have_msgpack`); JSON is always
-available and is the default.  The *schema* — field names, types, limits —
-is identical in both encodings.
 """
 
 from __future__ import annotations
@@ -49,8 +44,6 @@ __all__ = [
     "encode_error",
     "encode_methods",
     "CONTENT_TYPE_JSON",
-    "CONTENT_TYPE_MSGPACK",
-    "have_msgpack",
     "dumps",
     "loads",
 ]
@@ -83,7 +76,6 @@ MAX_SCHEMA_TARGETS = 1 << 16
 MAX_OPTIONS_ENTRIES = 32
 
 CONTENT_TYPE_JSON = "application/json"
-CONTENT_TYPE_MSGPACK = "application/x-msgpack"
 
 _DTYPES = ("complex128", "complex64")
 
@@ -497,43 +489,31 @@ def encode_methods() -> dict:
 
 # ----------------------------------------------------------- body encodings
 
-def have_msgpack() -> bool:
-    """True when the optional ``msgpack`` package is importable."""
-    import importlib.util
-
-    return importlib.util.find_spec("msgpack") is not None
-
-
 def dumps(obj, content_type: str = CONTENT_TYPE_JSON) -> bytes:
-    """Serialise a reply body in the negotiated encoding.
+    """Serialise a reply body as strict JSON, the edge's one encoding.
 
-    JSON always works; msgpack only when :func:`have_msgpack` (callers
-    negotiate before asking).  ``allow_nan=False`` keeps the output strict
-    JSON — non-finite floats must have been normalised away upstream
+    ``allow_nan=False`` keeps the output strict — non-finite floats must
+    have been normalised away upstream
     (:func:`repro.util.jsonsafe.json_safe` maps them to ``null``).
-    """
-    if content_type == CONTENT_TYPE_MSGPACK:
-        import msgpack  # gated by have_msgpack() at negotiation time
 
-        return msgpack.packb(obj, use_bin_type=True)
+    Raises:
+        ValueError: *content_type* is not :data:`CONTENT_TYPE_JSON`.
+    """
+    if content_type != CONTENT_TYPE_JSON:
+        raise ValueError(f"unsupported reply encoding {content_type!r}")
     return json.dumps(obj, allow_nan=False).encode("utf-8")
 
 
-def loads(data: bytes, content_type: str = CONTENT_TYPE_JSON):
-    """Decode a request body in the declared encoding.
+def loads(data: bytes):
+    """Decode a JSON request body, whatever its declared content type.
 
     Raises :class:`SchemaError` for undecodable bodies (the gateway maps it
     to a 400).
     """
     try:
-        if content_type == CONTENT_TYPE_MSGPACK:
-            import msgpack
-
-            return msgpack.unpackb(data, raw=False)
         return json.loads(data.decode("utf-8"))
     except Exception as exc:
         raise SchemaError([{
             "field": "",
-            "message": f"undecodable {content_type} body "
-                       f"({type(exc).__name__}: {exc})",
+            "message": f"undecodable JSON body ({type(exc).__name__}: {exc})",
         }]) from exc

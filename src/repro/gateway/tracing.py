@@ -6,20 +6,24 @@ everywhere its work goes:
 
 - the gateway stamps it on the HTTP response (header and body envelope) and
   on its access log line;
-- :meth:`repro.service.scheduler.SearchService.submit` captures the ambient
-  ID and re-establishes it inside the worker-pool thread that executes the
-  engine call;
-- the shard executor (:mod:`repro.service.executor`) copies it into each
-  shard frame's metadata dict (``meta["trace_id"]``);
+- the engine call on :class:`repro.service.scheduler.SearchService`'s
+  worker pool, and each lane of the shard executor
+  (:mod:`repro.service.executor`), see it as the ambient ID;
+- the executor lanes copy it into each shard frame's metadata dict
+  (``meta["trace_id"]``);
 - ``repro-worker`` scopes shard execution with it and logs it, so one
   ``grep trace=<id>`` across gateway and worker logs reconstructs exactly
   which hosts computed which shards of which user request.
 
-The ambient ID is a :class:`contextvars.ContextVar`.  Context does **not**
-flow into ``threading.Thread`` targets automatically, so thread hops
-(service pool, executor lanes) capture the ID explicitly with
-:func:`current_trace_id` and re-enter it with :func:`trace_scope` — the
-same pattern :mod:`repro.resilience` uses for deadlines.
+The ambient ID is a :class:`contextvars.ContextVar`, like the span
+context (:mod:`repro.observability.spans`) and the request deadline
+(:mod:`repro.resilience.deadline`).  A thread hop runs in a copy of the
+caller's context (``contextvars.copy_context().run``: the service pool
+and the executor lanes), so the ID crosses it with no code of its own.
+A context cannot cross a process: the edges set it with
+:func:`trace_scope` from what arrives — the gateway from the
+``X-Request-ID`` header, the TCP server and the worker from the frame's
+meta.
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ def current_trace_id() -> str | None:
 def trace_scope(trace_id: str | None):
     """Establish *trace_id* as the ambient ID for the ``with`` body.
 
-    ``None`` is allowed and clears the scope (useful when re-entering a
-    captured-but-absent ID on a worker thread).
+    ``None`` is allowed and clears the scope (a worker scopes an untraced
+    shard with it).
     """
     token = _trace_id.set(trace_id)
     try:

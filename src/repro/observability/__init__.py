@@ -2,8 +2,9 @@
 
 Layered on the flat request IDs from ``repro.gateway.tracing``:
 
-- :mod:`~repro.observability.spans` — the ``Span`` tree, the ambient
-  recorder contextvars, and the thread-hop capture/re-enter helpers;
+- :mod:`~repro.observability.spans` — the ``Span`` tree and the ambient
+  recorder contextvars (a thread hop runs in a copy of the caller's
+  context, so they cross it with no helper of their own);
 - :mod:`~repro.observability.collector` — the bounded per-process
   ``TraceCollector`` ring that ``GET /v1/trace/{id}`` serves from;
 - :mod:`~repro.observability.render` — the ``repro trace`` waterfall;
@@ -16,12 +17,10 @@ from .render import render_waterfall
 from .spans import (
     Span,
     SpanRecorder,
-    capture_span_context,
     current_recorder,
     current_span_id,
     recording_scope,
     span,
-    span_scope,
 )
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "SpanRecorder",
     "span",
     "recording_scope",
-    "span_scope",
-    "capture_span_context",
     "current_recorder",
     "current_span_id",
     "TraceCollector",

@@ -6,16 +6,14 @@ admission, queue wait, cache probe, shard dispatch, wire round-trip,
 worker compute, merge) opens a :class:`Span` naming itself, and the spans
 link into one tree through parent IDs.
 
-The design mirrors the two contextvar scopes that already cross thread
-hops in this codebase (``trace_scope`` and ``deadline_scope``):
-
-- an ambient :class:`SpanRecorder` plus the currently-open span live in
-  contextvars (:func:`recording_scope`, :func:`span`);
-- contextvars do not flow into ``threading.Thread`` targets or
-  ``ThreadPoolExecutor.submit``, so the hop points capture
-  ``(recorder, parent_id)`` with :func:`capture_span_context` and
-  re-enter on the far side with :func:`span_scope` — exactly the
-  capture/re-enter dance the trace ID and deadline already do.
+An ambient :class:`SpanRecorder` plus the currently-open span live in
+contextvars (:func:`recording_scope`, :func:`span`), beside the trace ID
+and the request deadline.  A thread hop runs in a copy of the caller's
+context (``contextvars.copy_context().run``: the service's pool job and
+the remote executor's lane threads), so spans opened on the far side
+parent under the span that was open at the hop with no per-variable
+plumbing.  A context cannot cross a process: the worker rebuilds its
+recorder and parent from the shard meta with :func:`recording_scope`.
 
 When no recorder is ambient, :func:`span` degrades to a shared no-op
 context manager: untraced requests pay one contextvar read and nothing
@@ -41,8 +39,6 @@ __all__ = [
     "SpanRecorder",
     "span",
     "recording_scope",
-    "span_scope",
-    "capture_span_context",
     "current_recorder",
     "current_span_id",
     "new_span_id",
@@ -231,35 +227,21 @@ def span(name: str, **attrs):
 
 
 @contextlib.contextmanager
-def recording_scope(recorder: SpanRecorder | None):
-    """Install *recorder* as the ambient span sink for this context."""
-    token = _recorder.set(recorder)
-    try:
-        yield recorder
-    finally:
-        _recorder.reset(token)
+def recording_scope(recorder: SpanRecorder | None,
+                    parent_id: str | None = None):
+    """Install *recorder* as the ambient span sink for this context, with
+    *parent_id* as the parent of the next :func:`span` (``None``: a root).
 
-
-@contextlib.contextmanager
-def span_scope(recorder: SpanRecorder | None, parent_id: str | None):
-    """Re-enter a captured span context on the far side of a thread hop.
-
-    The counterpart of :func:`capture_span_context`, mirroring how
-    ``trace_scope`` / ``deadline_scope`` are re-entered in pool and lane
-    threads.
+    The worker passes the dialer's attempt-span ID from the shard meta, so
+    its compute span parents across the process seam.
     """
     rec_token = _recorder.set(recorder)
     par_token = _parent.set(parent_id)
     try:
-        yield
+        yield recorder
     finally:
         _parent.reset(par_token)
         _recorder.reset(rec_token)
-
-
-def capture_span_context() -> tuple[SpanRecorder | None, str | None]:
-    """``(recorder, parent_span_id)`` to carry across a thread hop."""
-    return _recorder.get(), _parent.get()
 
 
 def current_recorder() -> SpanRecorder | None:

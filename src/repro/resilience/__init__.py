@@ -15,8 +15,9 @@ wherever it touches the network, plus a way to *test* them:
   failures and probed back in through half-open trials instead of charging
   every request a connect timeout.
 - :mod:`repro.resilience.deadline` — propagatable request deadlines
-  (:class:`Deadline`, carried across threads via :func:`deadline_scope` /
-  :func:`current_deadline` and across the wire as remaining seconds), so
+  (:class:`Deadline`, set with :func:`deadline_scope` and read with
+  :func:`current_deadline`; it crosses thread hops in the caller's copied
+  context and the wire as remaining seconds), so
   workers skip shards nobody will wait for and executors convert remaining
   budget into per-shard timeouts.
 - :mod:`repro.resilience.chaos` — a seeded, deterministic fault-injection

@@ -5,9 +5,12 @@ the *client* got a timeout, but the shards kept computing on workers whose
 results nobody would wait for.  A :class:`Deadline` fixes the other half —
 it is created once per request and then:
 
-- rides into the engine's pool thread via :func:`deadline_scope` (a
-  context-manager around the job) and is read back by the shard planner
-  through :func:`current_deadline`, with no request/engine API churn;
+- becomes the ambient deadline of the engine's pool job via
+  :func:`deadline_scope` (a context-manager around the job) and is read
+  back by the shard planner and the executors through
+  :func:`current_deadline`, with no request/engine API churn.  Like the
+  trace ID and the span context it is a contextvar, and a thread hop runs
+  in a copy of the caller's context, so it needs no hop code of its own;
 - bounds executor dispatch: remaining budget becomes the per-shard reply
   timeout (instead of a fixed constant), and dispatch stops with
   :class:`DeadlineExceeded` the moment the budget is gone;
@@ -97,10 +100,10 @@ def current_deadline() -> Deadline | None:
 def deadline_scope(deadline: Deadline | None):
     """Make *deadline* the :func:`current_deadline` within the block.
 
-    The service wraps each engine job in one of these **inside** the pool
-    thread, so the contextvar is set in the thread that actually plans and
-    dispatches shards — no cross-thread context copying needed.  ``None``
-    is accepted and simply clears any inherited deadline.
+    The service wraps each engine job in one of these inside the pool
+    job, which runs in a copy of the submitting context; the worker wraps
+    each shard in one rebuilt from the shipped budget.  ``None`` is
+    accepted and simply clears any inherited deadline.
     """
     token = _CURRENT.set(deadline)
     try:

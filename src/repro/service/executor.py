@@ -38,6 +38,7 @@ and the method adapters do not change.
 from __future__ import annotations
 
 import collections
+import contextvars
 import queue
 import random
 import socket
@@ -46,12 +47,7 @@ import time
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
-from repro.observability.spans import (
-    Span,
-    capture_span_context,
-    span,
-    span_scope,
-)
+from repro.observability.spans import Span, current_recorder, span
 from repro.resilience import (
     BreakerRegistry,
     Deadline,
@@ -329,13 +325,8 @@ class RemoteExecutor(ShardExecutor):
         """One dispatch lane: serve shards from *endpoint*; when that
         worker fails, drains or is quarantined, take the next spare worker
         and go on, until the run is over or no spare is left."""
-        # Lanes are plain threads: re-enter the dispatch span context
-        # captured in run_shards so attempt spans parent correctly (the
-        # same capture/re-enter hop the trace ID and deadline make).
-        recorder, parent_id = state["span_ctx"]
-        with span_scope(recorder, parent_id):
-            while endpoint is not None:
-                endpoint = self._lane_loop(endpoint, func, state)
+        while endpoint is not None:
+            endpoint = self._lane_loop(endpoint, func, state)
 
     def _lane_loop(self, endpoint, func, state) -> str | None:
         """Pull shards for one worker until every shard is done or the
@@ -351,9 +342,15 @@ class RemoteExecutor(ShardExecutor):
         Returns the spare that takes the lane over when the worker is
         gone, None when the run is over or no spare is left.
         """
+        from repro.gateway.tracing import current_trace_id
+
         address = parse_address(endpoint)
         breaker = self.breakers.get(endpoint)
         deadline: Deadline | None = state["deadline"]
+        # The lane runs in a copy of the dispatch context (run_shards), so
+        # the request's trace ID and recorder are ambient here.
+        trace_id = current_trace_id()
+        recorder = current_recorder()
         jitter = random.Random(hash((endpoint, len(state["tasks"]))))
         lane_failures = 0
         lane_error: str | None = None  # last unrecovered transport failure
@@ -434,7 +431,7 @@ class RemoteExecutor(ShardExecutor):
                             sock = self._connect(address)
                         message = self._shard_message(
                             func, state["tasks"][index], state["rngs"][index],
-                            deadline, state["trace_id"], att.span_id,
+                            deadline, trace_id, att.span_id,
                         )
                         if deadline is not None:
                             sock.settimeout(
@@ -514,7 +511,6 @@ class RemoteExecutor(ShardExecutor):
                 # Traced shards reply ("result", value, {"spans": [...]}):
                 # stitch the worker-side spans (already parented on this
                 # attempt's ID) into the request's recorder.
-                recorder = state["span_ctx"][0]
                 if recorder is not None and len(reply) > 2 \
                         and isinstance(reply[2], dict):
                     shipped = reply[2].get("spans") or ()
@@ -594,13 +590,8 @@ class RemoteExecutor(ShardExecutor):
         # endpoint that won a lane thus does not start last and find the
         # queue drained — it gets the trial shard its breaker admits.
         lanes.sort(key=dialable.index)
-        # Captured here, in the caller's context: lanes are plain threads,
-        # and contextvars do not follow work across the thread boundary.
-        from repro.gateway.tracing import current_trace_id
-
         budget = self.retry_budget
         state = {
-            "trace_id": current_trace_id(),
             "tasks": tasks,
             # Mirror parallel_map's per-task generator argument; shard
             # functions that need reproducible randomness carry pre-spawned
@@ -633,17 +624,19 @@ class RemoteExecutor(ShardExecutor):
         for i in range(len(tasks)):
             state["pending"].put(i)
 
-        # The dispatch span brackets the whole fan-out (lanes re-enter the
-        # captured context, so attempt spans become its children); failures
-        # raised below mark it errored on the way out.
+        # The dispatch span brackets the whole fan-out; failures raised
+        # below mark it errored on the way out.  Each lane starts in its
+        # own copy of this context (one thread cannot enter a copy another
+        # is running), so attempt spans become children of "dispatch" and
+        # the lane reads the request's trace ID and recorder.
         with span("dispatch", executor="remote", shards=len(tasks),
                   lanes=len(lanes)):
             for endpoint in quarantined:
                 self._skip_quarantined(state, endpoint)
-            state["span_ctx"] = capture_span_context()
             threads = [
                 threading.Thread(
-                    target=self._serve_lane, args=(endpoint, func, state),
+                    target=contextvars.copy_context().run,
+                    args=(self._serve_lane, endpoint, func, state),
                     daemon=True,
                 )
                 for endpoint in lanes

@@ -34,6 +34,7 @@ over TCP and :mod:`repro.service.cli` drives it from the command line.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import functools
 import heapq
 import itertools
@@ -42,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
 
-from repro.observability.spans import capture_span_context, span, span_scope
+from repro.observability.spans import span
 from repro.resilience import Deadline, deadline_scope
 from repro.util.jsonsafe import json_safe
 
@@ -287,10 +288,7 @@ class SearchService:
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        from repro.gateway.tracing import current_trace_id
         from repro.service.cache import request_fingerprint
-
-        trace_id = current_trace_id()
 
         self._admit()
         try:
@@ -394,14 +392,12 @@ class SearchService:
                     # timeout the asyncio wrapper gets cancelled and reports
                     # done immediately, but only the concurrent future
                     # completes when the pool thread actually ends.
-                    # The remaining budget becomes an ambient Deadline inside
-                    # the pool thread: the engine reads it per shard batch
-                    # (repro.resilience.current_deadline) and the executors
-                    # ship it to workers, so a deadline overrun stops
-                    # dispatching instead of computing shards nobody awaits.
+                    # The job runs in a copy of this context, so the trace
+                    # ID, span context and any other ambient value cross
+                    # the hop as the caller set them.
                     job_future = self._pool.submit(
+                        contextvars.copy_context().run,
                         self._run_with_deadline, job, Deadline.after(deadline),
-                        trace_id, capture_span_context(),
                     )
                     try:
                         result = await asyncio.wait_for(
@@ -445,28 +441,24 @@ class SearchService:
             self._release()
 
     @staticmethod
-    def _run_with_deadline(job, deadline, trace_id=None,
-                           span_ctx=(None, None)):
+    def _run_with_deadline(job, deadline):
         """Pool-thread entry: run *job* under an ambient request deadline.
 
-        A :class:`~repro.resilience.DeadlineExceeded` raised by the engine
-        is a ``TimeoutError`` subclass, so it flows into the existing
-        timeout accounting (and the server's ``("timeout", ...)`` reply)
-        without a separate failure path.
-
-        Contextvars do not follow jobs across the pool boundary, so the
-        request's trace ID and span context (captured in :meth:`submit`)
-        are re-entered here — the executors read the ID when stamping
-        shard frames, and ``engine.execute`` brackets the engine's whole
-        pool-thread residence (planning, dispatch, merge nest under it).
+        :meth:`submit` starts this in a copy of the caller's context, so
+        every ambient value (trace ID, span context) is already in place;
+        only the deadline is new here.  The remaining budget becomes the
+        ambient :class:`~repro.resilience.Deadline`: the engine reads it
+        per shard batch and the executors ship it to workers, so an
+        overrun stops dispatching instead of computing shards nobody
+        awaits.  A :class:`~repro.resilience.DeadlineExceeded` raised by
+        the engine is a ``TimeoutError`` subclass, so it flows into the
+        existing timeout accounting (and the server's ``("timeout", ...)``
+        reply) without a separate failure path.  ``engine.execute``
+        brackets the engine's whole pool-thread residence (planning,
+        dispatch, merge nest under it).
         """
-        from repro.gateway.tracing import trace_scope
-
-        recorder, parent_id = span_ctx
-        with trace_scope(trace_id), deadline_scope(deadline), \
-                span_scope(recorder, parent_id):
-            with span("engine.execute"):
-                return job()
+        with deadline_scope(deadline), span("engine.execute"):
+            return job()
 
     def _reap_abandoned(self, loop, job_future) -> None:
         """Release the worker slot of a timed-out job once its thread ends.

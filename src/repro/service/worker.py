@@ -288,13 +288,15 @@ class WorkerServer:
                 raise RuntimeError(
                     "chaos: injected deterministic failure at worker shard"
                 )
-            # Trace ID (shard meta, gateway-originated requests): scope
-            # the shard with it so traced code sees the ambient ID, and
-            # log it — `grep trace=<id>` across gateway and worker logs
-            # reconstructs which hosts computed which shards.
+            # A context cannot cross a process, so the shard's ambient
+            # values are set here from its meta.  Trace ID (gateway-
+            # originated requests): scope the shard with it so traced code
+            # sees the ambient ID, and log it — `grep trace=<id>` across
+            # gateway and worker logs reconstructs which hosts computed
+            # which shards.
             from repro.gateway.tracing import trace_scope
             from repro.observability.spans import (
-                SpanRecorder, span, span_scope,
+                SpanRecorder, recording_scope, span,
             )
 
             trace_id = meta.get("trace_id")
@@ -310,7 +312,7 @@ class WorkerServer:
                 recorder = SpanRecorder(trace_id)
             deadline = Deadline.after(deadline_s)
             with trace_scope(trace_id), deadline_scope(deadline), \
-                    span_scope(recorder, meta.get("parent_span_id")):
+                    recording_scope(recorder, meta.get("parent_span_id")):
                 with span("worker.compute", worker=f"{self.address[0]}:"
                                                    f"{self.address[1]}"):
                     result = func(task, rng)

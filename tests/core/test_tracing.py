@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.tracing import StageTrace
+from repro.core.algorithm import StageTrace
 
 
 class TestStageTrace:

@@ -289,6 +289,29 @@ class TestErrorMapping:
 
         run(main())
 
+    def test_json_is_the_only_body_encoding(self):
+        async def main():
+            async with gateway_stack() as stack:
+                # A non-JSON body is a 400, whatever type it declares.
+                status, _, body = await fetch(
+                    stack.base + "/v1/search", method="POST",
+                    body=b"\x83\xa7n_items\xcd\x01\x00",
+                    headers={"Content-Type": "application/x-msgpack"},
+                )
+                assert status == 400
+                assert json.loads(body)["error"] == "invalid-request"
+                # Asking for another reply encoding still gets JSON.
+                status, headers, body = await fetch(
+                    stack.base + "/v1/search", method="POST",
+                    body=json.dumps(SEARCH_BODY).encode(),
+                    headers={"Accept": "application/x-msgpack"},
+                )
+                assert status == 200
+                assert headers["Content-Type"] == "application/json"
+                assert json.loads(body)["kind"] == "search"
+
+        run(main())
+
     def test_bad_baseline_options_are_400(self):
         # The edge passes any JSON scalar into options; the engine's one
         # option check refuses these in every tier instead of failing with

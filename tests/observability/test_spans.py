@@ -1,17 +1,16 @@
 """Span primitives: no-op fast path, nesting, thread hops, wire dicts."""
 
+import contextvars
 import threading
 
 from repro.observability.spans import (
     Span,
     SpanRecorder,
-    capture_span_context,
     current_recorder,
     current_span_id,
     new_span_id,
     recording_scope,
     span,
-    span_scope,
 )
 
 
@@ -89,20 +88,20 @@ class TestRecordingAndNesting:
 
 class TestThreadHop:
     def test_capture_and_reenter_across_a_thread(self):
-        # contextvars do not flow into Thread targets — the hop must use
-        # capture_span_context/span_scope, like trace_scope and
-        # deadline_scope already do.
+        # contextvars do not flow into Thread targets by themselves — the
+        # hop starts its work in a copy of the caller's context, as the
+        # executor's lanes and the service's pool job do.
         recorder = SpanRecorder("tid-5")
         with recording_scope(recorder):
             with span("dispatch") as dispatch:
-                ctx = capture_span_context()
 
                 def lane():
-                    with span_scope(*ctx):
-                        with span("shard.attempt"):
-                            pass
+                    with span("shard.attempt"):
+                        pass
 
-                thread = threading.Thread(target=lane)
+                thread = threading.Thread(
+                    target=contextvars.copy_context().run, args=(lane,)
+                )
                 thread.start()
                 thread.join()
         spans = {s.name: s for s in recorder.drain()}
@@ -110,10 +109,9 @@ class TestThreadHop:
 
     def test_recorder_is_thread_safe(self):
         recorder = SpanRecorder("tid-6")
-        ctx = (recorder, None)
 
         def worker(i):
-            with span_scope(*ctx):
+            with recording_scope(recorder):
                 for _ in range(50):
                     with span(f"w{i}"):
                         pass

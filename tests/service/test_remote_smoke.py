@@ -63,8 +63,10 @@ def worker_addresses():
     if external:
         yield [external]
         return
-    workers = [SpawnedWorker(), SpawnedWorker()]
+    workers = []
     try:
+        for _ in range(2):
+            workers.append(SpawnedWorker())
         yield [w.address for w in workers]
     finally:
         for w in workers:

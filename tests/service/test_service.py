@@ -7,6 +7,7 @@ enforced throughout.
 """
 
 import asyncio
+import contextvars
 import threading
 import time
 
@@ -46,7 +47,29 @@ class CountingEngine(SearchEngine):
                 self.active -= 1
 
 
+#: A value only this test module knows of: the service's pool hop must
+#: carry it with no code that names it.
+CALLER_VALUE = contextvars.ContextVar("test_caller_value", default=None)
+
+
+class ContextEchoEngine:
+    """Stub engine whose search returns :data:`CALLER_VALUE` as it reads it."""
+
+    def search(self, request, database=None):
+        return CALLER_VALUE.get()
+
+
 class TestSubmit:
+    def test_job_runs_in_a_copy_of_the_callers_context(self):
+        async def main():
+            async with SearchService(ContextEchoEngine()) as service:
+                CALLER_VALUE.set("set-by-the-caller")
+                return await service.submit(
+                    SearchRequest(n_items=64, n_blocks=4, target=3)
+                )
+
+        assert run(main()) == "set-by-the-caller"
+
     def test_single_search_matches_direct_engine(self):
         async def main():
             async with SearchService() as service:
