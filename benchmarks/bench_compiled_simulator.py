@@ -186,7 +186,8 @@ def bench_kernels_batched(cfg: dict) -> dict:
     Four measurements of the same sweep: the complex128 single-threaded
     baseline (bit-identical to seed), ``dtype="complex64"`` (half the
     memory traffic), ``row_threads > 1`` (GIL-releasing row slabs), and
-    both knobs together.  complex64 results are checked against the
+    both knobs together.  The baseline and the complex64 variant pin
+    ``row_threads=1``: the default ``"auto"`` would thread them.  complex64 results are checked against the
     baseline within the documented tolerance; threaded results must be
     bit-identical.
     """
@@ -206,9 +207,9 @@ def bench_kernels_batched(cfg: dict) -> dict:
             )
         )
 
-    base_policy = ExecutionPolicy()
+    base_policy = ExecutionPolicy(row_threads=1)
     variants = {
-        "complex64": ExecutionPolicy(dtype="complex64"),
+        "complex64": ExecutionPolicy(dtype="complex64", row_threads=1),
         "row_threads": ExecutionPolicy(row_threads=threads),
         "complex64_threaded": ExecutionPolicy(dtype="complex64",
                                               row_threads=threads),

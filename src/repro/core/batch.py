@@ -40,6 +40,7 @@ from repro.core.backends import circuit_geometry
 from repro.core.blockspec import BlockSpec
 from repro.core.program import PartialSearchProgram
 from repro.kernels import ExecutionPolicy
+from repro.kernels.sweep import ROW_BLOCK_BYTES
 
 __all__ = ["execute_batch_rows"]
 
@@ -70,11 +71,13 @@ def execute_batch_rows(
             oracle).  Circuit backends need ``N`` and ``K`` to be powers
             of two.
         policy: the :class:`~repro.kernels.ExecutionPolicy` (dtype + row
-            threads); ``None`` = the complex128 single-threaded default,
-            which reproduces the seed results bit for bit.
+            threads); ``None`` = the default, complex128 with
+            ``row_threads="auto"``, resolved here from the chunk's work
+            when the planner has not already pinned it.
             ``row_threads`` splits the chunk into contiguous row slabs
-            whose sweeps run on the GIL-releasing thread seam —
-            bit-identical at complex128, since rows never interact.
+            whose sweeps run on the GIL-releasing thread seam and share
+            one row-block budget — bit-identical at complex128, since
+            rows never interact.
 
     Returns:
         ``(success_probabilities, block_guesses)`` arrays of shape
@@ -87,17 +90,20 @@ def execute_batch_rows(
         # Uniform empty-batch contract across backends: callers chunk work
         # and concatenate shard outputs unconditionally.
         return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
+    b = targets.size
+    policy = policy.resolve(b, program.n_items, program.queries)
     if backend != "kernels":
         return _execute_rows_on_circuit_backend(program, targets, backend, policy)
 
-    b = targets.size
+    # The slabs' threads share one row-block budget between them.
+    block_bytes = ROW_BLOCK_BYTES // policy.row_threads
 
     def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        return kernels.program_sweep_rows(program, targets[sl], policy)
+        return kernels.program_sweep_rows(
+            program, targets[sl], policy, block_bytes=block_bytes
+        )
 
-    return kernels.sweep_row_slabs(
-        sweep, b, policy.threads_for_slab(b, program.n_items)
-    )
+    return kernels.sweep_row_slabs(sweep, b, policy.row_threads)
 
 
 @lru_cache(maxsize=32)
@@ -124,11 +130,10 @@ def _execute_rows_on_circuit_backend(
     circuit for all rows, or (``"naive"``) the interpreting simulator
     looped per target.
 
-    The policy's dtype flows into the circuit kernels; ``row_threads``
-    slabs the compiled multi-target run (program constants are shared and
-    the diffusion scratch is thread-local, so slabs are bit-identical to
-    the single sweep).  A circuit row holds ``2N`` complex amplitudes, so
-    ``"auto"`` sizes its slab as ``4N`` real words.
+    The policy's dtype flows into the circuit kernels; its resolved
+    ``row_threads`` slabs the compiled multi-target run (program constants
+    are shared and the diffusion scratch is thread-local, so slabs are
+    bit-identical to the single sweep).
     """
     from repro.circuits import partial_search_circuit, run_circuit
 
@@ -145,9 +150,7 @@ def _execute_rows_on_circuit_backend(
         def run_slab(sl: slice) -> np.ndarray:
             return compiled.run_multi_target(targets[sl], dtype=dtype)
 
-        parts = kernels.map_row_slabs(
-            run_slab, b, policy.threads_for_slab(b, 4 * spec.n_items)
-        )
+        parts = kernels.map_row_slabs(run_slab, b, policy.row_threads)
         final = parts[0] if len(parts) == 1 else np.concatenate(parts)
     else:  # "naive" — the engine validated the backend name
         final = np.empty((b, 2 * spec.n_items), dtype=dtype)

@@ -183,12 +183,13 @@ class SearchEngine:
                 sweep).  Both tiers validate it with
                 :func:`~repro.engine.request.batch_targets`.
 
-        Every simulated method runs one program over the batch in
-        ``(B_chunk, N)`` shards sized by ``request.shards`` (default budget
-        ≲128 MiB), so all-targets sweeps at 12 address qubits no longer
-        allocate a 0.5 GB state matrix; results are bit-identical to the
-        unsharded execution.  With ``request.shards.workers > 1`` shards
-        fan out across a process pool.  Shard tasks are plain data:
+        Every simulated method runs one program over the batch in shards
+        of ``B_chunk`` rows sized by ``request.shards`` (default budget
+        ≲128 MiB; :mod:`repro.engine.plan` says what a shard holds on
+        each backend), each row-threaded per ``request.policy``; results
+        are bit-identical to the unsharded, serial execution.  With
+        ``request.shards.workers > 1`` shards fan out across a process
+        pool.  Shard tasks are plain data:
         naive-blocks draws its per-row left-out blocks from ``request.rng``
         before sharding.  The classical scans run in-process, no shard.
 

@@ -1,17 +1,24 @@
 """Memory-bounded execution planning for batched searches.
 
-An all-targets GRK batch at 12 address qubits is a ``(4096, 8192)`` complex
-state matrix — ~0.5 GB before kernel temporaries.  The planner converts a
-:class:`~repro.engine.request.ShardPolicy` byte budget into a per-shard row
-count from a per-backend row-size model, splits the target batch into
-``(B_chunk, N)`` shards, executes them independently (rows never interact,
-so shard boundaries are bit-invisible in the results), and dispatches the
-shard list through a :class:`repro.service.executor.ShardExecutor` — by
-default the in-process/process-pool :class:`~repro.service.executor.LocalExecutor`,
+The planner converts a :class:`~repro.engine.request.ShardPolicy` byte
+budget into a per-shard row count from a per-backend row-size model,
+splits the target batch into shards, executes them independently (rows
+never interact, so shard boundaries are bit-invisible in the results),
+and dispatches the shard list through a
+:class:`repro.service.executor.ShardExecutor` — by default the
+in-process/process-pool :class:`~repro.service.executor.LocalExecutor`,
 or any custom executor (e.g. the TCP-distributed
 :class:`~repro.service.executor.RemoteExecutor`) installed on the engine.
 Every simulated batch ships one shard function, whose tasks are plain
 data: a program, targets, a backend name and an execution policy.
+
+The gate-level circuit backends hold a ``(B_chunk, 2N)`` complex state
+per shard, so the byte model bounds their memory.  A kernels shard holds
+only row blocks of about :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES`
+(:mod:`repro.kernels.sweep`), shared by its row threads: for it the
+model sizes the shards — how many, and so how many process or remote
+lanes a batch opens — but its ``row_bytes`` and ``shard_bytes`` are the
+model's figures, not resident memory.
 """
 
 from __future__ import annotations
@@ -32,22 +39,23 @@ __all__ = [
     "run_grk_batch_sharded",
 ]
 
-#: Working-set multiplier over the bare state row: the kernels allocate
-#: mean-broadcast temporaries and the final block-probability reshape, and
-#: the circuit path materialises ``abs(state)**2``; 4x the resident row is a
-#: conservative envelope validated by the sharded-batch bench.
+#: Working-set multiplier over the bare state row: the circuit path
+#: materialises ``abs(state)**2`` and fused-op temporaries; 4x the
+#: resident row is a conservative envelope validated by the sharded-batch
+#: bench.  The kernels rows take the same factor, as a sizing model only.
 ROW_OVERHEAD = 4
 
 
 def state_row_bytes(
     backend: str, n_items: int, policy: ExecutionPolicy | None = None
 ) -> int:
-    """Estimated working-set bytes one batch row costs on *backend*.
+    """Modelled working-set bytes one batch row costs on *backend*.
 
-    The kernels path holds a real row of ``N`` amplitudes; the circuit
-    backends hold a complex row of ``2N`` (ancilla doubles the space); both
-    are scaled by :data:`ROW_OVERHEAD` for kernel temporaries and by the
-    policy's dtype width — ``dtype="complex64"`` halves every amplitude, so
+    The circuit backends hold a complex row of ``2N`` (ancilla doubles the
+    space); the kernels path is modelled as a real row of ``N`` amplitudes,
+    though its sweep only ever holds row blocks.  Both are scaled by
+    :data:`ROW_OVERHEAD` for kernel temporaries and by the policy's dtype
+    width — ``dtype="complex64"`` halves every amplitude, so
     a fixed shard byte budget admits **2x the rows per shard**.  A backend
     that holds no state (``classical``, ``analytic``) raises ``ValueError``:
     it plans no shards.
@@ -67,12 +75,14 @@ class ExecutionPlan:
     Attributes:
         n_rows: total batch rows ``B``.
         shard_rows: rows per shard ``B_chunk`` (last shard may be smaller).
-        row_bytes: modelled working-set bytes per row.
+        row_bytes: modelled working-set bytes per row (resident on the
+            circuit backends; a sizing figure on kernels, whose shards
+            hold row blocks only).
         max_bytes: the policy budget the plan was fitted to.
         workers: process-pool width (1 = serial in-process).
         policy: the :class:`~repro.kernels.ExecutionPolicy` the shards
-            execute under (dtype scales ``row_bytes``; ``row_threads`` fans
-            rows inside each shard).
+            execute under (dtype scales ``row_bytes``; ``row_threads``,
+            resolved to a count, fans rows inside each shard).
     """
 
     n_rows: int
@@ -89,7 +99,7 @@ class ExecutionPlan:
 
     @property
     def shard_bytes(self) -> int:
-        """Modelled peak working set of one full shard."""
+        """Modelled peak working set of one full shard (see ``row_bytes``)."""
         return self.shard_rows * self.row_bytes
 
     def slices(self):
@@ -117,6 +127,8 @@ def plan_shards(
     backend: str,
     policy: ShardPolicy | None = None,
     execution: ExecutionPolicy | None = None,
+    *,
+    queries: int = 1,
 ) -> ExecutionPlan:
     """Fit a shard plan for ``n_rows`` batch rows of an ``N``-item instance.
 
@@ -130,7 +142,9 @@ def plan_shards(
     kernels' :class:`~repro.kernels.ExecutionPolicy`) scales the per-row
     byte model — complex64 rows are half-width, so the same budget admits
     twice the ``B_chunk`` — and rides on the plan so shards execute under
-    it.
+    it, its ``row_threads="auto"`` resolved from one shard's work
+    (``shard_rows × N × queries``, *queries* being the program's oracle
+    queries per row) beside ``policy.workers`` shard processes.
     """
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
@@ -147,10 +161,10 @@ def plan_shards(
     rows = int(max(1, min(rows, n_rows)))
     # Pin row_threads="auto" to a concrete count here, once, so every
     # shard of the batch — local or remote — runs at the same width and
-    # the plan's provenance records what actually ran.  The resolved shard
-    # size makes it workload-aware: tiny slabs stay serial (the 0.884x
-    # bench regression).
-    execution = execution.resolve(slab_bytes=rows * row_bytes // ROW_OVERHEAD)
+    # the plan's provenance records what actually ran.
+    execution = execution.resolve(
+        rows, n_items, queries, pool_width=policy.workers
+    )
     return ExecutionPlan(
         n_rows=n_rows,
         shard_rows=rows,
@@ -211,7 +225,8 @@ def run_grk_batch_sharded(
         execution = ExecutionPolicy()
     with span("shards.plan", backend=backend) as planned:
         plan = plan_shards(
-            targets.size, program.n_items, backend, policy, execution
+            targets.size, program.n_items, backend, policy, execution,
+            queries=program.queries,
         )
         execution = plan.policy  # "auto" resolved by the planner
         tasks = [

@@ -37,9 +37,13 @@ __all__ = [
     "batch_targets",
 ]
 
-#: Default per-shard memory budget for batched execution (128 MiB).  An
-#: all-targets batch at 12 address qubits needs a ``(4096, 8192)`` complex
-#: state (~0.5 GB) unsharded; this budget splits it into independent chunks.
+#: Default per-shard memory budget for batched execution (128 MiB).  On
+#: the circuit backends it bounds memory: an all-targets batch at 12
+#: address qubits holds a ``(4096, 8192)`` complex state (~0.5 GB)
+#: unsharded, and this budget splits it into independent chunks.  A
+#: kernels shard holds only row blocks of ``ROW_BLOCK_BYTES``
+#: (:mod:`repro.kernels.sweep`), so there the budget sets the shard count
+#: through the planner's row model, not resident memory.
 DEFAULT_SHARD_BYTES = 128 * 1024 * 1024
 
 #: What the caller needs back.  ``probability``-class requests (success
@@ -57,9 +61,10 @@ class ShardPolicy:
     """Memory/parallelism policy for :meth:`SearchEngine.search_batch`.
 
     Attributes:
-        max_bytes: soft ceiling on the working-set bytes of one shard
-            (state matrix plus kernel temporaries).  The planner converts it
-            into a row count per shard; at least one row always runs.
+        max_bytes: soft ceiling on the modelled working-set bytes of one
+            shard (:func:`~repro.engine.plan.state_row_bytes` per row).
+            The planner converts it into a row count per shard; at least
+            one row always runs.
         max_rows: optional hard cap on rows per shard (useful in tests to
             force specific shard boundaries regardless of the byte budget).
         workers: ``1`` (default) executes shards serially in-process;
@@ -106,11 +111,12 @@ class SearchRequest:
         shards: the batch/shard policy (see :class:`ShardPolicy`).
         policy: the :class:`~repro.kernels.ExecutionPolicy` (amplitude
             dtype and row threads) the kernels execute under.  The default
-            is complex128 / single-threaded — bit-identical to the seed
-            implementation; ``dtype="complex64"`` halves shard memory (the
-            planner admits 2x the rows per shard) at the documented
-            tolerance, and ``row_threads > 1`` fans independent batch rows
-            across a thread pool with no effect on results.  Travels with
+            is complex128 with ``row_threads="auto"`` — bit-identical to
+            the seed implementation at any thread count;
+            ``dtype="complex64"`` halves shard memory (the planner admits
+            2x the rows per shard) at the documented tolerance, and
+            ``row_threads`` fans independent batch rows across threads
+            with no effect on results.  Travels with
             the request across process pools and the service wire, so
             remote workers honour it too.
         options: method-specific extras (e.g. ``schedule=`` for ``grk``,

@@ -342,11 +342,11 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
         })
         dtype = "complex128"
 
-    row_threads = payload.get("row_threads", 1)
+    row_threads = payload.get("row_threads", "auto")
     if row_threads != "auto" and (not _is_int(row_threads) or row_threads < 1):
         errors.append({"field": "row_threads",
                        "message": "must be an integer >= 1 or 'auto'"})
-        row_threads = 1
+        row_threads = "auto"
 
     options = _check_options(payload.get("options"), errors)
 

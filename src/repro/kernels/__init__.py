@@ -25,7 +25,7 @@ module implements oracle or diffusion math.
 """
 
 from repro.kernels.policy import (
-    AUTO_ROW_THREADS_MIN_SLAB_BYTES,
+    AUTO_ROW_THREAD_MIN_WORK,
     COMPLEX64_SUCCESS_ATOL,
     DTYPE_NAMES,
     MAX_AUTO_ROW_THREADS,
@@ -66,7 +66,7 @@ __all__ = [
     "DTYPE_NAMES",
     "ROW_THREADS_AUTO",
     "MAX_AUTO_ROW_THREADS",
-    "AUTO_ROW_THREADS_MIN_SLAB_BYTES",
+    "AUTO_ROW_THREAD_MIN_WORK",
     "auto_row_threads",
     "ExecutionPolicy",
     "row_slabs",

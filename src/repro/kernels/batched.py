@@ -190,18 +190,16 @@ def map_row_slabs(fn, n_rows: int, row_threads: int) -> list:
     """Run ``fn(slice)`` over contiguous row slabs, threaded when asked.
 
     The workhorse of the policy's ``row_threads`` knob: callers close over
-    their ``(B, N)`` arrays and run the *entire* per-slab sweep inside
-    ``fn`` — slab views share the parent's memory, numpy's reductions and
-    fused elementwise passes release the GIL, and rows never interact, so
+    their arrays and run the *entire* per-slab sweep inside ``fn`` — slab
+    views share the parent's memory, numpy's reductions and fused
+    elementwise passes release the GIL, and rows never interact, so
     results concatenate bit-identically to the serial sweep in slab order.
-    ``row_threads <= 1`` (or a single row) short-circuits to a plain call.
+    ``fn`` starts on the slabs in order, the calling thread taking the
+    last; ``row_threads <= 1`` (or a single row) is a plain call.
     """
-    slabs = row_slabs(n_rows, row_threads)
-    if len(slabs) == 1:
-        return [fn(slabs[0])]
     from repro.util.parallel import thread_map
 
-    return thread_map(fn, slabs)
+    return thread_map(fn, row_slabs(n_rows, row_threads))
 
 
 def sweep_row_slabs(

@@ -1,9 +1,11 @@
 """Execution policy: the two knobs every kernel honours — dtype and threads.
 
-The batched ``(B, N)`` kernels are memory-bandwidth bound (the ROADMAP perf
-item): each GRK iteration streams the whole state matrix twice.  The two
-remaining levers are therefore *how wide each amplitude is* and *how many
-cores stream it*:
+A kernels batch walks its rows in row blocks of about
+:data:`~repro.kernels.sweep.ROW_BLOCK_BYTES` that stay cache-resident
+across the whole program (:mod:`repro.kernels.sweep`), so it holds no
+``(B, N)`` state and its cost is its float work: rows × N × queries
+amplitude updates.  The two levers are therefore *how wide each amplitude
+is* and *how many cores share the rows*:
 
 - ``dtype`` names the **logical amplitude precision** — ``"complex128"``
   (the default, and the precision every published number in this repo was
@@ -12,11 +14,17 @@ cores stream it*:
   kernels hold ``float64``/``float32`` states (:attr:`ExecutionPolicy.real_dtype`),
   while the gate-level circuit backends hold genuinely complex states
   (:attr:`ExecutionPolicy.complex_dtype`).  Either way ``complex64`` halves
-  every row, so a fixed shard byte budget admits twice the ``B_chunk``.
-- ``row_threads`` fans independent batch **rows** across a thread pool
-  (:func:`repro.util.parallel.thread_map`).  The hot kernels are numpy
-  reductions and fused elementwise passes, which release the GIL, so
-  contiguous row slabs scale across cores without any copying.
+  every row, so a row block holds twice the rows and a fixed shard byte
+  budget admits twice the ``B_chunk``.
+- ``row_threads`` fans independent batch **rows** across threads
+  (:func:`repro.util.parallel.thread_map`; the calling thread runs one
+  slab).  The hot kernels are numpy reductions and fused elementwise
+  passes, which release the GIL, so contiguous row slabs scale across
+  cores without any copying.  The threads of one sweep share one
+  row-block budget: ``T`` threads each walk blocks of
+  ``ROW_BLOCK_BYTES / T``, so the resident state stays near one budget
+  whatever ``T`` is.  The default, ``"auto"``, resolves per
+  :func:`auto_row_threads`; ``row_threads=1`` pins the serial sweep.
 
 Precision contract
 ------------------
@@ -43,7 +51,7 @@ __all__ = [
     "COMPLEX64_SUCCESS_ATOL",
     "ROW_THREADS_AUTO",
     "MAX_AUTO_ROW_THREADS",
-    "AUTO_ROW_THREADS_MIN_SLAB_BYTES",
+    "AUTO_ROW_THREAD_MIN_WORK",
     "auto_row_threads",
     "ExecutionPolicy",
     "row_slabs",
@@ -64,43 +72,45 @@ COMPLEX64_SUCCESS_ATOL = 1e-3
 _REAL = {"complex128": np.dtype(np.float64), "complex64": np.dtype(np.float32)}
 _COMPLEX = {"complex128": np.dtype(np.complex128), "complex64": np.dtype(np.complex64)}
 
-#: Sentinel ``row_threads`` value: resolve to a cpu-count-aware default.
+#: Sentinel ``row_threads`` value, and the default: resolve to a count
+#: from the batch's work (:func:`auto_row_threads`).
 ROW_THREADS_AUTO = "auto"
 
-#: Ceiling on the resolved ``"auto"`` thread count.  The slab sweeps are
-#: memory-bandwidth bound (see module docstring): past a handful of cores
-#: they saturate the memory controllers and extra threads only add
-#: scheduling overhead, so "auto" never claims the whole socket.
+#: Ceiling on the resolved ``"auto"`` thread count: past a handful of
+#: cores the row blocks contend for the shared cache and memory bus, and
+#: extra threads only add scheduling overhead, so "auto" never claims the
+#: whole socket.
 MAX_AUTO_ROW_THREADS = 8
 
-#: Below this many bytes of resident state per shard, ``"auto"`` stays at 1
-#: thread: the GIL'd dispatch overhead of the thread seam exceeds the
-#: bandwidth win on small slabs (the bench ledger recorded a 0.884x
-#: *slowdown* threading the standard 8 MiB workload).  Set from
-#: ``bench_compiled_simulator.py``'s kernels_batched workload.
-AUTO_ROW_THREADS_MIN_SLAB_BYTES = 64 * 2**20
+#: The work, in amplitude-iterations (rows × N × queries), that each
+#: ``"auto"`` row thread must get: below it, a second thread costs about
+#: what it saves.  Measured on GRK sweeps with the shared row-block budget
+#: on a 2-vCPU Xeon with 4 MiB of L2 per core (speed of two threads over
+#: one, median of 9): 1.3M ran at 0.68x, 5.2M at 1.06x, 5.6M at 0.96x,
+#: 10.5M at 1.59x, 11.3M at 1.16x, 21M at 1.63x and 117M at 1.76x.  Two
+#: threads therefore start at 8M.
+AUTO_ROW_THREAD_MIN_WORK = 4_000_000
 
 
-def auto_row_threads(slab_bytes: int | None = None) -> int:
+def auto_row_threads(work: int, *, pool_width: int = 1) -> int:
     """The thread count ``row_threads="auto"`` resolves to.
 
-    With no context, a cpu-count-aware default: the cpus this *process*
-    may actually run on (its affinity mask — container quotas and
-    ``taskset`` bind tighter than the machine's core count), capped at
-    :data:`MAX_AUTO_ROW_THREADS`.
+    *work* is the batch's amplitude-iterations, rows × N × queries.  The
+    count is the smallest of three limits, and at least 1:
 
-    *slab_bytes* makes the resolution workload-aware (the planner and the
-    slab dispatchers pass it): below
-    :data:`AUTO_ROW_THREADS_MIN_SLAB_BYTES` it resolves to 1 — threading a
-    slab that small is the regression the bench ledger pinned at 0.884x.
+    - the cpus this *process* may run on (its affinity mask — container
+      quotas and ``taskset`` bind tighter than the machine's core count),
+      divided by *pool_width*, the shard processes running side by side;
+    - :data:`MAX_AUTO_ROW_THREADS`;
+    - ``work // AUTO_ROW_THREAD_MIN_WORK``, so each thread gets at least
+      :data:`AUTO_ROW_THREAD_MIN_WORK`.
     """
-    if slab_bytes is not None and slab_bytes < AUTO_ROW_THREADS_MIN_SLAB_BYTES:
-        return 1
     try:
-        cores = len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # non-Linux or restricted platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, MAX_AUTO_ROW_THREADS))
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus // pool_width, MAX_AUTO_ROW_THREADS,
+                      work // AUTO_ROW_THREAD_MIN_WORK))
 
 
 @dataclass(frozen=True)
@@ -111,15 +121,16 @@ class ExecutionPolicy:
         dtype: logical amplitude precision, ``"complex128"`` (default) or
             ``"complex64"`` (half the memory, tolerance-validated results).
         row_threads: number of contiguous row slabs independent batch rows
-            are fanned across (``1`` = the plain serial sweep), or the
-            string ``"auto"`` for a workload-aware default
-            (:func:`auto_row_threads`; the planner resolves it before
-            shards ship, so workers receive a concrete count).  Results are
-            bit-identical for any value — rows never interact.
+            are fanned across (``1`` = the plain serial sweep), or
+            ``"auto"`` (the default), which :meth:`resolve` turns into a
+            count from the batch's work (:func:`auto_row_threads`; the
+            planner resolves it before shards ship, so workers receive a
+            concrete count).  Results are bit-identical for any value —
+            rows never interact.
     """
 
     dtype: str = "complex128"
-    row_threads: int | str = 1
+    row_threads: int | str = ROW_THREADS_AUTO
 
     def __post_init__(self):
         if self.dtype not in DTYPE_NAMES:
@@ -151,38 +162,29 @@ class ExecutionPolicy:
 
     @property
     def is_default(self) -> bool:
-        """True for the stock policy (complex128, serial rows)."""
-        return self.dtype == "complex128" and self.row_threads == 1
+        """True for the stock policy: complex128, ``row_threads="auto"``."""
+        return (self.dtype == "complex128"
+                and self.row_threads == ROW_THREADS_AUTO)
 
-    def threads_for_slab(self, n_rows: int, n_items: int) -> int:
-        """The thread count for one resident ``(n_rows, n_items)`` slab of
-        real words (a circuit row of ``2N`` complex amplitudes is ``4N``).
-
-        ``"auto"`` falls back to 1 when the slab is below
-        :data:`AUTO_ROW_THREADS_MIN_SLAB_BYTES` (threading small slabs is
-        the 0.884x regression the bench ledger pinned).  Concrete counts
-        pass through untouched — an explicit ``row_threads=4`` is always
-        honoured.
-        """
-        if self.row_threads == ROW_THREADS_AUTO:
-            return auto_row_threads(
-                n_rows * n_items * self.real_dtype.itemsize
-            )
-        return self.row_threads
-
-    def resolve(self, *, slab_bytes: int | None = None) -> "ExecutionPolicy":
+    def resolve(
+        self, n_rows: int, n_items: int, queries: int, *, pool_width: int = 1
+    ) -> "ExecutionPolicy":
         """This policy with ``row_threads="auto"`` pinned to a count.
 
-        The planner resolves once, on the driver, before tasks are built —
-        so every shard of a batch runs at the same width whatever host it
-        lands on, and the provenance records what actually ran.
-        ``row_threads="auto"`` resolves per :func:`auto_row_threads`, made
-        workload-aware when the caller knows *slab_bytes*.
+        The count is :func:`auto_row_threads` of ``n_rows × n_items ×
+        queries``, the work of one shard, beside *pool_width* shard
+        processes.  The planner resolves once, on the driver, before tasks
+        are built — so every shard of a batch runs at the same width
+        whatever host it lands on, and the provenance records what actually
+        ran.  Concrete counts pass through untouched: an explicit
+        ``row_threads=4`` is always honoured.
         """
         if self.row_threads != ROW_THREADS_AUTO:
             return self
+        work = n_rows * n_items * queries
         return ExecutionPolicy(
-            dtype=self.dtype, row_threads=auto_row_threads(slab_bytes)
+            dtype=self.dtype,
+            row_threads=auto_row_threads(work, pool_width=pool_width),
         )
 
     def describe(self) -> dict:

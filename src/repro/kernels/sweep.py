@@ -4,11 +4,12 @@ Every simulator batch, of the GRK family and of the full-search
 baselines, bottoms out in :func:`program_sweep_rows`: one target per row,
 one :class:`~repro.core.program.PartialSearchProgram` (global and block
 iterations, optional phases, optional Step 3) for all of them.  The sweep
-is memory-bandwidth bound, so it walks the rows in blocks of about
-:data:`ROW_BLOCK_BYTES` that each allocate their own state and stay
-cache-resident across the whole program.  Blocks run at the policy's real
-dtype until their first phased stage and at its complex dtype from there
-on.
+walks the rows in blocks of about :data:`ROW_BLOCK_BYTES` that each
+allocate their own state and stay cache-resident across the whole
+program, so it reads cached lines rather than streaming from memory; the
+row threads of one sweep share that budget.  Blocks run at the policy's
+real dtype until their first phased stage and at its complex dtype from
+there on.
 
 The unphased iteration (:func:`grk_iteration_rows`) fuses the oracle flip
 and the diffusion mean into one reduction pass and one update pass.  At
@@ -33,20 +34,24 @@ __all__ = ["ROW_BLOCK_BYTES", "program_sweep_rows", "grk_iteration_rows"]
 
 #: Target bytes of real state per row block: about L2-sized, so a block
 #: stays cache-resident across the whole program.  128 rows of float64
-#: (256 of float32) at N=1024.
+#: (256 of float32) at N=1024.  The row threads of one sweep split it.
 ROW_BLOCK_BYTES = 1 << 20
 
 
-def program_sweep_rows(program, targets, policy):
+def program_sweep_rows(
+    program, targets, policy, *, block_bytes=ROW_BLOCK_BYTES
+):
     """Run *program* once per row, row ``i`` searching for ``targets[i]``.
 
     *program* is a :class:`~repro.core.program.PartialSearchProgram`,
     read by attribute only; *policy* is the
     :class:`~repro.kernels.ExecutionPolicy` whose dtypes the state takes.
-    Rows are walked in blocks of about :data:`ROW_BLOCK_BYTES` that each
-    own their state, so every iteration re-reads cached lines instead of
-    streaming a whole shard from memory; rows never interact, so the block
-    size is invisible in the results.
+    Rows are walked in blocks of about *block_bytes* of real state that
+    each own their state, so every iteration re-reads cached lines instead
+    of streaming a whole shard from memory; rows never interact, so the
+    block size is invisible in the results.  ``T`` threads sweeping
+    slabs of one batch each pass ``ROW_BLOCK_BYTES // T``, which keeps
+    their blocks together near one budget.
 
     Returns ``(success_probabilities, block_guesses)``: float64 and intp
     arrays of ``len(targets)``.
@@ -54,7 +59,7 @@ def program_sweep_rows(program, targets, policy):
     targets = np.asarray(targets, dtype=np.intp)
     n_rows = targets.size
     row_bytes = program.n_items * policy.real_dtype.itemsize
-    block = max(1, ROW_BLOCK_BYTES // row_bytes)
+    block = max(1, block_bytes // row_bytes)
     success = np.empty(n_rows, dtype=np.float64)
     guesses = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, block):

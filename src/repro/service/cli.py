@@ -171,9 +171,10 @@ def _add_request_flags(p: argparse.ArgumentParser) -> None:
                    help="amplitude precision (complex64 halves shard memory "
                         "at the documented tolerance)")
     p.add_argument("--row-threads", type=_row_threads_arg, default=None,
-                   help="threads across independent batch rows: an integer "
-                        "or 'auto' for a cpu-count-aware default (results "
-                        "are bit-identical for any value)")
+                   help="threads across independent batch rows: an integer, "
+                        "or 'auto' (the default) for a count from the "
+                        "batch's work and the cpus (results are "
+                        "bit-identical for any value)")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-request deadline override in seconds")
     p.add_argument("--wants", default=None,
@@ -545,7 +546,7 @@ def _cmd_submit(args) -> int:
 
     policy = ExecutionPolicy(
         dtype=args.dtype or "complex128",
-        row_threads=1 if args.row_threads is None else args.row_threads,
+        row_threads="auto" if args.row_threads is None else args.row_threads,
     )
     request = SearchRequest(
         n_items=args.n_items,

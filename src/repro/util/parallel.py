@@ -15,18 +15,20 @@ This module is the *single-machine* substrate, with two seams:
   directly; the default :class:`~repro.service.executor.LocalExecutor`
   delegates here, and remote executors replace the transport while keeping
   the same ``func(task, rng)`` task contract.
-- :func:`thread_map` — **thread** fan-out for row slabs *inside* one shard.
-  The batched kernels are numpy reductions and fused elementwise passes,
-  which release the GIL, so independent row slabs of a shared ``(B, N)``
-  state matrix scale across cores with zero pickling or copying; this is
-  the substrate behind :func:`repro.kernels.map_row_slabs` and the
+- :func:`thread_map` — **thread** fan-out for row slabs *inside* one shard,
+  the calling thread running one task itself.  The batched kernels are
+  numpy reductions and fused elementwise passes, which release the GIL,
+  so independent row slabs of a batch scale across cores with zero
+  pickling or copying; this is the substrate behind
+  :func:`repro.kernels.map_row_slabs` and the
   :class:`~repro.kernels.ExecutionPolicy` ``row_threads`` knob.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 from repro.util.rng import spawn_rngs
@@ -73,27 +75,38 @@ def parallel_map(
         return [f.result() for f in futures]
 
 
-def thread_map(func: Callable, tasks: Sequence, *, workers: int | None = None):
-    """Apply ``func(task)`` to every task on a shared-memory thread pool.
+def thread_map(func: Callable, tasks: Sequence):
+    """Apply ``func(task)`` to every task, one thread per task.
 
     Unlike :func:`parallel_map` there is no RNG argument and no pickling:
     this seam exists for GIL-releasing numpy work over *views of shared
     arrays* (row slabs of a batch), where determinism comes from the tasks
-    being independent, not from seed discipline.
-
-    Args:
-        func: callable taking one task (need not be picklable).
-        tasks: sequence of task descriptions.
-        workers: pool size; ``None`` uses one thread per task.  ``workers=1``
-            or a single task runs serially in the calling thread.
+    being independent, not from seed discipline.  The calling thread is
+    one of the threads: it starts one thread per task but the last, in
+    task order, then runs the last task itself.  The first exception any
+    task raises is re-raised here once every thread has finished.
 
     Returns:
         List of results in task order.
     """
     tasks = list(tasks)
-    if workers is None:
-        workers = len(tasks)
-    if workers <= 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, tasks))
+    results = [None] * len(tasks)
+    failures = []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = func(tasks[i])
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(tasks) - 1)]
+    for thread in threads:
+        thread.start()
+    if tasks:
+        run(len(tasks) - 1)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return results

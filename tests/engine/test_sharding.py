@@ -388,3 +388,82 @@ class TestShardIdentityUnderPolicies:
             fast.success_probabilities, base.success_probabilities,
             atol=COMPLEX64_SUCCESS_ATOL, rtol=0,
         )
+
+
+class TestThreadedDefaultBitIdentity:
+    """The default policy threads every batch that clears the work floor;
+    at complex128 it must match ``row_threads=1`` and ``3`` bit for bit
+    across shard counts and executors.  The floor is lowered and the host
+    given four cpus, so that these small batches thread."""
+
+    METHODS = [
+        ("grk", {}, None), ("grk-simplified", {}, None),
+        ("grk-sure-success", {}, None), ("grk-cwb", {}, None),
+        ("grover-full", {}, None), ("naive-blocks", {}, 7),
+    ]
+    N, K = 64, 4
+
+    @pytest.fixture(autouse=True)
+    def threading_host(self, monkeypatch):
+        import os
+
+        import repro.kernels.policy as kernel_policy
+
+        monkeypatch.setattr(kernel_policy, "AUTO_ROW_THREAD_MIN_WORK", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+    def request(self, method, options, seed, **kwargs):
+        return SearchRequest(n_items=self.N, n_blocks=self.K, method=method,
+                             options=options, rng=seed, **kwargs)
+
+    @staticmethod
+    def assert_same(got, ref):
+        np.testing.assert_array_equal(got.success_probabilities,
+                                      ref.success_probabilities)
+        np.testing.assert_array_equal(got.block_guesses, ref.block_guesses)
+
+    @pytest.mark.parametrize("method,options,seed", METHODS,
+                             ids=[m[0] for m in METHODS])
+    def test_default_matches_explicit_counts_across_shards(
+        self, method, options, seed
+    ):
+        from repro.service.cache import request_fingerprint
+
+        engine = SearchEngine()
+        serial = self.request(method, options, seed,
+                              policy=ExecutionPolicy(row_threads=1))
+        ref = engine.search_batch(serial)
+        for max_rows in (1, 7, self.N):
+            for policy in (ExecutionPolicy(), ExecutionPolicy(row_threads=1),
+                           ExecutionPolicy(row_threads=3)):
+                request = self.request(method, options, seed, policy=policy,
+                                       shards=ShardPolicy(max_rows=max_rows))
+                self.assert_same(engine.search_batch(request), ref)
+                # The cache cannot tell thread counts apart either.
+                assert request_fingerprint(request) \
+                    == request_fingerprint(serial)
+        threaded = engine.search_batch(self.request(method, options, seed))
+        assert threaded.execution["row_threads"] == 4
+
+    @pytest.mark.parametrize("method,options,seed", METHODS,
+                             ids=[m[0] for m in METHODS])
+    def test_default_matches_on_pool_and_remote_executors(
+        self, method, options, seed
+    ):
+        from repro.service.executor import RemoteExecutor
+        from repro.service.worker import WorkerServer
+
+        ref = SearchEngine().search_batch(self.request(
+            method, options, seed, policy=ExecutionPolicy(row_threads=1)))
+        pooled = SearchEngine().search_batch(self.request(
+            method, options, seed, shards=ShardPolicy(max_rows=7, workers=2)))
+        # Two shard processes on four cpus: two threads each.
+        assert pooled.execution["row_threads"] == 2
+        self.assert_same(pooled, ref)
+        with WorkerServer() as worker:
+            remote = SearchEngine(executor=RemoteExecutor([worker.address]))
+            for policy in (ExecutionPolicy(), ExecutionPolicy(row_threads=3)):
+                got = remote.search_batch(self.request(
+                    method, options, seed, policy=policy,
+                    shards=ShardPolicy(max_rows=7)))
+                self.assert_same(got, ref)

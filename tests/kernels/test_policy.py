@@ -10,7 +10,7 @@ class TestExecutionPolicy:
     def test_default_is_seed_equivalent(self):
         policy = ExecutionPolicy()
         assert policy.dtype == "complex128"
-        assert policy.row_threads == 1
+        assert policy.row_threads == "auto"
         assert policy.is_default
         assert policy.real_dtype == np.float64
         assert policy.complex_dtype == np.complex128
@@ -88,19 +88,16 @@ class TestAutoRowThreads:
 
         policy = ExecutionPolicy(row_threads=ROW_THREADS_AUTO)
         assert policy.row_threads == "auto"
-        assert not policy.is_default
-        resolved = policy.resolve()
+        assert policy.is_default
+        resolved = policy.resolve(8192, 8192, 64)
         assert isinstance(resolved.row_threads, int)
         assert 1 <= resolved.row_threads <= MAX_AUTO_ROW_THREADS
-        assert resolved.row_threads == auto_row_threads()
+        assert resolved.row_threads == auto_row_threads(8192 * 8192 * 64)
         assert resolved.dtype == policy.dtype
-        # A slab far above the serial threshold resolves like the planner.
-        assert policy.threads_for_slab(8192, 8192) == resolved.row_threads
 
     def test_concrete_policies_resolve_to_themselves(self):
         policy = ExecutionPolicy(dtype="complex64", row_threads=3)
-        assert policy.resolve() is policy
-        assert policy.threads_for_slab(1, 64) == 3
+        assert policy.resolve(1, 64, 1) is policy
 
     def test_other_strings_rejected(self):
         with pytest.raises(ValueError, match="row_threads"):
@@ -136,3 +133,37 @@ class TestAutoRowThreads:
         )
         np.testing.assert_array_equal(base.block_guesses, auto.block_guesses)
         assert isinstance(auto.execution["row_threads"], int)
+
+
+class TestAutoIsTheDefault:
+    """Requests built at the edges default to ``row_threads="auto"``, as
+    ``ExecutionPolicy()`` does (``test_default_is_seed_equivalent``)."""
+
+    def test_gateway_absent_field(self):
+        from repro.gateway.schema import decode_submit
+
+        decoded = decode_submit({"n_items": 64, "n_blocks": 8})
+        assert decoded.request.policy.row_threads == "auto"
+        pinned = decode_submit({"n_items": 64, "n_blocks": 8,
+                                "row_threads": 1})
+        assert pinned.request.policy.row_threads == 1
+
+    def test_repro_submit(self, monkeypatch):
+        from repro.service import cli, server
+
+        sent = []
+
+        class Sent(Exception):
+            pass
+
+        def submit_remote(address, request, **kwargs):
+            sent.append(request)
+            raise Sent
+
+        monkeypatch.setattr(server, "submit_remote", submit_remote)
+        argv = ["submit", "--n-items", "64", "--n-blocks", "4",
+                "--target", "3"]
+        for flags in ([], ["--row-threads", "1"]):
+            with pytest.raises(Sent):
+                cli.main(argv + flags)
+        assert [r.policy.row_threads for r in sent] == ["auto", 1]

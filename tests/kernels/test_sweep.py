@@ -7,9 +7,11 @@ row-block size reproduces the composed reference iteration
 :func:`~repro.kernels.primitives.invert_about_mean` or
 :func:`~repro.kernels.primitives.invert_about_mean_blocks`) bit for bit;
 at complex64 it agrees within :data:`~repro.kernels.COMPLEX64_SUCCESS_ATOL`.
-This file pins that, plus the ``row_threads="auto"`` small-slab
-regression fix.
+This file pins that, plus the ``row_threads="auto"`` rule and the row-block
+budget the threads of one sweep share.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from repro.core.simplified import (
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
 from repro.engine.plan import plan_shards
 from repro.kernels import (
-    AUTO_ROW_THREADS_MIN_SLAB_BYTES,
+    AUTO_ROW_THREAD_MIN_WORK,
     COMPLEX64_SUCCESS_ATOL,
+    MAX_AUTO_ROW_THREADS,
     ExecutionPolicy,
     auto_row_threads,
     invert_about_mean,
@@ -342,33 +345,103 @@ class TestItemReadout:
             assert counted.queries == single.queries == j
 
 
-# ------------------------------------- row_threads small-slab regression
+# ------------------------------------------- the "auto" rule and the budget
 
 
-class TestRowThreadsRegression:
-    """The bench ledger pinned a 0.884x slowdown threading an 8 MiB slab;
-    ``"auto"`` must stay serial below the threshold."""
+def _cpus(monkeypatch, n):
+    """Make this process see *n* cpus."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
-    def test_auto_stays_serial_below_slab_threshold(self):
-        assert auto_row_threads(
-            slab_bytes=AUTO_ROW_THREADS_MIN_SLAB_BYTES - 1
-        ) == 1
 
-    def test_auto_above_threshold_matches_contextless_default(self):
-        assert auto_row_threads(
-            slab_bytes=4 * AUTO_ROW_THREADS_MIN_SLAB_BYTES
-        ) == auto_row_threads()
+class TestRowThreadRule:
+    """``"auto"`` takes the smallest of cpus / pool width,
+    :data:`MAX_AUTO_ROW_THREADS` and rows × N × queries over the work floor;
+    the threads of one sweep share one row-block budget."""
 
-    def test_bench_workload_resolves_serial(self):
-        # The standard bench workload (B=1024 rows of a 2^10-item state,
-        # 8 MiB resident) is exactly the shape the regression was pinned on.
-        policy = ExecutionPolicy(row_threads="auto")
-        assert policy.threads_for_slab(1024, 1024) == 1
-        plan = plan_shards(1024, 1024, "kernels", execution=policy)
-        assert plan.policy.row_threads == 1
+    def test_auto_is_serial_below_the_floor(self, monkeypatch):
+        _cpus(monkeypatch, 8)
+        auto = ExecutionPolicy()
+        # N=4096 x 32 rows, and gateway-mix's 256-row batches at N=1024, K=4.
+        assert auto.resolve(32, 4096, plan_schedule(4096, 8).program.queries
+                            ).row_threads == 1
+        assert auto.resolve(256, 1024, plan_schedule(1024, 4).program.queries
+                            ).row_threads == 1
+        engine = SearchEngine()
+        gateway_mix = engine.search_batch(
+            SearchRequest(n_items=1024, n_blocks=4),
+            targets=range(0, 1024, 4),
+        )
+        assert gateway_mix.execution["row_threads"] == 1
+        # grk-allrows' set-up: 16-row batches of every GRK method.
+        for n, k in ((1024, 4), (4096, 8)):
+            for method in ("grk", "grk-simplified", "grk-sure-success",
+                           "grk-cwb"):
+                report = engine.search_batch(
+                    SearchRequest(n_items=n, n_blocks=k, method=method),
+                    targets=range(16),
+                )
+                assert report.execution["row_threads"] == 1, (method, n)
+
+    def test_auto_takes_the_cpus_well_above_the_floor(self, monkeypatch):
+        queries = plan_schedule(4096, 8).program.queries
+        cpus = len(os.sched_getaffinity(0))
+        plan = plan_shards(4096, 4096, "kernels", queries=queries)
+        assert plan.policy.row_threads == min(cpus, MAX_AUTO_ROW_THREADS)
+        for seen, expected in ((3, 3), (64, MAX_AUTO_ROW_THREADS)):
+            _cpus(monkeypatch, seen)
+            plan = plan_shards(4096, 4096, "kernels", queries=queries)
+            assert plan.shard_rows * 4096 * queries \
+                >= MAX_AUTO_ROW_THREADS * AUTO_ROW_THREAD_MIN_WORK
+            assert plan.policy.row_threads == expected
+        # With cpus to spare (64 seen), each thread gets at least the floor.
+        assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK) == 3
+        assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK - 1) == 2
+
+    def test_process_pool_divides_the_cpus(self, monkeypatch):
+        queries = plan_schedule(4096, 8).program.queries
+        cpus = len(os.sched_getaffinity(0))
+        plan = plan_shards(4096, 4096, "kernels", ShardPolicy(workers=2),
+                           queries=queries)
+        assert plan.policy.row_threads <= max(1, cpus // 2)
+        _cpus(monkeypatch, 8)
+        for workers, expected in ((2, 4), (3, 2), (16, 1)):
+            plan = plan_shards(4096, 4096, "kernels",
+                               ShardPolicy(workers=workers), queries=queries)
+            assert plan.policy.row_threads == expected, workers
+
+    @pytest.mark.parametrize("method", ["grk", "grk-cwb"])
+    def test_two_threads_split_the_row_block_budget(self, monkeypatch, method):
+        from repro.core.plans import resolve_plan
+
+        program = resolve_plan(
+            SearchRequest(n_items=4096, n_blocks=8, method=method)
+        ).program
+        targets = np.arange(0, 4096, 16)
+        blocks = []
+        real_uniform = kernels.batched.uniform_batch
+
+        def spy(n_rows, n_items, *, dtype):
+            size = n_rows * n_items * np.dtype(dtype).itemsize
+            blocks.append((n_rows, size))
+            return real_uniform(n_rows, n_items, dtype=dtype)
+
+        monkeypatch.setattr(kernels.batched, "uniform_batch", spy)
+        serial = execute_batch_rows(program, targets, "kernels",
+                                    ExecutionPolicy(row_threads=1))
+        assert max(size for _, size in blocks) == sweep.ROW_BLOCK_BYTES
+        blocks.clear()
+        threaded = execute_batch_rows(program, targets, "kernels",
+                                      ExecutionPolicy(row_threads=2))
+        assert sum(rows for rows, _ in blocks) == targets.size
+        assert max(size for _, size in blocks) <= sweep.ROW_BLOCK_BYTES // 2
+        np.testing.assert_array_equal(threaded[0], serial[0])
+        np.testing.assert_array_equal(threaded[1], serial[1])
 
     def test_explicit_thread_counts_always_honoured(self):
-        assert ExecutionPolicy(row_threads=4).threads_for_slab(8, 64) == 4
+        policy = ExecutionPolicy(row_threads=4)
+        assert policy.resolve(8, 64, 1) is policy
+        assert plan_shards(8, 64, "kernels", execution=policy
+                           ).policy.row_threads == 4
 
     def test_plan_shards_pins_auto_row_threads(self):
         plan = plan_shards(
@@ -379,12 +452,11 @@ class TestRowThreadsRegression:
         # batch must run at the same width.
         assert isinstance(plan.policy.row_threads, int)
 
-    def test_compiled_batch_stays_serial_below_slab_threshold(
+    def test_compiled_batch_stays_serial_below_the_work_floor(
         self, monkeypatch
     ):
-        # 256 circuit rows of 2N complex amplitudes at N=256 hold 2 MiB:
-        # far below the threshold, so "auto" must run one slab, as the
-        # kernel path does.
+        # 256 circuit rows at N=256 are below the floor, so "auto" must
+        # run one slab, as the kernel path does.
         slabs = []
         real_map = kernels.map_row_slabs
 
