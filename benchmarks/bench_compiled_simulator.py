@@ -187,9 +187,9 @@ def bench_kernels_batched(cfg: dict) -> dict:
     baseline (bit-identical to seed), ``dtype="complex64"`` (half the
     memory traffic), ``row_threads > 1`` (GIL-releasing row slabs), and
     both knobs together.  The baseline and the complex64 variant pin
-    ``row_threads=1``: the default ``"auto"`` would thread them.  complex64 results are checked against the
-    baseline within the documented tolerance; threaded results must be
-    bit-identical.
+    ``row_threads=1``: the default ``"auto"`` would thread them.
+    complex64 results are checked against the baseline within the
+    documented tolerance; threaded results must be bit-identical.
     """
     n = cfg["kernels_batch_qubits"]
     n_items = 1 << n

@@ -39,8 +39,7 @@ from repro import kernels
 from repro.core.backends import circuit_geometry
 from repro.core.blockspec import BlockSpec
 from repro.core.program import PartialSearchProgram
-from repro.kernels import ExecutionPolicy
-from repro.kernels.sweep import ROW_BLOCK_BYTES
+from repro.kernels import ROW_THREADS_AUTO, ExecutionPolicy
 
 __all__ = ["execute_batch_rows"]
 
@@ -72,8 +71,9 @@ def execute_batch_rows(
             of two.
         policy: the :class:`~repro.kernels.ExecutionPolicy` (dtype + row
             threads); ``None`` = the default, complex128 with
-            ``row_threads="auto"``, resolved here from the chunk's work
-            when the planner has not already pinned it.
+            ``row_threads="auto"``, which the planner pins before shards
+            ship; a direct call resolves it here, from the chunk's work
+            on ``"kernels"`` and to one thread on the circuit backends.
             ``row_threads`` splits the chunk into contiguous row slabs
             whose sweeps run on the GIL-releasing thread seam and share
             one row-block budget — bit-identical at complex128, since
@@ -91,17 +91,12 @@ def execute_batch_rows(
         # and concatenate shard outputs unconditionally.
         return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
     b = targets.size
-    policy = policy.resolve(b, program.n_items, program.queries)
     if backend != "kernels":
         return _execute_rows_on_circuit_backend(program, targets, backend, policy)
-
-    # The slabs' threads share one row-block budget between them.
-    block_bytes = ROW_BLOCK_BYTES // policy.row_threads
+    policy = policy.resolve(b, program.n_items, program.queries)
 
     def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        return kernels.program_sweep_rows(
-            program, targets[sl], policy, block_bytes=block_bytes
-        )
+        return kernels.program_sweep_rows(program, targets[sl], policy)
 
     return kernels.sweep_row_slabs(sweep, b, policy.row_threads)
 
@@ -130,10 +125,13 @@ def _execute_rows_on_circuit_backend(
     circuit for all rows, or (``"naive"``) the interpreting simulator
     looped per target.
 
-    The policy's dtype flows into the circuit kernels; its resolved
+    The policy's dtype flows into the circuit kernels; its
     ``row_threads`` slabs the compiled multi-target run (program constants
     are shared and the diffusion scratch is thread-local, so slabs are
-    bit-identical to the single sweep).
+    bit-identical to the single sweep).  ``"auto"`` runs one slab: the
+    work floor of :func:`~repro.kernels.auto_row_threads` was measured on
+    the kernels sweep, and a compiled batch at N=1024 ran slower on two
+    threads at every batch size.
     """
     from repro.circuits import partial_search_circuit, run_circuit
 
@@ -150,7 +148,10 @@ def _execute_rows_on_circuit_backend(
         def run_slab(sl: slice) -> np.ndarray:
             return compiled.run_multi_target(targets[sl], dtype=dtype)
 
-        parts = kernels.map_row_slabs(run_slab, b, policy.row_threads)
+        threads = policy.row_threads
+        parts = kernels.map_row_slabs(
+            run_slab, b, 1 if threads == ROW_THREADS_AUTO else threads
+        )
         final = parts[0] if len(parts) == 1 else np.concatenate(parts)
     else:  # "naive" — the engine validated the backend name
         final = np.empty((b, 2 * spec.n_items), dtype=dtype)

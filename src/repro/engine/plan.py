@@ -23,13 +23,16 @@ model's figures, not resident memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.backends import CIRCUIT_BACKENDS, KERNEL_BACKEND
 from repro.core.program import PartialSearchProgram
 from repro.engine.request import ExecutionPolicy, ShardPolicy
+from repro.kernels import ROW_THREADS_AUTO
 from repro.observability.spans import span
 
 __all__ = [
@@ -44,6 +47,26 @@ __all__ = [
 #: resident row is a conservative envelope validated by the sharded-batch
 #: bench.  The kernels rows take the same factor, as a sizing model only.
 ROW_OVERHEAD = 4
+
+
+#: Batches this process is running, each counted from its plan until its
+#: shards return (:func:`run_grk_batch_sharded`).  Their row threads share
+#: the process's cpus, as the shard processes of one pool do.
+_running_batches = 0
+_running_lock = threading.Lock()
+
+
+@contextmanager
+def _running_batch():
+    """Count one batch as running for the duration of the block."""
+    global _running_batches
+    with _running_lock:
+        _running_batches += 1
+    try:
+        yield
+    finally:
+        with _running_lock:
+            _running_batches -= 1
 
 
 def state_row_bytes(
@@ -128,7 +151,7 @@ def plan_shards(
     policy: ShardPolicy | None = None,
     execution: ExecutionPolicy | None = None,
     *,
-    queries: int = 1,
+    queries: int,
 ) -> ExecutionPlan:
     """Fit a shard plan for ``n_rows`` batch rows of an ``N``-item instance.
 
@@ -142,9 +165,11 @@ def plan_shards(
     kernels' :class:`~repro.kernels.ExecutionPolicy`) scales the per-row
     byte model — complex64 rows are half-width, so the same budget admits
     twice the ``B_chunk`` — and rides on the plan so shards execute under
-    it, its ``row_threads="auto"`` resolved from one shard's work
-    (``shard_rows × N × queries``, *queries* being the program's oracle
-    queries per row) beside ``policy.workers`` shard processes.
+    it.  On the kernels backend its ``row_threads="auto"`` resolves from
+    one shard's work (``shard_rows × N × queries``, *queries* being the
+    program's oracle queries per row) beside ``policy.workers`` shard
+    processes for each batch this process is running (a service runs
+    several at once); circuit shards run one thread under ``"auto"``.
     """
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
@@ -161,10 +186,17 @@ def plan_shards(
     rows = int(max(1, min(rows, n_rows)))
     # Pin row_threads="auto" to a concrete count here, once, so every
     # shard of the batch — local or remote — runs at the same width and
-    # the plan's provenance records what actually ran.
-    execution = execution.resolve(
-        rows, n_items, queries, pool_width=policy.workers
-    )
+    # the plan's provenance records what actually ran.  The work floor
+    # was measured on the kernels sweep; a compiled circuit batch at
+    # N=1024 ran slower on two threads at every size, so circuit shards
+    # take one.
+    if backend == KERNEL_BACKEND:
+        execution = execution.resolve(
+            rows, n_items, queries,
+            pool_width=policy.workers * max(1, _running_batches),
+        )
+    elif execution.row_threads == ROW_THREADS_AUTO:
+        execution = replace(execution, row_threads=1)
     return ExecutionPlan(
         n_rows=n_rows,
         shard_rows=rows,
@@ -223,21 +255,25 @@ def run_grk_batch_sharded(
     targets = np.asarray(targets, dtype=np.intp)
     if execution is None:
         execution = ExecutionPolicy()
-    with span("shards.plan", backend=backend) as planned:
-        plan = plan_shards(
-            targets.size, program.n_items, backend, policy, execution,
-            queries=program.queries,
+    with _running_batch():
+        with span("shards.plan", backend=backend) as planned:
+            plan = plan_shards(
+                targets.size, program.n_items, backend, policy, execution,
+                queries=program.queries,
+            )
+            execution = plan.policy  # "auto" resolved by the planner
+            tasks = [
+                (program, targets[sl], backend, execution)
+                for sl in plan.slices()
+            ]
+            planned.attrs["shards"] = plan.n_shards
+        if not tasks:
+            return np.empty(0), np.empty(0, dtype=np.intp), plan
+        if executor is None:
+            executor = default_executor()
+        results = executor.run_shards(
+            _program_shard, tasks, workers=plan.workers
         )
-        execution = plan.policy  # "auto" resolved by the planner
-        tasks = [
-            (program, targets[sl], backend, execution) for sl in plan.slices()
-        ]
-        planned.attrs["shards"] = plan.n_shards
-    if not tasks:
-        return np.empty(0), np.empty(0, dtype=np.intp), plan
-    if executor is None:
-        executor = default_executor()
-    results = executor.run_shards(_program_shard, tasks, workers=plan.workers)
     with span("merge", shards=len(results)):
         success = np.concatenate([r[0] for r in results])
         guesses = np.concatenate([r[1] for r in results])

@@ -20,11 +20,12 @@ is* and *how many cores share the rows*:
   (:func:`repro.util.parallel.thread_map`; the calling thread runs one
   slab).  The hot kernels are numpy reductions and fused elementwise
   passes, which release the GIL, so contiguous row slabs scale across
-  cores without any copying.  The threads of one sweep share one
+  cores without any copying.  The threads of one batch share one
   row-block budget: ``T`` threads each walk blocks of
-  ``ROW_BLOCK_BYTES / T``, so the resident state stays near one budget
-  whatever ``T`` is.  The default, ``"auto"``, resolves per
-  :func:`auto_row_threads`; ``row_threads=1`` pins the serial sweep.
+  ``ROW_BLOCK_BYTES / T`` (``T`` capped at :func:`available_cpus`), so
+  the resident state stays near one budget whatever ``T`` is.  The
+  default, ``"auto"``, resolves per :func:`auto_row_threads`;
+  ``row_threads=1`` pins the serial sweep.
 
 Precision contract
 ------------------
@@ -52,6 +53,7 @@ __all__ = [
     "ROW_THREADS_AUTO",
     "MAX_AUTO_ROW_THREADS",
     "AUTO_ROW_THREAD_MIN_WORK",
+    "available_cpus",
     "auto_row_threads",
     "ExecutionPolicy",
     "row_slabs",
@@ -92,24 +94,30 @@ MAX_AUTO_ROW_THREADS = 8
 AUTO_ROW_THREAD_MIN_WORK = 4_000_000
 
 
+def available_cpus() -> int:
+    """The cpus this *process* may run on: its affinity mask, since
+    container quotas and ``taskset`` bind tighter than the machine's core
+    count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # non-Linux or restricted platform
+        return os.cpu_count() or 1
+
+
 def auto_row_threads(work: int, *, pool_width: int = 1) -> int:
     """The thread count ``row_threads="auto"`` resolves to.
 
     *work* is the batch's amplitude-iterations, rows × N × queries.  The
     count is the smallest of three limits, and at least 1:
 
-    - the cpus this *process* may run on (its affinity mask — container
-      quotas and ``taskset`` bind tighter than the machine's core count),
-      divided by *pool_width*, the shard processes running side by side;
+    - :func:`available_cpus` divided by *pool_width*, the lanes running
+      side by side (the planner counts each shard process of each batch
+      the process is running);
     - :data:`MAX_AUTO_ROW_THREADS`;
     - ``work // AUTO_ROW_THREAD_MIN_WORK``, so each thread gets at least
       :data:`AUTO_ROW_THREAD_MIN_WORK`.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # non-Linux or restricted platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus // pool_width, MAX_AUTO_ROW_THREADS,
+    return max(1, min(available_cpus() // pool_width, MAX_AUTO_ROW_THREADS,
                       work // AUTO_ROW_THREAD_MIN_WORK))
 
 
@@ -125,8 +133,9 @@ class ExecutionPolicy:
             ``"auto"`` (the default), which :meth:`resolve` turns into a
             count from the batch's work (:func:`auto_row_threads`; the
             planner resolves it before shards ship, so workers receive a
-            concrete count).  Results are bit-identical for any value —
-            rows never interact.
+            concrete count, and pins it to 1 on the circuit backends).
+            Results are bit-identical for any value — rows never
+            interact.
     """
 
     dtype: str = "complex128"
@@ -172,8 +181,8 @@ class ExecutionPolicy:
         """This policy with ``row_threads="auto"`` pinned to a count.
 
         The count is :func:`auto_row_threads` of ``n_rows × n_items ×
-        queries``, the work of one shard, beside *pool_width* shard
-        processes.  The planner resolves once, on the driver, before tasks
+        queries``, the work of one shard, beside *pool_width* lanes.  The
+        planner resolves once, on the driver, before tasks
         are built — so every shard of a batch runs at the same width
         whatever host it lands on, and the provenance records what actually
         ran.  Concrete counts pass through untouched: an explicit

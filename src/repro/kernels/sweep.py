@@ -7,7 +7,7 @@ iterations, optional phases, optional Step 3) for all of them.  The sweep
 walks the rows in blocks of about :data:`ROW_BLOCK_BYTES` that each
 allocate their own state and stay cache-resident across the whole
 program, so it reads cached lines rather than streaming from memory; the
-row threads of one sweep share that budget.  Blocks run at the policy's
+row threads of one batch share that budget.  Blocks run at the policy's
 real dtype until their first phased stage and at its complex dtype from
 there on.
 
@@ -29,35 +29,37 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import batched
+from repro.kernels.policy import available_cpus
 
 __all__ = ["ROW_BLOCK_BYTES", "program_sweep_rows", "grk_iteration_rows"]
 
 #: Target bytes of real state per row block: about L2-sized, so a block
 #: stays cache-resident across the whole program.  128 rows of float64
-#: (256 of float32) at N=1024.  The row threads of one sweep split it.
+#: (256 of float32) at N=1024.  The row threads of one batch split it.
 ROW_BLOCK_BYTES = 1 << 20
 
 
-def program_sweep_rows(
-    program, targets, policy, *, block_bytes=ROW_BLOCK_BYTES
-):
+def program_sweep_rows(program, targets, policy):
     """Run *program* once per row, row ``i`` searching for ``targets[i]``.
 
     *program* is a :class:`~repro.core.program.PartialSearchProgram`,
     read by attribute only; *policy* is the
     :class:`~repro.kernels.ExecutionPolicy` whose dtypes the state takes.
-    Rows are walked in blocks of about *block_bytes* of real state that
-    each own their state, so every iteration re-reads cached lines instead
-    of streaming a whole shard from memory; rows never interact, so the
-    block size is invisible in the results.  ``T`` threads sweeping
-    slabs of one batch each pass ``ROW_BLOCK_BYTES // T``, which keeps
-    their blocks together near one budget.
+    Rows are walked in blocks that each own their state, so every
+    iteration re-reads cached lines instead of streaming a whole shard
+    from memory; rows never interact, so the block size is invisible in
+    the results.  The policy's ``T`` row threads, each sweeping one slab
+    of the batch, share :data:`ROW_BLOCK_BYTES`: each walks blocks of
+    ``ROW_BLOCK_BYTES / T`` of real state, with ``T`` capped at the cpus
+    the process may run on (threads beyond them do not run at once).
 
     Returns ``(success_probabilities, block_guesses)``: float64 and intp
     arrays of ``len(targets)``.
     """
     targets = np.asarray(targets, dtype=np.intp)
     n_rows = targets.size
+    threads = policy.row_threads if isinstance(policy.row_threads, int) else 1
+    block_bytes = ROW_BLOCK_BYTES // min(threads, available_cpus())
     row_bytes = program.n_items * policy.real_dtype.itemsize
     block = max(1, block_bytes // row_bytes)
     success = np.empty(n_rows, dtype=np.float64)

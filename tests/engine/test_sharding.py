@@ -32,29 +32,32 @@ class TestPlanMath:
             state_row_bytes("classical", 4096)
 
     def test_shard_rows_fit_budget(self):
-        plan = plan_shards(4096, 4096, "compiled", ShardPolicy(max_bytes=2**27))
+        plan = plan_shards(4096, 4096, "compiled", ShardPolicy(max_bytes=2**27),
+                           queries=1)
         assert plan.shard_bytes <= 2**27
         assert plan.n_shards == -(-4096 // plan.shard_rows)
         assert sum(sl.stop - sl.start for sl in plan.slices()) == 4096
 
     def test_single_row_always_runs(self):
         # A row bigger than the budget still executes (one row per shard).
-        plan = plan_shards(8, 1 << 20, "kernels", ShardPolicy(max_bytes=1024))
+        plan = plan_shards(8, 1 << 20, "kernels", ShardPolicy(max_bytes=1024),
+                           queries=1)
         assert plan.shard_rows == 1
         assert plan.n_shards == 8
         # Zero rows plan zero shards.
-        empty = plan_shards(0, 64, "kernels", ShardPolicy(workers=2))
+        empty = plan_shards(0, 64, "kernels", ShardPolicy(workers=2), queries=1)
         assert empty.n_shards == 0 and list(empty.slices()) == []
 
     def test_max_rows_caps_budget_rows(self):
-        plan = plan_shards(100, 64, "kernels", ShardPolicy(max_rows=7))
+        plan = plan_shards(100, 64, "kernels", ShardPolicy(max_rows=7), queries=1)
         assert plan.shard_rows == 7
         boundaries = [(sl.start, sl.stop) for sl in plan.slices()]
         assert boundaries[0] == (0, 7)
         assert boundaries[-1] == (98, 100)
 
     def test_describe_provenance(self):
-        plan = plan_shards(64, 64, "kernels", ShardPolicy(max_rows=9, workers=3))
+        plan = plan_shards(64, 64, "kernels", ShardPolicy(max_rows=9, workers=3),
+                           queries=1)
         desc = plan.describe()
         assert desc["n_shards"] == 8
         assert desc["workers"] == 3
@@ -227,8 +230,8 @@ class TestShardIdentityUnderPolicies:
             assert state_row_bytes(backend, n, half) == state_row_bytes(backend, n) // 2
         budget = ShardPolicy(max_bytes=64 * state_row_bytes("kernels", n))
         assert (
-            plan_shards(4096, n, "kernels", budget, half).shard_rows
-            == 2 * plan_shards(4096, n, "kernels", budget).shard_rows
+            plan_shards(4096, n, "kernels", budget, half, queries=1).shard_rows
+            == 2 * plan_shards(4096, n, "kernels", budget, queries=1).shard_rows
         )
 
     def test_row_threads_bit_identical_to_serial(self):

@@ -115,7 +115,8 @@ class TestAutoRowThreads:
         from repro.engine.plan import plan_shards
 
         plan = plan_shards(16, 64, "kernels",
-                           execution=ExecutionPolicy(row_threads="auto"))
+                           execution=ExecutionPolicy(row_threads="auto"),
+                           queries=1)
         assert isinstance(plan.policy.row_threads, int)
         assert plan.policy.row_threads >= 1
 

@@ -12,6 +12,7 @@ budget the threads of one sweep share.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.core.simplified import (
     plan_simplified_schedule,
 )
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
-from repro.engine.plan import plan_shards
+from repro.engine.plan import plan_shards, run_grk_batch_sharded
 from repro.kernels import (
     AUTO_ROW_THREAD_MIN_WORK,
     COMPLEX64_SUCCESS_ATOL,
@@ -37,6 +38,19 @@ from repro.kernels import (
     program_sweep_rows,
     sweep,
 )
+
+
+def _spy_on_blocks(monkeypatch):
+    """Record ``(rows, bytes)`` of every row block the sweep allocates."""
+    blocks = []
+    real_uniform = kernels.batched.uniform_batch
+
+    def spy(n_rows, n_items, *, dtype):
+        blocks.append((n_rows, n_rows * n_items * np.dtype(dtype).itemsize))
+        return real_uniform(n_rows, n_items, dtype=dtype)
+
+    monkeypatch.setattr(kernels.batched, "uniform_batch", spy)
+    return blocks
 
 
 def composed_iteration_rows(amps, targets, *, n_blocks=None, mean_out=None):
@@ -196,9 +210,14 @@ class TestIdentity:
             for method in GRK_FAMILY
         ]
         references = [engine.search_batch(r) for r in requests]
+        blocks = _spy_on_blocks(monkeypatch)
         monkeypatch.setattr(sweep, "ROW_BLOCK_BYTES", 7 * 96 * 8)
         for request, ref in zip(requests, references):
+            blocks.clear()
             report = engine.search_batch(request)
+            # The patched budget really reached the sweep: 7-row blocks.
+            assert max(rows for rows, _ in blocks) == 7
+            assert sum(rows for rows, _ in blocks) == 96
             np.testing.assert_array_equal(
                 report.success_probabilities, ref.success_probabilities
             )
@@ -417,15 +436,8 @@ class TestRowThreadRule:
             SearchRequest(n_items=4096, n_blocks=8, method=method)
         ).program
         targets = np.arange(0, 4096, 16)
-        blocks = []
-        real_uniform = kernels.batched.uniform_batch
-
-        def spy(n_rows, n_items, *, dtype):
-            size = n_rows * n_items * np.dtype(dtype).itemsize
-            blocks.append((n_rows, size))
-            return real_uniform(n_rows, n_items, dtype=dtype)
-
-        monkeypatch.setattr(kernels.batched, "uniform_batch", spy)
+        _cpus(monkeypatch, 2)
+        blocks = _spy_on_blocks(monkeypatch)
         serial = execute_batch_rows(program, targets, "kernels",
                                     ExecutionPolicy(row_threads=1))
         assert max(size for _, size in blocks) == sweep.ROW_BLOCK_BYTES
@@ -437,26 +449,87 @@ class TestRowThreadRule:
         np.testing.assert_array_equal(threaded[0], serial[0])
         np.testing.assert_array_equal(threaded[1], serial[1])
 
+    def test_threads_beyond_the_cpus_keep_their_share(self, monkeypatch):
+        # Only as many threads as cpus run at once, so four row threads on
+        # two cpus split the budget in two, not in four.
+        program = plan_schedule(1024, 4).program
+        targets = np.arange(1024)
+        _cpus(monkeypatch, 2)
+        blocks = _spy_on_blocks(monkeypatch)
+        got = execute_batch_rows(program, targets, "kernels",
+                                 ExecutionPolicy(row_threads=4))
+        assert sum(rows for rows, _ in blocks) == targets.size
+        assert max(size for _, size in blocks) == sweep.ROW_BLOCK_BYTES // 2
+        ref = execute_batch_rows(program, targets, "kernels",
+                                 ExecutionPolicy(row_threads=1))
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+
+    def test_batches_running_side_by_side_share_the_cpus(self, monkeypatch):
+        # A batch planned while another runs in this process (a service
+        # runs several) divides the cpus between them.
+        _cpus(monkeypatch, 8)
+        program = plan_schedule(4096, 8).program
+        targets = np.arange(4096)
+        started, release = threading.Event(), threading.Event()
+
+        class Executor:
+            """Skips the sweep; *hold* keeps its batch running until
+            released."""
+
+            def __init__(self, hold):
+                self.hold = hold
+
+            def run_shards(self, fn, tasks, workers=1):
+                if self.hold:
+                    started.set()
+                    release.wait(30)
+                return [(np.zeros(t[1].size), np.zeros(t[1].size, np.intp))
+                        for t in tasks]
+
+        def plan_of(hold):
+            return run_grk_batch_sharded(
+                program, targets, "kernels", executor=Executor(hold)
+            )[2]
+
+        first = []
+        held = threading.Thread(target=lambda: first.append(plan_of(True)))
+        held.start()
+        assert started.wait(30)
+        try:
+            beside = plan_of(False)
+        finally:
+            release.set()
+            held.join()
+        assert first[0].policy.row_threads == MAX_AUTO_ROW_THREADS
+        assert beside.policy.row_threads == MAX_AUTO_ROW_THREADS // 2
+        assert plan_of(False).policy.row_threads == MAX_AUTO_ROW_THREADS
+
     def test_explicit_thread_counts_always_honoured(self):
         policy = ExecutionPolicy(row_threads=4)
         assert policy.resolve(8, 64, 1) is policy
-        assert plan_shards(8, 64, "kernels", execution=policy
+        assert plan_shards(8, 64, "kernels", execution=policy, queries=1
                            ).policy.row_threads == 4
 
     def test_plan_shards_pins_auto_row_threads(self):
         plan = plan_shards(
             1024, 1024, "kernels",
-            execution=ExecutionPolicy(row_threads="auto"),
+            execution=ExecutionPolicy(row_threads="auto"), queries=1,
         )
         # Shards ship concrete choices, never sentinels: every worker of a
         # batch must run at the same width.
         assert isinstance(plan.policy.row_threads, int)
 
-    def test_compiled_batch_stays_serial_below_the_work_floor(
-        self, monkeypatch
-    ):
-        # 256 circuit rows at N=256 are below the floor, so "auto" must
-        # run one slab, as the kernel path does.
+    def test_compiled_batch_stays_serial_under_auto(self, monkeypatch):
+        # The floor was measured on the kernels sweep; "auto" runs a
+        # circuit batch in one slab at any size, and a count is honoured.
+        _cpus(monkeypatch, 8)
+        queries = plan_schedule(4096, 8).program.queries
+        plan = plan_shards(4096, 4096, "compiled", queries=queries)
+        assert plan.policy.row_threads == 1
+        plan = plan_shards(4096, 4096, "compiled", queries=queries,
+                           execution=ExecutionPolicy(row_threads=3))
+        assert plan.policy.row_threads == 3
         slabs = []
         real_map = kernels.map_row_slabs
 
