@@ -16,10 +16,11 @@ comparable perf snapshot.  Four measurements:
   qubits — a ``(4096, 8192)`` complex state (~0.5 GB) unsharded — executed
   under the default 128 MiB shard budget, with the tracemalloc peak of the
   sharded vs unsharded runs and a bit-identity check between them.
-- ``kernels_batched``: the structured-kernels ``(B, N)`` all-targets sweep
-  under every :class:`~repro.kernels.ExecutionPolicy` variant — the
-  complex128 baseline, ``dtype="complex64"``, ``row_threads``, and both —
-  with per-variant speedups and the complex64 tolerance check.
+- ``kernels_batched``: the structured-kernels all-targets batch (one
+  shard) under every :class:`~repro.kernels.ExecutionPolicy` variant —
+  the complex128 baseline, ``dtype="complex64"``, ``row_threads``, and
+  both — with per-variant speedups and the complex64 tolerance check, in
+  a fresh interpreter.
 - ``kernels_sweep``: the program sweep against the composed reference
   iteration on the same batched workload, at both dtypes — complex128
   checked bit-identical, complex64 within tolerance, with the speedups.
@@ -43,10 +44,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import pathlib
 import statistics
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -110,6 +113,16 @@ def _traced(fn):
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return result, wall, peak
+
+
+def _fresh(fn, cfg: dict) -> dict:
+    """``fn(cfg)`` in a fresh interpreter.  Timed after the compiled
+    sections, in the heap they leave, the serial kernels batch ran
+    15-16 ms against 19-22 ms fresh, so in-process ratios would depend
+    on which sections ran first."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        return pool.submit(fn, cfg).result()
 
 
 def bench_single(cfg: dict) -> dict:
@@ -180,7 +193,7 @@ def bench_batched(cfg: dict) -> dict:
 
 
 def bench_kernels_batched(cfg: dict) -> dict:
-    """The structured-kernels ``(B, N)`` all-targets batch under every
+    """The structured-kernels all-targets batch under every
     :class:`ExecutionPolicy` variant — the ROADMAP dtype/parallelism item.
 
     Four measurements of the same sweep: the complex128 single-threaded
@@ -203,7 +216,6 @@ def bench_kernels_batched(cfg: dict) -> dict:
                 n_blocks=1 << N_BLOCK_BITS,
                 backend="kernels",
                 policy=policy,
-                shards=ShardPolicy(max_bytes=1 << 62),  # one unsharded chunk
             )
         )
 
@@ -447,7 +459,7 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
     cfg = CONFIGS[mode]
     single = bench_single(cfg)
     batched = bench_batched(cfg)
-    kernels_batched = bench_kernels_batched(cfg)
+    kernels_batched = _fresh(bench_kernels_batched, cfg)
     kernels_sweep = bench_kernels_sweep(cfg)
     baselines = bench_baselines(cfg)
     sharded = bench_sharded(cfg)

@@ -31,11 +31,11 @@ Quickstart::
     )
     print(report.block_guess, report.queries, report.success_probability)
 
-Batches shard automatically under a memory budget (default ≲128 MiB)::
+Circuit batches shard automatically under a memory budget (default ≲128 MiB)::
 
     report = engine.search_batch(
         SearchRequest(n_items=4096, n_blocks=4, backend="compiled")
-    )  # every target, sharded (B_chunk, N) execution
+    )  # every target, in (B_chunk, 2N) circuit shards
     print(report.worst_success, report.execution["n_shards"])
 
 Batched shards can also run on *other hosts*: :mod:`repro.service`

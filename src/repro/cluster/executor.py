@@ -73,7 +73,8 @@ class ClusterWorkers:
 
     def candidates(self) -> list[str]:
         # Ranking walks the gossip table; on a big fleet that is real work
-        # worth attributing, so it gets its own span under dispatch.resolve.
+        # worth attributing, so it gets its own span (under shards.plan,
+        # where the planner counts lanes, and under dispatch.resolve).
         with span("cluster.rank") as ranking:
             ranked = self.ranked()
             ranking.attrs["workers"] = len(ranked)

@@ -15,9 +15,9 @@ This package collapses them into one stable, extensible surface:
   follow-on algorithms plug in as new registrations, not new top-level
   functions;
 - :class:`SearchEngine` — ``search`` / ``search_batch`` / ``sweep``, with
-  memory-bounded ``(B_chunk, N)`` sharding (:class:`ExecutionPlan`,
-  default budget ≲128 MiB) and optional process fan-out for all-targets
-  batches.
+  sharded all-targets batches (:class:`ExecutionPlan`): kernels shards
+  fan out over pool workers and executor lanes, circuit shards fit a
+  byte budget (default ≲128 MiB).
 
 Quickstart::
 

@@ -3,8 +3,8 @@
 One object, three verbs:
 
 - :meth:`SearchEngine.search` — one instance, one report;
-- :meth:`SearchEngine.search_batch` — many targets, memory-bounded shards,
-  optional process fan-out;
+- :meth:`SearchEngine.search_batch` — many targets in shards, fanned out
+  over a process pool or the executor's lanes;
 - :meth:`SearchEngine.sweep` — an ``(N, K, eps)`` grid via the analytic
   model, optionally cross-checked on the simulator.
 
@@ -173,7 +173,7 @@ class SearchEngine:
     def search_batch(
         self, request: SearchRequest, targets=None
     ) -> BatchReport:
-        """Execute one independent search per target, sharded by memory.
+        """Execute one independent search per target, in shards.
 
         Args:
             request: shared problem description (``request.target`` is
@@ -184,12 +184,12 @@ class SearchEngine:
                 :func:`~repro.engine.request.batch_targets`.
 
         Every simulated method runs one program over the batch in shards
-        of ``B_chunk`` rows sized by ``request.shards`` (default budget
-        ≲128 MiB; :mod:`repro.engine.plan` says what a shard holds on
-        each backend), each row-threaded per ``request.policy``; results
-        are bit-identical to the unsharded, serial execution.  With
-        ``request.shards.workers > 1`` shards fan out across a process
-        pool.  Shard tasks are plain data:
+        (:func:`~repro.engine.plan.plan_shards`: on kernels one per pool
+        worker or executor lane; on a circuit backend within
+        ``request.shards``' byte budget), each row-threaded per
+        ``request.policy``; results are bit-identical to the unsharded,
+        serial execution.  With ``request.shards.workers > 1`` shards fan
+        out across a process pool.  Shard tasks are plain data:
         naive-blocks draws its per-row left-out blocks from ``request.rng``
         before sharding.  The classical scans run in-process, no shard.
 

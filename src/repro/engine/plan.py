@@ -1,10 +1,8 @@
-"""Memory-bounded execution planning for batched searches.
+"""Shard planning and dispatch for batched searches.
 
-The planner converts a :class:`~repro.engine.request.ShardPolicy` byte
-budget into a per-shard row count from a per-backend row-size model,
-splits the target batch into shards, executes them independently (rows
-never interact, so shard boundaries are bit-invisible in the results),
-and dispatches the shard list through a
+The planner splits a batch's target rows into shards, executes them
+independently (rows never interact, so shard boundaries are bit-invisible
+in the results), and dispatches the shard list through a
 :class:`repro.service.executor.ShardExecutor` — by default the
 in-process/process-pool :class:`~repro.service.executor.LocalExecutor`,
 or any custom executor (e.g. the TCP-distributed
@@ -12,13 +10,13 @@ or any custom executor (e.g. the TCP-distributed
 Every simulated batch ships one shard function, whose tasks are plain
 data: a program, targets, a backend name and an execution policy.
 
-The gate-level circuit backends hold a ``(B_chunk, 2N)`` complex state
-per shard, so the byte model bounds their memory.  A kernels shard holds
-only row blocks of about :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES`
-(:mod:`repro.kernels.sweep`), shared by its row threads: for it the
-model sizes the shards — how many, and so how many process or remote
-lanes a batch opens — but its ``row_bytes`` and ``shard_bytes`` are the
-model's figures, not resident memory.
+What bounds a shard is what it holds.  A kernels shard holds only row
+blocks of about :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES`
+(:mod:`repro.kernels.sweep`), shared by its row threads, however many
+rows it has, so its shards serve fan-out only: one per pool worker or
+executor lane.  The gate-level circuit backends hold a ``(B_chunk, 2N)``
+complex state per shard, so the :class:`~repro.engine.request.ShardPolicy`
+byte budget bounds their rows (:func:`state_row_bytes`).
 """
 
 from __future__ import annotations
@@ -42,10 +40,10 @@ __all__ = [
     "run_grk_batch_sharded",
 ]
 
-#: Working-set multiplier over the bare state row: the circuit path
-#: materialises ``abs(state)**2`` and fused-op temporaries; 4x the
+#: Working-set multiplier over the bare circuit state row: the circuit
+#: path materialises ``abs(state)**2`` and fused-op temporaries; 4x the
 #: resident row is a conservative envelope validated by the sharded-batch
-#: bench.  The kernels rows take the same factor, as a sizing model only.
+#: bench.
 ROW_OVERHEAD = 4
 
 
@@ -72,23 +70,20 @@ def _running_batch():
 def state_row_bytes(
     backend: str, n_items: int, policy: ExecutionPolicy | None = None
 ) -> int:
-    """Modelled working-set bytes one batch row costs on *backend*.
+    """Working-set bytes one batch row costs on a circuit *backend*.
 
-    The circuit backends hold a complex row of ``2N`` (ancilla doubles the
-    space); the kernels path is modelled as a real row of ``N`` amplitudes,
-    though its sweep only ever holds row blocks.  Both are scaled by
-    :data:`ROW_OVERHEAD` for kernel temporaries and by the policy's dtype
-    width — ``dtype="complex64"`` halves every amplitude, so
-    a fixed shard byte budget admits **2x the rows per shard**.  A backend
-    that holds no state (``classical``, ``analytic``) raises ``ValueError``:
-    it plans no shards.
+    A circuit row is a complex row of ``2N`` (the ancilla doubles the
+    space), scaled by :data:`ROW_OVERHEAD` for kernel temporaries and by
+    the policy's dtype width — ``dtype="complex64"`` halves every
+    amplitude, so a fixed shard byte budget admits **2x the rows per
+    shard**.  Any other backend raises ``ValueError``: a kernels shard
+    holds row blocks however many rows it has, and ``classical`` and
+    ``analytic`` hold no state.
     """
+    if backend not in CIRCUIT_BACKENDS:
+        raise ValueError(f"no per-row state to budget on backend {backend!r}")
     scale = 1.0 if policy is None else policy.itemsize_scale
-    if backend in CIRCUIT_BACKENDS:
-        return int(2 * n_items * 16 * ROW_OVERHEAD * scale)
-    if backend == KERNEL_BACKEND:
-        return int(n_items * 8 * ROW_OVERHEAD * scale)
-    raise ValueError(f"backend {backend!r} holds no state to shard")
+    return int(2 * n_items * 16 * ROW_OVERHEAD * scale)
 
 
 @dataclass(frozen=True)
@@ -98,20 +93,14 @@ class ExecutionPlan:
     Attributes:
         n_rows: total batch rows ``B``.
         shard_rows: rows per shard ``B_chunk`` (last shard may be smaller).
-        row_bytes: modelled working-set bytes per row (resident on the
-            circuit backends; a sizing figure on kernels, whose shards
-            hold row blocks only).
-        max_bytes: the policy budget the plan was fitted to.
         workers: process-pool width (1 = serial in-process).
         policy: the :class:`~repro.kernels.ExecutionPolicy` the shards
-            execute under (dtype scales ``row_bytes``; ``row_threads``,
-            resolved to a count, fans rows inside each shard).
+            execute under (``row_threads``, resolved to a count, fans rows
+            inside each shard).
     """
 
     n_rows: int
     shard_rows: int
-    row_bytes: int
-    max_bytes: int
     workers: int
     policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
@@ -119,11 +108,6 @@ class ExecutionPlan:
     def n_shards(self) -> int:
         """Number of shards the batch splits into."""
         return -(-self.n_rows // self.shard_rows)
-
-    @property
-    def shard_bytes(self) -> int:
-        """Modelled peak working set of one full shard (see ``row_bytes``)."""
-        return self.shard_rows * self.row_bytes
 
     def slices(self):
         """Yield one ``slice`` per shard, covering ``range(n_rows)`` in order."""
@@ -136,9 +120,6 @@ class ExecutionPlan:
             "n_rows": self.n_rows,
             "n_shards": self.n_shards,
             "shard_rows": self.shard_rows,
-            "row_bytes": self.row_bytes,
-            "shard_bytes": self.shard_bytes,
-            "max_bytes": self.max_bytes,
             "workers": self.workers,
             **self.policy.describe(),
         }
@@ -152,24 +133,27 @@ def plan_shards(
     execution: ExecutionPolicy | None = None,
     *,
     queries: int,
+    lanes: int = 1,
 ) -> ExecutionPlan:
     """Fit a shard plan for ``n_rows`` batch rows of an ``N``-item instance.
 
-    The row count per shard is the largest that keeps the modelled working
-    set under ``policy.max_bytes`` (at least 1 and at most ``n_rows`` — a
-    single row always runs even if it alone exceeds the budget, and zero
-    rows plan zero shards), further capped by
-    ``policy.max_rows`` when set.  With ``policy.workers > 1`` the rows are
-    additionally capped at an even split across the pool, so a batch whose
-    byte budget would fit in one shard still fans out.  *execution* (the
-    kernels' :class:`~repro.kernels.ExecutionPolicy`) scales the per-row
-    byte model — complex64 rows are half-width, so the same budget admits
-    twice the ``B_chunk`` — and rides on the plan so shards execute under
-    it.  On the kernels backend its ``row_threads="auto"`` resolves from
-    one shard's work (``shard_rows × N × queries``, *queries* being the
-    program's oracle queries per row) beside ``policy.workers`` shard
-    processes for each batch this process is running (a service runs
-    several at once); circuit shards run one thread under ``"auto"``.
+    A kernels shard holds row blocks however many rows it has, so a
+    kernels batch splits into max(``policy.workers``, *lanes*) even
+    shards, *lanes* being the executor's
+    (:meth:`~repro.service.executor.ShardExecutor.lanes`).  A circuit
+    shard holds its ``(B_chunk, 2N)`` state, so it takes the most rows
+    that keep that under ``policy.max_bytes`` (:func:`state_row_bytes`),
+    capped at an even split across ``policy.workers``.
+    ``policy.max_rows`` caps either; a shard holds at least one row, and
+    zero rows plan zero shards.
+
+    *execution* rides on the plan so shards execute under it.  On the
+    kernels backend its ``row_threads="auto"`` resolves from one shard's
+    work (``shard_rows × N × queries``, *queries* being the program's
+    oracle queries per row) beside ``policy.workers`` shard processes for
+    each batch this process is running (a service runs several at once;
+    remote lanes run on other hosts); circuit shards run one thread under
+    ``"auto"``.
     """
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
@@ -177,13 +161,14 @@ def plan_shards(
         policy = ShardPolicy()
     if execution is None:
         execution = ExecutionPolicy()
-    row_bytes = state_row_bytes(backend, n_items, execution)
-    rows = max(1, policy.max_bytes // row_bytes)
+    if backend == KERNEL_BACKEND:
+        rows = -(-n_rows // max(policy.workers, lanes))
+    else:
+        row_bytes = state_row_bytes(backend, n_items, execution)
+        rows = min(policy.max_bytes // row_bytes, -(-n_rows // policy.workers))
     if policy.max_rows is not None:
         rows = min(rows, policy.max_rows)
-    if policy.workers > 1:
-        rows = min(rows, -(-n_rows // policy.workers))
-    rows = int(max(1, min(rows, n_rows)))
+    rows = int(max(1, rows))
     # Pin row_threads="auto" to a concrete count here, once, so every
     # shard of the batch — local or remote — runs at the same width and
     # the plan's provenance records what actually ran.  The work floor
@@ -200,8 +185,6 @@ def plan_shards(
     return ExecutionPlan(
         n_rows=n_rows,
         shard_rows=rows,
-        row_bytes=row_bytes,
-        max_bytes=policy.max_bytes,
         workers=policy.workers,
         policy=execution,
     )
@@ -232,7 +215,7 @@ def run_grk_batch_sharded(
     executor=None,
     execution: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ExecutionPlan]:
-    """Run a program batch over *targets* in memory-bounded shards.
+    """Run a program batch over *targets* in shards.
 
     *program* is any :class:`~repro.core.program.PartialSearchProgram`
     (a GRK-family ``plan.program`` or a baseline's full-search program);
@@ -240,26 +223,27 @@ def run_grk_batch_sharded(
     block_guesses, plan)`` with the arrays concatenated in target order —
     bit-identical to the unsharded execution, because every batch row
     evolves independently under the same kernels; an empty batch
-    dispatches nothing.  *executor* selects
-    where shards run (``None`` = the default local executor); every
-    executor preserves bit-identity because shard boundaries are fixed
-    here, before dispatch.  *execution* is the kernels'
-    :class:`~repro.kernels.ExecutionPolicy`: it sizes the shards
-    (complex64 halves row bytes) and ships inside every shard task, so
-    local and remote workers honour the same dtype/threading — at
-    complex128 the results stay bit-identical for every policy
-    combination.
+    dispatches nothing.  *executor* selects where shards run (``None`` =
+    the default local executor) and, through its lanes, how many a
+    kernels batch splits into; every executor preserves bit-identity
+    because shard boundaries are fixed here, before dispatch.
+    *execution* is the kernels' :class:`~repro.kernels.ExecutionPolicy`:
+    it ships inside every shard task, so local and remote workers honour
+    the same dtype/threading — at complex128 the results stay
+    bit-identical for every policy combination.
     """
     from repro.service.executor import default_executor
 
     targets = np.asarray(targets, dtype=np.intp)
     if execution is None:
         execution = ExecutionPolicy()
+    if executor is None:
+        executor = default_executor()
     with _running_batch():
         with span("shards.plan", backend=backend) as planned:
             plan = plan_shards(
                 targets.size, program.n_items, backend, policy, execution,
-                queries=program.queries,
+                queries=program.queries, lanes=executor.lanes(),
             )
             execution = plan.policy  # "auto" resolved by the planner
             tasks = [
@@ -269,8 +253,6 @@ def run_grk_batch_sharded(
             planned.attrs["shards"] = plan.n_shards
         if not tasks:
             return np.empty(0), np.empty(0, dtype=np.intp), plan
-        if executor is None:
-            executor = default_executor()
         results = executor.run_shards(
             _program_shard, tasks, workers=plan.workers
         )

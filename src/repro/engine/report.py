@@ -88,7 +88,7 @@ class BatchReport:
         queries: per-row query counts, shape ``(B,)``.
         schedule: shared schedule provenance (as in :class:`SearchReport`).
         execution: the shard plan that ran — ``n_shards``, ``shard_rows``,
-            ``row_bytes``, ``max_bytes``, ``workers``.
+            ``workers``, ``dtype``, ``row_threads`` — and its executor.
     """
 
     method: str

@@ -3,9 +3,9 @@
 A :class:`SearchRequest` pins down the instance geometry ``(N, K)``, the
 method and backend names (resolved against the registries at execution
 time, not here), the Step 1 parameter, tracing, randomness, and the
-batch/shard policy.  A :class:`ShardPolicy` bounds how much state a batched
-execution may hold in memory at once and whether shards fan out across a
-process pool.  :func:`batch_targets` turns a batch's target collection into
+batch/shard policy.  A :class:`ShardPolicy` sets how many shards a batched
+execution fans out over and, on the circuit backends, how much state one
+shard may hold.  :func:`batch_targets` turns a batch's target collection into
 the validated address array both engine tiers run.
 
 Validation philosophy: structural facts that cannot depend on the registry
@@ -37,13 +37,12 @@ __all__ = [
     "batch_targets",
 ]
 
-#: Default per-shard memory budget for batched execution (128 MiB).  On
-#: the circuit backends it bounds memory: an all-targets batch at 12
-#: address qubits holds a ``(4096, 8192)`` complex state (~0.5 GB)
-#: unsharded, and this budget splits it into independent chunks.  A
-#: kernels shard holds only row blocks of ``ROW_BLOCK_BYTES``
-#: (:mod:`repro.kernels.sweep`), so there the budget sets the shard count
-#: through the planner's row model, not resident memory.
+#: Default per-shard memory budget of a circuit batch (128 MiB): an
+#: all-targets batch at 12 address qubits holds a ``(4096, 8192)``
+#: complex state (~0.5 GB) unsharded, and this budget splits it into
+#: independent chunks.  A kernels shard holds only row blocks of
+#: ``ROW_BLOCK_BYTES`` (:mod:`repro.kernels.sweep`) however many rows it
+#: has, so kernels batches ignore it.
 DEFAULT_SHARD_BYTES = 128 * 1024 * 1024
 
 #: What the caller needs back.  ``probability``-class requests (success
@@ -58,18 +57,20 @@ ENGINE_VALUES = ("auto", "analytic", "simulate")
 
 @dataclass(frozen=True)
 class ShardPolicy:
-    """Memory/parallelism policy for :meth:`SearchEngine.search_batch`.
+    """Fan-out/memory policy for :meth:`SearchEngine.search_batch`.
 
     Attributes:
-        max_bytes: soft ceiling on the modelled working-set bytes of one
+        max_bytes: soft ceiling on the working-set bytes of one circuit
             shard (:func:`~repro.engine.plan.state_row_bytes` per row).
             The planner converts it into a row count per shard; at least
-            one row always runs.
+            one row always runs.  Kernels shards hold row blocks, not
+            rows, so it does not bound them.
         max_rows: optional hard cap on rows per shard (useful in tests to
-            force specific shard boundaries regardless of the byte budget).
+            force specific shard boundaries on any backend).
         workers: ``1`` (default) executes shards serially in-process;
             ``> 1`` fans them across a process pool via
-            :func:`repro.util.parallel.parallel_map`.
+            :func:`repro.util.parallel.parallel_map`, and splits a batch
+            into at least ``workers`` shards.
     """
 
     max_bytes: int = DEFAULT_SHARD_BYTES
@@ -113,12 +114,12 @@ class SearchRequest:
             dtype and row threads) the kernels execute under.  The default
             is complex128 with ``row_threads="auto"`` — bit-identical to
             the seed implementation at any thread count;
-            ``dtype="complex64"`` halves shard memory (the planner admits
-            2x the rows per shard) at the documented tolerance, and
-            ``row_threads`` fans independent batch rows across threads
-            with no effect on results.  Travels with
-            the request across process pools and the service wire, so
-            remote workers honour it too.
+            ``dtype="complex64"`` halves every amplitude (a circuit
+            shard's byte budget admits 2x the rows) at the documented
+            tolerance, and ``row_threads`` fans independent batch rows
+            across threads with no effect on results.  Travels with the
+            request across process pools and the service wire, so remote
+            workers honour it too.
         options: method-specific extras (e.g. ``schedule=`` for ``grk``,
             ``plan=`` for ``grk-sure-success``, ``strategy=`` for
             ``classical``).  Stored read-only.

@@ -14,8 +14,8 @@ is* and *how many cores share the rows*:
   kernels hold ``float64``/``float32`` states (:attr:`ExecutionPolicy.real_dtype`),
   while the gate-level circuit backends hold genuinely complex states
   (:attr:`ExecutionPolicy.complex_dtype`).  Either way ``complex64`` halves
-  every row, so a row block holds twice the rows and a fixed shard byte
-  budget admits twice the ``B_chunk``.
+  every row, so a kernels row block holds twice the rows and a circuit
+  shard's byte budget admits twice the ``B_chunk``.
 - ``row_threads`` fans independent batch **rows** across threads
   (:func:`repro.util.parallel.thread_map`; the calling thread runs one
   slab).  The hot kernels are numpy reductions and fused elementwise

@@ -4,7 +4,7 @@ Two layers grow the single-machine engine into a serving system:
 
 1. **Executor layer** (:mod:`repro.service.executor`): the
    :class:`ShardExecutor` seam :meth:`repro.engine.SearchEngine.search_batch`
-   dispatches its ``(B_chunk, N)`` shards through.  :class:`LocalExecutor`
+   dispatches its shards through.  :class:`LocalExecutor`
    wraps the in-process / process-pool fan-out that PR 2 shipped;
    :class:`RemoteExecutor` speaks a small length-prefixed TCP protocol
    (:mod:`repro.service.wire`) to ``repro-worker`` processes

@@ -1,13 +1,13 @@
 """The executor seam: where a batched search's shards actually run.
 
-:meth:`repro.engine.SearchEngine.search_batch` splits a batch into
-``(B_chunk, N)`` shards under its :class:`~repro.engine.request.ShardPolicy`
-and then hands the shard list to a :class:`ShardExecutor`.  The contract is
-deliberately tiny — ``run_shards(func, tasks)`` returning results *in task
-order* — because everything that matters for reproducibility is decided
-before dispatch: shard boundaries come from the plan, and every random
-draw (naive-blocks' per-row left-out blocks) happens in the engine before
-dispatch, so no RNG stream ships inside a task.  A task is plain data: a program, its
+:meth:`repro.engine.SearchEngine.search_batch` splits a batch into shards
+(:func:`repro.engine.plan.plan_shards`) and then hands the shard list to a
+:class:`ShardExecutor`.  The contract is deliberately tiny —
+``run_shards(func, tasks)`` returning results *in task order* — because
+everything that matters for reproducibility is decided before dispatch:
+shard boundaries come from the plan, and every random draw (naive-blocks'
+per-row left-out blocks) happens in the engine before dispatch, so no RNG
+stream ships inside a task.  A task is plain data: a program, its
 targets, a backend name and an execution policy.  Any executor that runs
 every task exactly once therefore returns bit-identical results, whatever
 the host, scheduling order, or retry history.
@@ -110,6 +110,12 @@ class ShardExecutor(ABC):
         :class:`~repro.resilience.DeadlineExceeded` rather than start work
         nobody will wait for.
         """
+
+    def lanes(self) -> int:
+        """Shards this executor can run side by side beyond the plan's
+        ``workers``: the planner splits a kernels batch into at least this
+        many.  A local executor's width is ``workers`` itself, so 1."""
+        return 1
 
     def describe(self) -> dict:
         """Provenance record merged into ``BatchReport.execution``."""
@@ -551,6 +557,11 @@ class RemoteExecutor(ShardExecutor):
                 pass
 
     # -------------------------------------------------------------- public
+    def lanes(self) -> int:
+        """The dialable workers: the fleet less the endpoints whose breaker
+        is open, as :meth:`run_shards` reads it when it opens lanes."""
+        return len(self.breakers.partition(self.workers.candidates())[0])
+
     def run_shards(self, func, tasks, *, workers: int = 1,
                    deadline: Deadline | None = None) -> list:
         tasks = list(tasks)

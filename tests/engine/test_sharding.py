@@ -1,4 +1,4 @@
-"""Memory-bounded sharding: plan math and shard-boundary bit-identity."""
+"""Sharding: plan math and shard-boundary bit-identity."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from repro.engine import (
     plan_shards,
     state_row_bytes,
 )
+from repro.engine.plan import ROW_OVERHEAD
 
 
 class TestPlanMath:
@@ -22,31 +23,68 @@ class TestPlanMath:
         assert ShardPolicy().max_bytes == DEFAULT_SHARD_BYTES
 
     def test_row_bytes_model(self):
-        # Circuit rows carry the ancilla (2N complex128); kernel rows are
-        # N float64.  Both include the working-set overhead factor.
-        assert state_row_bytes("compiled", 4096) == 4 * state_row_bytes(
-            "kernels", 4096
-        )
-        # Backends that hold no state plan no shards.
-        with pytest.raises(ValueError, match="no state"):
-            state_row_bytes("classical", 4096)
+        # Circuit rows carry the ancilla (2N complex128), times the
+        # working-set overhead factor.
+        assert state_row_bytes("compiled", 4096) == 2 * 4096 * 16 * ROW_OVERHEAD
+        # Only circuit rows are budgeted: a kernels shard holds row blocks
+        # whatever its rows, and classical holds no state.
+        for backend in ("kernels", "classical"):
+            with pytest.raises(ValueError, match="no per-row state"):
+                state_row_bytes(backend, 4096)
 
     def test_shard_rows_fit_budget(self):
         plan = plan_shards(4096, 4096, "compiled", ShardPolicy(max_bytes=2**27),
                            queries=1)
-        assert plan.shard_bytes <= 2**27
+        assert plan.shard_rows * state_row_bytes("compiled", 4096) <= 2**27
         assert plan.n_shards == -(-4096 // plan.shard_rows)
         assert sum(sl.stop - sl.start for sl in plan.slices()) == 4096
 
     def test_single_row_always_runs(self):
         # A row bigger than the budget still executes (one row per shard).
-        plan = plan_shards(8, 1 << 20, "kernels", ShardPolicy(max_bytes=1024),
+        plan = plan_shards(8, 1 << 20, "compiled", ShardPolicy(max_bytes=1024),
                            queries=1)
         assert plan.shard_rows == 1
         assert plan.n_shards == 8
         # Zero rows plan zero shards.
-        empty = plan_shards(0, 64, "kernels", ShardPolicy(workers=2), queries=1)
-        assert empty.n_shards == 0 and list(empty.slices()) == []
+        for backend in ("kernels", "compiled"):
+            empty = plan_shards(0, 64, backend, ShardPolicy(workers=2),
+                                queries=1)
+            assert empty.n_shards == 0 and list(empty.slices()) == []
+
+    def test_kernels_batch_ignores_the_byte_budget(self):
+        # A kernels shard holds row blocks however many rows it has, so no
+        # byte budget or dtype splits its batch.
+        queries = plan_schedule(4096, 8).program.queries
+        for shards, execution in (
+            (None, None),
+            (None, ExecutionPolicy(dtype="complex64")),
+            (ShardPolicy(max_bytes=1024), None),
+        ):
+            plan = plan_shards(4096, 4096, "kernels", shards, execution,
+                               queries=queries)
+            assert plan.n_shards == 1 and plan.shard_rows == 4096
+
+    def test_kernels_shards_serve_fan_out(self):
+        # One even shard per pool worker or executor lane, whichever is
+        # more; max_rows still caps a shard.
+        queries = plan_schedule(4096, 8).program.queries
+
+        def plan(shards, lanes=1):
+            return plan_shards(4096, 4096, "kernels", shards, queries=queries,
+                               lanes=lanes)
+
+        assert plan(ShardPolicy(workers=3)).n_shards == 3
+        assert plan(ShardPolicy(workers=3)).shard_rows == 1366
+        assert plan(ShardPolicy(), lanes=2).n_shards == 2
+        assert plan(ShardPolicy(workers=3), lanes=2).n_shards == 3
+        assert plan(ShardPolicy(workers=2), lanes=5).n_shards == 5
+        capped = plan(ShardPolicy(workers=3, max_rows=100), lanes=2)
+        assert capped.shard_rows == 100 and capped.n_shards == 41
+        # Lanes do not split a circuit batch: its byte budget does.
+        compiled = plan_shards(4096, 4096, "compiled", queries=queries,
+                               lanes=8)
+        assert compiled.n_shards == plan_shards(
+            4096, 4096, "compiled", queries=queries).n_shards == 16
 
     def test_max_rows_caps_budget_rows(self):
         plan = plan_shards(100, 64, "kernels", ShardPolicy(max_rows=7), queries=1)
@@ -61,7 +99,6 @@ class TestPlanMath:
         desc = plan.describe()
         assert desc["n_shards"] == 8
         assert desc["workers"] == 3
-        assert desc["max_bytes"] == DEFAULT_SHARD_BYTES
 
 
 class TestShardBoundaryBitIdentity:
@@ -101,19 +138,22 @@ class TestShardBoundaryBitIdentity:
         np.testing.assert_array_equal(report.block_guesses, guesses)
 
     def test_byte_budget_drives_sharding(self):
-        # A budget that fits ~8 kernel rows of N=256 must produce ceil(32/8)
+        # A budget that fits 8 circuit rows of N=256 must produce ceil(32/8)
         # shards — and identical numbers.
         n, k = 256, 4
-        budget = 8 * state_row_bytes("kernels", n)
+        budget = 8 * state_row_bytes("compiled", n)
         engine = SearchEngine()
         tight = engine.search_batch(
-            SearchRequest(n_items=n, n_blocks=k, shards=ShardPolicy(max_bytes=budget)),
+            SearchRequest(n_items=n, n_blocks=k, backend="compiled",
+                          shards=ShardPolicy(max_bytes=budget)),
             targets=range(32),
         )
         assert tight.execution["n_shards"] == 4
         wide = engine.search_batch(
-            SearchRequest(n_items=n, n_blocks=k), targets=range(32)
+            SearchRequest(n_items=n, n_blocks=k, backend="compiled"),
+            targets=range(32),
         )
+        assert wide.execution["n_shards"] == 1
         np.testing.assert_array_equal(
             tight.success_probabilities, wide.success_probabilities
         )
@@ -191,8 +231,8 @@ class TestShardBoundaryBitIdentity:
 
 
 class TestShardIdentityUnderPolicies:
-    """The tentpole contract: shard boundaries stay bit-invisible under
-    *every* :class:`ExecutionPolicy`, and the dtype scales the byte model."""
+    """Shard boundaries stay bit-invisible under *every*
+    :class:`ExecutionPolicy`, and the dtype scales the circuit byte model."""
 
     POLICIES = [
         ExecutionPolicy(),
@@ -226,12 +266,13 @@ class TestShardIdentityUnderPolicies:
     def test_complex64_halves_row_bytes_doubles_chunk(self):
         n = 4096
         half = ExecutionPolicy(dtype="complex64")
-        for backend in ("kernels", "compiled"):
-            assert state_row_bytes(backend, n, half) == state_row_bytes(backend, n) // 2
-        budget = ShardPolicy(max_bytes=64 * state_row_bytes("kernels", n))
+        assert state_row_bytes("compiled", n, half) \
+            == state_row_bytes("compiled", n) // 2
+        budget = ShardPolicy(max_bytes=64 * state_row_bytes("compiled", n))
         assert (
-            plan_shards(4096, n, "kernels", budget, half, queries=1).shard_rows
-            == 2 * plan_shards(4096, n, "kernels", budget, queries=1).shard_rows
+            plan_shards(4096, n, "compiled", budget, half, queries=1).shard_rows
+            == 2 * plan_shards(4096, n, "compiled", budget, queries=1).shard_rows
+            == 128
         )
 
     def test_row_threads_bit_identical_to_serial(self):
@@ -318,19 +359,16 @@ class TestShardIdentityUnderPolicies:
         from repro.service.cache import request_fingerprint
 
         n, k = 256, 4
-        searched = n if method == "grover-full" else n - n // k
         engine = SearchEngine()
         request = SearchRequest(
             n_items=n, n_blocks=k, method=method, options=options, rng=seed,
-            shards=ShardPolicy(max_bytes=8 * state_row_bytes("kernels",
-                                                             searched)),
+            shards=ShardPolicy(max_rows=8),
         )
         fast_policy = ExecutionPolicy(dtype="complex64")
         base = engine.search_batch(request)
         fast = engine.search_batch(request.replace(policy=fast_policy))
         assert fast.execution["dtype"] == "complex64"
         assert base.execution["shard_rows"] == 8
-        assert fast.execution["shard_rows"] == 16
         np.testing.assert_allclose(
             fast.success_probabilities, base.success_probabilities,
             atol=COMPLEX64_SUCCESS_ATOL, rtol=0,
@@ -436,11 +474,12 @@ class TestThreadedDefaultBitIdentity:
         serial = self.request(method, options, seed,
                               policy=ExecutionPolicy(row_threads=1))
         ref = engine.search_batch(serial)
-        for max_rows in (1, 7, self.N):
+        for shards in (ShardPolicy(max_rows=1), ShardPolicy(max_rows=7),
+                       ShardPolicy(max_rows=self.N), ShardPolicy()):
             for policy in (ExecutionPolicy(), ExecutionPolicy(row_threads=1),
                            ExecutionPolicy(row_threads=3)):
                 request = self.request(method, options, seed, policy=policy,
-                                       shards=ShardPolicy(max_rows=max_rows))
+                                       shards=shards)
                 self.assert_same(engine.search_batch(request), ref)
                 # The cache cannot tell thread counts apart either.
                 assert request_fingerprint(request) \
@@ -470,3 +509,53 @@ class TestThreadedDefaultBitIdentity:
                     method, options, seed, policy=policy,
                     shards=ShardPolicy(max_rows=7)))
                 self.assert_same(got, ref)
+        # Two workers: the default plan splits the batch over both lanes.
+        with WorkerServer() as first, WorkerServer() as second:
+            remote = SearchEngine(executor=RemoteExecutor(
+                [first.address, second.address]))
+            for policy in (ExecutionPolicy(), ExecutionPolicy(row_threads=3)):
+                got = remote.search_batch(self.request(method, options, seed,
+                                                       policy=policy))
+                assert got.execution["n_shards"] == 2
+                self.assert_same(got, ref)
+
+
+class TestExecutorLanes:
+    """A kernels batch splits over its executor's dialable lanes, so a
+    remote fleet shares it however little state its shards hold."""
+
+    def test_each_worker_serves_one_shard(self):
+        from contextlib import ExitStack
+
+        from repro.service.executor import RemoteExecutor
+        from repro.service.worker import WorkerServer
+
+        request = SearchRequest(n_items=1024, n_blocks=4)
+        local = SearchEngine().search_batch(request)
+        assert local.execution["n_shards"] == 1
+        for n_workers in (1, 2):
+            with ExitStack() as stack:
+                workers = [stack.enter_context(WorkerServer())
+                           for _ in range(n_workers)]
+                executor = RemoteExecutor([w.address for w in workers])
+                assert executor.lanes() == n_workers
+                remote = SearchEngine(executor=executor).search_batch(request)
+                assert [w.shards_served for w in workers] == [1] * n_workers
+            assert remote.execution["n_shards"] == n_workers
+            np.testing.assert_array_equal(remote.success_probabilities,
+                                          local.success_probabilities)
+            np.testing.assert_array_equal(remote.block_guesses,
+                                          local.block_guesses)
+
+    def test_open_breakers_are_not_lanes(self):
+        from repro.resilience import BreakerRegistry
+        from repro.service.executor import LocalExecutor, RemoteExecutor
+
+        executor = RemoteExecutor(
+            ["127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"],
+            breakers=BreakerRegistry(failure_threshold=1),
+        )
+        assert executor.lanes() == 3
+        executor.breakers.get("127.0.0.1:2").record_failure()
+        assert executor.lanes() == 2
+        assert LocalExecutor().lanes() == 1

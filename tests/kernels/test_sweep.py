@@ -38,6 +38,7 @@ from repro.kernels import (
     program_sweep_rows,
     sweep,
 )
+from repro.service.executor import ShardExecutor
 
 
 def _spy_on_blocks(monkeypatch):
@@ -473,7 +474,7 @@ class TestRowThreadRule:
         targets = np.arange(4096)
         started, release = threading.Event(), threading.Event()
 
-        class Executor:
+        class Executor(ShardExecutor):
             """Skips the sweep; *hold* keeps its batch running until
             released."""
 

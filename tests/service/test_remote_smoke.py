@@ -88,7 +88,7 @@ class TestRemoteSmoke:
         remote results must equal the in-process sharded path bit for bit."""
         request = SearchRequest(
             n_items=4096, n_blocks=4, method="grk", backend="kernels",
-            shards=ShardPolicy(max_bytes=16 * 1024 * 1024),  # 32 shards
+            shards=ShardPolicy(max_rows=128),  # 32 shards
         )
         local = SearchEngine().search_batch(request)
         assert local.execution["n_shards"] > 1
