@@ -119,7 +119,7 @@ def _fresh(fn, cfg: dict) -> dict:
     """``fn(cfg)`` in a fresh interpreter.  Timed after the compiled
     sections, in the heap they leave, the serial kernels batch ran
     15-16 ms against 19-22 ms fresh, so in-process ratios would depend
-    on which sections ran first."""
+    on which sections ran first; each kernels section runs in its own."""
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, mp_context=spawn) as pool:
         return pool.submit(fn, cfg).result()
@@ -460,8 +460,8 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
     single = bench_single(cfg)
     batched = bench_batched(cfg)
     kernels_batched = _fresh(bench_kernels_batched, cfg)
-    kernels_sweep = bench_kernels_sweep(cfg)
-    baselines = bench_baselines(cfg)
+    kernels_sweep = _fresh(bench_kernels_sweep, cfg)
+    baselines = _fresh(bench_baselines, cfg)
     sharded = bench_sharded(cfg)
     results = {
         "bench": "compiled_simulator",

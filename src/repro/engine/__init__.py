@@ -16,8 +16,8 @@ This package collapses them into one stable, extensible surface:
   functions;
 - :class:`SearchEngine` — ``search`` / ``search_batch`` / ``sweep``, with
   sharded all-targets batches (:class:`ExecutionPlan`): kernels shards
-  fan out over pool workers and executor lanes, circuit shards fit a
-  byte budget (default ≲128 MiB).
+  fan out over pool workers and executor lanes under a work cap, circuit
+  shards fit a byte budget (default ≲128 MiB).
 
 Quickstart::
 

@@ -185,8 +185,8 @@ class SearchEngine:
 
         Every simulated method runs one program over the batch in shards
         (:func:`~repro.engine.plan.plan_shards`: on kernels one per pool
-        worker or executor lane; on a circuit backend within
-        ``request.shards``' byte budget), each row-threaded per
+        worker or filled executor lane, under a work cap; on a circuit
+        backend within ``request.shards``' byte budget), each row-threaded per
         ``request.policy``; results are bit-identical to the unsharded,
         serial execution.  With ``request.shards.workers > 1`` shards fan
         out across a process pool.  Shard tasks are plain data:

@@ -11,12 +11,12 @@ Every simulated batch ships one shard function, whose tasks are plain
 data: a program, targets, a backend name and an execution policy.
 
 What bounds a shard is what it holds.  A kernels shard holds only row
-blocks of about :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES`
-(:mod:`repro.kernels.sweep`), shared by its row threads, however many
-rows it has, so its shards serve fan-out only: one per pool worker or
-executor lane.  The gate-level circuit backends hold a ``(B_chunk, 2N)``
-complex state per shard, so the :class:`~repro.engine.request.ShardPolicy`
-byte budget bounds their rows (:func:`state_row_bytes`).
+blocks of about :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES`, however
+many rows it has, so its shards serve fan-out and turnaround only: one
+per pool worker or filled executor lane, none over a work cap.  The
+circuit backends hold a ``(B_chunk, 2N)`` complex state per shard, so
+the :class:`~repro.engine.request.ShardPolicy` byte budget bounds their
+rows (:func:`state_row_bytes`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.backends import CIRCUIT_BACKENDS, KERNEL_BACKEND
 from repro.core.program import PartialSearchProgram
 from repro.engine.request import ExecutionPolicy, ShardPolicy
-from repro.kernels import ROW_THREADS_AUTO
+from repro.kernels import ROW_THREADS_AUTO, policy as kernel_policy
 from repro.observability.spans import span
 
 __all__ = [
@@ -45,6 +45,13 @@ __all__ = [
 #: resident row is a conservative envelope validated by the sharded-batch
 #: bench.
 ROW_OVERHEAD = 4
+
+#: The most work (rows × N × queries) one kernels shard carries: a shard
+#: is what a remote worker computes before it replies, a failure requeues
+#: and a run checks its deadline between.  The N=4096, K=8 all-targets
+#: batches (7.2e8–7.4e8) ran in 0.52–0.77 s on two threads of a 2-vCPU
+#: Xeon and stay one shard; N=2^16 ones split into shards of ~100 rows.
+KERNEL_SHARD_MAX_WORK = 1 << 30
 
 
 #: Batches this process is running, each counted from its plan until its
@@ -133,19 +140,21 @@ def plan_shards(
     execution: ExecutionPolicy | None = None,
     *,
     queries: int,
-    lanes: int = 1,
+    lanes: int,
 ) -> ExecutionPlan:
     """Fit a shard plan for ``n_rows`` batch rows of an ``N``-item instance.
 
     A kernels shard holds row blocks however many rows it has, so a
-    kernels batch splits into max(``policy.workers``, *lanes*) even
-    shards, *lanes* being the executor's
-    (:meth:`~repro.service.executor.ShardExecutor.lanes`).  A circuit
-    shard holds its ``(B_chunk, 2N)`` state, so it takes the most rows
-    that keep that under ``policy.max_bytes`` (:func:`state_row_bytes`),
-    capped at an even split across ``policy.workers``.
-    ``policy.max_rows`` caps either; a shard holds at least one row, and
-    zero rows plan zero shards.
+    kernels batch splits evenly over ``policy.workers``, or over the
+    executor's *lanes* (:meth:`~repro.service.executor.ShardExecutor.lanes`)
+    if more — but over only as many lanes as leave each shard a row
+    thread's work (:data:`~repro.kernels.AUTO_ROW_THREAD_MIN_WORK`), so a
+    small batch stays one shard on any fleet — and no kernels shard takes
+    more than :data:`KERNEL_SHARD_MAX_WORK`.  A circuit shard holds its
+    ``(B_chunk, 2N)`` state, so it takes the most rows that keep that
+    under ``policy.max_bytes`` (:func:`state_row_bytes`), capped at an even
+    split across ``policy.workers``.  ``policy.max_rows`` caps either; a
+    shard holds at least one row, and zero rows plan zero shards.
 
     *execution* rides on the plan so shards execute under it.  On the
     kernels backend its ``row_threads="auto"`` resolves from one shard's
@@ -162,7 +171,10 @@ def plan_shards(
     if execution is None:
         execution = ExecutionPolicy()
     if backend == KERNEL_BACKEND:
-        rows = -(-n_rows // max(policy.workers, lanes))
+        row_work = max(1, n_items * queries)
+        filled = n_rows * row_work // kernel_policy.AUTO_ROW_THREAD_MIN_WORK
+        split = max(policy.workers, min(lanes, filled))
+        rows = min(-(-n_rows // split), KERNEL_SHARD_MAX_WORK // row_work)
     else:
         row_bytes = state_row_bytes(backend, n_items, execution)
         rows = min(policy.max_bytes // row_bytes, -(-n_rows // policy.workers))

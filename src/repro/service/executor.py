@@ -113,8 +113,8 @@ class ShardExecutor(ABC):
 
     def lanes(self) -> int:
         """Shards this executor can run side by side beyond the plan's
-        ``workers``: the planner splits a kernels batch into at least this
-        many.  A local executor's width is ``workers`` itself, so 1."""
+        ``workers``: a kernels batch spreads over as many as its work
+        fills.  A local executor's width is ``workers`` itself, so 1."""
         return 1
 
     def describe(self) -> dict:
@@ -556,11 +556,16 @@ class RemoteExecutor(ShardExecutor):
             except OSError:
                 pass
 
+    def _dialable(self) -> tuple[list[str], list[str]]:
+        """The fleet as ``(dialable, quarantined)``, for both :meth:`lanes`
+        and :meth:`run_shards`: an open breaker means "recently kept
+        failing"; half-open endpoints stay dialable to earn their way back."""
+        return self.breakers.partition(self.workers.candidates())
+
     # -------------------------------------------------------------- public
     def lanes(self) -> int:
-        """The dialable workers: the fleet less the endpoints whose breaker
-        is open, as :meth:`run_shards` reads it when it opens lanes."""
-        return len(self.breakers.partition(self.workers.candidates())[0])
+        """The dialable workers, as :meth:`run_shards` opens lanes on."""
+        return len(self._dialable()[0])
 
     def run_shards(self, func, tasks, *, workers: int = 1,
                    deadline: Deadline | None = None) -> list:
@@ -570,18 +575,15 @@ class RemoteExecutor(ShardExecutor):
         if deadline is None:
             deadline = current_deadline()
         with span("dispatch.resolve") as resolve:
-            candidates = self.workers.candidates()
-            # Open breakers mean "recently kept failing"; half-open
-            # endpoints stay dialable so they can earn their way back in,
-            # but rank behind every closed one (a stable sort keeps the
-            # source's order within each class).
-            dialable, quarantined = self.breakers.partition(candidates)
+            dialable, quarantined = self._dialable()
+            # Half-open endpoints rank behind every closed one (a stable
+            # sort keeps the source's order within each class).
             ranked = sorted(
                 dialable, key=lambda a: self.breakers.state(a) != "closed"
             )
-            resolve.attrs["candidates"] = len(candidates)
+            resolve.attrs["candidates"] = len(dialable) + len(quarantined)
             resolve.attrs["quarantined"] = len(quarantined)
-        if not candidates:
+        if not dialable and not quarantined:
             self.last_run = {"addresses": [], "local": True,
                              "quarantined": []}
             if not self.fallback_local:

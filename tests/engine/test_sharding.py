@@ -14,7 +14,8 @@ from repro.engine import (
     plan_shards,
     state_row_bytes,
 )
-from repro.engine.plan import ROW_OVERHEAD
+from repro.engine.plan import KERNEL_SHARD_MAX_WORK, ROW_OVERHEAD
+from repro.kernels import AUTO_ROW_THREAD_MIN_WORK
 
 
 class TestPlanMath:
@@ -34,7 +35,7 @@ class TestPlanMath:
 
     def test_shard_rows_fit_budget(self):
         plan = plan_shards(4096, 4096, "compiled", ShardPolicy(max_bytes=2**27),
-                           queries=1)
+                           queries=1, lanes=1)
         assert plan.shard_rows * state_row_bytes("compiled", 4096) <= 2**27
         assert plan.n_shards == -(-4096 // plan.shard_rows)
         assert sum(sl.stop - sl.start for sl in plan.slices()) == 4096
@@ -42,13 +43,13 @@ class TestPlanMath:
     def test_single_row_always_runs(self):
         # A row bigger than the budget still executes (one row per shard).
         plan = plan_shards(8, 1 << 20, "compiled", ShardPolicy(max_bytes=1024),
-                           queries=1)
+                           queries=1, lanes=1)
         assert plan.shard_rows == 1
         assert plan.n_shards == 8
         # Zero rows plan zero shards.
         for backend in ("kernels", "compiled"):
             empty = plan_shards(0, 64, backend, ShardPolicy(workers=2),
-                                queries=1)
+                                queries=1, lanes=1)
             assert empty.n_shards == 0 and list(empty.slices()) == []
 
     def test_kernels_batch_ignores_the_byte_budget(self):
@@ -61,7 +62,7 @@ class TestPlanMath:
             (ShardPolicy(max_bytes=1024), None),
         ):
             plan = plan_shards(4096, 4096, "kernels", shards, execution,
-                               queries=queries)
+                               queries=queries, lanes=1)
             assert plan.n_shards == 1 and plan.shard_rows == 4096
 
     def test_kernels_shards_serve_fan_out(self):
@@ -84,10 +85,54 @@ class TestPlanMath:
         compiled = plan_shards(4096, 4096, "compiled", queries=queries,
                                lanes=8)
         assert compiled.n_shards == plan_shards(
-            4096, 4096, "compiled", queries=queries).n_shards == 16
+            4096, 4096, "compiled", queries=queries, lanes=1).n_shards == 16
+
+    def test_kernels_shard_work_is_capped(self):
+        # A shard is what a remote worker computes before it replies and
+        # what a failure requeues: an N=2^16 all-targets batch splits into
+        # shards under the work cap however few lanes run it, as the byte
+        # budget once split it (into 1024 shards of 64 rows).
+        n = 1 << 16
+        queries = plan_schedule(n, 4).program.queries
+        for lanes in (1, 2):
+            plan = plan_shards(n, n, "kernels", queries=queries, lanes=lanes)
+            assert plan.shard_rows * n * queries <= KERNEL_SHARD_MAX_WORK
+            assert plan.shard_rows == KERNEL_SHARD_MAX_WORK // (n * queries)
+            assert plan.n_shards == -(-n // plan.shard_rows) > 600
+        # max_rows caps below the work cap.
+        capped = plan_shards(n, n, "kernels", ShardPolicy(max_rows=64),
+                             queries=queries, lanes=1)
+        assert capped.shard_rows == 64 and capped.n_shards == 1024
+        # A row over the cap still runs, one a shard.
+        huge = plan_shards(4, 1 << 30, "kernels", queries=2, lanes=1)
+        assert huge.shard_rows == 1 and huge.n_shards == 4
+
+    def test_lanes_take_only_shards_their_work_fills(self):
+        # A batch spreads over lanes only as far as each shard keeps a row
+        # thread's work, so gateway-mix's 256-row batch at N=1024 (5.2M)
+        # stays one shard on any fleet; pool workers split as asked.
+        queries = plan_schedule(1024, 4).program.queries
+        small = 256 * 1024 * queries
+        assert small < 2 * AUTO_ROW_THREAD_MIN_WORK
+        for lanes in (2, 4, 16):
+            assert plan_shards(256, 1024, "kernels", queries=queries,
+                               lanes=lanes).n_shards == 1
+        assert plan_shards(256, 1024, "kernels", ShardPolicy(workers=3),
+                           queries=queries, lanes=4).n_shards == 3
+        # The all-targets batch (21M) fills five lanes of a bigger fleet,
+        # each shard with at least the floor.
+        full = 1024 * 1024 * queries
+        assert full // AUTO_ROW_THREAD_MIN_WORK == 5
+        for lanes, shards in ((2, 2), (5, 5), (16, 5)):
+            plan = plan_shards(1024, 1024, "kernels", queries=queries,
+                               lanes=lanes)
+            assert plan.n_shards == shards, lanes
+            last = 1024 - (shards - 1) * plan.shard_rows
+            assert last * 1024 * queries >= AUTO_ROW_THREAD_MIN_WORK
 
     def test_max_rows_caps_budget_rows(self):
-        plan = plan_shards(100, 64, "kernels", ShardPolicy(max_rows=7), queries=1)
+        plan = plan_shards(100, 64, "kernels", ShardPolicy(max_rows=7),
+                           queries=1, lanes=1)
         assert plan.shard_rows == 7
         boundaries = [(sl.start, sl.stop) for sl in plan.slices()]
         assert boundaries[0] == (0, 7)
@@ -95,7 +140,7 @@ class TestPlanMath:
 
     def test_describe_provenance(self):
         plan = plan_shards(64, 64, "kernels", ShardPolicy(max_rows=9, workers=3),
-                           queries=1)
+                           queries=1, lanes=1)
         desc = plan.describe()
         assert desc["n_shards"] == 8
         assert desc["workers"] == 3
@@ -269,11 +314,11 @@ class TestShardIdentityUnderPolicies:
         assert state_row_bytes("compiled", n, half) \
             == state_row_bytes("compiled", n) // 2
         budget = ShardPolicy(max_bytes=64 * state_row_bytes("compiled", n))
-        assert (
-            plan_shards(4096, n, "compiled", budget, half, queries=1).shard_rows
-            == 2 * plan_shards(4096, n, "compiled", budget, queries=1).shard_rows
-            == 128
-        )
+        half_rows = plan_shards(4096, n, "compiled", budget, half, queries=1,
+                                lanes=1).shard_rows
+        full_rows = plan_shards(4096, n, "compiled", budget, queries=1,
+                                lanes=1).shard_rows
+        assert half_rows == 2 * full_rows == 128
 
     def test_row_threads_bit_identical_to_serial(self):
         n, k = 128, 4
@@ -546,6 +591,26 @@ class TestExecutorLanes:
                                           local.success_probabilities)
             np.testing.assert_array_equal(remote.block_guesses,
                                           local.block_guesses)
+
+    def test_small_batch_stays_on_one_worker(self):
+        # gateway-mix's batch shape: too little work to fill two lanes, so
+        # it runs as one shard on one worker of a two-worker fleet.
+        from repro.service.executor import RemoteExecutor
+        from repro.service.worker import WorkerServer
+
+        request = SearchRequest(n_items=1024, n_blocks=4)
+        targets = np.arange(0, 1024, 4)
+        local = SearchEngine().search_batch(request, targets=targets)
+        with WorkerServer() as first, WorkerServer() as second:
+            executor = RemoteExecutor([first.address, second.address])
+            remote = SearchEngine(executor=executor).search_batch(
+                request, targets=targets)
+            served = [first.shards_served, second.shards_served]
+        assert remote.execution["n_shards"] == 1 and sorted(served) == [0, 1]
+        np.testing.assert_array_equal(remote.success_probabilities,
+                                      local.success_probabilities)
+        np.testing.assert_array_equal(remote.block_guesses,
+                                      local.block_guesses)
 
     def test_open_breakers_are_not_lanes(self):
         from repro.resilience import BreakerRegistry

@@ -116,7 +116,7 @@ class TestAutoRowThreads:
 
         plan = plan_shards(16, 64, "kernels",
                            execution=ExecutionPolicy(row_threads="auto"),
-                           queries=1)
+                           queries=1, lanes=1)
         assert isinstance(plan.policy.row_threads, int)
         assert plan.policy.row_threads >= 1
 

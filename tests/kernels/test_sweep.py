@@ -405,11 +405,11 @@ class TestRowThreadRule:
     def test_auto_takes_the_cpus_well_above_the_floor(self, monkeypatch):
         queries = plan_schedule(4096, 8).program.queries
         cpus = len(os.sched_getaffinity(0))
-        plan = plan_shards(4096, 4096, "kernels", queries=queries)
+        plan = plan_shards(4096, 4096, "kernels", queries=queries, lanes=1)
         assert plan.policy.row_threads == min(cpus, MAX_AUTO_ROW_THREADS)
         for seen, expected in ((3, 3), (64, MAX_AUTO_ROW_THREADS)):
             _cpus(monkeypatch, seen)
-            plan = plan_shards(4096, 4096, "kernels", queries=queries)
+            plan = plan_shards(4096, 4096, "kernels", queries=queries, lanes=1)
             assert plan.shard_rows * 4096 * queries \
                 >= MAX_AUTO_ROW_THREADS * AUTO_ROW_THREAD_MIN_WORK
             assert plan.policy.row_threads == expected
@@ -421,12 +421,13 @@ class TestRowThreadRule:
         queries = plan_schedule(4096, 8).program.queries
         cpus = len(os.sched_getaffinity(0))
         plan = plan_shards(4096, 4096, "kernels", ShardPolicy(workers=2),
-                           queries=queries)
+                           queries=queries, lanes=1)
         assert plan.policy.row_threads <= max(1, cpus // 2)
         _cpus(monkeypatch, 8)
         for workers, expected in ((2, 4), (3, 2), (16, 1)):
             plan = plan_shards(4096, 4096, "kernels",
-                               ShardPolicy(workers=workers), queries=queries)
+                               ShardPolicy(workers=workers), queries=queries,
+                               lanes=1)
             assert plan.policy.row_threads == expected, workers
 
     @pytest.mark.parametrize("method", ["grk", "grk-cwb"])
@@ -509,13 +510,13 @@ class TestRowThreadRule:
     def test_explicit_thread_counts_always_honoured(self):
         policy = ExecutionPolicy(row_threads=4)
         assert policy.resolve(8, 64, 1) is policy
-        assert plan_shards(8, 64, "kernels", execution=policy, queries=1
-                           ).policy.row_threads == 4
+        assert plan_shards(8, 64, "kernels", execution=policy, queries=1,
+                           lanes=1).policy.row_threads == 4
 
     def test_plan_shards_pins_auto_row_threads(self):
         plan = plan_shards(
             1024, 1024, "kernels",
-            execution=ExecutionPolicy(row_threads="auto"), queries=1,
+            execution=ExecutionPolicy(row_threads="auto"), queries=1, lanes=1,
         )
         # Shards ship concrete choices, never sentinels: every worker of a
         # batch must run at the same width.
@@ -526,9 +527,9 @@ class TestRowThreadRule:
         # circuit batch in one slab at any size, and a count is honoured.
         _cpus(monkeypatch, 8)
         queries = plan_schedule(4096, 8).program.queries
-        plan = plan_shards(4096, 4096, "compiled", queries=queries)
+        plan = plan_shards(4096, 4096, "compiled", queries=queries, lanes=1)
         assert plan.policy.row_threads == 1
-        plan = plan_shards(4096, 4096, "compiled", queries=queries,
+        plan = plan_shards(4096, 4096, "compiled", queries=queries, lanes=1,
                            execution=ExecutionPolicy(row_threads=3))
         assert plan.policy.row_threads == 3
         slabs = []
