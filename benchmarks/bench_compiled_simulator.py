@@ -511,9 +511,11 @@ def main(mode: str = "full", baseline: str | None = None) -> dict:
     if baseline:
         results["delta_vs_baseline"] = _delta_vs_baseline(results, baseline)
     # Sibling bench scripts (bench_cluster.py, bench_gateway.py) merge
-    # their sections into the same artifact — preserve whatever they wrote.
+    # their sections into the same artifact — preserve whatever they wrote,
+    # but not an old comparison: a run without --baseline made none.
     if OUTPUT.exists():
         existing = json.loads(OUTPUT.read_text())
+        existing.pop("delta_vs_baseline", None)
         for section, value in existing.items():
             results.setdefault(section, value)
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")

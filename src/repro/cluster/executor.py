@@ -41,6 +41,8 @@ class ClusterWorkers:
     """
 
     kind = "cluster"
+    #: Least-loaded first: the executor keeps this order run after run.
+    load_ranked = True
 
     def __init__(self, membership, registry=None):
         self.membership = membership

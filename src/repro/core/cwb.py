@@ -25,11 +25,38 @@ when the plain schedule happens to overshoot), realising Theorem 1's
 most a constant" with phases spread across all three stages.  Contrast
 :mod:`repro.core.sure_success`, the Long-style construction that phases a
 two-iteration tail *within Step 2 only* and always spends exactly one extra
-query.
+query.  A rung that cannot reach certainty would cost the solver twelve
+failing descents (about 0.2 s), so each rung is first screened: when exact
+algebra proves that no phases bring the residual within the solve's
+tolerance, the ladder climbs without solving.  A rung the screen cannot
+prove goes to the solver as before, so the screen changes no plan.
+
+The proof, on the subspace coordinates (``b = N/K``).  Some ``φf`` zeroes
+the outside blocks iff ``Re(v/w) = c* = (b - N/2)/(b - 1)`` after the
+phased block iteration.  Write ``x1`` for the non-target amplitude after
+the phased global iteration and ``ρ = u1/x1``; the plain block iterations
+map ``(ρ, 1)`` linearly to ``(U, V)``, the target and block-rest
+amplitudes over ``x1``.  With ``p = e^{iχo}`` and ``e = 1 - e^{-iχd}``,
+the phased block iteration leaves ``v/w = V + e (pU - V)/b``: over ``χd``
+its real part sweeps ``Re A ± |B|``, ``A = (pU + (b-1)V)/b``,
+``B = (pU - V)/b``, and for fixed ``(χo, χd)`` it is ``Pρ + Q``, affine in
+``ρ``.  The phased global iteration keeps ``|<s|ψ>|`` at
+``|e^{iφo} u0 + (N-1) x0| / sqrt(N)``, which confines ``ρ`` to the zone
+between two circles of the ``ρ``-plane; unless that zone reaches
+``x1 = 0``, its convex hull is the disk inside the outer circle (centre
+``c``, radius ``r``), where ``Re(Pρ + Q)`` is smallest at
+``Re(Pc + Q) - r|P|``.  A branch and bound over ``(χo, χd)`` with
+Lipschitz cell bounds certifies ``Re(v/w) >= c* + m`` for every phase,
+and then ``min over φf of |w_final| >= 2(b-1) m |x1|² / (N (|x1| +
+2 sqrt(N-1)/N))``.  A rung is skipped only when that bound puts
+``max |residual|`` above twice the tolerance: missing ``c*`` is not
+enough, since at ``(2**60, 2)`` the first rung misses it by about ``1.6e-8``
+and the solver still accepts it at ``1e-8``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +65,7 @@ from repro.core.algorithm import PartialSearchResult, run_partial_search
 from repro.core.blockspec import BlockSpec
 from repro.core.parameters import plan_schedule
 from repro.core.program import BLOCK, GLOBAL, PartialSearchProgram, ProgramStage
-from repro.core.subspace import evaluate, evolve
+from repro.core.subspace import SubspaceCoordinates, evaluate, evolve
 from repro.grover.amplify import solve_phases
 from repro.oracle.database import Database
 
@@ -50,6 +77,14 @@ __all__ = ["CWBPlan", "plan_cwb", "run_cwb_partial_search"]
 #: further as a safety margin for exotic geometries.
 _ESCALATION = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
 
+#: Cells the screen evaluates before it leaves a rung to the solver: about
+#: 1 ms of numpy on a 2-vCPU host.
+_SCREEN_MAX_CELLS = 4096
+#: The zone's outer circle must be known to this relative precision; a
+#: coarser circle means ``x1 = 0`` lies within rounding of the zone.
+_SCREEN_MAX_ROUNDING = 1e-6
+_EPS = float(np.finfo(float).eps)
+
 
 def _tail(block_stage: ProgramStage, phases) -> tuple[ProgramStage, ...]:
     """Everything after Step 1's ``l1 - 1`` plain iterations:
@@ -60,6 +95,105 @@ def _tail(block_stage: ProgramStage, phases) -> tuple[ProgramStage, ...]:
         block_stage,
         ProgramStage(BLOCK, 1, chi_o, chi_d),
     )
+
+
+def _halve(cells: np.ndarray, halves: np.ndarray, axis: int) -> np.ndarray:
+    """Split every cell in two along *axis*; *halves* holds the cells'
+    half-widths and is updated in place."""
+    halves[axis] /= 2
+    step = np.zeros((2, 1))
+    step[axis] = halves[axis]
+    return np.concatenate((cells - step, cells + step), axis=1)
+
+
+def _unreachable(
+    spec: BlockSpec,
+    start: SubspaceCoordinates,
+    block_stage: ProgramStage,
+    tolerance: float,
+) -> bool:
+    """True when no phases bring the rung's ``max |residual|`` within
+    *tolerance* (the proof is in the module docstring).
+
+    *start* is the state after the ``l1 - 1`` plain global iterations
+    (``v = w = x0``) and *block_stage* the ``l2 - 1`` plain block
+    iterations.  False means "not proved": the zone reaches ``x1 = 0``
+    within rounding, a sampled cell sits below the bound, or the cell cap
+    ran out.  Against float64 rounding the disk is widened by the
+    rounding of its centre and radius, every cell bound is lowered by
+    64 ulps of its largest terms, and the skip needs twice the tolerance,
+    which covers the solver's own residual (within 1e-15 of exact
+    arithmetic on the pinned grid).
+    """
+    n, b = spec.n_items, spec.block_size
+    n1 = n - 1
+    u0, x0 = abs(start.target), abs(start.outside)
+    norm = u0 * u0 + n1 * x0 * x0
+    # |<s|ψ1>|² = S²/N, S between |u0 - (N-1) x0| and u0 + (N-1) x0; the
+    # level S² = norm is x1 = 0, and the outer circle is the nearer one.
+    s_hi, s_lo = u0 + n1 * x0, abs(u0 - n1 * x0)
+    g_hi, g_lo = norm - s_hi * s_hi, norm - s_lo * s_lo
+    if not g_hi * g_lo > 0.0:
+        return False
+    s, d, g = (s_hi, abs(u0 - x0), g_hi) if g_hi > 0.0 else (s_lo, u0 + x0, g_lo)
+    rounding = 8 * _EPS * (norm + s * s) / abs(g)
+    if not rounding < _SCREEN_MAX_ROUNDING:
+        return False
+    center = -norm * n1 / g
+    radius = n1 * s * d / abs(g)
+    radius += 2 * rounding * (abs(center) + radius)
+    radius += 2 * _EPS * n1 * s * (u0 + x0) / abs(g)  # d may cancel
+    reach = abs(center) + radius
+
+    # Re(v/w) >= c* + margin puts max|residual| above twice the tolerance.
+    x1_min = math.sqrt(norm / (reach * reach + n1))
+    mean_max = math.sqrt(n1 * norm) / n
+    c_star = (b - n / 2) / (b - 1)
+    margin = (
+        math.sqrt(2.0) * tolerance * n * (x1_min + 2 * mean_max)
+        / ((b - 1) * x1_min * x1_min * math.sqrt(n - b))
+    )
+
+    # (U, V) = (alpha ρ + beta, gamma ρ + delta), from the evaluator itself.
+    rotated = [
+        evolve(spec, (block_stage,), SubspaceCoordinates(u, v, 0.0))
+        for u, v in ((1.0, 0.0), (0.0, 1.0))
+    ]
+    (alpha, gamma), (beta, delta) = ((z.target, z.block_rest) for z in rotated)
+    bf = float(b)
+    lipschitz = np.array((
+        2 * (abs(alpha) * reach + abs(beta)) / bf,
+        ((abs(alpha) + abs(gamma)) * reach + abs(beta) + abs(delta)) / bf,
+    ))
+    size = (
+        reach * (abs(gamma) + 2 * (abs(alpha) + abs(gamma)) / bf)
+        + abs(delta) + 2 * (abs(beta) + abs(delta)) / bf + abs(c_star)
+    )
+    floor = c_star + margin + 64 * _EPS * size
+
+    # Cells over the (χo, χd) torus, 16 × 16 to start.
+    cells = np.full((2, 1), math.pi)
+    halves = np.full(2, math.pi)
+    for axis in (0, 1) * 4:
+        cells = _halve(cells, halves, axis)
+    evaluated = 0
+    while evaluated + cells.shape[1] <= _SCREEN_MAX_CELLS:
+        evaluated += cells.shape[1]
+        p = np.exp(1j * cells[0])
+        e = 1.0 - np.exp(-1j * cells[1])
+        big_p = gamma + e * (p * alpha - gamma) / bf
+        lowest = (big_p * center + delta + e * (p * beta - delta) / bf).real
+        lowest -= radius * np.abs(big_p)
+        if not lowest.min() > floor:  # NaN included
+            return False
+        slack = lipschitz * halves
+        cells = cells[:, lowest - slack.sum() <= floor]
+        if not cells.shape[1]:
+            return True
+        for axis in (0, 1):
+            if slack[axis] >= slack.max() / 2:
+                cells = _halve(cells, halves, axis)
+    return False
 
 
 @dataclass(frozen=True)
@@ -140,8 +274,9 @@ def plan_cwb(
     escalation ladder — phased reflections cannot rotate *faster* than the
     π-reflections they replace, so an undershooting integer schedule needs
     the odd extra iteration before certainty becomes reachable.  The first
-    budget whose five-phase solve reaches ``tolerance`` wins.  Each budget
-    evolves its ``l1 - 1`` plain global iterations once; the residual
+    budget whose five-phase solve reaches ``tolerance`` wins; a budget the
+    screen proves unreachable (module docstring) is skipped unsolved.  Each
+    budget evolves its ``l1 - 1`` plain global iterations once; the residual
     evolves only the rest (the plain block iterations in one closed-form
     rotation, so a solve stays O(1) in ``N``).
     """
@@ -159,6 +294,11 @@ def plan_cwb(
             continue
         start = evolve(spec, (ProgramStage(GLOBAL, l1 - 1),))
         block_stage = ProgramStage(BLOCK, l2 - 1)
+        if _unreachable(spec, start, block_stage, tolerance):
+            last_error = RuntimeError(
+                f"budget (l1={l1}, l2={l2}) cannot reach tolerance {tolerance}"
+            )
+            continue
 
         def residual(phases: np.ndarray) -> np.ndarray:
             phases = phases.tolist()

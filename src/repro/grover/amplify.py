@@ -23,7 +23,12 @@ zero with a hand-written Levenberg–Marquardt descent from twelve fixed
 starts.  Its Jacobian comes from forward differences and each damped step
 is one small ``numpy.linalg.solve``.  A residual costs microseconds, so a
 solve that succeeds takes a few milliseconds; a budget that cannot reach
-certainty, where every start fails, takes about 0.1–0.2 s.
+certainty, where every start fails, takes about 0.1–0.2 s.  The CWB
+planner therefore screens each budget first and skips one it proves
+unreachable (:mod:`repro.core.cwb`); a cold CWB plan whose first budget
+fails now takes about 20 ms in a fresh interpreter at (2^10, 4),
+(2^12, 8), (2^10, 32), (2^40, 4) and (2^60, 8), as at (2^20, 8), where
+the first budget solves.  Sure-success budgets are not screened.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import collections
 import contextvars
+import itertools
 import queue
 import random
 import socket
@@ -173,9 +174,11 @@ class StaticWorkers:
 
     A worker source is what :class:`RemoteExecutor` reads its fleet from on
     every run.  It has ``candidates()`` (the dialable addresses, best
-    first), ``describe()`` (merged into the executor's provenance) and a
-    ``kind`` name (reported as ``describe()["executor"]``).  The other sources are
-    :class:`~repro.service.registry.WorkerRegistry` and
+    first), ``describe()`` (merged into the executor's provenance), a
+    ``kind`` name (reported as ``describe()["executor"]``) and
+    ``load_ranked``: False when its order is only a listing, so the
+    executor starts each run one worker further along it.  The other
+    sources are :class:`~repro.service.registry.WorkerRegistry` and
     :class:`~repro.cluster.ClusterWorkers`.
 
     Args:
@@ -185,6 +188,7 @@ class StaticWorkers:
     """
 
     kind = "remote"
+    load_ranked = False
 
     def __init__(self, addresses: Sequence):
         self.addresses = [parse_address(a) for a in addresses]
@@ -204,7 +208,9 @@ class RemoteExecutor(ShardExecutor):
     Each run reads the fleet from the worker source, drops endpoints whose
     circuit breaker is open, ranks half-open ones behind the rest, and
     opens at most one dispatch lane per shard on the best candidates; the
-    other dialable candidates wait as spares.
+    other dialable candidates wait as spares.  Unless the source ranks its
+    workers by load, each run starts one worker further along the source's
+    order than the last, so one-shard batches take turns across the fleet.
     A lane pulls shards off a shared queue, ships each as a
     ``("shard", func, task, rng, meta)`` frame (``meta`` carries the
     remaining deadline budget and the trace context), and waits for the
@@ -289,6 +295,9 @@ class RemoteExecutor(ShardExecutor):
         #: any candidate adds requeues, retries, dead workers, breaker
         #: skips and the local-fallback shard count.
         self.last_run: dict = {}
+        #: Advanced once per run (not per ``candidates()`` read: ``lanes()``
+        #: reads the fleet too): where the next run starts in the fleet.
+        self._runs = itertools.count()
 
     # ------------------------------------------------------------ internals
     def _connect(self, address: tuple[str, int]) -> socket.socket:
@@ -576,8 +585,11 @@ class RemoteExecutor(ShardExecutor):
             deadline = current_deadline()
         with span("dispatch.resolve") as resolve:
             dialable, quarantined = self._dialable()
+            if dialable and not self.workers.load_ranked:
+                turn = next(self._runs) % len(dialable)
+                dialable = dialable[turn:] + dialable[:turn]
             # Half-open endpoints rank behind every closed one (a stable
-            # sort keeps the source's order within each class).
+            # sort keeps the run's order within each class).
             ranked = sorted(
                 dialable, key=lambda a: self.breakers.state(a) != "closed"
             )
@@ -599,7 +611,7 @@ class RemoteExecutor(ShardExecutor):
         # opens, and the leftover shards run locally or fail the run.
         lanes, spares = ranked[:len(tasks)], ranked[len(tasks):]
         # The rank picks the lanes and the order spares take over; the
-        # lanes themselves start in the source's order.  A half-open
+        # lanes themselves start in the run's order.  A half-open
         # endpoint that won a lane thus does not start last and find the
         # queue drained — it gets the trial shard its breaker admits.
         lanes.sort(key=dialable.index)

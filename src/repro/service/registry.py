@@ -41,6 +41,9 @@ class WorkerRegistry:
     #: The name :meth:`RemoteExecutor.describe
     #: <repro.service.executor.RemoteExecutor.describe>` reports.
     kind = "registry"
+    #: Sorted addresses are a listing, not a ranking: the executor rotates
+    #: where each run starts.
+    load_ranked = False
 
     def __init__(self, *, breakers=None):
         self._lock = threading.Lock()

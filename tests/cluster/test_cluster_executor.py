@@ -75,6 +75,20 @@ class TestWorkerResolution:
             assert ex.last_run["addresses"] == [_addr(worker)]
             assert worker.shards_served == 1
 
+    def test_least_loaded_worker_takes_every_one_shard_run(self):
+        # A static fleet takes turns run by run; the cluster's ranking is by
+        # load, so its head keeps every one-shard run.
+        with WorkerServer() as idle, WorkerServer() as busy:
+            membership = ClusterMembership("a:1")
+            membership.merge({
+                "idle:1": {"heartbeat": 1, "workers": [_addr(idle)], "load": 0},
+                "busy:1": {"heartbeat": 1, "workers": [_addr(busy)], "load": 9},
+            })
+            ex = RemoteExecutor(ClusterWorkers(membership, None), timeout=30.0)
+            for shard in range(4):
+                assert ex.run_shards(echo_shard, [shard]) == [shard]
+            assert (idle.shards_served, busy.shards_served) == (4, 0)
+
     def test_local_registry_ranks_ahead_of_gossip_and_dedupes(self):
         reg = WorkerRegistry()
         reg.add("w:1")

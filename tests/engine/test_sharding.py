@@ -612,6 +612,30 @@ class TestExecutorLanes:
         np.testing.assert_array_equal(remote.block_guesses,
                                       local.block_guesses)
 
+    @pytest.mark.parametrize("source", ["static", "registry"])
+    def test_one_shard_batches_take_turns(self, source):
+        # A listed fleet has no load ranking: each run starts one worker
+        # further along it, so one-shard batches spread over the fleet.
+        from repro.service.address import format_address
+        from repro.service.executor import RemoteExecutor
+        from repro.service.registry import WorkerRegistry
+        from repro.service.worker import WorkerServer
+
+        request = SearchRequest(n_items=1024, n_blocks=4)
+        targets = np.arange(0, 1024, 4)
+        with WorkerServer() as first, WorkerServer() as second:
+            if source == "static":
+                fleet = [first.address, second.address]
+            else:
+                fleet = WorkerRegistry()
+                for worker in (first, second):
+                    fleet.add(format_address(*worker.address))
+            engine = SearchEngine(executor=RemoteExecutor(fleet))
+            for _ in range(6):
+                report = engine.search_batch(request, targets=targets)
+                assert report.execution["n_shards"] == 1
+            assert [first.shards_served, second.shards_served] == [3, 3]
+
     def test_open_breakers_are_not_lanes(self):
         from repro.resilience import BreakerRegistry
         from repro.service.executor import LocalExecutor, RemoteExecutor

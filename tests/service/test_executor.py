@@ -81,6 +81,35 @@ class TestRemoteExecutorHappyPath:
             assert ex.run_shards(echo_shard, list(range(20))) == list(range(20))
             assert w1.shards_served + w2.shards_served == 20
 
+    def test_concurrent_one_shard_runs_take_turns(self):
+        # Every run on the executor advances one shared start cursor: under
+        # concurrent runs and a short switch interval no turn is lost or
+        # repeated, so 32 one-shard runs serve 16 on each worker.
+        import sys
+
+        with WorkerServer() as w1, WorkerServer() as w2:
+            ex = RemoteExecutor([w1.address, w2.address], timeout=30.0)
+            results = []
+
+            def runs(first):
+                for task in range(first, first + 4):
+                    results.extend(ex.run_shards(echo_shard, [task]))
+
+            threads = [threading.Thread(target=runs, args=(4 * i,))
+                       for i in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(results) == list(range(32))
+            assert (w1.shards_served, w2.shards_served) == (16, 16)
+
     def test_worker_prunes_closed_connections(self):
         """A long-lived worker must not accumulate state for finished
         connections (one RemoteExecutor run = one connection per lane)."""
