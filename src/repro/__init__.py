@@ -44,10 +44,12 @@ provides the executor layer (``LocalExecutor`` / ``RemoteExecutor`` +
 backpressure, TTL cache, single-flight coalescing), and the ``repro
 serve`` / ``repro submit`` CLI — see README "Serving & distribution".
 
-The original ``run_*`` entry points (``run_partial_search``,
-``run_naive_partial_search``, ...) remain importable — the engine
-dispatches *to* them — but new code should go through
-:class:`SearchEngine`, which also owns batches
+The original ``run_*`` entry points remain importable, but new code
+should go through :class:`SearchEngine`.  The engine runs all four
+GRK-family methods through ``run_partial_search`` with the resolved plan;
+``run_simplified_partial_search``, ``run_sure_success_partial_search``
+and ``run_cwb_partial_search`` are thin wrappers over that same call,
+kept for direct callers.  :class:`SearchEngine` also owns batches
 (:meth:`SearchEngine.search_batch`) and parameter sweeps
 (:meth:`SearchEngine.sweep`).  See README.md for the architecture
 overview.

@@ -206,5 +206,5 @@ def evaluate_analytic_batch(request, targets=None) -> BatchReport:
         block_guesses=answer.block_guesses,
         queries=answer.queries,
         schedule=_answer_to_schedule(answer, model),
-        execution={"engine": "analytic", "n_shards": 0, "workers": 0},
+        execution={"engine": "analytic", "n_shards": 0},
     )

@@ -1,9 +1,9 @@
 """Monte Carlo harness for expected-query estimation.
 
-Runs a caller-supplied single-trial function over many independent trials
-with deterministic per-trial RNG streams (optionally across processes via
-:func:`repro.util.parallel.parallel_map`) and reports mean query counts with
-a standard error, so benches can print "measured vs formula" rows honestly.
+Runs a caller-supplied single-trial function over many independent trials,
+in turn, with deterministic per-trial RNG streams
+(:func:`repro.util.rng.spawn_rngs`) and reports mean query counts with a
+standard error, so benches can print "measured vs formula" rows honestly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.util.parallel import parallel_map
+from repro.util.rng import spawn_rngs
 
 __all__ = ["MonteCarloEstimate", "estimate_expected_queries"]
 
@@ -46,26 +46,22 @@ def estimate_expected_queries(
     n_trials: int,
     *,
     seed=None,
-    workers: int | None = 1,
 ) -> MonteCarloEstimate:
     """Estimate ``E[queries]`` of a randomized algorithm.
 
     Args:
-        trial: ``trial(task_index, rng) -> query count`` for one run; must
-            be picklable if ``workers > 1``.
+        trial: ``trial(task_index, rng) -> query count`` for one run.
         n_trials: number of independent trials.
-        seed: root seed (per-trial streams are spawned deterministically).
-        workers: process count (default 1 = in-process; the classical trials
-            are cheap enough that serial is usually fastest below ~1e5
-            trials).
+        seed: root seed; trial ``i`` draws from
+            ``spawn_rngs(seed, n_trials)[i]``.
 
     Returns:
         :class:`MonteCarloEstimate`.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    counts = np.asarray(
-        parallel_map(trial, range(n_trials), seed=seed, workers=workers),
+    counts = np.array(
+        [trial(i, rng) for i, rng in enumerate(spawn_rngs(seed, n_trials))],
         dtype=float,
     )
     return MonteCarloEstimate(

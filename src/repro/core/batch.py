@@ -13,8 +13,9 @@ shard of rows on a named backend, for any
 grk-sure-success, grk-cwb, and the full-search programs of grover-full
 and naive-blocks).  On the ``"kernels"`` backend the whole loop
 structure is :func:`repro.kernels.program_sweep_rows`, which walks the
-rows in cache-resident blocks.  Memory-bounded sharding, process
-fan-out, and the supported public surface live in :mod:`repro.engine`
+rows in cache-resident blocks, and :func:`resolve_row_threads` is the
+one rule that pins ``row_threads="auto"`` to a count.  Sharding and the
+supported public surface live in :mod:`repro.engine`
 (:meth:`repro.engine.SearchEngine.search_batch`).
 
 Query accounting note: a batch models ``B`` separate executions of the same
@@ -31,6 +32,7 @@ against.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +43,33 @@ from repro.core.blockspec import BlockSpec
 from repro.core.program import PartialSearchProgram
 from repro.kernels import ROW_THREADS_AUTO, ExecutionPolicy
 
-__all__ = ["execute_batch_rows"]
+__all__ = ["execute_batch_rows", "resolve_row_threads"]
+
+
+def resolve_row_threads(
+    policy: ExecutionPolicy,
+    backend: str,
+    n_rows: int,
+    n_items: int,
+    queries: int,
+    *,
+    batches: int = 1,
+) -> ExecutionPolicy:
+    """*policy* with ``row_threads="auto"`` pinned to a count for a shard
+    of *n_rows* rows; a concrete count passes through untouched.
+
+    On ``"kernels"`` the count comes from the shard's work, ``n_rows ×
+    n_items × queries``, beside the *batches* this process is running
+    (:meth:`~repro.kernels.ExecutionPolicy.resolve`).  The circuit
+    backends take one thread: the work floor was measured on the kernels
+    sweep, and a compiled batch at N=1024 ran slower on two threads at
+    every batch size.
+    """
+    if policy.row_threads != ROW_THREADS_AUTO:
+        return policy
+    if backend != "kernels":
+        return replace(policy, row_threads=1)
+    return policy.resolve(n_rows, n_items, queries, batches=batches)
 
 
 def execute_batch_rows(
@@ -71,9 +99,8 @@ def execute_batch_rows(
             of two.
         policy: the :class:`~repro.kernels.ExecutionPolicy` (dtype + row
             threads); ``None`` = the default, complex128 with
-            ``row_threads="auto"``, which the planner pins before shards
-            ship; a direct call resolves it here, from the chunk's work
-            on ``"kernels"`` and to one thread on the circuit backends.
+            ``row_threads="auto"``, which :func:`resolve_row_threads`
+            pins (the planner's call, or here for a direct call).
             ``row_threads`` splits the chunk into contiguous row slabs
             whose sweeps run on the GIL-releasing thread seam and share
             one row-block budget — bit-identical at complex128, since
@@ -91,9 +118,10 @@ def execute_batch_rows(
         # and concatenate shard outputs unconditionally.
         return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
     b = targets.size
+    policy = resolve_row_threads(policy, backend, b, program.n_items,
+                                 program.queries)
     if backend != "kernels":
         return _execute_rows_on_circuit_backend(program, targets, backend, policy)
-    policy = policy.resolve(b, program.n_items, program.queries)
 
     def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
         return kernels.program_sweep_rows(program, targets[sl], policy)
@@ -125,13 +153,10 @@ def _execute_rows_on_circuit_backend(
     circuit for all rows, or (``"naive"``) the interpreting simulator
     looped per target.
 
-    The policy's dtype flows into the circuit kernels; its
+    The policy's dtype flows into the circuit kernels; its resolved
     ``row_threads`` slabs the compiled multi-target run (program constants
     are shared and the diffusion scratch is thread-local, so slabs are
-    bit-identical to the single sweep).  ``"auto"`` runs one slab: the
-    work floor of :func:`~repro.kernels.auto_row_threads` was measured on
-    the kernels sweep, and a compiled batch at N=1024 ran slower on two
-    threads at every batch size.
+    bit-identical to the single sweep).
     """
     from repro.circuits import partial_search_circuit, run_circuit
 
@@ -148,10 +173,7 @@ def _execute_rows_on_circuit_backend(
         def run_slab(sl: slice) -> np.ndarray:
             return compiled.run_multi_target(targets[sl], dtype=dtype)
 
-        threads = policy.row_threads
-        parts = kernels.map_row_slabs(
-            run_slab, b, 1 if threads == ROW_THREADS_AUTO else threads
-        )
+        parts = kernels.map_row_slabs(run_slab, b, policy.row_threads)
         final = parts[0] if len(parts) == 1 else np.concatenate(parts)
     else:  # "naive" — the engine validated the backend name
         final = np.empty((b, 2 * spec.n_items), dtype=dtype)

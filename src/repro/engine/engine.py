@@ -3,8 +3,8 @@
 One object, three verbs:
 
 - :meth:`SearchEngine.search` — one instance, one report;
-- :meth:`SearchEngine.search_batch` — many targets in shards, fanned out
-  over a process pool or the executor's lanes;
+- :meth:`SearchEngine.search_batch` — many targets in shards, run
+  in-process or fanned out over the executor's lanes;
 - :meth:`SearchEngine.sweep` — an ``(N, K, eps)`` grid via the analytic
   model, optionally cross-checked on the simulator.
 
@@ -53,7 +53,7 @@ class SearchEngine:
             want a different budget everywhere).
         executor: :class:`repro.service.executor.ShardExecutor` batched
             executions dispatch their shards through.  ``None`` uses the
-            in-process/process-pool default
+            in-process default
             (:class:`~repro.service.executor.LocalExecutor`); pass a
             :class:`~repro.service.executor.RemoteExecutor` to fan shards
             out to ``repro-worker`` hosts.  Results are bit-identical
@@ -184,12 +184,11 @@ class SearchEngine:
                 :func:`~repro.engine.request.batch_targets`.
 
         Every simulated method runs one program over the batch in shards
-        (:func:`~repro.engine.plan.plan_shards`: on kernels one per pool
-        worker or filled executor lane, under a work cap; on a circuit
-        backend within ``request.shards``' byte budget), each row-threaded per
+        (:func:`~repro.engine.plan.plan_shards`: on kernels one per filled
+        executor lane, under a work cap; on a circuit backend within
+        ``request.shards``' byte budget), each row-threaded per
         ``request.policy``; results are bit-identical to the unsharded,
-        serial execution.  With ``request.shards.workers > 1`` shards fan
-        out across a process pool.  Shard tasks are plain data:
+        serial execution.  Shard tasks are plain data:
         naive-blocks draws its per-row left-out blocks from ``request.rng``
         before sharding.  The classical scans run in-process, no shard.
 

@@ -318,10 +318,8 @@ def _batch_classical(
     request: SearchRequest, backend: str, targets: np.ndarray, executor
 ) -> BatchReport:
     """One single run per target, in-process: the scans hold no state, so
-    no shard is planned.  Neither *executor* nor ``request.shards``
-    applies, so the batch never fans out; ``execution`` records the
-    ignored ``shards.workers``.  Row ``i`` scans with
-    ``spawn_rngs(request.rng, B)[i]``."""
+    no shard is planned and neither *executor* nor ``request.shards``
+    applies.  Row ``i`` scans with ``spawn_rngs(request.rng, B)[i]``."""
     from repro.oracle.database import SingleTargetDatabase
     from repro.resilience import current_deadline
     from repro.util.rng import spawn_rngs
@@ -338,8 +336,7 @@ def _batch_classical(
         request, backend, targets,
         np.array([r.success_probability for r in rows]),
         np.array([r.block_guess for r in rows], dtype=np.intp),
-        {"n_shards": 0, "workers": 0, "executor": "in-process",
-         "ignored_workers": request.shards.workers},
+        {"n_shards": 0, "executor": "in-process"},
         [r.queries for r in rows], rows[0].schedule,
     )
 

@@ -4,8 +4,8 @@ The planner splits a batch's target rows into shards, executes them
 independently (rows never interact, so shard boundaries are bit-invisible
 in the results), and dispatches the shard list through a
 :class:`repro.service.executor.ShardExecutor` — by default the
-in-process/process-pool :class:`~repro.service.executor.LocalExecutor`,
-or any custom executor (e.g. the TCP-distributed
+in-process :class:`~repro.service.executor.LocalExecutor`, or any custom
+executor (e.g. the TCP-distributed
 :class:`~repro.service.executor.RemoteExecutor`) installed on the engine.
 Every simulated batch ships one shard function, whose tasks are plain
 data: a program, targets, a backend name and an execution policy.
@@ -13,7 +13,7 @@ data: a program, targets, a backend name and an execution policy.
 What bounds a shard is what it holds.  A kernels shard holds only row
 blocks of about :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES`, however
 many rows it has, so its shards serve fan-out and turnaround only: one
-per pool worker or filled executor lane, none over a work cap.  The
+per filled executor lane, none over a work cap.  The
 circuit backends hold a ``(B_chunk, 2N)`` complex state per shard, so
 the :class:`~repro.engine.request.ShardPolicy` byte budget bounds their
 rows (:func:`state_row_bytes`).
@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.backends import CIRCUIT_BACKENDS, KERNEL_BACKEND
+from repro.core.batch import resolve_row_threads
 from repro.core.program import PartialSearchProgram
 from repro.engine.request import ExecutionPolicy, ShardPolicy
-from repro.kernels import ROW_THREADS_AUTO, policy as kernel_policy
+from repro.kernels import policy as kernel_policy
 from repro.observability.spans import span
 
 __all__ = [
@@ -56,7 +57,7 @@ KERNEL_SHARD_MAX_WORK = 1 << 30
 
 #: Batches this process is running, each counted from its plan until its
 #: shards return (:func:`run_grk_batch_sharded`).  Their row threads share
-#: the process's cpus, as the shard processes of one pool do.
+#: the process's cpus.
 _running_batches = 0
 _running_lock = threading.Lock()
 
@@ -100,7 +101,6 @@ class ExecutionPlan:
     Attributes:
         n_rows: total batch rows ``B``.
         shard_rows: rows per shard ``B_chunk`` (last shard may be smaller).
-        workers: process-pool width (1 = serial in-process).
         policy: the :class:`~repro.kernels.ExecutionPolicy` the shards
             execute under (``row_threads``, resolved to a count, fans rows
             inside each shard).
@@ -108,7 +108,6 @@ class ExecutionPlan:
 
     n_rows: int
     shard_rows: int
-    workers: int
     policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     @property
@@ -127,7 +126,6 @@ class ExecutionPlan:
             "n_rows": self.n_rows,
             "n_shards": self.n_shards,
             "shard_rows": self.shard_rows,
-            "workers": self.workers,
             **self.policy.describe(),
         }
 
@@ -145,24 +143,23 @@ def plan_shards(
     """Fit a shard plan for ``n_rows`` batch rows of an ``N``-item instance.
 
     A kernels shard holds row blocks however many rows it has, so a
-    kernels batch splits evenly over ``policy.workers``, or over the
-    executor's *lanes* (:meth:`~repro.service.executor.ShardExecutor.lanes`)
-    if more — but over only as many lanes as leave each shard a row
-    thread's work (:data:`~repro.kernels.AUTO_ROW_THREAD_MIN_WORK`), so a
-    small batch stays one shard on any fleet — and no kernels shard takes
-    more than :data:`KERNEL_SHARD_MAX_WORK`.  A circuit shard holds its
+    kernels batch splits evenly over the executor's *lanes*
+    (:meth:`~repro.service.executor.ShardExecutor.lanes`), but over only
+    as many as leave each shard a row thread's work
+    (:data:`~repro.kernels.AUTO_ROW_THREAD_MIN_WORK`), so a small batch
+    stays one shard on any fleet; no kernels shard takes more than
+    :data:`KERNEL_SHARD_MAX_WORK`.  A circuit shard holds its
     ``(B_chunk, 2N)`` state, so it takes the most rows that keep that
-    under ``policy.max_bytes`` (:func:`state_row_bytes`), capped at an even
-    split across ``policy.workers``.  ``policy.max_rows`` caps either; a
-    shard holds at least one row, and zero rows plan zero shards.
+    under ``policy.max_bytes`` (:func:`state_row_bytes`).
+    ``policy.max_rows`` caps either; a shard holds at least one row, and
+    zero rows plan zero shards.
 
-    *execution* rides on the plan so shards execute under it.  On the
-    kernels backend its ``row_threads="auto"`` resolves from one shard's
-    work (``shard_rows × N × queries``, *queries* being the program's
-    oracle queries per row) beside ``policy.workers`` shard processes for
-    each batch this process is running (a service runs several at once;
-    remote lanes run on other hosts); circuit shards run one thread under
-    ``"auto"``.
+    *execution* rides on the plan so shards execute under it, its
+    ``row_threads="auto"`` pinned once here by
+    :func:`~repro.core.batch.resolve_row_threads` from one shard's work
+    (*queries* being the program's oracle queries per row) beside the
+    batches this process is running (a service runs several at once;
+    remote lanes run on other hosts).
     """
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
@@ -173,47 +170,33 @@ def plan_shards(
     if backend == KERNEL_BACKEND:
         row_work = max(1, n_items * queries)
         filled = n_rows * row_work // kernel_policy.AUTO_ROW_THREAD_MIN_WORK
-        split = max(policy.workers, min(lanes, filled))
+        split = max(1, min(lanes, filled))
         rows = min(-(-n_rows // split), KERNEL_SHARD_MAX_WORK // row_work)
     else:
         row_bytes = state_row_bytes(backend, n_items, execution)
-        rows = min(policy.max_bytes // row_bytes, -(-n_rows // policy.workers))
+        rows = min(policy.max_bytes // row_bytes, n_rows)
     if policy.max_rows is not None:
         rows = min(rows, policy.max_rows)
     rows = int(max(1, rows))
-    # Pin row_threads="auto" to a concrete count here, once, so every
-    # shard of the batch — local or remote — runs at the same width and
-    # the plan's provenance records what actually ran.  The work floor
-    # was measured on the kernels sweep; a compiled circuit batch at
-    # N=1024 ran slower on two threads at every size, so circuit shards
-    # take one.
-    if backend == KERNEL_BACKEND:
-        execution = execution.resolve(
-            rows, n_items, queries,
-            pool_width=policy.workers * max(1, _running_batches),
-        )
-    elif execution.row_threads == ROW_THREADS_AUTO:
-        execution = replace(execution, row_threads=1)
-    return ExecutionPlan(
-        n_rows=n_rows,
-        shard_rows=rows,
-        workers=policy.workers,
-        policy=execution,
-    )
+    # Pinned here, once, so every shard of the batch — local or remote —
+    # runs at the same width and the provenance records what ran.
+    execution = resolve_row_threads(execution, backend, rows, n_items,
+                                    queries, batches=max(1, _running_batches))
+    return ExecutionPlan(n_rows=n_rows, shard_rows=rows, policy=execution)
 
 
-def _program_shard(task, rng):
-    """Execute one shard of a program batch (module-level so process pools
-    can pickle it).
+def _program_shard(task):
+    """Execute one shard of a program batch (module-level so the wire can
+    ship it by reference).
 
-    ``rng`` is the :func:`parallel_map` per-task generator; the shard is
-    deterministic so it goes unused — shard results are bit-identical
-    regardless of worker count or scheduling order.  The task is plain
-    data: the program, the targets, the backend name and the
-    :class:`~repro.kernels.ExecutionPolicy`, so remote workers execute at
-    the requested dtype and row parallelism.
+    The task is plain data: the program, the targets, the backend name
+    and the :class:`~repro.kernels.ExecutionPolicy`, so remote workers
+    execute at the requested dtype and row parallelism, and results are
+    bit-identical wherever and in whatever order shards run.
     """
     program, targets, backend, execution = task
+    # Looked up per call, so a wrapper installed on the module attribute
+    # (perfbench's traced round) sees every shard.
     from repro.core.batch import execute_batch_rows
 
     return execute_batch_rows(program, targets, backend, execution)
@@ -265,9 +248,7 @@ def run_grk_batch_sharded(
             planned.attrs["shards"] = plan.n_shards
         if not tasks:
             return np.empty(0), np.empty(0, dtype=np.intp), plan
-        results = executor.run_shards(
-            _program_shard, tasks, workers=plan.workers
-        )
+        results = executor.run_shards(_program_shard, tasks)
     with span("merge", shards=len(results)):
         success = np.concatenate([r[0] for r in results])
         guesses = np.concatenate([r[1] for r in results])

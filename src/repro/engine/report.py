@@ -9,7 +9,7 @@ result object rides along in ``raw`` for callers that need the extra
 fields (amplitudes, traces, per-level accounting, ...).
 
 :class:`BatchReport` is the batched analogue, additionally recording the
-execution plan (shard sizes, worker count) that produced it.
+execution plan (shard sizes, row threads, executor) that produced it.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ class BatchReport:
         queries: per-row query counts, shape ``(B,)``.
         schedule: shared schedule provenance (as in :class:`SearchReport`).
         execution: the shard plan that ran — ``n_shards``, ``shard_rows``,
-            ``workers``, ``dtype``, ``row_threads`` — and its executor.
+            ``dtype``, ``row_threads`` — and its executor (a remote one
+            lists its fleet as ``workers``).
     """
 
     method: str

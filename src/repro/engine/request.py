@@ -3,10 +3,10 @@
 A :class:`SearchRequest` pins down the instance geometry ``(N, K)``, the
 method and backend names (resolved against the registries at execution
 time, not here), the Step 1 parameter, tracing, randomness, and the
-batch/shard policy.  A :class:`ShardPolicy` sets how many shards a batched
-execution fans out over and, on the circuit backends, how much state one
-shard may hold.  :func:`batch_targets` turns a batch's target collection into
-the validated address array both engine tiers run.
+batch/shard policy.  A :class:`ShardPolicy` caps the rows of one shard
+and, on the circuit backends, how much state one shard may hold.
+:func:`batch_targets` turns a batch's target collection into the
+validated address array both engine tiers run.
 
 Validation philosophy: structural facts that cannot depend on the registry
 (geometry, ranges, types) are checked eagerly in ``__post_init__`` so a bad
@@ -57,7 +57,7 @@ ENGINE_VALUES = ("auto", "analytic", "simulate")
 
 @dataclass(frozen=True)
 class ShardPolicy:
-    """Fan-out/memory policy for :meth:`SearchEngine.search_batch`.
+    """Shard-size policy for :meth:`SearchEngine.search_batch`.
 
     Attributes:
         max_bytes: soft ceiling on the working-set bytes of one circuit
@@ -67,23 +67,16 @@ class ShardPolicy:
             rows, so it does not bound them.
         max_rows: optional hard cap on rows per shard (useful in tests to
             force specific shard boundaries on any backend).
-        workers: ``1`` (default) executes shards serially in-process;
-            ``> 1`` fans them across a process pool via
-            :func:`repro.util.parallel.parallel_map`, and splits a batch
-            into at least ``workers`` shards.
     """
 
     max_bytes: int = DEFAULT_SHARD_BYTES
     max_rows: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_bytes <= 0:
             raise ValueError(f"max_bytes={self.max_bytes} must be positive")
         if self.max_rows is not None and self.max_rows <= 0:
             raise ValueError(f"max_rows={self.max_rows} must be positive")
-        if self.workers < 1:
-            raise ValueError(f"workers={self.workers} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,8 +111,8 @@ class SearchRequest:
             shard's byte budget admits 2x the rows) at the documented
             tolerance, and ``row_threads`` fans independent batch rows
             across threads with no effect on results.  Travels with the
-            request across process pools and the service wire, so remote
-            workers honour it too.
+            request across the service wire, so remote workers honour it
+            too.
         options: method-specific extras (e.g. ``schedule=`` for ``grk``,
             ``plan=`` for ``grk-sure-success``, ``strategy=`` for
             ``classical``).  Stored read-only.
@@ -264,7 +257,7 @@ class SearchRequest:
 
     def __reduce__(self):
         # MappingProxyType makes the dataclass unpicklable by default; pickle
-        # via the plain-field form so requests cross pools and sockets.
+        # via the plain-field form so requests cross the wire.
         return (_rebuild_request, (self.to_fields(),))
 
 

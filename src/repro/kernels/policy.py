@@ -104,20 +104,20 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def auto_row_threads(work: int, *, pool_width: int = 1) -> int:
+def auto_row_threads(work: int, *, batches: int = 1) -> int:
     """The thread count ``row_threads="auto"`` resolves to.
 
     *work* is the batch's amplitude-iterations, rows × N × queries.  The
     count is the smallest of three limits, and at least 1:
 
-    - :func:`available_cpus` divided by *pool_width*, the lanes running
-      side by side (the planner counts each shard process of each batch
-      the process is running);
+    - :func:`available_cpus` divided by *batches*, the batches this
+      process is running side by side (the planner counts them; remote
+      lanes run on other hosts);
     - :data:`MAX_AUTO_ROW_THREADS`;
     - ``work // AUTO_ROW_THREAD_MIN_WORK``, so each thread gets at least
       :data:`AUTO_ROW_THREAD_MIN_WORK`.
     """
-    return max(1, min(available_cpus() // pool_width, MAX_AUTO_ROW_THREADS,
+    return max(1, min(available_cpus() // batches, MAX_AUTO_ROW_THREADS,
                       work // AUTO_ROW_THREAD_MIN_WORK))
 
 
@@ -176,24 +176,25 @@ class ExecutionPolicy:
                 and self.row_threads == ROW_THREADS_AUTO)
 
     def resolve(
-        self, n_rows: int, n_items: int, queries: int, *, pool_width: int = 1
+        self, n_rows: int, n_items: int, queries: int, *, batches: int = 1
     ) -> "ExecutionPolicy":
         """This policy with ``row_threads="auto"`` pinned to a count.
 
         The count is :func:`auto_row_threads` of ``n_rows × n_items ×
-        queries``, the work of one shard, beside *pool_width* lanes.  The
-        planner resolves once, on the driver, before tasks
-        are built — so every shard of a batch runs at the same width
-        whatever host it lands on, and the provenance records what actually
-        ran.  Concrete counts pass through untouched: an explicit
-        ``row_threads=4`` is always honoured.
+        queries``, the work of one shard, with *batches* batches running
+        in this process.  The planner resolves once, on the driver, before
+        tasks are built (:func:`repro.core.batch.resolve_row_threads`) — so
+        every shard of a batch runs at the same width whatever host it
+        lands on, and the provenance records what actually ran.  Concrete
+        counts pass through untouched: an explicit ``row_threads=4`` is
+        always honoured.
         """
         if self.row_threads != ROW_THREADS_AUTO:
             return self
         work = n_rows * n_items * queries
         return ExecutionPolicy(
             dtype=self.dtype,
-            row_threads=auto_row_threads(work, pool_width=pool_width),
+            row_threads=auto_row_threads(work, batches=batches),
         )
 
     def describe(self) -> dict:

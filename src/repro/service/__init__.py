@@ -4,11 +4,12 @@ Two layers grow the single-machine engine into a serving system:
 
 1. **Executor layer** (:mod:`repro.service.executor`): the
    :class:`ShardExecutor` seam :meth:`repro.engine.SearchEngine.search_batch`
-   dispatches its shards through.  :class:`LocalExecutor`
-   wraps the in-process / process-pool fan-out that PR 2 shipped;
-   :class:`RemoteExecutor` speaks a small length-prefixed TCP protocol
-   (:mod:`repro.service.wire`) to ``repro-worker`` processes
-   (:mod:`repro.service.worker`) on other hosts, reading its fleet per
+   dispatches its shards through.  :class:`LocalExecutor` runs them
+   in-process, one after another (row threads inside a shard are the
+   only local parallelism); :class:`RemoteExecutor` speaks a small
+   length-prefixed TCP protocol (:mod:`repro.service.wire`) to
+   ``repro-worker`` processes (:mod:`repro.service.worker`) on other
+   hosts, reading its fleet per
    batch from a worker source: a static address list
    (:class:`StaticWorkers`), or a :class:`WorkerRegistry` that workers join
    by announcing themselves (``repro-worker --register``) and the server

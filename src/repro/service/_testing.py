@@ -26,28 +26,28 @@ __all__ = [
 ]
 
 
-def echo_shard(task, rng):
+def echo_shard(task):
     """Return the task unchanged (transport round-trip checks)."""
     return task
 
 
-def double_shard(task, rng):
+def double_shard(task):
     """Return ``task * 2`` (order/requeue checks with distinct results)."""
     return task * 2
 
 
-def raise_shard(task, rng):
+def raise_shard(task):
     """Always raise — a deterministic shard failure (must not be retried)."""
     raise ValueError(f"injected shard failure for task {task!r}")
 
 
-def slow_shard(task, rng):
+def slow_shard(task):
     """Sleep ``task`` seconds, then return it (timeout checks)."""
     time.sleep(float(task))
     return task
 
 
-def deadline_probe_shard(task, rng):
+def deadline_probe_shard(task):
     """Return ``(task, had_deadline, remaining_s)`` — propagation checks.
 
     A worker executing a shard whose meta carries ``deadline_s`` rebuilds
@@ -63,7 +63,7 @@ def deadline_probe_shard(task, rng):
     return (task, True, deadline.remaining())
 
 
-def trace_probe_shard(task, rng):
+def trace_probe_shard(task):
     """Return ``(task, ambient_trace_id)`` — tracing propagation checks.
 
     A worker executing a shard whose meta carries ``trace_id``

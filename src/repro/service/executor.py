@@ -14,8 +14,9 @@ the host, scheduling order, or retry history.
 
 Two executors ship today:
 
-- :class:`LocalExecutor` — the in-process / process-pool fan-out
-  (:func:`repro.util.parallel.parallel_map`), the default.
+- :class:`LocalExecutor` — the default: the shards one after another in
+  the calling thread, the deadline checked before each; row threads
+  inside a shard are the only local parallelism.
 - :class:`RemoteExecutor` — fans shards out to ``repro-worker`` processes
   (:mod:`repro.service.worker`) over the length-prefixed TCP protocol of
   :mod:`repro.service.wire`, with requeue-on-failure plus the resilience
@@ -64,8 +65,6 @@ from repro.service.wire import (
     recv_frame,
     send_frame,
 )
-from repro.util.parallel import parallel_map
-from repro.util.rng import spawn_rngs
 
 __all__ = [
     "ShardExecutor",
@@ -100,12 +99,10 @@ class ShardExecutor(ABC):
     """Strategy for executing a list of independent shard tasks."""
 
     @abstractmethod
-    def run_shards(self, func: Callable, tasks: Sequence, *, workers: int = 1,
+    def run_shards(self, func: Callable, tasks: Sequence, *,
                    deadline: Deadline | None = None) -> list:
-        """Run ``func(task, rng)`` for every task; results in task order.
+        """Run ``func(task)`` for every task; results in task order.
 
-        ``workers`` is the plan's parallelism hint; executors with their own
-        notion of width (e.g. remote dispatch lanes) may ignore it.
         ``deadline`` bounds the whole call (``None`` reads the ambient
         :func:`repro.resilience.current_deadline`); executors raise
         :class:`~repro.resilience.DeadlineExceeded` rather than start work
@@ -113,9 +110,9 @@ class ShardExecutor(ABC):
         """
 
     def lanes(self) -> int:
-        """Shards this executor can run side by side beyond the plan's
-        ``workers``: a kernels batch spreads over as many as its work
-        fills.  A local executor's width is ``workers`` itself, so 1."""
+        """Shards this executor can run side by side: a kernels batch
+        spreads over as many as its work fills.  A local executor runs one
+        at a time, so 1."""
         return 1
 
     def describe(self) -> dict:
@@ -124,34 +121,23 @@ class ShardExecutor(ABC):
 
 
 class LocalExecutor(ShardExecutor):
-    """This-machine execution: serial in-process, or a process pool.
-
-    This is the engine's default and reproduces the PR 2 behaviour exactly:
-    ``workers == 1`` runs shards serially in the calling process;
-    ``workers > 1`` fans them across a :class:`~concurrent.futures.ProcessPoolExecutor`.
-
-    Args:
-        use_processes: force the serial path when ``False`` (handy for
-            debugging and for shard functions that are not picklable).
+    """In-process execution, the engine's default: the shards run one after
+    another in the calling thread, so a shard's row threads are its only
+    parallelism.  The deadline is checked before every shard, so an
+    overrun stops the batch instead of computing shards nobody awaits.
     """
 
-    def __init__(self, use_processes: bool = True):
-        self.use_processes = use_processes
-
-    def run_shards(self, func, tasks, *, workers: int = 1,
+    def run_shards(self, func, tasks, *,
                    deadline: Deadline | None = None) -> list:
         if deadline is None:
             deadline = current_deadline()
-        if deadline is not None:
-            deadline.raise_if_expired("batch")
-        with span("dispatch", executor="local", shards=len(tasks),
-                  workers=workers):
-            return parallel_map(
-                func,
-                tasks,
-                workers=workers,
-                use_processes=self.use_processes and workers > 1,
-            )
+        results = []
+        with span("dispatch", executor="local", shards=len(tasks)):
+            for task in tasks:
+                if deadline is not None:
+                    deadline.raise_if_expired("batch")
+                results.append(func(task))
+        return results
 
     def describe(self) -> dict:
         return {"executor": "local"}
@@ -212,7 +198,7 @@ class RemoteExecutor(ShardExecutor):
     workers by load, each run starts one worker further along the source's
     order than the last, so one-shard batches take turns across the fleet.
     A lane pulls shards off a shared queue, ships each as a
-    ``("shard", func, task, rng, meta)`` frame (``meta`` carries the
+    ``("shard", func, task, meta)`` frame (``meta`` carries the
     remaining deadline budget and the trace context), and waits for the
     ``("result", value)`` reply.  Failure handling:
 
@@ -240,11 +226,11 @@ class RemoteExecutor(ShardExecutor):
     A shard is attempted at most ``max_attempts`` times; a shard that
     exceeds the bound (a *poison* shard crashing worker after worker) fails
     the run with :class:`WorkerUnavailable` carrying the full per-attempt
-    history instead of cycling forever.  With no dialable worker, or with
-    shards outstanding after every lane retired, the run computes
-    in-process when ``fallback_local=True``, else raises
-    :class:`WorkerUnavailable`; quarantined endpoints are recorded either
-    way.
+    history instead of cycling forever.  With an empty fleet, or with
+    shards outstanding after every lane retired, the run computes them
+    through :meth:`LocalExecutor.run_shards` when ``fallback_local=True``,
+    else raises :class:`WorkerUnavailable`; quarantined endpoints are
+    recorded either way.
 
     Args:
         workers: a worker source (see :class:`StaticWorkers`), or a list of
@@ -445,8 +431,8 @@ class RemoteExecutor(ShardExecutor):
                         if sock is None:
                             sock = self._connect(address)
                         message = self._shard_message(
-                            func, state["tasks"][index], state["rngs"][index],
-                            deadline, trace_id, att.span_id,
+                            func, state["tasks"][index], deadline, trace_id,
+                            att.span_id,
                         )
                         if deadline is not None:
                             sock.settimeout(
@@ -543,7 +529,7 @@ class RemoteExecutor(ShardExecutor):
             self._close(sock)
 
     @staticmethod
-    def _shard_message(func, task, rng, deadline, trace_id=None,
+    def _shard_message(func, task, deadline, trace_id=None,
                        parent_span_id=None) -> tuple:
         """The shard frame: the meta dict ships the remaining budget and,
         when the request is traced, its trace ID and the dispatch-attempt
@@ -555,7 +541,7 @@ class RemoteExecutor(ShardExecutor):
             meta["trace_id"] = trace_id
             if parent_span_id is not None:
                 meta["parent_span_id"] = parent_span_id
-        return ("shard", func, task, rng, meta)
+        return ("shard", func, task, meta)
 
     @staticmethod
     def _close(sock) -> None:
@@ -576,7 +562,7 @@ class RemoteExecutor(ShardExecutor):
         """The dialable workers, as :meth:`run_shards` opens lanes on."""
         return len(self._dialable()[0])
 
-    def run_shards(self, func, tasks, *, workers: int = 1,
+    def run_shards(self, func, tasks, *,
                    deadline: Deadline | None = None) -> list:
         tasks = list(tasks)
         if not tasks:
@@ -602,9 +588,8 @@ class RemoteExecutor(ShardExecutor):
                 raise WorkerUnavailable(
                     "no worker to dispatch to: the fleet is empty"
                 )
-            return default_executor().run_shards(
-                func, tasks, workers=workers, deadline=deadline
-            )
+            return default_executor().run_shards(func, tasks,
+                                                 deadline=deadline)
         # One lane per shard is the useful maximum: extra lanes would only
         # hold idle connections.  The rest wait as spares for a lane whose
         # worker goes away.  With every candidate quarantined no lane
@@ -618,10 +603,6 @@ class RemoteExecutor(ShardExecutor):
         budget = self.retry_budget
         state = {
             "tasks": tasks,
-            # Mirror parallel_map's per-task generator argument; shard
-            # functions that need reproducible randomness carry pre-spawned
-            # generators inside their task payloads instead.
-            "rngs": spawn_rngs(None, len(tasks)),
             "results": [None] * len(tasks),
             "done": [False] * len(tasks),
             "attempts": [0] * len(tasks),
@@ -712,8 +693,11 @@ class RemoteExecutor(ShardExecutor):
                         i: list(h) for i, h in state["history"].items()
                     },
                 )
-            for i in leftover:
-                state["results"][i] = func(tasks[i], state["rngs"][i])
+            computed = default_executor().run_shards(
+                func, [tasks[i] for i in leftover], deadline=deadline
+            )
+            for i, result in zip(leftover, computed):
+                state["results"][i] = result
             self.last_run["local_fallback_shards"] = len(leftover)
         return state["results"]
 

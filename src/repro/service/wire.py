@@ -17,7 +17,7 @@ new message types need no bump (unknown types get an ``("error", ...)``
 reply).  Each request message has one arity, and the dialer's metadata
 dict is always present:
 
-- ``("shard", func, task, rng, meta)`` (worker): ``meta`` may carry
+- ``("shard", func, task, meta)`` (worker): ``meta`` may carry
   ``deadline_s`` (the request's remaining budget in seconds — monotonic
   clocks do not transfer between hosts), ``trace_id`` and
   ``parent_span_id``;
@@ -29,9 +29,9 @@ dict is always present:
 A frame of any other shape gets the standard ``("error", ...)`` reply.
 Receivers read the meta keys they know and ignore the rest.
 
-Payloads are pickles: compact, and numpy generators/arrays round-trip with
-bit-exact state, which is what keeps remote shard execution bit-identical
-to the in-process path.  Pickle also means frames can execute code on the
+Payloads are pickles: compact, and numpy arrays round-trip with bit-exact
+contents, which is what keeps remote shard execution bit-identical to the
+in-process path.  Pickle also means frames can execute code on the
 receiver — both ends of every connection must be trusted (see the package
 docstring).
 """
@@ -57,7 +57,7 @@ __all__ = [
 
 #: Protocol version — bump on any change to a message's layout or meaning
 #: (see module docstring).
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 #: Frame magic: identifies the stream as the repro shard protocol.
 MAGIC = b"RPRO"

@@ -4,7 +4,7 @@ The worker listens on TCP, accepts any number of concurrent connections
 (one thread each), and answers frames of the wire protocol
 (:mod:`repro.service.wire`):
 
-- ``("shard", func, task, rng, meta)`` -> ``("result", func(task, rng))``,
+- ``("shard", func, task, meta)`` -> ``("result", func(task))``,
   or ``("error", message)`` when the shard function raises.
   ``meta["deadline_s"]`` is the request's **remaining budget** in seconds,
   from which the worker rebuilds a local
@@ -261,10 +261,10 @@ class WorkerServer:
         return ("error", f"unknown message type {kind!r}")
 
     def _dispatch_shard(self, message) -> tuple | None:
-        if len(message) != 5 or not isinstance(message[4], dict):
+        if len(message) != 4 or not isinstance(message[3], dict):
             return ("error",
-                    "shard message must be (shard, func, task, rng, meta)")
-        _, func, task, rng, meta = message
+                    "shard message must be (shard, func, task, meta)")
+        _, func, task, meta = message
         if self._draining:
             return ("unavailable", "worker draining: requeue elsewhere")
         deadline_s = meta.get("deadline_s")
@@ -315,7 +315,7 @@ class WorkerServer:
                     recording_scope(recorder, meta.get("parent_span_id")):
                 with span("worker.compute", worker=f"{self.address[0]}:"
                                                    f"{self.address[1]}"):
-                    result = func(task, rng)
+                    result = func(task)
         except Exception as exc:  # deterministic failure -> no retry
             log.exception("shard function raised")
             return ("error",

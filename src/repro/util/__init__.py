@@ -1,4 +1,4 @@
-"""Shared utilities: bit/block arithmetic, validation, RNG, tables, parallel map.
+"""Shared utilities: bit/block arithmetic, validation, RNG, tables.
 
 These helpers are deliberately dependency-light (numpy only) and are used by
 every other subpackage.  Nothing in here knows about quantum states.
@@ -15,7 +15,6 @@ from repro.util.bits import (
     join_address,
     split_address,
 )
-from repro.util.parallel import parallel_map
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.tables import format_table, format_row
 from repro.util.validation import (
@@ -35,7 +34,6 @@ __all__ = [
     "is_power_of_two",
     "join_address",
     "split_address",
-    "parallel_map",
     "as_rng",
     "spawn_rngs",
     "format_table",

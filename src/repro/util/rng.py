@@ -2,8 +2,8 @@
 
 Every stochastic entry point in the library accepts a ``seed`` argument that
 may be ``None`` (fresh entropy), an ``int``, or an existing
-``numpy.random.Generator``; :func:`as_rng` normalises all three.  Monte Carlo
-harnesses that fan out across processes use :func:`spawn_rngs` so each worker
+``numpy.random.Generator``; :func:`as_rng` normalises all three.  Code that
+runs many independent trials or rows uses :func:`spawn_rngs` so each one
 gets an independent, reproducible stream (``SeedSequence.spawn`` guarantees
 statistical independence).
 """
@@ -31,8 +31,9 @@ def as_rng(seed=None) -> np.random.Generator:
 def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
     """*count* independent generators derived deterministically from *seed*.
 
-    Used by :func:`repro.util.parallel.parallel_map` so that parallel Monte
-    Carlo runs are reproducible regardless of scheduling order.
+    Stream ``i`` depends only on *seed* and ``i``: the Monte Carlo harness
+    (:func:`repro.classical.estimate_expected_queries`) gives trial ``i``
+    stream ``i``, and a stochastic batch gives it to row ``i``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

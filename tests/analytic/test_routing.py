@@ -134,8 +134,7 @@ class TestEngineRouting:
         n = 1 << 40
         request = _request(n_items=n, n_blocks=16, wants="probability")
         report = ENGINE.search_batch(request, targets=[0, 5, n - 1])
-        assert report.execution == {"engine": "analytic", "n_shards": 0,
-                                    "workers": 0}
+        assert report.execution == {"engine": "analytic", "n_shards": 0}
         assert report.n_rows == 3
         with pytest.raises(AnalyticUnsupported, match="explicit targets"):
             evaluate_analytic_batch(request, None)

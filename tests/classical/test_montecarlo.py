@@ -38,6 +38,16 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_expected_queries(_constant_trial, 0)
 
+    def test_trial_i_draws_stream_i(self):
+        import numpy as np
+
+        from repro.util.rng import spawn_rngs
+
+        est = estimate_expected_queries(_uniform_trial, 64, seed=3)
+        counts = [float(rng.integers(1, 11)) for rng in spawn_rngs(3, 64)]
+        assert est.mean == float(np.mean(counts))
+        assert (est.minimum, est.maximum) == (min(counts), max(counts))
+
     def test_single_trial(self):
         est = estimate_expected_queries(_constant_trial, 1, seed=0)
         assert est.n_trials == 1 and est.std_error == 0.0

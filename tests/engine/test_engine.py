@@ -40,8 +40,15 @@ class TestRequestValidation:
             ShardPolicy(max_bytes=0)
         with pytest.raises(ValueError, match="max_rows"):
             ShardPolicy(max_rows=0)
-        with pytest.raises(ValueError, match="workers"):
-            ShardPolicy(workers=0)
+
+    def test_shard_policy_sizes_shards_only(self):
+        # Shards run in-process or on remote lanes: no pool width to set.
+        from dataclasses import fields
+
+        assert [f.name for f in fields(ShardPolicy)] == ["max_bytes",
+                                                         "max_rows"]
+        with pytest.raises(TypeError, match="workers"):
+            ShardPolicy(workers=2)
 
     def test_options_are_read_only(self):
         request = SearchRequest(n_items=64, n_blocks=4, options={"exact": True})

@@ -15,13 +15,13 @@ class RecordingExecutor(ShardExecutor):
 
     def __init__(self):
         self.calls = []
-        self._local = LocalExecutor(use_processes=False)
+        self._local = LocalExecutor()
 
-    def run_shards(self, func, tasks, *, workers=1):
+    def run_shards(self, func, tasks, *, deadline=None):
         tasks = list(tasks)
-        self.calls.append({"n_tasks": len(tasks), "workers": workers,
-                           "func": func, "tasks": tasks})
-        return self._local.run_shards(func, tasks, workers=workers)
+        self.calls.append({"n_tasks": len(tasks), "func": func,
+                           "tasks": tasks})
+        return self._local.run_shards(func, tasks, deadline=deadline)
 
     def describe(self):
         return {"executor": "recording"}
@@ -71,12 +71,10 @@ class TestEngineDispatch:
         report = SearchEngine(executor=ex).search_batch(
             SearchRequest(n_items=64, n_blocks=4, method="classical", rng=3,
                           options={"strategy": "randomized"},
-                          shards=ShardPolicy(workers=2))
+                          shards=ShardPolicy(max_rows=2))
         )
         assert ex.calls == []
-        assert report.execution == {"n_shards": 0, "workers": 0,
-                                    "executor": "in-process",
-                                    "ignored_workers": 2}
+        assert report.execution == {"n_shards": 0, "executor": "in-process"}
         assert report.all_correct
 
     def test_classical_batch_honours_the_ambient_deadline(self):
@@ -121,6 +119,24 @@ class TestEngineDispatch:
             SearchRequest(n_items=64, n_blocks=4)
         )
         assert report.execution["executor"] == "local"
+
+    def test_only_a_remote_batch_records_workers(self):
+        # A local batch runs in this process: its record names no workers.
+        # A remote batch's "workers" is its fleet, not a pool width.
+        from repro.service.executor import RemoteExecutor
+        from repro.service.worker import WorkerServer
+
+        request = SearchRequest(n_items=64, n_blocks=4)
+        local = SearchEngine().search_batch(request)
+        assert "workers" not in local.execution
+        assert set(local.execution) == {"n_rows", "n_shards", "shard_rows",
+                                        "dtype", "row_threads", "executor"}
+        with WorkerServer() as worker:
+            executor = RemoteExecutor([worker.address])
+            remote = SearchEngine(executor=executor).search_batch(request)
+        assert remote.execution["workers"] == executor.workers.candidates()
+        np.testing.assert_array_equal(remote.success_probabilities,
+                                      local.success_probabilities)
 
     def test_custom_executor_results_identical(self):
         request = SearchRequest(n_items=64, n_blocks=4,
@@ -205,7 +221,7 @@ class TestRequestPickling:
         request = SearchRequest(
             n_items=128, n_blocks=4, method="grk", backend="kernels",
             epsilon=0.5, target=9, rng=11,
-            shards=ShardPolicy(max_rows=7, workers=2),
+            shards=ShardPolicy(max_bytes=1 << 20, max_rows=7),
             options={"left_out_block": 1},
         )
         clone = pickle.loads(pickle.dumps(request))

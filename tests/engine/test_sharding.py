@@ -48,8 +48,8 @@ class TestPlanMath:
         assert plan.n_shards == 8
         # Zero rows plan zero shards.
         for backend in ("kernels", "compiled"):
-            empty = plan_shards(0, 64, backend, ShardPolicy(workers=2),
-                                queries=1, lanes=1)
+            empty = plan_shards(0, 64, backend, ShardPolicy(max_rows=2),
+                                queries=1, lanes=2)
             assert empty.n_shards == 0 and list(empty.slices()) == []
 
     def test_kernels_batch_ignores_the_byte_budget(self):
@@ -66,20 +66,19 @@ class TestPlanMath:
             assert plan.n_shards == 1 and plan.shard_rows == 4096
 
     def test_kernels_shards_serve_fan_out(self):
-        # One even shard per pool worker or executor lane, whichever is
-        # more; max_rows still caps a shard.
+        # One even shard per executor lane; max_rows still caps a shard.
         queries = plan_schedule(4096, 8).program.queries
 
         def plan(shards, lanes=1):
             return plan_shards(4096, 4096, "kernels", shards, queries=queries,
                                lanes=lanes)
 
-        assert plan(ShardPolicy(workers=3)).n_shards == 3
-        assert plan(ShardPolicy(workers=3)).shard_rows == 1366
+        assert plan(ShardPolicy()).n_shards == 1
+        assert plan(ShardPolicy(), lanes=3).n_shards == 3
+        assert plan(ShardPolicy(), lanes=3).shard_rows == 1366
         assert plan(ShardPolicy(), lanes=2).n_shards == 2
-        assert plan(ShardPolicy(workers=3), lanes=2).n_shards == 3
-        assert plan(ShardPolicy(workers=2), lanes=5).n_shards == 5
-        capped = plan(ShardPolicy(workers=3, max_rows=100), lanes=2)
+        assert plan(ShardPolicy(), lanes=5).n_shards == 5
+        capped = plan(ShardPolicy(max_rows=100), lanes=2)
         assert capped.shard_rows == 100 and capped.n_shards == 41
         # Lanes do not split a circuit batch: its byte budget does.
         compiled = plan_shards(4096, 4096, "compiled", queries=queries,
@@ -110,14 +109,14 @@ class TestPlanMath:
     def test_lanes_take_only_shards_their_work_fills(self):
         # A batch spreads over lanes only as far as each shard keeps a row
         # thread's work, so gateway-mix's 256-row batch at N=1024 (5.2M)
-        # stays one shard on any fleet; pool workers split as asked.
+        # stays one shard on any fleet; max_rows splits it as asked.
         queries = plan_schedule(1024, 4).program.queries
         small = 256 * 1024 * queries
         assert small < 2 * AUTO_ROW_THREAD_MIN_WORK
         for lanes in (2, 4, 16):
             assert plan_shards(256, 1024, "kernels", queries=queries,
                                lanes=lanes).n_shards == 1
-        assert plan_shards(256, 1024, "kernels", ShardPolicy(workers=3),
+        assert plan_shards(256, 1024, "kernels", ShardPolicy(max_rows=100),
                            queries=queries, lanes=4).n_shards == 3
         # The all-targets batch (21M) fills five lanes of a bigger fleet,
         # each shard with at least the floor.
@@ -139,11 +138,11 @@ class TestPlanMath:
         assert boundaries[-1] == (98, 100)
 
     def test_describe_provenance(self):
-        plan = plan_shards(64, 64, "kernels", ShardPolicy(max_rows=9, workers=3),
-                           queries=1, lanes=1)
-        desc = plan.describe()
-        assert desc["n_shards"] == 8
-        assert desc["workers"] == 3
+        plan = plan_shards(64, 64, "kernels", ShardPolicy(max_rows=9),
+                           queries=1, lanes=3)
+        assert plan.describe() == {"n_rows": 64, "n_shards": 8,
+                                   "shard_rows": 9, "dtype": "complex128",
+                                   "row_threads": 1}
 
 
 class TestShardBoundaryBitIdentity:
@@ -242,7 +241,7 @@ class TestShardBoundaryBitIdentity:
         base = run(ShardPolicy(max_rows=n))
         assert base.execution["n_shards"] == 1
         for shards in (ShardPolicy(max_rows=1), ShardPolicy(max_rows=7),
-                       ShardPolicy(max_rows=16, workers=2)):
+                       ShardPolicy(max_rows=16)):
             got = run(shards)
             assert got.execution["n_shards"] > 1
             np.testing.assert_array_equal(
@@ -250,19 +249,6 @@ class TestShardBoundaryBitIdentity:
             )
             np.testing.assert_array_equal(got.block_guesses, base.block_guesses)
             np.testing.assert_array_equal(got.queries, base.queries)
-
-    def test_process_fanout_bit_identical(self):
-        n, k = 64, 4
-        engine = SearchEngine()
-        serial = engine.search_batch(SearchRequest(n_items=n, n_blocks=k))
-        fanned = engine.search_batch(
-            SearchRequest(n_items=n, n_blocks=k,
-                          shards=ShardPolicy(max_rows=16, workers=2))
-        )
-        np.testing.assert_array_equal(
-            fanned.success_probabilities, serial.success_probabilities
-        )
-        np.testing.assert_array_equal(fanned.block_guesses, serial.block_guesses)
 
     def test_engine_default_shard_policy(self):
         engine = SearchEngine(shards=ShardPolicy(max_rows=3))
@@ -341,22 +327,6 @@ class TestShardIdentityUnderPolicies:
         )
         assert report.execution["dtype"] == "complex64"
         assert report.execution["row_threads"] == 2
-
-    def test_process_fanout_with_policy_bit_identical(self):
-        n, k = 64, 4
-        policy = ExecutionPolicy(dtype="complex64", row_threads=2)
-        engine = SearchEngine()
-        serial = engine.search_batch(
-            SearchRequest(n_items=n, n_blocks=k, policy=policy)
-        )
-        fanned = engine.search_batch(
-            SearchRequest(n_items=n, n_blocks=k, policy=policy,
-                          shards=ShardPolicy(max_rows=16, workers=2))
-        )
-        np.testing.assert_array_equal(
-            fanned.success_probabilities, serial.success_probabilities
-        )
-        np.testing.assert_array_equal(fanned.block_guesses, serial.block_guesses)
 
     def test_stateless_backend_normalises_the_policy(self):
         # classical is the one method whose backend holds no state: its
@@ -534,7 +504,7 @@ class TestThreadedDefaultBitIdentity:
 
     @pytest.mark.parametrize("method,options,seed", METHODS,
                              ids=[m[0] for m in METHODS])
-    def test_default_matches_on_pool_and_remote_executors(
+    def test_default_matches_on_remote_executors(
         self, method, options, seed
     ):
         from repro.service.executor import RemoteExecutor
@@ -542,11 +512,6 @@ class TestThreadedDefaultBitIdentity:
 
         ref = SearchEngine().search_batch(self.request(
             method, options, seed, policy=ExecutionPolicy(row_threads=1)))
-        pooled = SearchEngine().search_batch(self.request(
-            method, options, seed, shards=ShardPolicy(max_rows=7, workers=2)))
-        # Two shard processes on four cpus: two threads each.
-        assert pooled.execution["row_threads"] == 2
-        self.assert_same(pooled, ref)
         with WorkerServer() as worker:
             remote = SearchEngine(executor=RemoteExecutor([worker.address]))
             for policy in (ExecutionPolicy(), ExecutionPolicy(row_threads=3)):

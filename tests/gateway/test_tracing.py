@@ -72,6 +72,7 @@ class TestTraceOnWire:
 
     def test_shard_message_meta_carries_trace_id(self):
         message = RemoteExecutor._shard_message(
-            trace_probe_shard, "task", None, None, "tid-7"
+            trace_probe_shard, "task", None, "tid-7"
         )
-        assert message[4] == {"trace_id": "tid-7"}
+        assert message == ("shard", trace_probe_shard, "task",
+                           {"trace_id": "tid-7"})

@@ -374,7 +374,7 @@ def _cpus(monkeypatch, n):
 
 
 class TestRowThreadRule:
-    """``"auto"`` takes the smallest of cpus / pool width,
+    """``"auto"`` takes the smallest of cpus / running batches,
     :data:`MAX_AUTO_ROW_THREADS` and rows × N × queries over the work floor;
     the threads of one sweep share one row-block budget."""
 
@@ -416,19 +416,6 @@ class TestRowThreadRule:
         # With cpus to spare (64 seen), each thread gets at least the floor.
         assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK) == 3
         assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK - 1) == 2
-
-    def test_process_pool_divides_the_cpus(self, monkeypatch):
-        queries = plan_schedule(4096, 8).program.queries
-        cpus = len(os.sched_getaffinity(0))
-        plan = plan_shards(4096, 4096, "kernels", ShardPolicy(workers=2),
-                           queries=queries, lanes=1)
-        assert plan.policy.row_threads <= max(1, cpus // 2)
-        _cpus(monkeypatch, 8)
-        for workers, expected in ((2, 4), (3, 2), (16, 1)):
-            plan = plan_shards(4096, 4096, "kernels",
-                               ShardPolicy(workers=workers), queries=queries,
-                               lanes=1)
-            assert plan.policy.row_threads == expected, workers
 
     @pytest.mark.parametrize("method", ["grk", "grk-cwb"])
     def test_two_threads_split_the_row_block_budget(self, monkeypatch, method):

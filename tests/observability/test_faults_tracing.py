@@ -129,10 +129,17 @@ class TestBreakerOpenShowsInTheTrace:
         ex = RemoteExecutor(dead, breakers=breakers, fallback_local=True)
         results, spans = _traced_run(ex, [1, 2])
         assert results == [2, 4]
-        (dispatch,) = [s for s in spans if s.name == "dispatch"]
+        (dispatch,) = [s for s in spans if s.name == "dispatch"
+                       and s.attrs["executor"] == "remote"]
+        (fallback,) = [s for s in spans if s.name == "dispatch"
+                       and s.attrs["executor"] == "local"]
         rejected = [s for s in spans if s.name == "shard.breaker_open"]
         assert [s.attrs["endpoint"] for s in rejected] == dead
         assert all(s.parent_id == dispatch.span_id for s in rejected)
+        # The leftover shards ran through the local executor, inside the
+        # remote dispatch that gave them up.
+        assert fallback.attrs == {"executor": "local", "shards": 2}
+        assert fallback.parent_id == dispatch.span_id
         assert ex.last_run["breaker_skips"] == dead
         assert ex.last_run["local_fallback_shards"] == 2
 

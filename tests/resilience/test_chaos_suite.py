@@ -193,7 +193,7 @@ class TestExpiredShardsNeverExecute:
         with WorkerServer() as w:
             with socket.create_connection(w.address, timeout=5.0) as sock:
                 sock.settimeout(5.0)
-                send_frame(sock, ("shard", echo_shard, 1, None,
+                send_frame(sock, ("shard", echo_shard, 1,
                                   {"deadline_s": -0.5}))
                 reply = recv_frame(sock)
             assert reply[0] == "expired"
@@ -313,7 +313,7 @@ class TestWorkerDrain:
         with WorkerServer() as w:
             in_flight = socket.create_connection(w.address, timeout=10.0)
             in_flight.settimeout(10.0)
-            send_frame(in_flight, ("shard", slow_shard, 1.0, None, {}))
+            send_frame(in_flight, ("shard", slow_shard, 1.0, {}))
             time.sleep(0.2)  # the shard is computing
             drainer = threading.Thread(target=w.drain,
                                        kwargs={"timeout": 10.0})
@@ -323,7 +323,7 @@ class TestWorkerDrain:
                 with socket.create_connection(w.address,
                                               timeout=5.0) as late:
                     late.settimeout(5.0)
-                    send_frame(late, ("shard", echo_shard, "nope", None, {}))
+                    send_frame(late, ("shard", echo_shard, "nope", {}))
                     refused = recv_frame(late)
                 assert refused[0] == "unavailable"
                 assert "draining" in refused[1]
@@ -344,7 +344,7 @@ class TestWorkerDrain:
         with WorkerServer() as draining, WorkerServer() as healthy:
             hold = socket.create_connection(draining.address, timeout=10.0)
             hold.settimeout(10.0)
-            send_frame(hold, ("shard", slow_shard, 1.5, None, {}))
+            send_frame(hold, ("shard", slow_shard, 1.5, {}))
             time.sleep(0.2)
             drainer = threading.Thread(target=draining.drain,
                                        kwargs={"timeout": 10.0})

@@ -124,7 +124,7 @@ class TestRequestFingerprint:
         run may serve a cache hit for an unsharded request."""
         a = request_fingerprint(SearchRequest(**self.REQ))
         b = request_fingerprint(
-            SearchRequest(**self.REQ, shards=ShardPolicy(max_rows=3, workers=2))
+            SearchRequest(**self.REQ, shards=ShardPolicy(max_bytes=1 << 20, max_rows=3))
         )
         assert a == b
 

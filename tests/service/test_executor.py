@@ -58,10 +58,34 @@ class HungWorker:
 
 
 class TestLocalExecutor:
-    def test_matches_parallel_map_contract(self):
+    def test_runs_every_task_in_order(self):
         ex = LocalExecutor()
         assert ex.run_shards(double_shard, [1, 2, 3]) == [2, 4, 6]
         assert ex.run_shards(double_shard, []) == []
+
+    def test_checks_the_deadline_before_every_shard(self):
+        # The first shard runs the clock past the deadline: the run stops
+        # there instead of computing shards nobody awaits.
+        from repro.resilience import Deadline, DeadlineExceeded, deadline_scope
+
+        now, ran = [0.0], []
+
+        def shard(task):
+            ran.append(task)
+            now[0] = 2.0
+            return task
+
+        with pytest.raises(DeadlineExceeded):
+            LocalExecutor().run_shards(
+                shard, [1, 2, 3], deadline=Deadline(1.0, clock=lambda: now[0])
+            )
+        assert ran == [1]
+        # The ambient deadline counts the same.
+        now[0], ran[:] = 0.0, []
+        with deadline_scope(Deadline(1.0, clock=lambda: now[0])), \
+                pytest.raises(DeadlineExceeded):
+            LocalExecutor().run_shards(shard, [1, 2, 3])
+        assert ran == [1]
 
     def test_describe(self):
         assert LocalExecutor().describe() == {"executor": "local"}

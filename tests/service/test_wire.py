@@ -284,15 +284,20 @@ class TestOneVersion:
 class TestOneArityPerMessage:
     """Each request message has one shape; any other gets an error reply."""
 
-    def test_four_tuple_shard_is_an_error(self):
+    def test_old_five_tuple_shard_is_an_error(self):
+        # The frame of wire version 6 carried a generator no shard read.
         from repro.service._testing import echo_shard
         from repro.service.worker import WorkerServer
 
         with WorkerServer() as worker:
-            reply = _ask(worker.address, ("shard", echo_shard, 1, None))
-            assert reply[0] == "error"
-            assert "(shard, func, task, rng, meta)" in reply[1]
+            for frame in (("shard", echo_shard, 1, None, {}),
+                          ("shard", echo_shard, 1)):
+                reply = _ask(worker.address, frame)
+                assert reply[0] == "error"
+                assert "(shard, func, task, meta)" in reply[1]
             assert worker.shards_served == 0
+            assert _ask(worker.address, ("shard", echo_shard, 1, {})) \
+                == ("result", 1)
 
     def test_two_tuple_register_and_five_tuple_submit_are_errors(self):
         from repro.engine import SearchRequest

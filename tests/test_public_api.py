@@ -105,6 +105,20 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_default_batch_loads_no_multiprocessing(self):
+        # A local batch runs its shards in-process; row threads are its
+        # only parallelism, so no process-pool machinery loads.
+        proc = _run_fresh("""
+import sys
+import repro.engine
+report = repro.engine.SearchEngine().search_batch(
+    repro.engine.SearchRequest(n_items=256, n_blocks=4))
+assert report.execution["executor"] == "local"
+print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_cold_plans_and_analytic_answers_need_no_scipy(self):
         # numpy is the only runtime dependency: every cold path (the 1-D
         # optima, the phase solves, the closed-form tier) runs with scipy

@@ -1,47 +1,58 @@
-"""Unit tests for repro.util.parallel."""
+"""Unit tests for repro.util.parallel: the row-slab thread seam."""
 
-import numpy as np
+import threading
 
-from repro.util.parallel import parallel_map
+import pytest
 
-
-def _draw(task, rng):
-    return (task, float(rng.random()))
-
-
-def _square(task, rng):
-    return task * task
+import repro.util.parallel as parallel
+from repro.util.parallel import thread_map
 
 
-class TestParallelMap:
-    def test_order_preserved_serial(self):
-        out = parallel_map(_square, range(10), workers=1)
-        assert out == [i * i for i in range(10)]
+class TestThreadMap:
+    def test_only_thread_map_is_exported(self):
+        assert parallel.__all__ == ["thread_map"]
 
-    def test_deterministic_across_worker_counts(self):
-        serial = parallel_map(_draw, range(6), seed=11, workers=1)
-        parallel = parallel_map(_draw, range(6), seed=11, workers=2)
-        assert serial == parallel
+    def test_results_come_back_in_task_order(self):
+        # Every task waits for the others, so all four run at once; the
+        # results still follow the tasks.
+        barrier = threading.Barrier(4)
 
-    def test_use_processes_false(self):
-        out = parallel_map(_square, range(4), workers=4, use_processes=False)
-        assert out == [0, 1, 4, 9]
+        def task(i):
+            barrier.wait(timeout=10)
+            return i * i
 
-    def test_empty(self):
-        assert parallel_map(_square, [], workers=2) == []
+        assert thread_map(task, [3, 2, 1, 0]) == [9, 4, 1, 0]
 
-    def test_closure_allowed_serially(self):
-        captured = []
+    def test_the_calling_thread_runs_the_last_task(self):
+        caller = threading.get_ident()
+        ran_on = thread_map(lambda _: threading.get_ident(), range(3))
+        assert ran_on[-1] == caller
+        assert caller not in ran_on[:-1]
+        assert thread_map(lambda _: threading.get_ident(), [0]) == [caller]
 
-        def trial(task, rng):
-            captured.append(task)
-            return task
+    def test_first_exception_is_raised_after_every_thread_joins(self):
+        finished = []
+        release = threading.Event()
 
-        out = parallel_map(trial, range(3), workers=1)
-        assert out == [0, 1, 2]
-        assert captured == [0, 1, 2]
+        def task(i):
+            if i == 0:
+                raise ValueError("task 0")
+            if i == 1:
+                # Outlives the failure: thread_map must still wait for it.
+                release.wait(timeout=10)
+            finished.append(i)
+            return i
 
-    def test_rng_streams_independent(self):
-        out = parallel_map(_draw, range(16), seed=5, workers=1)
-        values = [v for _, v in out]
-        assert len(set(values)) == len(values)
+        timer = threading.Timer(0.05, release.set)
+        timer.start()
+        try:
+            with pytest.raises(ValueError, match="task 0"):
+                thread_map(task, [0, 1, 2])
+        finally:
+            timer.cancel()
+        assert sorted(finished) == [1, 2]
+
+    def test_empty_input(self):
+        calls = []
+        assert thread_map(calls.append, []) == []
+        assert calls == []
