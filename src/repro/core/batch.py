@@ -102,9 +102,9 @@ def execute_batch_rows(
             ``row_threads="auto"``, which :func:`resolve_row_threads`
             pins (the planner's call, or here for a direct call).
             ``row_threads`` splits the chunk into contiguous row slabs
-            whose sweeps run on the GIL-releasing thread seam and share
-            one row-block budget — bit-identical at complex128, since
-            rows never interact.
+            swept on the GIL-releasing thread seam (about ``T`` × 1 MiB
+            resident, ``T`` × 3 MiB while a block promotes to complex)
+            — bit-identical at complex128, since rows never interact.
 
     Returns:
         ``(success_probabilities, block_guesses)`` arrays of shape

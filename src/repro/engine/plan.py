@@ -10,13 +10,14 @@ executor (e.g. the TCP-distributed
 Every simulated batch ships one shard function, whose tasks are plain
 data: a program, targets, a backend name and an execution policy.
 
-What bounds a shard is what it holds.  A kernels shard holds only row
-blocks of about :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES`, however
-many rows it has, so its shards serve fan-out and turnaround only: one
-per filled executor lane, none over a work cap.  The
-circuit backends hold a ``(B_chunk, 2N)`` complex state per shard, so
-the :class:`~repro.engine.request.ShardPolicy` byte budget bounds their
-rows (:func:`state_row_bytes`).
+What bounds a shard is what it holds.  A kernels shard holds one row
+block of :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES` per row thread
+(``T`` × 1 MiB, ``T`` × 3 MiB while a block promotes to complex)
+however many rows it has, so its shards serve fan-out and turnaround
+only: one per filled executor lane, none over a work cap.  A circuit
+shard holds a ``(B_chunk, 2N)`` complex state, so the
+:class:`~repro.engine.request.ShardPolicy` byte budget bounds its rows
+(:func:`state_row_bytes`).
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ __all__ = [
 #: Default per-shard memory budget of a circuit batch (128 MiB): an
 #: all-targets batch at 12 address qubits holds a ``(4096, 8192)``
 #: complex state (~0.5 GB) unsharded, and this budget splits it into
-#: independent chunks.  A kernels shard holds only row blocks of
-#: ``ROW_BLOCK_BYTES`` (:mod:`repro.kernels.sweep`) however many rows it
-#: has, so kernels batches ignore it.
+#: independent chunks.  Kernels batches ignore it: a kernels shard holds
+#: one ``ROW_BLOCK_BYTES`` block per row thread (:mod:`repro.kernels.sweep`;
+#: ``T`` × 1 MiB, ``T`` × 3 MiB while a block promotes to complex).
 DEFAULT_SHARD_BYTES = 128 * 1024 * 1024
 
 #: What the caller needs back.  ``probability``-class requests (success

@@ -20,10 +20,10 @@ is* and *how many cores share the rows*:
   (:func:`repro.util.parallel.thread_map`; the calling thread runs one
   slab).  The hot kernels are numpy reductions and fused elementwise
   passes, which release the GIL, so contiguous row slabs scale across
-  cores without any copying.  The threads of one batch share one
-  row-block budget: ``T`` threads each walk blocks of
-  ``ROW_BLOCK_BYTES / T`` (``T`` capped at :func:`available_cpus`), so
-  the resident state stays near one budget whatever ``T`` is.  The
+  cores without any copying.  Each thread walks its slab in blocks of
+  the whole ``ROW_BLOCK_BYTES``, which fits each core's private L2, so a
+  kernels shard's resident state is about ``T`` × 1 MiB, and about
+  ``T`` × 3 MiB while a block promotes to complex.  The
   default, ``"auto"``, resolves per :func:`auto_row_threads`;
   ``row_threads=1`` pins the serial sweep.
 
@@ -85,12 +85,13 @@ ROW_THREADS_AUTO = "auto"
 MAX_AUTO_ROW_THREADS = 8
 
 #: The work, in amplitude-iterations (rows × N × queries), that each
-#: ``"auto"`` row thread must get: below it, a second thread costs about
-#: what it saves.  Measured on GRK sweeps with the shared row-block budget
-#: on a 2-vCPU Xeon with 4 MiB of L2 per core (speed of two threads over
-#: one, median of 9): 1.3M ran at 0.68x, 5.2M at 1.06x, 5.6M at 0.96x,
-#: 10.5M at 1.59x, 11.3M at 1.16x, 21M at 1.63x and 117M at 1.76x.  Two
-#: threads therefore start at 8M.
+#: ``"auto"`` row thread must get.  Measured on GRK sweeps, each thread
+#: walking whole row blocks, on a 2-vCPU Xeon VM with a private 2 MiB L2
+#: per cpu (two threads over one, median of 9, each run after two at its
+#: width; median of six passes): 1.3M ran at 0.89x, 2.8M at 0.83x, 4.2M at
+#: 1.14x, 5.2M at 1.60x, 5.6M at 1.48x, 10.5M at 1.64x and 21M at 1.64x.
+#: Single batches alternating widths read about 1.0x from 3.9M to 22.5M
+#: there, so two threads still start at 8M.
 AUTO_ROW_THREAD_MIN_WORK = 4_000_000
 
 

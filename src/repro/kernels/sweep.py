@@ -6,10 +6,11 @@ one :class:`~repro.core.program.PartialSearchProgram` (global and block
 iterations, optional phases, optional Step 3) for all of them.  The sweep
 walks the rows in blocks of about :data:`ROW_BLOCK_BYTES` that each
 allocate their own state and stay cache-resident across the whole
-program, so it reads cached lines rather than streaming from memory; the
-row threads of one batch share that budget.  Blocks run at the policy's
-real dtype until their first phased stage and at its complex dtype from
-there on.
+program, so it reads cached lines rather than streaming from memory.
+Each row thread walks its slab in whole blocks, so ``T`` threads hold
+about ``T`` × 1 MiB (``T`` × 3 MiB while a block promotes to complex).
+Blocks run at the policy's real dtype until their first phased stage and
+at its complex dtype from there on.
 
 The unphased iteration (:func:`grk_iteration_rows`) fuses the oracle flip
 and the diffusion mean into one reduction pass and one update pass.  At
@@ -29,13 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import batched
-from repro.kernels.policy import available_cpus
 
 __all__ = ["ROW_BLOCK_BYTES", "program_sweep_rows", "grk_iteration_rows"]
 
-#: Target bytes of real state per row block: about L2-sized, so a block
-#: stays cache-resident across the whole program.  128 rows of float64
-#: (256 of float32) at N=1024.  The row threads of one batch split it.
+#: Target bytes of real state per row block, per row thread: within one
+#: core's private L2, so a block stays cache-resident across the whole
+#: program.  128 rows of float64 (256 of float32) at N=1024.
 ROW_BLOCK_BYTES = 1 << 20
 
 
@@ -45,23 +45,19 @@ def program_sweep_rows(program, targets, policy):
     *program* is a :class:`~repro.core.program.PartialSearchProgram`,
     read by attribute only; *policy* is the
     :class:`~repro.kernels.ExecutionPolicy` whose dtypes the state takes.
-    Rows are walked in blocks that each own their state, so every
-    iteration re-reads cached lines instead of streaming a whole shard
-    from memory; rows never interact, so the block size is invisible in
-    the results.  The policy's ``T`` row threads, each sweeping one slab
-    of the batch, share :data:`ROW_BLOCK_BYTES`: each walks blocks of
-    ``ROW_BLOCK_BYTES / T`` of real state, with ``T`` capped at the cpus
-    the process may run on (threads beyond them do not run at once).
+    Rows are walked in blocks of :data:`ROW_BLOCK_BYTES` of real state,
+    each allocated afresh, so every iteration re-reads cached lines;
+    rows never interact, so the block size is invisible in the results.
+    Each row thread calls this on its own slab: ``T`` threads hold about
+    ``T`` × 1 MiB (``T`` × 3 MiB while a block promotes to complex).
 
     Returns ``(success_probabilities, block_guesses)``: float64 and intp
     arrays of ``len(targets)``.
     """
     targets = np.asarray(targets, dtype=np.intp)
     n_rows = targets.size
-    threads = policy.row_threads if isinstance(policy.row_threads, int) else 1
-    block_bytes = ROW_BLOCK_BYTES // min(threads, available_cpus())
     row_bytes = program.n_items * policy.real_dtype.itemsize
-    block = max(1, block_bytes // row_bytes)
+    block = max(1, ROW_BLOCK_BYTES // row_bytes)
     success = np.empty(n_rows, dtype=np.float64)
     guesses = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, block):

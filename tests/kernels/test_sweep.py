@@ -8,7 +8,7 @@ row-block size reproduces the composed reference iteration
 :func:`~repro.kernels.primitives.invert_about_mean_blocks`) bit for bit;
 at complex64 it agrees within :data:`~repro.kernels.COMPLEX64_SUCCESS_ATOL`.
 This file pins that, plus the ``row_threads="auto"`` rule and the row-block
-budget the threads of one sweep share.
+budget every thread of one sweep walks whole.
 """
 
 import os
@@ -376,7 +376,8 @@ def _cpus(monkeypatch, n):
 class TestRowThreadRule:
     """``"auto"`` takes the smallest of cpus / running batches,
     :data:`MAX_AUTO_ROW_THREADS` and rows × N × queries over the work floor;
-    the threads of one sweep share one row-block budget."""
+    every thread of one sweep walks blocks of the whole row-block budget,
+    so ``T`` threads hold about ``T`` budgets."""
 
     def test_auto_is_serial_below_the_floor(self, monkeypatch):
         _cpus(monkeypatch, 8)
@@ -417,14 +418,21 @@ class TestRowThreadRule:
         assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK) == 3
         assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK - 1) == 2
 
-    @pytest.mark.parametrize("method", ["grk", "grk-cwb"])
-    def test_two_threads_split_the_row_block_budget(self, monkeypatch, method):
+    @pytest.mark.parametrize(("method", "n_items", "n_blocks", "stride"), [
+        pytest.param("grk", 4096, 8, 16, id="grk"),
+        pytest.param("grk-cwb", 4096, 8, 16, id="grk-cwb"),
+        # Two-row blocks: eight rows, four to a thread.
+        pytest.param("grk", 1 << 16, 4, 1 << 13, id="grk-n65536"),
+    ])
+    def test_two_threads_each_walk_the_whole_budget(
+        self, monkeypatch, reference, method, n_items, n_blocks, stride
+    ):
         from repro.core.plans import resolve_plan
 
         program = resolve_plan(
-            SearchRequest(n_items=4096, n_blocks=8, method=method)
+            SearchRequest(n_items=n_items, n_blocks=n_blocks, method=method)
         ).program
-        targets = np.arange(0, 4096, 16)
+        targets = np.arange(0, n_items, stride)
         _cpus(monkeypatch, 2)
         blocks = _spy_on_blocks(monkeypatch)
         serial = execute_batch_rows(program, targets, "kernels",
@@ -434,13 +442,17 @@ class TestRowThreadRule:
         threaded = execute_batch_rows(program, targets, "kernels",
                                       ExecutionPolicy(row_threads=2))
         assert sum(rows for rows, _ in blocks) == targets.size
-        assert max(size for _, size in blocks) <= sweep.ROW_BLOCK_BYTES // 2
+        assert all(size == sweep.ROW_BLOCK_BYTES for _, size in blocks)
         np.testing.assert_array_equal(threaded[0], serial[0])
         np.testing.assert_array_equal(threaded[1], serial[1])
+        composed = reference(execute_batch_rows, program, targets, "kernels",
+                             ExecutionPolicy(row_threads=1))
+        np.testing.assert_array_equal(threaded[0], composed[0])
+        np.testing.assert_array_equal(threaded[1], composed[1])
 
-    def test_threads_beyond_the_cpus_keep_their_share(self, monkeypatch):
-        # Only as many threads as cpus run at once, so four row threads on
-        # two cpus split the budget in two, not in four.
+    def test_threads_beyond_the_cpus_keep_the_whole_budget(self, monkeypatch):
+        # Four row threads on two cpus still walk blocks of the whole
+        # budget each: the cpu count does not size a block.
         program = plan_schedule(1024, 4).program
         targets = np.arange(1024)
         _cpus(monkeypatch, 2)
@@ -448,7 +460,7 @@ class TestRowThreadRule:
         got = execute_batch_rows(program, targets, "kernels",
                                  ExecutionPolicy(row_threads=4))
         assert sum(rows for rows, _ in blocks) == targets.size
-        assert max(size for _, size in blocks) == sweep.ROW_BLOCK_BYTES // 2
+        assert all(size == sweep.ROW_BLOCK_BYTES for _, size in blocks)
         ref = execute_batch_rows(program, targets, "kernels",
                                  ExecutionPolicy(row_threads=1))
         np.testing.assert_array_equal(got[0], ref[0])
