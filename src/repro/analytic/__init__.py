@@ -9,15 +9,15 @@ need amplitudes or samples.
 
 Importing this package registers the built-in models.  See
 :mod:`repro.analytic.models` for the registry and
-:mod:`repro.analytic.engine` for tier routing and report shaping.
+:mod:`repro.analytic.engine` for report shaping and the analytic half of
+:func:`repro.engine.route`, the one tier decision.
 """
 
 from repro.analytic.engine import (
     ANALYTIC_BATCH_ALL_TARGETS_MAX,
-    analytic_eligible,
     evaluate_analytic,
     evaluate_analytic_batch,
-    resolve_engine_tier,
+    resolve_model,
 )
 from repro.analytic.models import (
     ANALYTIC_MAX_N_ITEMS,
@@ -50,10 +50,9 @@ __all__ = [
     "register_builtin_models",
     "register_model",
     "unregister_model",
-    "analytic_eligible",
     "evaluate_analytic",
     "evaluate_analytic_batch",
-    "resolve_engine_tier",
+    "resolve_model",
 ]
 
 register_builtin_models(replace=True)

@@ -1,17 +1,17 @@
-"""Tier resolution and evaluation: closed-form answers as normal reports.
+"""The analytic half of routing, and closed-form answers as normal reports.
 
 This is the glue between the :mod:`repro.analytic.models` registry and the
-:class:`~repro.engine.engine.SearchEngine`: :func:`resolve_engine_tier`
-decides whether a request runs closed-form or on the statevector tier, and
-:func:`evaluate_analytic` / :func:`evaluate_analytic_batch` shape a model's
-:class:`~repro.analytic.models.AnalyticAnswer` (one call, from
-``evaluate``) or :class:`~repro.analytic.models.AnalyticBatchAnswer` (a
-whole batch, from one ``evaluate_batch`` call) into the same
+:class:`~repro.engine.engine.SearchEngine`: :func:`resolve_model` is the
+closed-form half of :func:`repro.engine.route`, and
+:func:`evaluate_analytic` / :func:`evaluate_analytic_batch` shape the
+routed model's :class:`~repro.analytic.models.AnalyticAnswer` (one call,
+from ``evaluate``) or :class:`~repro.analytic.models.AnalyticBatchAnswer`
+(a whole batch, from one ``evaluate_batch`` call) into the same
 ``SearchReport`` / ``BatchReport`` every simulated run produces — same
 cache, same wire, same gateway encoding, zero shards, no executor.
 
-Routing rules (also enforced by the gateway schema and documented in the
-README "Analytic fast path" section):
+Routing rules (:func:`repro.engine.route`; documented in the README
+"Analytic fast path" section):
 
 - ``engine="simulate"`` always simulates.
 - ``engine="analytic"`` forces the closed-form tier and *raises*
@@ -35,29 +35,29 @@ from repro.engine.request import batch_targets
 
 __all__ = [
     "ANALYTIC_BATCH_ALL_TARGETS_MAX",
-    "resolve_engine_tier",
-    "analytic_eligible",
+    "resolve_model",
     "evaluate_analytic",
     "evaluate_analytic_batch",
 ]
 
 #: Largest ``N`` for which a batch with ``targets=None`` materialises the
 #: all-targets sweep.  Per-target analytic answers are O(1), but *listing*
-#: 2**40 targets is not; past this bound the caller must pass explicit
-#: targets.
+#: 2**40 targets is not; past this bound the engine refuses the batch and
+#: the caller must pass explicit targets.
 ANALYTIC_BATCH_ALL_TARGETS_MAX = 1 << 20
 
 
-def resolve_engine_tier(request) -> str:
-    """``"analytic"`` or ``"simulate"`` for *request*, applying the rules.
+def resolve_model(request):
+    """The checked model that answers *request*, or ``None`` to simulate.
+
+    :func:`repro.engine.route` calls it for ``engine="analytic"``, and for
+    an ``engine="auto"`` request that wants ``"probability"`` untraced.
 
     Raises:
         AnalyticUnsupported: ``engine="analytic"`` was forced but no model
             covers the request (unknown model, bad geometry, unmodelled
             options, or a ``wants`` that needs the statevector).
     """
-    if request.engine == "simulate":
-        return "simulate"
     if request.engine == "analytic":
         if request.wants in ("amplitudes", "samples"):
             raise AnalyticUnsupported(
@@ -69,31 +69,16 @@ def resolve_engine_tier(request) -> str:
                 "trace=True needs the statevector tier (stage snapshots "
                 "have no closed form)"
             )
-        get_model(request.method).check(request)
-        return "analytic"
-    # engine == "auto": opt in via wants="probability", never by surprise.
-    if request.wants != "probability" or request.trace:
-        return "simulate"
-    if not has_model(request.method):
-        return "simulate"
+    elif not has_model(request.method):
+        return None
+    model = get_model(request.method)
     try:
-        get_model(request.method).check(request)
+        model.check(request)
     except AnalyticUnsupported:
-        return "simulate"
-    return "analytic"
-
-
-def analytic_eligible(request) -> bool:
-    """Would *request* resolve to the analytic tier?  Never raises.
-
-    The gateway uses this to pick the engine-aware ``n_items`` bound
-    before the request object exists, so it also accepts any object with
-    ``engine`` / ``wants`` / ``trace`` / ``method`` attributes.
-    """
-    try:
-        return resolve_engine_tier(request) == "analytic"
-    except (AnalyticUnsupported, ValueError):
-        return False
+        if request.engine == "analytic":
+            raise
+        return None
+    return model
 
 
 def _answer_to_schedule(answer, model) -> dict:
@@ -121,8 +106,8 @@ def _target_for(request, database) -> int | None:
     return None
 
 
-def evaluate_analytic(request, database=None) -> SearchReport:
-    """Answer *request* from its registered model, as a ``SearchReport``.
+def evaluate_analytic(request, model, database=None) -> SearchReport:
+    """Answer *request* from *model*, as a ``SearchReport``.
 
     The report's ``backend`` is ``"analytic"`` and its ``schedule``
     carries ``{"engine": "analytic", "regime": ..., "answer_kind": ...}``
@@ -133,6 +118,8 @@ def evaluate_analytic(request, database=None) -> SearchReport:
     Args:
         request: the typed problem description (any ``N`` up to the
             model's bound — no state is allocated).
+        model: the model whose check accepted *request*
+            (:attr:`repro.engine.Route.model`); it is not checked again.
         database: optional database; a unique marked item doubles as the
             target when ``request.target`` is ``None``.  Queries are
             *not* counted on it: nothing probes the oracle.
@@ -140,8 +127,6 @@ def evaluate_analytic(request, database=None) -> SearchReport:
     from repro.engine.methods import ANALYTIC_BACKEND
     from repro.observability.spans import span
 
-    model = get_model(request.method)
-    model.check(request)
     target = _target_for(request, database)
     with span("analytic.eval", method=request.method) as sp:
         answer = model.evaluate(request, target)
@@ -162,35 +147,25 @@ def evaluate_analytic(request, database=None) -> SearchReport:
     )
 
 
-def evaluate_analytic_batch(request, targets=None) -> BatchReport:
+def evaluate_analytic_batch(request, model, targets=None) -> BatchReport:
     """Closed-form batch — zero shards, no executor, no per-row loop.
 
-    The model's ``evaluate_batch`` answers every row at once: one scalar
-    evaluation per geometry plus numpy arithmetic on the target array, so
-    a batch costs well under a microsecond per row.  Its rows equal
-    per-row ``evaluate`` answers exactly.  An
+    *model* is the model whose check accepted *request*
+    (:attr:`repro.engine.Route.model`); it is not checked again.  Its
+    ``evaluate_batch`` answers every row at once: one scalar evaluation
+    per geometry plus numpy arithmetic on the target array, so a batch
+    costs well under a microsecond per row.  Its rows equal per-row
+    ``evaluate`` answers exactly.  An
     :class:`~repro.analytic.models.AnalyticUnsupported` it raises
     propagates, so ``engine="auto"`` falls through to simulation as it
     does for a single call.  Targets go through
     :func:`~repro.engine.request.batch_targets`, the simulate tier's
-    validation.
-
-    ``targets=None`` materialises the all-targets sweep only up to
-    :data:`ANALYTIC_BATCH_ALL_TARGETS_MAX` items; beyond that, listing the
-    targets would itself be O(N) memory, so the caller must pass an
-    explicit (small) collection.
+    validation; ``None`` lists every address, which the engine allows
+    only up to :data:`ANALYTIC_BATCH_ALL_TARGETS_MAX` items.
     """
     from repro.engine.methods import ANALYTIC_BACKEND
     from repro.observability.spans import span
 
-    model = get_model(request.method)
-    model.check(request)
-    if targets is None and request.n_items > ANALYTIC_BATCH_ALL_TARGETS_MAX:
-        raise AnalyticUnsupported(
-            f"all-targets analytic batch at n_items={request.n_items} "
-            f"would materialise > {ANALYTIC_BATCH_ALL_TARGETS_MAX} "
-            "targets; pass an explicit targets collection"
-        )
     targets = batch_targets(targets, request.n_items)
     with span("analytic.eval", method=request.method, rows=targets.size) as sp:
         answer = model.evaluate_batch(request, targets)

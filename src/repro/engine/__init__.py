@@ -14,6 +14,8 @@ This package collapses them into one stable, extensible surface:
   ``grk-cwb``, ``naive-blocks``, ``grover-full`` and ``classical``, and
   follow-on algorithms plug in as new registrations, not new top-level
   functions;
+- :func:`route` — the one routing decision (method, backend, policy,
+  engine tier) that the engine, the result cache and the gateway read;
 - :class:`SearchEngine` — ``search`` / ``search_batch`` / ``sweep``, with
   sharded all-targets batches (:class:`ExecutionPlan`): kernels shards
   fan out over executor lanes under a work cap, circuit shards fit a
@@ -46,7 +48,7 @@ from repro.engine.registry import (
     unregister_method,
 )
 from repro.engine.plan import ExecutionPlan, plan_shards, state_row_bytes
-from repro.engine.engine import SearchEngine
+from repro.engine.engine import Route, SearchEngine, route
 from repro.engine.methods import register_builtin_methods
 
 register_builtin_methods(replace=True)
@@ -67,6 +69,8 @@ __all__ = [
     "ExecutionPlan",
     "plan_shards",
     "state_row_bytes",
+    "Route",
+    "route",
     "SearchEngine",
     "register_builtin_methods",
 ]

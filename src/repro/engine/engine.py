@@ -8,16 +8,18 @@ One object, three verbs:
 - :meth:`SearchEngine.sweep` — an ``(N, K, eps)`` grid via the analytic
   model, optionally cross-checked on the simulator.
 
-The engine owns no physics: it validates the request against the method
-registry (:mod:`repro.engine.registry`), resolves the backend, synthesises
-the counted database when the caller did not supply one, and dispatches to
-the registered adapter.  A new algorithm or backend is a registration, not
-a new entry point.
+The engine owns no physics.  :func:`route` makes the routing decision
+once (method, backend, execution policy and engine tier), and the
+engine, the service's result cache and the gateway's size bound all read
+it.  A simulated run synthesises the counted database when the caller
+did not supply one and dispatches to the registered adapter.  A new
+algorithm or backend is a registration, not a new entry point.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any, NamedTuple
 
 from repro.core.backends import STATE_BACKENDS
 from repro.engine.registry import MethodSpec, get_method
@@ -30,18 +32,69 @@ from repro.engine.request import (
 )
 from repro.oracle.database import Database, SingleTargetDatabase
 
-__all__ = ["SearchEngine"]
+__all__ = ["Route", "SearchEngine", "route"]
 
 #: Largest ``N`` a ``simulate=True`` sweep will run on the full simulator.
 SWEEP_SIMULATE_MAX_ITEMS = 4096
 
 
-def _require_blocks(spec: MethodSpec, request: SearchRequest) -> None:
+class Route(NamedTuple):
+    """Where one request runs, as :func:`route` decided it.
+
+    ``request`` is the request as it runs: a backend that holds no state
+    (the classical scans) ignores the
+    :class:`~repro.kernels.ExecutionPolicy`, so it is normalised to the
+    default and a complex64 request records no dtype it never used.
+    ``tier`` is ``"analytic"`` or ``"simulate"``; ``model`` is the
+    :class:`~repro.analytic.AnalyticModel` whose check accepted the
+    request on the analytic tier, else ``None``.
+    """
+
+    spec: MethodSpec
+    backend: str
+    tier: str
+    request: SearchRequest
+    model: Any
+
+
+def route(request: SearchRequest) -> Route:
+    """Resolve *request*'s method, backend, policy and engine tier, once.
+
+    ``engine="simulate"`` simulates; ``engine="analytic"`` answers
+    closed-form or raises; ``engine="auto"`` answers closed-form exactly
+    when the request wants ``"probability"``, does not trace, and a
+    registered model's check accepts it.  A request that cannot reach the
+    analytic tier routes without importing :mod:`repro.analytic`.
+
+    Raises:
+        ValueError: an unknown method or backend, a block method at
+            ``n_blocks < 2``, tracing on a method that cannot trace, or
+            (as :class:`~repro.analytic.AnalyticUnsupported`) a forced
+            ``engine="analytic"`` that no model covers.
+    """
+    spec = get_method(request.method)
+    backend = spec.resolve_backend(request.backend)
     if spec.needs_blocks and request.n_blocks < 2:
         raise ValueError(
             f"method {spec.name!r} needs a block structure (n_blocks >= 2), "
             f"got n_blocks={request.n_blocks}"
         )
+    if request.trace and not spec.supports_trace:
+        raise ValueError(f"method {request.method!r} does not support tracing")
+    # The backend test comes first, so a kernels request pays one tuple
+    # lookup.
+    if backend not in STATE_BACKENDS and not request.policy.is_default:
+        request = request.replace(policy=ExecutionPolicy())
+    model = None
+    if request.engine == "analytic" or (
+        request.engine == "auto" and request.wants == "probability"
+        and not request.trace
+    ):
+        from repro.analytic import resolve_model
+
+        model = resolve_model(request)
+    tier = "simulate" if model is None else "analytic"
+    return Route(spec, backend, tier, request, model)
 
 
 class SearchEngine:
@@ -78,45 +131,9 @@ class SearchEngine:
         return self._executor
 
     # ----------------------------------------------------------- plumbing
-    def _engine_tier(self, request: SearchRequest) -> str:
-        """``"analytic"`` or ``"simulate"`` for *request*.
-
-        The fast path avoids importing :mod:`repro.analytic` at all for
-        the overwhelmingly common case (default ``wants="report"`` under
-        ``engine="auto"``, or an explicit ``engine="simulate"``).  A
-        forced ``engine="analytic"`` that no model covers raises
-        :class:`~repro.analytic.AnalyticUnsupported` here.
-        """
-        if request.engine == "simulate":
-            return "simulate"
-        if request.engine == "auto" and (
-            request.wants != "probability" or request.trace
-        ):
-            return "simulate"
-        from repro.analytic import resolve_engine_tier
-
-        return resolve_engine_tier(request)
-
-    def _resolve(self, request: SearchRequest) -> tuple[MethodSpec, str]:
-        spec = get_method(request.method)
-        backend = spec.resolve_backend(request.backend)
-        _require_blocks(spec, request)
-        if request.trace and not spec.supports_trace:
-            raise ValueError(f"method {request.method!r} does not support tracing")
-        return spec, backend
-
-    def _effective_request(
-        self, request: SearchRequest, backend: str
-    ) -> SearchRequest:
+    def _effective_request(self, request: SearchRequest) -> SearchRequest:
         if self._default_shards is not None and request.shards == ShardPolicy():
             request = request.replace(shards=self._default_shards)
-        # A backend that holds no state (the classical scans) ignores the
-        # ExecutionPolicy, so it is normalised away: a complex64 request
-        # would otherwise stamp a dtype into the provenance that was never
-        # used.  The backend test comes first, so a kernels request pays
-        # one tuple lookup.
-        if backend not in STATE_BACKENDS and not request.policy.is_default:
-            request = request.replace(policy=ExecutionPolicy())
         return request
 
     def _database_for(
@@ -153,13 +170,14 @@ class SearchEngine:
         Returns:
             :class:`SearchReport` — normalized answer plus provenance.
         """
-        spec, backend = self._resolve(request)
-        request = self._effective_request(request, backend)
-        if self._engine_tier(request) == "analytic":
+        spec, backend, tier, request, model = route(
+            self._effective_request(request)
+        )
+        if tier == "analytic":
             from repro.analytic import AnalyticUnsupported, evaluate_analytic
 
             try:
-                return evaluate_analytic(request, database)
+                return evaluate_analytic(request, model, database)
             except AnalyticUnsupported:
                 # Evaluation-time refusal (e.g. a phase solve that did not
                 # converge): forced analytic propagates it, auto falls
@@ -181,7 +199,10 @@ class SearchEngine:
             targets: 1-D collection of integer target addresses; ``None``
                 means *every* address of the instance (the all-targets
                 sweep).  Both tiers validate it with
-                :func:`~repro.engine.request.batch_targets`.
+                :func:`~repro.engine.request.batch_targets`.  A request
+                routed to the analytic tier refuses ``None`` above
+                :data:`~repro.analytic.ANALYTIC_BATCH_ALL_TARGETS_MAX`
+                items, under ``engine="auto"`` as well.
 
         Every simulated method runs one program over the batch in shards
         (:func:`~repro.engine.plan.plan_shards`: on kernels one per filled
@@ -195,18 +216,28 @@ class SearchEngine:
         Returns:
             :class:`BatchReport` with per-row success/guess/query arrays.
         """
-        spec, backend = self._resolve(request)
-        request = self._effective_request(request, backend)
+        spec, backend, tier, request, model = route(
+            self._effective_request(request)
+        )
         if request.trace:
             raise ValueError("batched execution does not support tracing")
-        if self._engine_tier(request) == "analytic":
+        if tier == "analytic":
             from repro.analytic import (
+                ANALYTIC_BATCH_ALL_TARGETS_MAX,
                 AnalyticUnsupported,
                 evaluate_analytic_batch,
             )
 
+            # The simulate tier would list every address too, so "auto"
+            # does not fall through here.
+            if targets is None and request.n_items > ANALYTIC_BATCH_ALL_TARGETS_MAX:
+                raise AnalyticUnsupported(
+                    f"all-targets batch at n_items={request.n_items} would "
+                    f"materialise > {ANALYTIC_BATCH_ALL_TARGETS_MAX} targets; "
+                    "pass an explicit targets collection"
+                )
             try:
-                return evaluate_analytic_batch(request, targets)
+                return evaluate_analytic_batch(request, model, targets)
             except AnalyticUnsupported:
                 if request.engine == "analytic":
                     raise

@@ -53,9 +53,10 @@ class MethodSpec:
 
     Every method runs at the request's
     :class:`~repro.kernels.ExecutionPolicy` unless its backend holds no
-    state (:data:`repro.core.backends.STATE_BACKENDS`): the engine then
-    normalises the request back to the default policy, so a classical
-    request never records a dtype that was not used.
+    state (:data:`repro.core.backends.STATE_BACKENDS`): the engine's
+    :func:`~repro.engine.route` then normalises the request back to the
+    default policy, so a classical request never records a dtype that was
+    not used.
     """
 
     name: str

@@ -21,7 +21,11 @@ encoded at.
 Validation philosophy: collect **every** field error before rejecting, so
 a client fixes its payload in one round trip.  :class:`SchemaError` carries
 the machine-readable ``[{"field", "message"}, ...]`` list that the gateway
-returns as a structured 400 body.
+returns as a structured 400 body.  One bound waits for a second round:
+whether a request simulates is the engine's routing decision
+(:func:`repro.engine.route`), which needs a valid request, so the
+simulation bound on ``n_items`` is checked only once every field is valid
+and never joins the first round's error list.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from repro.util.jsonsafe import json_safe
 __all__ = [
     "SCHEMA_VERSION",
     "MAX_SCHEMA_N_ITEMS",
-    "MAX_SCHEMA_N_ITEMS_ANALYTIC",
     "MAX_SCHEMA_TARGETS",
     "SchemaError",
     "DecodedSubmit",
@@ -57,17 +60,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: Largest database size the edge accepts for requests that will
-#: *simulate*.  The simulator tiers top out far below this; the bound
-#: exists so a hostile payload cannot ask the planner to model a
-#: 2**60-item state.
+#: *simulate* (:func:`repro.engine.route` says so).  The simulator tiers
+#: top out far below this; the bound exists so a hostile payload cannot
+#: ask the planner to model a 2**60-item state.  Requests the analytic
+#: tier answers allocate no state and go up to the models' own validity
+#: limit, :data:`repro.analytic.ANALYTIC_MAX_N_ITEMS`.
 MAX_SCHEMA_N_ITEMS = 1 << 24
-
-#: Largest database size for requests the analytic tier will answer
-#: (``engine="analytic"``, or ``engine="auto"`` with
-#: ``wants="probability"`` on a modelled method).  Closed forms allocate
-#: no state, so the bound is the models' own validity limit
-#: (:data:`repro.analytic.ANALYTIC_MAX_N_ITEMS`).
-MAX_SCHEMA_N_ITEMS_ANALYTIC = 1 << 63
 
 #: Largest explicit batch-target list the edge accepts in one request.
 MAX_SCHEMA_TARGETS = 1 << 16
@@ -109,6 +107,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _as_float(value) -> float | None:
+    """A JSON number as a float; ``None`` for anything else, including an
+    integer beyond float range (``10**400`` is valid JSON)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _check_options(options, errors) -> dict:
     if options is None:
         return {}
@@ -144,15 +153,19 @@ _KNOWN_FIELDS = frozenset({
 def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
     """Validate one ``POST /v1/search`` (or ``/v1/batch``) body.
 
-    Every problem is collected into one :class:`SchemaError`; a clean
-    payload returns a :class:`DecodedSubmit` whose ``request`` passed the
-    engine's own constructor validation as well.
+    Every field problem is collected into one :class:`SchemaError`; a
+    clean payload returns a :class:`DecodedSubmit` whose ``request``
+    passed the engine's own constructor validation as well, and whose
+    ``n_items`` is within :data:`MAX_SCHEMA_N_ITEMS` if the engine's route
+    simulates it (checked last, as a second :class:`SchemaError`).
 
     Args:
         payload: the decoded JSON body (must be an object).
         batch: validate under the batch schema (``targets`` allowed,
             ``target`` not required).
     """
+    from repro.analytic import ANALYTIC_MAX_N_ITEMS, has_model
+    from repro.engine import route
     from repro.engine.registry import available_methods
     from repro.engine.request import SearchRequest
     from repro.kernels import ExecutionPolicy
@@ -177,8 +190,13 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
         errors.append({"field": "n_items",
                        "message": "required: an integer >= 2"})
         n_items = None
-    # The *upper* bound on n_items is engine-aware and therefore checked
-    # after method/wants/engine are parsed, below.
+    elif n_items > ANALYTIC_MAX_N_ITEMS:
+        errors.append({
+            "field": "n_items",
+            "message": f"{n_items} exceeds the analytic-tier bound "
+                       f"{ANALYTIC_MAX_N_ITEMS}",
+        })
+        n_items = None
 
     n_blocks = payload.get("n_blocks")
     if not _is_int(n_blocks) or n_blocks < 1:
@@ -224,41 +242,12 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
         })
         engine = "auto"
 
-    from repro.analytic import has_model
-
     if engine == "analytic" and isinstance(method, str) and not has_model(method):
         errors.append({
             "field": "engine",
             "message": f"method {method!r} has no analytic model; "
                        "see GET /v1/methods for the analytic column",
         })
-
-    # Engine-aware n_items upper bound (deferred from the n_items block):
-    # requests the analytic tier will answer never allocate a state, so
-    # they accept N up to the models' validity limit; everything else
-    # keeps the simulator bound — and the 400 names the escape hatch.
-    analytic_bound = engine == "analytic" or (
-        engine == "auto" and wants == "probability"
-        and isinstance(method, str) and has_model(method)
-    )
-    if n_items is not None:
-        if analytic_bound and n_items > MAX_SCHEMA_N_ITEMS_ANALYTIC:
-            errors.append({
-                "field": "n_items",
-                "message": f"{n_items} exceeds the analytic-tier bound "
-                           f"{MAX_SCHEMA_N_ITEMS_ANALYTIC}",
-            })
-            n_items = None
-        elif not analytic_bound and n_items > MAX_SCHEMA_N_ITEMS:
-            errors.append({
-                "field": "n_items",
-                "message": f"{n_items} exceeds the simulation bound "
-                           f"{MAX_SCHEMA_N_ITEMS}; probability-only "
-                           "requests can go far beyond it via "
-                           '"engine": "analytic" (or "engine": "auto" '
-                           'with "wants": "probability")',
-            })
-            n_items = None
 
     backend = payload.get("backend")
     if backend is not None and (not isinstance(backend, str) or not backend):
@@ -267,13 +256,11 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
 
     epsilon = payload.get("epsilon")
     if epsilon is not None:
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) \
-                or not 0.0 < float(epsilon) < 1.0:
+        epsilon = _as_float(epsilon)
+        if epsilon is None or not 0.0 < epsilon < 1.0:
             errors.append({"field": "epsilon",
                            "message": "must be a number in (0, 1) or null"})
             epsilon = None
-        else:
-            epsilon = float(epsilon)
 
     target = payload.get("target")
     if target is not None:
@@ -352,13 +339,11 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
 
     timeout = payload.get("timeout")
     if timeout is not None:
-        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) \
-                or not float(timeout) > 0:
+        timeout = _as_float(timeout)
+        if timeout is None or not timeout > 0:
             errors.append({"field": "timeout",
                            "message": "must be a positive number or null"})
             timeout = None
-        else:
-            timeout = float(timeout)
 
     if errors:
         raise SchemaError(errors)
@@ -381,6 +366,22 @@ def decode_submit(payload, *, batch: bool = False) -> DecodedSubmit:
         # Cross-field constraints the engine enforces beyond the per-field
         # checks above (kept as the single source of truth for them).
         raise SchemaError([{"field": "", "message": str(exc)}]) from exc
+    if n_items > MAX_SCHEMA_N_ITEMS:
+        try:
+            simulates = route(request).tier == "simulate"
+        except ValueError:
+            # The engine refuses the request with this same error before
+            # it allocates anything, and the gateway answers it as a 400.
+            simulates = False
+        if simulates:
+            raise SchemaError([{
+                "field": "n_items",
+                "message": f"{n_items} exceeds the simulation bound "
+                           f"{MAX_SCHEMA_N_ITEMS}; probability-only "
+                           "requests can go far beyond it via "
+                           '"engine": "analytic" (or "engine": "auto" '
+                           'with "wants": "probability")',
+            }])
     return DecodedSubmit(request=request, targets=targets, batch=batch,
                          timeout=timeout)
 

@@ -59,39 +59,24 @@ def request_fingerprint(request, targets=None) -> str | None:
     """
     if isinstance(request.rng, np.random.Generator):
         return None
-    dtype = request.policy.dtype
+    from repro.engine import route
+
+    # The key reads the engine's route.  The tier is structural: an
+    # analytic answer and a simulated one are different results
+    # (closed-form exact vs statevector float path) and must not share an
+    # entry.  On the analytic tier no kernel runs, so the dtype normalises
+    # away, as the route itself normalises it on a backend that holds no
+    # state: provably equal runs then share one entry, and coalesce and
+    # peer as one.
     try:
-        from repro.core.backends import STATE_BACKENDS
-        from repro.engine.registry import get_method
-
-        # A backend that holds no state (the classical scans) has the
-        # ExecutionPolicy normalised away by the engine before execution
-        # (engine.py), so a complex64 request and a complex128 request
-        # produce the identical run — fingerprint them identically too, or
-        # provably equal requests would split the cache and defeat
-        # coalescing/peering.  Unknown methods and backends fall back to
-        # the raw dtype (the engine would reject the request anyway).
-        backend = get_method(request.method).resolve_backend(request.backend)
-        if backend not in STATE_BACKENDS:
-            dtype = "complex128"
-    except Exception:
-        pass
-    # The engine tier is structural: an analytic answer and a simulated one
-    # are different results (closed-form exact vs statevector float path)
-    # and must not share an entry.  Within the analytic tier the execution
-    # policy and simulator backend are irrelevant — no kernel ever runs —
-    # so they normalise away and a complex64 probability request shares the
-    # closed-form answer with a complex128 one.
-    tier = "simulate"
-    if getattr(request, "engine", "auto") != "simulate":
-        try:
-            from repro.analytic import resolve_engine_tier
-
-            tier = resolve_engine_tier(request)
-        except Exception:
-            tier = "simulate"
-    if tier == "analytic":
-        dtype = "complex128"
+        routed = route(request)
+    except ValueError:
+        # The engine refuses this request with the same error, so it never
+        # runs and never caches: its raw fields key it.
+        tier, dtype = "simulate", request.policy.dtype
+    else:
+        tier = routed.tier
+        dtype = "complex128" if tier == "analytic" else routed.request.policy.dtype
     parts = [
         # Bump the version whenever the components change: fingerprints
         # are opaque keys, so old and new replicas then miss instead of
@@ -109,7 +94,7 @@ def request_fingerprint(request, targets=None) -> str | None:
         # Only the dtype is structural: row_threads (like the shard policy)
         # is bit-invisible in the output, but complex64 results genuinely
         # differ from complex128 and must not share a cache entry —
-        # except on a backend that holds no state, normalised above.
+        # except where the route normalised it above.
         f"dtype={dtype}",
         f"options={_stable(dict(request.options))}",
         "targets=<all>" if targets is None else f"targets={_stable(np.asarray(targets))}",

@@ -12,13 +12,10 @@ import pytest
 
 from repro.analytic import (
     AnalyticUnsupported,
-    analytic_eligible,
-    evaluate_analytic_batch,
     register_builtin_models,
-    resolve_engine_tier,
     unregister_model,
 )
-from repro.engine import SearchEngine, SearchRequest
+from repro.engine import SearchEngine, SearchRequest, route
 from repro.engine.request import ENGINE_VALUES, WANTS_VALUES
 
 pytestmark = pytest.mark.analytic
@@ -56,38 +53,36 @@ class TestRequestFields:
 
 class TestTierResolution:
     def test_default_request_simulates(self):
-        assert resolve_engine_tier(_request()) == "simulate"
+        assert route(_request()).tier == "simulate"
 
     def test_probability_auto_routes_analytic(self):
         request = _request(wants="probability")
-        assert resolve_engine_tier(request) == "analytic"
-        assert analytic_eligible(request)
+        assert route(request).tier == "analytic"
 
     def test_explicit_simulate_always_simulates(self):
         request = _request(wants="probability", engine="simulate")
-        assert resolve_engine_tier(request) == "simulate"
-        assert not analytic_eligible(request)
+        assert route(request).tier == "simulate"
 
     def test_trace_needs_the_statevector(self):
         auto = _request(wants="probability", trace=True)
-        assert resolve_engine_tier(auto) == "simulate"
+        assert route(auto).tier == "simulate"
         with pytest.raises(AnalyticUnsupported, match="trace"):
-            resolve_engine_tier(_request(engine="analytic", trace=True))
+            route(_request(engine="analytic", trace=True))
 
     def test_amplitudes_and_samples_need_the_statevector(self):
         for wants in ("amplitudes", "samples"):
-            assert resolve_engine_tier(_request(wants=wants)) == "simulate"
+            assert route(_request(wants=wants)).tier == "simulate"
             with pytest.raises(AnalyticUnsupported, match="statevector"):
-                resolve_engine_tier(_request(wants=wants, engine="analytic"))
+                route(_request(wants=wants, engine="analytic"))
 
     def test_unmodelled_method_auto_falls_through_forced_raises(self):
         unregister_model("grover-full")
         try:
             request = _request(n_blocks=1, method="grover-full",
                                wants="probability")
-            assert resolve_engine_tier(request) == "simulate"
+            assert route(request).tier == "simulate"
             with pytest.raises(AnalyticUnsupported, match="no analytic model"):
-                resolve_engine_tier(request.replace(engine="analytic"))
+                route(request.replace(engine="analytic"))
         finally:
             register_builtin_models(replace=True)
 
@@ -96,9 +91,9 @@ class TestTierResolution:
         # simulates, forced analytic explains.
         request = _request(wants="probability",
                            options={"mystery_knob": 1})
-        assert resolve_engine_tier(request) == "simulate"
+        assert route(request).tier == "simulate"
         with pytest.raises(AnalyticUnsupported, match="mystery_knob"):
-            resolve_engine_tier(request.replace(engine="analytic"))
+            route(request.replace(engine="analytic"))
 
 
 class TestEngineRouting:
@@ -137,7 +132,7 @@ class TestEngineRouting:
         assert report.execution == {"engine": "analytic", "n_shards": 0}
         assert report.n_rows == 3
         with pytest.raises(AnalyticUnsupported, match="explicit targets"):
-            evaluate_analytic_batch(request, None)
+            ENGINE.search_batch(request, None)
 
     def test_analytic_eval_span_is_recorded(self):
         from repro.observability.spans import SpanRecorder, recording_scope
@@ -223,7 +218,7 @@ class TestGatewaySchema:
             "wants": "probability", "target": 12345,
         })
         assert decoded.request.engine == "auto"
-        assert analytic_eligible(decoded.request)
+        assert route(decoded.request).tier == "analytic"
 
     def test_simulation_bound_400_names_the_escape_hatch(self):
         from repro.gateway.schema import SchemaError, decode_submit

@@ -350,6 +350,62 @@ class TestErrorMapping:
         run(main())
 
 
+    def test_timeout_beyond_float_range_is_a_counted_400(
+            self, parse_prometheus):
+        # 10**400 is valid JSON but no float; the decoder reports the
+        # field instead of raising past the handler, which would drop the
+        # connection without a reply or a metric.
+        async def main():
+            metrics = GatewayMetrics()
+            async with gateway_stack(metrics=metrics) as stack:
+                status, _, body = await fetch(
+                    stack.base + "/v1/search", method="POST",
+                    body=json.dumps({**SEARCH_BODY,
+                                     "timeout": 10**400}).encode(),
+                )
+                _, _, text = await fetch(stack.base + "/metrics")
+                return status, json.loads(body), text.decode()
+
+        status, doc, text = run(main())
+        assert status == 400
+        assert [e["field"] for e in doc["errors"]] == ["timeout"]
+        _, samples = parse_prometheus(text)
+        assert [s[2] for s in samples
+                if s[0] == "repro_gateway_requests_total"
+                and s[1]["outcome"] == "invalid"] == [1]
+
+    def test_request_that_simulates_gets_the_simulation_bound(
+            self, monkeypatch):
+        # An option no model covers sends this auto probability request to
+        # the simulate tier, where 2**30 amplitudes would take 8 GiB: the
+        # edge refuses it before any state is asked for.
+        import repro.core.algorithm
+
+        asked = []
+
+        def no_state(*args, **kwargs):
+            asked.append(args)
+            raise MemoryError("the edge let a 2**30-item state through")
+
+        monkeypatch.setattr(repro.core.algorithm, "uniform_state", no_state)
+
+        async def main():
+            async with gateway_stack() as stack:
+                status, _, body = await fetch(
+                    stack.base + "/v1/search", method="POST",
+                    body=json.dumps({
+                        "n_items": 1 << 30, "n_blocks": 4, "target": 0,
+                        "wants": "probability", "options": {"foo": 1},
+                    }).encode(),
+                )
+                return status, json.loads(body)
+
+        status, doc = run(main())
+        assert status == 400, doc
+        assert [e["field"] for e in doc["errors"]] == ["n_items"]
+        assert asked == []
+
+
 class TestTenancyOverHttp:
     def tenants(self):
         return TenantTable(

@@ -9,8 +9,17 @@ carrying ``schema_version``.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import ExecutionPolicy, SearchEngine, SearchRequest
+from repro.engine import (
+    ExecutionPolicy,
+    SearchEngine,
+    SearchRequest,
+    available_methods,
+    route,
+)
+from repro.engine.request import ENGINE_VALUES, WANTS_VALUES
 from repro.gateway.schema import (
     CONTENT_TYPE_JSON,
     MAX_SCHEMA_N_ITEMS,
@@ -113,6 +122,113 @@ class TestDecodeRejects:
             decode_submit({"n_items": 64, "n_blocks": 8,
                            "options": {"trials": [1, 2]}})
         assert fields_of(err.value) == {"options.trials"}
+
+
+    def test_numbers_beyond_float_range_are_field_errors(self):
+        # 10**400 is valid JSON but no float.
+        with pytest.raises(SchemaError) as err:
+            decode_submit({"n_items": 64, "n_blocks": 8,
+                           "epsilon": 10**400, "timeout": 10**400})
+        assert fields_of(err.value) == {"epsilon", "timeout"}
+
+    def test_simulation_bound_follows_the_route(self):
+        # An option no model covers sends an auto probability request to
+        # the simulate tier, so it gets the simulation bound.
+        body = {"n_items": 1 << 40, "n_blocks": 4, "target": 0,
+                "wants": "probability"}
+        assert decode_submit(body).request.n_items == 1 << 40
+        with pytest.raises(SchemaError) as err:
+            decode_submit({**body, "options": {"foo": 1}})
+        assert err.value.errors[0]["field"] == "n_items"
+        assert "simulation bound" in err.value.errors[0]["message"]
+
+    def test_simulation_bound_waits_for_valid_fields(self):
+        # The bound reads the route, which needs a valid request, so it
+        # does not join the first round of field errors.
+        with pytest.raises(SchemaError) as err:
+            decode_submit({"n_items": 1 << 40, "n_blocks": 4,
+                           "dtype": "float16"})
+        assert fields_of(err.value) == {"dtype"}
+
+
+#: Any JSON scalar, including the non-finite floats that ``json.loads``
+#: accepts.  JSON integers are unbounded, and hypothesis's own integers
+#: never reach float range (2**1024), so those past it get a branch.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.text(max_size=8) | st.integers()
+    | st.builds(lambda sign, bits: sign * 2**bits,
+                st.sampled_from([1, -1]), st.integers(1024, 1400))
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+#: Any JSON value.  The scalars get their own branch: a recursive strategy
+#: alone draws containers nearly every time.
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+VALID_BODY = {
+    "schema_version": SCHEMA_VERSION, "n_items": 64, "n_blocks": 4,
+    "method": "grk", "backend": "kernels", "epsilon": 0.25, "target": 5,
+    "seed": 3, "dtype": "complex128", "row_threads": "auto",
+    "options": {}, "timeout": 5.0, "wants": "report", "engine": "auto",
+}
+
+
+class TestDecodeProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(VALID_BODY) + ["targets", "batch",
+                                                    "bogus"]),
+        value=JSON_VALUES,
+        batch=st.booleans(),
+    )
+    def test_any_one_field_decodes_or_is_a_schema_error(self, field, value,
+                                                        batch):
+        body = dict(VALID_BODY)
+        if batch:
+            del body["target"]
+            body["targets"] = [1, 2]
+        body[field] = value
+        try:
+            decode_submit(body, batch=batch)
+        except SchemaError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        method=st.sampled_from(available_methods()),
+        wants=st.sampled_from(WANTS_VALUES),
+        engine=st.sampled_from(ENGINE_VALUES),
+        options=st.dictionaries(
+            st.sampled_from(["iterations", "left_out_block", "exact",
+                             "strategy", "foo"]),
+            st.integers(0, 3) | st.booleans()
+            | st.sampled_from(["randomized", "deterministic"]),
+            max_size=2,
+        ),
+        n_items=st.integers(1, 63).map(lambda e: 1 << e)
+        | st.integers(2, 1 << 63),
+        n_blocks=st.sampled_from([1, 2, 4, 8]),
+    )
+    def test_every_request_that_simulates_is_within_the_bound(
+            self, method, wants, engine, options, n_items, n_blocks):
+        try:
+            decoded = decode_submit({
+                "n_items": n_items, "n_blocks": n_blocks, "target": 0,
+                "method": method, "wants": wants, "engine": engine,
+                "options": options,
+            })
+        except SchemaError:
+            return
+        try:
+            tier = route(decoded.request).tier
+        except ValueError:
+            return  # the engine refuses it before any state exists
+        if tier == "simulate":
+            assert n_items <= MAX_SCHEMA_N_ITEMS
 
 
 class TestDecodeAccepts:

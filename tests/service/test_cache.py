@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import SearchRequest, ShardPolicy
+from repro.engine import ExecutionPolicy, SearchRequest, ShardPolicy
 from repro.service.cache import TTLCache, request_fingerprint
 
 
@@ -178,3 +178,35 @@ class TestPolicyFingerprintNormalisation:
                           policy=ExecutionPolicy(row_threads="auto"))
         )
         assert base == threaded
+
+
+_BASE = dict(n_items=64, n_blocks=4, target=5)
+_C64 = dict(policy=ExecutionPolicy(dtype="complex64"))
+_GRK_REPORT = "b9dd60e792a22a47702594a64ff553d38a9763fc714d955fd90e83347afdd694"
+_GRK_ANALYTIC = "0d494cb238860ec70a496c74637dd5f6a1a1132f20b548efbe53aac657d1a961"
+_CLASSICAL = "37d26ad7a580a9b226c90f210a9fdf9a52a4c88e64a4d45d02b54637e2a39d42"
+
+
+class TestFingerprintPins:
+    """Literal digests: the cache key of each request, as
+    ``"fingerprint-v6"`` defines it.  Cluster replicas peer on these keys,
+    so a change that moves one must bump that version string."""
+
+    @pytest.mark.parametrize("fields, targets, digest", [
+        ({}, None, _GRK_REPORT),
+        ({"wants": "probability"}, None, _GRK_ANALYTIC),
+        ({"wants": "probability", "engine": "analytic"}, None, _GRK_ANALYTIC),
+        ({"wants": "probability", **_C64}, None, _GRK_ANALYTIC),
+        ({"method": "classical"}, None, _CLASSICAL),
+        ({"method": "classical", **_C64}, None, _CLASSICAL),
+        ({"wants": "probability", "engine": "simulate"}, None, _GRK_REPORT),
+        ({"target": None}, None,
+         "7f1c8e48a08e1c1846c3941992746bbee74ae841d684731b64a74fd2bac349e0"),
+        ({"target": None}, [1, 2, 3],
+         "c2ea7a003799d1911d81f038dc3b8114fb10f07a706ecbfbe2d50ee4e814af3f"),
+    ], ids=["grk-report", "grk-probability-auto", "grk-probability-analytic",
+            "analytic-complex64", "classical", "classical-complex64",
+            "simulate-probability", "all-targets-batch", "explicit-batch"])
+    def test_digest(self, fields, targets, digest):
+        request = SearchRequest(**{**_BASE, **fields})
+        assert request_fingerprint(request, targets) == digest

@@ -119,6 +119,20 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_default_calls_route_without_the_analytic_tier(self):
+        # The route's fast path: a request that cannot reach the analytic
+        # tier never imports it.
+        proc = _run_fresh("""
+import sys
+import repro.engine
+engine = repro.engine.SearchEngine()
+engine.search(repro.engine.SearchRequest(n_items=256, n_blocks=4, target=7))
+engine.search_batch(repro.engine.SearchRequest(n_items=256, n_blocks=4))
+print(sorted(m for m in sys.modules if m.startswith("repro.analytic")))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_cold_plans_and_analytic_answers_need_no_scipy(self):
         # numpy is the only runtime dependency: every cold path (the 1-D
         # optima, the phase solves, the closed-form tier) runs with scipy
