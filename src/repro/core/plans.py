@@ -10,10 +10,16 @@ answers with ``plan.predicted_success`` (:mod:`repro.analytic.models`),
 and both report ``plan.provenance()``.  A request may carry its own plan
 instead, under its method's option key (``schedule`` for grk and
 grk-simplified, ``plan`` for grk-sure-success and grk-cwb).
+
+A geometry whose solve raised is remembered too (:class:`UnsolvablePlan`),
+so every tier and every repeat refuses it at once instead of re-running
+the whole tolerance ladder.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -22,7 +28,7 @@ from repro.core.parameters import GRKSchedule, plan_schedule
 from repro.core.simplified import SimplifiedSchedule, plan_simplified_schedule
 from repro.core.sure_success import SureSuccessPlan, plan_sure_success
 
-__all__ = ["FAMILY", "FamilyPlanner", "resolve_plan"]
+__all__ = ["FAMILY", "FamilyPlanner", "UnsolvablePlan", "resolve_plan"]
 
 #: Phase-solve retries for sure-success/CWB.  ``None`` is the planners'
 #: default tolerance, so the ladder changes a plan only where that solve
@@ -59,6 +65,15 @@ def _simplified(n_items: int, n_blocks: int, epsilon):
     return plan_simplified_schedule(n_items, n_blocks)  # no epsilon to choose
 
 
+class UnsolvablePlan(RuntimeError, ValueError):
+    """No rung of the tolerance ladder solved this geometry's phases.
+
+    A ``RuntimeError`` like the solve it reports, so callers that read a
+    failed solve keep doing so; a ``ValueError`` because the request, not
+    the server, is at fault (the gateway answers it with a 400).
+    """
+
+
 class FamilyPlanner(NamedTuple):
     """How one method's plan is found.
 
@@ -91,6 +106,31 @@ FAMILY: dict[str, FamilyPlanner] = {
 }
 
 
+#: ``(method, n_items, n_blocks, epsilon) -> message`` of the geometries
+#: whose solve raised, oldest first.  The plan cache keeps no exception,
+#: and a failed ladder costs 0.3-0.4 s at (16, 4) on a 2-vCPU host;
+#: bounded like that cache.
+_UNSOLVABLE: OrderedDict = OrderedDict()
+_UNSOLVABLE_MAX = 256
+_UNSOLVABLE_LOCK = threading.Lock()
+
+
+def _solve_once(solve, method: str, n_items: int, n_blocks: int, epsilon):
+    key = (method, n_items, n_blocks, epsilon)
+    message = _UNSOLVABLE.get(key)
+    if message is None:
+        try:
+            return solve(n_items, n_blocks, epsilon)
+        except RuntimeError as exc:
+            message = str(exc)
+            with _UNSOLVABLE_LOCK:
+                _UNSOLVABLE[key] = message
+                while len(_UNSOLVABLE) > _UNSOLVABLE_MAX:
+                    _UNSOLVABLE.popitem(last=False)
+            raise UnsolvablePlan(message) from exc
+    raise UnsolvablePlan(message)
+
+
 def resolve_plan(request):
     """The plan *request* runs: its own ``options[key]`` or the cached one.
 
@@ -99,12 +139,16 @@ def resolve_plan(request):
 
     Raises:
         ValueError: the explicit plan has the wrong type or geometry.
-        RuntimeError: no phase solve reached its tolerance ladder.
+        UnsolvablePlan: no phase solve reached its tolerance ladder, now
+            or on an earlier request for the same geometry.
     """
     option, plan_type, solve = FAMILY[request.method]
     plan = request.option(option)
     if plan is None:
-        return solve(request.n_items, request.n_blocks, request.epsilon)
+        return _solve_once(
+            solve, request.method, request.n_items, request.n_blocks,
+            request.epsilon,
+        )
     if not isinstance(plan, plan_type):
         raise ValueError(
             f"{request.method} takes a {plan_type.__name__} in "

@@ -23,6 +23,17 @@ reference.  At float32, which owes only the documented tolerance
 (:data:`~repro.kernels.COMPLEX64_SUCCESS_ATOL`), the reductions run
 through ``np.einsum``, vectorised where numpy's pairwise float32 reduce is
 scalar.
+
+The update pass, which broadcasts each row's (or block's) mean over it,
+runs under numpy's smallest ufunc buffer
+(:func:`~repro.kernels.batched.row_buffered`), and so does each phased
+iteration's diffusion.  At the default buffer numpy coalesces the block's
+contiguous rows and copies the mean out to fill the buffer, which cost
+more than the subtraction itself; the small buffer keeps the mean on a
+stride-0 inner loop and halves the update (70 -> 27 µs per (32, 4096)
+float64 block with numpy 2.4.6 on a 2-vCPU host), with the same single
+IEEE operation per element.  The reductions keep the default buffer,
+under which they run faster.
 """
 
 from __future__ import annotations
@@ -130,7 +141,9 @@ def grk_iteration_rows(amps, targets, *, n_blocks=None, mean_out=None):
     Row ``i`` flips ``targets[i]``, then inverts about its mean: the global
     mean when *n_blocks* is None, each block's own mean otherwise.
     *mean_out* is an optional preallocated ``(B, 1)`` (global) or
-    ``(B, n_blocks, 1)`` (block) buffer of the batch's dtype.
+    ``(B, n_blocks, 1)`` (block) buffer of the batch's dtype.  Only the
+    final update runs under :func:`~repro.kernels.batched.row_buffered`;
+    the reduction is slower under a small buffer.
     """
     batched.phase_flip_rows(amps, targets)
     b, n = amps.shape
@@ -155,5 +168,5 @@ def grk_iteration_rows(amps, targets, *, n_blocks=None, mean_out=None):
         else:
             np.add.reduce(view, axis=-1, keepdims=True, out=buf)
     _scale_mean(buf, size)
-    np.subtract(buf, view, out=view)
+    batched.row_buffered(np.subtract, buf, view, out=view)
     return amps
