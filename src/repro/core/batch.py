@@ -13,10 +13,10 @@ shard of rows on a named backend, for any
 grk-sure-success, grk-cwb, and the full-search programs of grover-full
 and naive-blocks).  On the ``"kernels"`` backend the whole loop
 structure is :func:`repro.kernels.program_sweep_rows`, which walks the
-rows in cache-resident blocks, and :func:`resolve_row_threads` is the
-one rule that pins ``row_threads="auto"`` to a count.  Sharding and the
-supported public surface live in :mod:`repro.engine`
-(:meth:`repro.engine.SearchEngine.search_batch`).
+rows in cache-resident blocks, and :func:`running_shard` is the one
+place ``row_threads="auto"`` becomes a count, in the process that runs
+the shard.  Sharding and the supported public surface live in
+:mod:`repro.engine` (:meth:`repro.engine.SearchEngine.search_batch`).
 
 Query accounting note: a batch models ``B`` separate executions of the same
 circuit, so the per-run query count is the program's (``l1 + l2 + 1`` for
@@ -32,6 +32,8 @@ against.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import lru_cache
 
@@ -43,33 +45,46 @@ from repro.core.blockspec import BlockSpec
 from repro.core.program import PartialSearchProgram
 from repro.kernels import ROW_THREADS_AUTO, ExecutionPolicy
 
-__all__ = ["execute_batch_rows", "resolve_row_threads"]
+__all__ = ["execute_batch_rows", "running_shard"]
+
+#: Kernels shards this process is running, each counted while
+#: :func:`running_shard` holds it.  Their row threads share its cpus.
+_running_shards = 0
+_running_lock = threading.Lock()
 
 
-def resolve_row_threads(
+@contextmanager
+def running_shard(
     policy: ExecutionPolicy,
     backend: str,
     n_rows: int,
     n_items: int,
     queries: int,
-    *,
-    batches: int = 1,
-) -> ExecutionPolicy:
-    """*policy* with ``row_threads="auto"`` pinned to a count for a shard
-    of *n_rows* rows; a concrete count passes through untouched.
+):
+    """Hold a shard of *n_rows* rows as running in this process and
+    yield *policy* with ``row_threads="auto"`` resolved for it.
 
-    On ``"kernels"`` the count comes from the shard's work, ``n_rows ×
-    n_items × queries``, beside the *batches* this process is running
+    On ``"kernels"`` the count comes from the shard's work beside the
+    kernels shards this process is running, this one included
     (:meth:`~repro.kernels.ExecutionPolicy.resolve`).  The circuit
-    backends take one thread: the work floor was measured on the kernels
-    sweep, and a compiled batch at N=1024 ran slower on two threads at
-    every batch size.
+    backends take one thread, uncounted: the work floor was measured on
+    the kernels sweep, and a compiled batch at N=1024 ran slower on two
+    threads at every batch size.  A concrete count passes through.
     """
-    if policy.row_threads != ROW_THREADS_AUTO:
-        return policy
+    global _running_shards
     if backend != "kernels":
-        return replace(policy, row_threads=1)
-    return policy.resolve(n_rows, n_items, queries, batches=batches)
+        if policy.row_threads == ROW_THREADS_AUTO:
+            policy = replace(policy, row_threads=1)
+        yield policy
+        return
+    with _running_lock:
+        _running_shards += 1
+        running = _running_shards
+    try:
+        yield policy.resolve(n_rows, n_items, queries, batches=running)
+    finally:
+        with _running_lock:
+            _running_shards -= 1
 
 
 def execute_batch_rows(
@@ -99,8 +114,8 @@ def execute_batch_rows(
             of two.
         policy: the :class:`~repro.kernels.ExecutionPolicy` (dtype + row
             threads); ``None`` = the default, complex128 with
-            ``row_threads="auto"``, which :func:`resolve_row_threads`
-            pins (the planner's call, or here for a direct call).
+            ``row_threads="auto"``, which a direct call resolves here
+            (:func:`running_shard`) and a shard arrives resolved.
             ``row_threads`` splits the chunk into contiguous row slabs
             swept on the GIL-releasing thread seam (about ``T`` × 1 MiB
             resident, ``T`` × 3 MiB while a block promotes to complex)
@@ -118,15 +133,18 @@ def execute_batch_rows(
         # and concatenate shard outputs unconditionally.
         return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
     b = targets.size
-    policy = resolve_row_threads(policy, backend, b, program.n_items,
-                                 program.queries)
-    if backend != "kernels":
-        return _execute_rows_on_circuit_backend(program, targets, backend, policy)
+    held = (nullcontext(policy) if policy.row_threads != ROW_THREADS_AUTO
+            else running_shard(policy, backend, b, program.n_items,
+                               program.queries))
+    with held as policy:
+        if backend != "kernels":
+            return _execute_rows_on_circuit_backend(program, targets, backend,
+                                                    policy)
 
-    def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
-        return kernels.program_sweep_rows(program, targets[sl], policy)
+        def sweep(sl: slice) -> tuple[np.ndarray, np.ndarray]:
+            return kernels.program_sweep_rows(program, targets[sl], policy)
 
-    return kernels.sweep_row_slabs(sweep, b, policy.row_threads)
+        return kernels.sweep_row_slabs(sweep, b, policy.row_threads)
 
 
 @lru_cache(maxsize=32)

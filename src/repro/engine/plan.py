@@ -8,7 +8,9 @@ in-process :class:`~repro.service.executor.LocalExecutor`, or any custom
 executor (e.g. the TCP-distributed
 :class:`~repro.service.executor.RemoteExecutor`) installed on the engine.
 Every simulated batch ships one shard function, whose tasks are plain
-data: a program, targets, a backend name and an execution policy.
+data: a program, targets, a backend name and the request's execution
+policy, ``row_threads="auto"`` included: the process that runs a shard
+decides its thread count and reports it.
 
 What bounds a shard is what it holds.  A kernels shard holds one row
 block of :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES` per row thread
@@ -22,14 +24,12 @@ shard holds a ``(B_chunk, 2N)`` complex state, so the
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core import batch
 from repro.core.backends import CIRCUIT_BACKENDS, KERNEL_BACKEND
-from repro.core.batch import resolve_row_threads
 from repro.core.program import PartialSearchProgram
 from repro.engine.request import ExecutionPolicy, ShardPolicy
 from repro.kernels import policy as kernel_policy
@@ -54,26 +54,6 @@ ROW_OVERHEAD = 4
 #: batches (7.2e8–7.4e8) ran in 0.52–0.77 s on two threads of a 2-vCPU
 #: Xeon and stay one shard; N=2^16 ones split into shards of ~100 rows.
 KERNEL_SHARD_MAX_WORK = 1 << 30
-
-
-#: Batches this process is running, each counted from its plan until its
-#: shards return (:func:`run_grk_batch_sharded`).  Their row threads share
-#: the process's cpus.
-_running_batches = 0
-_running_lock = threading.Lock()
-
-
-@contextmanager
-def _running_batch():
-    """Count one batch as running for the duration of the block."""
-    global _running_batches
-    with _running_lock:
-        _running_batches += 1
-    try:
-        yield
-    finally:
-        with _running_lock:
-            _running_batches -= 1
 
 
 def state_row_bytes(
@@ -102,9 +82,9 @@ class ExecutionPlan:
     Attributes:
         n_rows: total batch rows ``B``.
         shard_rows: rows per shard ``B_chunk`` (last shard may be smaller).
-        policy: the :class:`~repro.kernels.ExecutionPolicy` the shards
-            execute under (``row_threads``, resolved to a count, fans rows
-            inside each shard).
+        policy: the request's :class:`~repro.kernels.ExecutionPolicy`,
+            which every shard ships; :func:`run_grk_batch_sharded`
+            returns it with the ``row_threads`` its shards ran.
     """
 
     n_rows: int
@@ -153,14 +133,8 @@ def plan_shards(
     ``(B_chunk, 2N)`` state, so it takes the most rows that keep that
     under ``policy.max_bytes`` (:func:`state_row_bytes`).
     ``policy.max_rows`` caps either; a shard holds at least one row, and
-    zero rows plan zero shards.
-
-    *execution* rides on the plan so shards execute under it, its
-    ``row_threads="auto"`` pinned once here by
-    :func:`~repro.core.batch.resolve_row_threads` from one shard's work
-    (*queries* being the program's oracle queries per row) beside the
-    batches this process is running (a service runs several at once;
-    remote lanes run on other hosts).
+    zero rows plan zero shards.  *queries* is the program's oracle
+    queries per row; *execution* rides on the plan unchanged.
     """
     if n_rows < 0:
         raise ValueError("n_rows must be >= 0")
@@ -179,28 +153,28 @@ def plan_shards(
     if policy.max_rows is not None:
         rows = min(rows, policy.max_rows)
     rows = int(max(1, rows))
-    # Pinned here, once, so every shard of the batch — local or remote —
-    # runs at the same width and the provenance records what ran.
-    execution = resolve_row_threads(execution, backend, rows, n_items,
-                                    queries, batches=max(1, _running_batches))
     return ExecutionPlan(n_rows=n_rows, shard_rows=rows, policy=execution)
 
 
 def _program_shard(task):
     """Execute one shard of a program batch (module-level so the wire can
-    ship it by reference).
+    ship it by reference): ``(success, guesses, row_threads)``.
 
     The task is plain data: the program, the targets, the backend name
-    and the :class:`~repro.kernels.ExecutionPolicy`, so remote workers
-    execute at the requested dtype and row parallelism, and results are
-    bit-identical wherever and in whatever order shards run.
+    and the request's :class:`~repro.kernels.ExecutionPolicy`, whose
+    ``"auto"`` this process resolves for itself
+    (:func:`~repro.core.batch.running_shard`).  Results are
+    bit-identical wherever, in whatever order and at whatever count
+    shards run.
     """
     program, targets, backend, execution = task
-    # Looked up per call, so a wrapper installed on the module attribute
-    # (perfbench's traced round) sees every shard.
-    from repro.core.batch import execute_batch_rows
-
-    return execute_batch_rows(program, targets, backend, execution)
+    with batch.running_shard(execution, backend, targets.size,
+                             program.n_items, program.queries) as policy:
+        # Looked up per call, so a wrapper installed on the module
+        # attribute (perfbench's traced round) sees every shard.
+        success, guesses = batch.execute_batch_rows(program, targets,
+                                                    backend, policy)
+    return success, guesses, policy.row_threads
 
 
 def run_grk_batch_sharded(
@@ -225,32 +199,29 @@ def run_grk_batch_sharded(
     because shard boundaries are fixed here, before dispatch.
     *execution* is the kernels' :class:`~repro.kernels.ExecutionPolicy`:
     it ships inside every shard task, so local and remote workers honour
-    the same dtype/threading — at complex128 the results stay
-    bit-identical for every policy combination.
+    the same dtype and thread setting — at complex128 the results stay
+    bit-identical for every policy combination.  The plan records the
+    ``row_threads`` the shards ran (the largest, if hosts differed), or
+    *execution* as given when no shard runs.
     """
     from repro.service.executor import default_executor
 
     targets = np.asarray(targets, dtype=np.intp)
-    if execution is None:
-        execution = ExecutionPolicy()
     if executor is None:
         executor = default_executor()
-    with _running_batch():
-        with span("shards.plan", backend=backend) as planned:
-            plan = plan_shards(
-                targets.size, program.n_items, backend, policy, execution,
-                queries=program.queries, lanes=executor.lanes(),
-            )
-            execution = plan.policy  # "auto" resolved by the planner
-            tasks = [
-                (program, targets[sl], backend, execution)
-                for sl in plan.slices()
-            ]
-            planned.attrs["shards"] = plan.n_shards
-        if not tasks:
-            return np.empty(0), np.empty(0, dtype=np.intp), plan
-        results = executor.run_shards(_program_shard, tasks)
+    with span("shards.plan", backend=backend) as planned:
+        plan = plan_shards(
+            targets.size, program.n_items, backend, policy, execution,
+            queries=program.queries, lanes=executor.lanes(),
+        )
+        tasks = [(program, targets[sl], backend, plan.policy)
+                 for sl in plan.slices()]
+        planned.attrs["shards"] = plan.n_shards
+    if not tasks:
+        return np.empty(0), np.empty(0, dtype=np.intp), plan
+    results = executor.run_shards(_program_shard, tasks)
     with span("merge", shards=len(results)):
         success = np.concatenate([r[0] for r in results])
         guesses = np.concatenate([r[1] for r in results])
-    return success, guesses, plan
+        ran = replace(plan.policy, row_threads=max(r[2] for r in results))
+    return success, guesses, replace(plan, policy=ran)

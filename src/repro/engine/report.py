@@ -88,7 +88,8 @@ class BatchReport:
         queries: per-row query counts, shape ``(B,)``.
         schedule: shared schedule provenance (as in :class:`SearchReport`).
         execution: the shard plan that ran — ``n_shards``, ``shard_rows``,
-            ``dtype``, ``row_threads`` — and its executor (a remote one
+            ``dtype``, ``row_threads`` (the count its shards ran, the
+            largest if hosts differed) — and its executor (a remote one
             lists its fleet as ``workers``).
     """
 

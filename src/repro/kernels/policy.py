@@ -24,8 +24,8 @@ is* and *how many cores share the rows*:
   the whole ``ROW_BLOCK_BYTES``, which fits each core's private L2, so a
   kernels shard's resident state is about ``T`` × 1 MiB, and about
   ``T`` × 3 MiB while a block promotes to complex.  The
-  default, ``"auto"``, resolves per :func:`auto_row_threads`;
-  ``row_threads=1`` pins the serial sweep.
+  default, ``"auto"``, resolves per :func:`auto_row_threads` where each
+  shard runs; ``row_threads=1`` pins the serial sweep.
 
 Precision contract
 ------------------
@@ -111,9 +111,9 @@ def auto_row_threads(work: int, *, batches: int = 1) -> int:
     *work* is the batch's amplitude-iterations, rows × N × queries.  The
     count is the smallest of three limits, and at least 1:
 
-    - :func:`available_cpus` divided by *batches*, the batches this
-      process is running side by side (the planner counts them; remote
-      lanes run on other hosts);
+    - :func:`available_cpus` divided by *batches*, the kernels shards
+      this process is running side by side, this one included
+      (:func:`repro.core.batch.running_shard` counts them);
     - :data:`MAX_AUTO_ROW_THREADS`;
     - ``work // AUTO_ROW_THREAD_MIN_WORK``, so each thread gets at least
       :data:`AUTO_ROW_THREAD_MIN_WORK`.
@@ -132,11 +132,10 @@ class ExecutionPolicy:
         row_threads: number of contiguous row slabs independent batch rows
             are fanned across (``1`` = the plain serial sweep), or
             ``"auto"`` (the default), which :meth:`resolve` turns into a
-            count from the batch's work (:func:`auto_row_threads`; the
-            planner resolves it before shards ship, so workers receive a
-            concrete count, and pins it to 1 on the circuit backends).
-            Results are bit-identical for any value — rows never
-            interact.
+            count from a shard's work (:func:`auto_row_threads`) in the
+            process that runs the shard; the circuit backends take 1
+            (:func:`repro.core.batch.running_shard`).  Results are
+            bit-identical for any value — rows never interact.
     """
 
     dtype: str = "complex128"
@@ -182,13 +181,12 @@ class ExecutionPolicy:
         """This policy with ``row_threads="auto"`` pinned to a count.
 
         The count is :func:`auto_row_threads` of ``n_rows × n_items ×
-        queries``, the work of one shard, with *batches* batches running
-        in this process.  The planner resolves once, on the driver, before
-        tasks are built (:func:`repro.core.batch.resolve_row_threads`) — so
-        every shard of a batch runs at the same width whatever host it
-        lands on, and the provenance records what actually ran.  Concrete
-        counts pass through untouched: an explicit ``row_threads=4`` is
-        always honoured.
+        queries``, the work of one shard, with *batches* kernels shards
+        running in this process, this one included.
+        :func:`repro.core.batch.running_shard` calls it where the shard
+        runs, so each host sizes its own shards, and the shard reports
+        the count back.  Concrete counts pass through untouched: an
+        explicit ``row_threads=4`` is always honoured.
         """
         if self.row_threads != ROW_THREADS_AUTO:
             return self

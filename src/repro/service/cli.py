@@ -58,7 +58,8 @@ def _add_serving_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-workers", type=int, default=4,
                    help="simultaneous engine executions")
     p.add_argument("--request-timeout", type=float, default=60.0,
-                   help="default per-request deadline in seconds")
+                   help="per-request deadline in seconds, and the ceiling "
+                        "on a client's --timeout")
     p.add_argument("--cache-size", type=int, default=256,
                    help="TTL cache entry bound (0 disables caching)")
     p.add_argument("--cache-ttl", type=float, default=300.0,
@@ -176,7 +177,9 @@ def _add_request_flags(p: argparse.ArgumentParser) -> None:
                         "batch's work and the cpus (results are "
                         "bit-identical for any value)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-request deadline override in seconds")
+                   help="per-request deadline in seconds; the server's "
+                        "--request-timeout is its ceiling, so this can only "
+                        "shorten it")
     p.add_argument("--wants", default=None,
                    choices=["probability", "report", "amplitudes", "samples"],
                    help="what the caller needs back (default: report). "

@@ -143,7 +143,8 @@ class SearchService:
             shard fan-out).
         max_pending: admission bound — queued plus running requests.
         max_workers: simultaneous engine executions.
-        request_timeout: default per-request deadline in seconds.
+        request_timeout: per-request deadline in seconds, and the ceiling
+            on a caller's ``timeout``.
         cache_size: TTL-cache entry bound (``0`` disables caching).
         cache_ttl: seconds a cached report stays servable.
         peering: optional :class:`~repro.cluster.peering.CachePeers` —
@@ -277,7 +278,8 @@ class SearchService:
                 instead of :meth:`~repro.engine.SearchEngine.search`.
             database: explicit database for single searches (uncached —
                 its query counter is part of the caller's experiment).
-            timeout: per-request deadline override in seconds.
+            timeout: per-request deadline in seconds; it can only shorten
+                the ``request_timeout`` ceiling.
             priority: worker-slot class (lower = served first when the pool
                 is contended; the gateway maps tenant classes here —
                 0 interactive, 1 normal, 2 batch).
@@ -290,6 +292,8 @@ class SearchService:
             raise RuntimeError("service is closed")
         from repro.service.cache import request_fingerprint
 
+        deadline = (self.request_timeout if timeout is None
+                    else min(timeout, self.request_timeout))
         self._admit()
         try:
             key = None
@@ -316,8 +320,7 @@ class SearchService:
                 with span("coalesce.wait"):
                     try:
                         result = await asyncio.wait_for(
-                            asyncio.shield(shared),
-                            self.request_timeout if timeout is None else timeout,
+                            asyncio.shield(shared), deadline
                         )
                     except asyncio.CancelledError:
                         if shared.cancelled():  # the primary died, not us
@@ -335,7 +338,6 @@ class SearchService:
             else:
                 job = functools.partial(self.engine.search, request, database)
 
-            deadline = self.request_timeout if timeout is None else timeout
             loop = asyncio.get_running_loop()
             promise: asyncio.Future | None = None
             if key is not None:

@@ -20,7 +20,8 @@ dict is always present:
 - ``("shard", func, task, meta)`` (worker): ``meta`` may carry
   ``deadline_s`` (the request's remaining budget in seconds — monotonic
   clocks do not transfer between hosts), ``trace_id`` and
-  ``parent_span_id``;
+  ``parent_span_id``.  A program shard may carry ``row_threads="auto"``
+  and returns ``(success, guesses, row_threads)``, the count it ran;
 - ``("register", address, meta)`` (server): workers send an empty
   ``meta``;
 - ``("submit", request, targets, batch, timeout, meta)`` (server):
@@ -56,8 +57,8 @@ __all__ = [
 ]
 
 #: Protocol version — bump on any change to a message's layout or meaning
-#: (see module docstring).
-WIRE_VERSION = 7
+#: (see module docstring).  8: shards resolve ``"auto"``, return the count.
+WIRE_VERSION = 8
 
 #: Frame magic: identifies the stream as the repro shard protocol.
 MAGIC = b"RPRO"

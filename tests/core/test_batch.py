@@ -103,3 +103,49 @@ class TestBatchBackends:
             _engine_batch(16, 4, [1], backend="dense")
         with pytest.raises(ValueError, match=message):
             _engine_batch(12, 3, [1], backend="dense")
+
+
+class TestRunningShardCount:
+    """``running_shard`` counts the kernels shards this process runs, so
+    a lost update would skew the width of every later shard."""
+
+    def test_concurrent_shards_leave_no_count_behind(self, monkeypatch):
+        import os
+        import sys
+        import threading
+
+        from repro.core import batch
+        from repro.kernels import MAX_AUTO_ROW_THREADS, ExecutionPolicy
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)))
+        n_threads, rounds = 16, 200
+        start = threading.Barrier(n_threads)
+        seen = []
+
+        def shard():
+            start.wait(30)
+            for _ in range(rounds):
+                with batch.running_shard(ExecutionPolicy(), "kernels",
+                                         1 << 20, 64, 64) as policy:
+                    seen.append(policy.row_threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=shard)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == n_threads * rounds
+        # 64 cpus over at most 16 shards leaves each at least 4 threads.
+        assert all(4 <= n <= MAX_AUTO_ROW_THREADS for n in seen)
+        assert batch._running_shards == 0
+        with batch.running_shard(ExecutionPolicy(), "kernels",
+                                 1 << 20, 64, 64) as alone:
+            assert alone.row_threads == MAX_AUTO_ROW_THREADS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import plan_schedule
-from repro.core.batch import execute_batch_rows
+from repro.core.batch import execute_batch_rows, running_shard
 from repro.engine import (
     DEFAULT_SHARD_BYTES,
     ExecutionPolicy,
@@ -142,7 +142,11 @@ class TestPlanMath:
                            queries=1, lanes=3)
         assert plan.describe() == {"n_rows": 64, "n_shards": 8,
                                    "shard_rows": 9, "dtype": "complex128",
-                                   "row_threads": 1}
+                                   "row_threads": "auto"}
+        # The process that runs a shard resolves "auto".
+        with running_shard(plan.policy, "kernels", plan.shard_rows, 64,
+                           1) as ran:
+            assert ran.row_threads == 1
 
 
 class TestShardBoundaryBitIdentity:

@@ -9,6 +9,7 @@ engine produces directly.
 
 import asyncio
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -373,6 +374,43 @@ class TestErrorMapping:
         assert [s[2] for s in samples
                 if s[0] == "repro_gateway_requests_total"
                 and s[1]["outcome"] == "invalid"] == [1]
+
+    def test_client_timeout_cannot_extend_the_service_deadline(
+            self, parse_prometheus):
+        # 1e400 is valid JSON that reads as inf.  The service's
+        # request_timeout is the ceiling, so a job slower than it still
+        # ends in a counted 504, not a 200 after the job finishes.
+        class SlowEngine(SearchEngine):
+            def search(self, request, database=None):
+                time.sleep(0.5)
+                return super().search(request, database)
+
+        async def main():
+            metrics = GatewayMetrics()
+            async with SearchService(SlowEngine(),
+                                     request_timeout=0.05) as service:
+                gateway = GatewayServer(service, port=0, metrics=metrics)
+                await gateway.start()
+                try:
+                    host, port = gateway.address
+                    base = f"http://{host}:{port}"
+                    body = json.dumps(SEARCH_BODY)[:-1] + ', "timeout": 1e400}'
+                    status, _, reply = await fetch(
+                        base + "/v1/search", method="POST",
+                        body=body.encode(),
+                    )
+                    _, _, text = await fetch(base + "/metrics")
+                finally:
+                    await gateway.stop()
+            return status, json.loads(reply), text.decode()
+
+        status, doc, text = run(main())
+        assert status == 504
+        assert doc["error"] == "deadline"
+        _, samples = parse_prometheus(text)
+        assert [s[2] for s in samples
+                if s[0] == "repro_gateway_requests_total"
+                and s[1]["outcome"] == "deadline"] == [1]
 
     def test_request_that_simulates_gets_the_simulation_bound(
             self, monkeypatch):

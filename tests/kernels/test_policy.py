@@ -112,13 +112,18 @@ class TestAutoRowThreads:
             assert policy in {policy}
 
     def test_planner_ships_resolved_policy(self):
+        from repro.core.batch import running_shard
         from repro.engine.plan import plan_shards
 
         plan = plan_shards(16, 64, "kernels",
                            execution=ExecutionPolicy(row_threads="auto"),
                            queries=1, lanes=1)
-        assert isinstance(plan.policy.row_threads, int)
-        assert plan.policy.row_threads >= 1
+        # The planner ships "auto"; the shard's process resolves it.
+        assert plan.policy.row_threads == "auto"
+        with running_shard(plan.policy, "kernels", plan.shard_rows, 64,
+                           1) as ran:
+            assert isinstance(ran.row_threads, int)
+            assert ran.row_threads >= 1
 
     def test_auto_batch_bit_identical_to_default(self):
         from repro.engine import SearchEngine, SearchRequest

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.core import plan_schedule
-from repro.core.batch import execute_batch_rows
+from repro.core import batch, plan_schedule
+from repro.core.batch import execute_batch_rows, running_shard
 from repro.core.simplified import (
     execute_simplified_batch_rows,
     plan_simplified_schedule,
@@ -38,7 +38,6 @@ from repro.kernels import (
     program_sweep_rows,
     sweep,
 )
-from repro.service.executor import ShardExecutor
 
 
 def _spy_on_blocks(monkeypatch):
@@ -373,6 +372,13 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _ran(plan, backend, n_items, queries):
+    """The policy one shard of *plan* runs under in this process."""
+    with running_shard(plan.policy, backend, plan.shard_rows, n_items,
+                       queries) as policy:
+        return policy
+
+
 class TestRowThreadRule:
     """``"auto"`` takes the smallest of cpus / running batches,
     :data:`MAX_AUTO_ROW_THREADS` and rows × N × queries over the work floor;
@@ -407,13 +413,14 @@ class TestRowThreadRule:
         queries = plan_schedule(4096, 8).program.queries
         cpus = len(os.sched_getaffinity(0))
         plan = plan_shards(4096, 4096, "kernels", queries=queries, lanes=1)
-        assert plan.policy.row_threads == min(cpus, MAX_AUTO_ROW_THREADS)
+        assert _ran(plan, "kernels", 4096, queries).row_threads \
+            == min(cpus, MAX_AUTO_ROW_THREADS)
         for seen, expected in ((3, 3), (64, MAX_AUTO_ROW_THREADS)):
             _cpus(monkeypatch, seen)
             plan = plan_shards(4096, 4096, "kernels", queries=queries, lanes=1)
             assert plan.shard_rows * 4096 * queries \
                 >= MAX_AUTO_ROW_THREADS * AUTO_ROW_THREAD_MIN_WORK
-            assert plan.policy.row_threads == expected
+            assert _ran(plan, "kernels", 4096, queries).row_threads == expected
         # With cpus to spare (64 seen), each thread gets at least the floor.
         assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK) == 3
         assert auto_row_threads(3 * AUTO_ROW_THREAD_MIN_WORK - 1) == 2
@@ -467,44 +474,38 @@ class TestRowThreadRule:
         np.testing.assert_array_equal(got[1], ref[1])
 
     def test_batches_running_side_by_side_share_the_cpus(self, monkeypatch):
-        # A batch planned while another runs in this process (a service
-        # runs several) divides the cpus between them.
+        # A shard that starts while another runs in this process (a
+        # service runs several batches, a worker serves several drivers)
+        # divides the cpus between them.
         _cpus(monkeypatch, 8)
         program = plan_schedule(4096, 8).program
         targets = np.arange(4096)
         started, release = threading.Event(), threading.Event()
+        holds = [True]  # the first shard stays running until released
 
-        class Executor(ShardExecutor):
-            """Skips the sweep; *hold* keeps its batch running until
-            released."""
+        def skip_sweep(_program, shard, _backend, _policy):
+            if holds and holds.pop():
+                started.set()
+                release.wait(30)
+            return np.zeros(shard.size), np.zeros(shard.size, np.intp)
 
-            def __init__(self, hold):
-                self.hold = hold
+        monkeypatch.setattr(batch, "execute_batch_rows", skip_sweep)
 
-            def run_shards(self, fn, tasks, workers=1):
-                if self.hold:
-                    started.set()
-                    release.wait(30)
-                return [(np.zeros(t[1].size), np.zeros(t[1].size, np.intp))
-                        for t in tasks]
-
-        def plan_of(hold):
-            return run_grk_batch_sharded(
-                program, targets, "kernels", executor=Executor(hold)
-            )[2]
+        def plan_of():
+            return run_grk_batch_sharded(program, targets, "kernels")[2]
 
         first = []
-        held = threading.Thread(target=lambda: first.append(plan_of(True)))
+        held = threading.Thread(target=lambda: first.append(plan_of()))
         held.start()
         assert started.wait(30)
         try:
-            beside = plan_of(False)
+            beside = plan_of()
         finally:
             release.set()
             held.join()
         assert first[0].policy.row_threads == MAX_AUTO_ROW_THREADS
         assert beside.policy.row_threads == MAX_AUTO_ROW_THREADS // 2
-        assert plan_of(False).policy.row_threads == MAX_AUTO_ROW_THREADS
+        assert plan_of().policy.row_threads == MAX_AUTO_ROW_THREADS
 
     def test_explicit_thread_counts_always_honoured(self):
         policy = ExecutionPolicy(row_threads=4)
@@ -517,9 +518,10 @@ class TestRowThreadRule:
             1024, 1024, "kernels",
             execution=ExecutionPolicy(row_threads="auto"), queries=1, lanes=1,
         )
-        # Shards ship concrete choices, never sentinels: every worker of a
-        # batch must run at the same width.
-        assert isinstance(plan.policy.row_threads, int)
+        # Shards ship the request's "auto"; the process that runs each one
+        # turns it into a count.
+        assert plan.policy.row_threads == "auto"
+        assert isinstance(_ran(plan, "kernels", 1024, 1).row_threads, int)
 
     def test_compiled_batch_stays_serial_under_auto(self, monkeypatch):
         # The floor was measured on the kernels sweep; "auto" runs a
@@ -527,10 +529,10 @@ class TestRowThreadRule:
         _cpus(monkeypatch, 8)
         queries = plan_schedule(4096, 8).program.queries
         plan = plan_shards(4096, 4096, "compiled", queries=queries, lanes=1)
-        assert plan.policy.row_threads == 1
+        assert _ran(plan, "compiled", 4096, queries).row_threads == 1
         plan = plan_shards(4096, 4096, "compiled", queries=queries, lanes=1,
                            execution=ExecutionPolicy(row_threads=3))
-        assert plan.policy.row_threads == 3
+        assert _ran(plan, "compiled", 4096, queries).row_threads == 3
         slabs = []
         real_map = kernels.map_row_slabs
 

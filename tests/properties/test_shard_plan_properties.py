@@ -4,13 +4,16 @@
 dispatch, so bit identity across executors rests on it.  Whatever the
 batch, backend, fleet width or budget, its slices must partition the rows
 in order, each shard must keep to its budget unless it holds a single row
-(a shard always holds at least one), ``max_rows`` must hold, and
-``row_threads="auto"`` must come back as a count.
+(a shard always holds at least one), ``max_rows`` must hold, and the
+request's execution policy must ride on the plan unchanged.  Where a
+shard runs, :func:`repro.core.batch.running_shard` turns
+``row_threads="auto"`` into a count.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import running_shard
 from repro.engine import ExecutionPolicy, ShardPolicy
 from repro.engine.plan import KERNEL_SHARD_MAX_WORK, plan_shards, state_row_bytes
 from repro.kernels import MAX_AUTO_ROW_THREADS
@@ -58,10 +61,27 @@ def test_plan_invariants(data):
             row_bytes = state_row_bytes(backend, n_items, execution)
             assert plan.shard_rows * row_bytes <= policy.max_bytes
 
-    resolved = plan.policy.row_threads
-    if row_threads == "auto":
+    assert plan.policy == execution
+    assert plan.policy.dtype == execution.dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    backend=st.sampled_from(["kernels", "compiled", "naive"]),
+    row_threads=st.one_of(st.just("auto"), st.integers(1, 16)),
+    n_rows=st.integers(1, 10**5),
+    n_items=st.integers(2, 1 << 16),
+    queries=st.integers(1, 500),
+)
+def test_resolver_invariants(backend, row_threads, n_rows, n_items, queries):
+    execution = ExecutionPolicy(row_threads=row_threads)
+    with running_shard(execution, backend, n_rows, n_items, queries) as ran:
+        resolved = ran.row_threads
+    if row_threads != "auto":
+        assert resolved == row_threads
+    elif backend == "kernels":
         assert isinstance(resolved, int)
         assert 1 <= resolved <= MAX_AUTO_ROW_THREADS
     else:
-        assert resolved == row_threads
-    assert plan.policy.dtype == execution.dtype
+        assert resolved == 1
+    assert ran.dtype == execution.dtype

@@ -184,6 +184,25 @@ class TestSubmit:
 
         assert run(main()) < 0.6
 
+    @pytest.mark.parametrize("timeout", [float("inf"), 10.0])
+    def test_caller_timeout_cannot_extend_the_service_bound(self, timeout):
+        """``request_timeout`` is the ceiling: a longer caller timeout
+        (JSON's ``1e400`` reads as ``inf``) must not hold a worker slot
+        past it."""
+        engine = CountingEngine(delay=0.5)
+
+        async def main():
+            async with SearchService(engine, request_timeout=0.05) as service:
+                t0 = time.monotonic()
+                with pytest.raises(asyncio.TimeoutError):
+                    await service.submit(
+                        SearchRequest(n_items=64, n_blocks=4, target=1),
+                        timeout=timeout,
+                    )
+                return time.monotonic() - t0
+
+        assert run(main()) < 0.4
+
     def test_timed_out_job_keeps_its_worker_slot(self):
         """Regression: a timed-out request's thread keeps running, so its
         worker slot must stay held until it finishes — otherwise a timeout
@@ -347,6 +366,25 @@ class TestServer:
         assert len(reports) == 10
         assert all(r.success_probability > 0.99 for r in reports)
         assert stats["completed"] == 10  # the stats message is not a submit
+
+    def test_wire_timeout_cannot_extend_the_service_bound(self):
+        engine = CountingEngine(delay=0.5)
+
+        async def main():
+            async with SearchService(engine, request_timeout=0.05) as service:
+                server = SearchServer(service)
+                await server.start()
+                try:
+                    with pytest.raises(TimeoutError):
+                        await asyncio.to_thread(
+                            submit_remote, server.address,
+                            SearchRequest(n_items=64, n_blocks=4, target=1),
+                            timeout=float("inf"),
+                        )
+                finally:
+                    await server.stop()
+
+        run(main())
 
     def test_server_reports_overload(self):
         engine = CountingEngine(delay=0.5)
