@@ -330,8 +330,10 @@ def bench_kernels_sweep(cfg: dict) -> dict:
 
 
 #: The baseline batches timed beside grk: ``(label, method, options, seed)``.
-#: classical is recorded but not gated: its scans run in Python, one per
-#: target, with no state to batch.
+#: classical is recorded but not gated: each row is one numpy scan plus its
+#: own request, generator and report objects, and at the quick geometry
+#: (N=256) those objects dominate.  On a 2-vCPU host it ran at 2.7-5.9x
+#: grk's time at N=1024 but 12-19x at N=256, above the 8x gate.
 BASELINES = (
     ("grover-full", "grover-full", {}, None),
     ("grover-full-exact", "grover-full", {"exact": True}, None),

@@ -1,7 +1,8 @@
 """Classical search baselines (Section 1.1) and Appendix A's lower bound.
 
 Implemented against the same counted :class:`~repro.oracle.database.Database`
-as the quantum algorithms, so query totals are directly comparable:
+as the quantum algorithms, so query totals are directly comparable; every
+scan probes through :meth:`~repro.oracle.database.Database.scan`:
 
 - full search: deterministic scan (``N - 1`` worst case, zero error) and
   random-order scan (``~ N/2`` expected);

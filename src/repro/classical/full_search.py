@@ -1,13 +1,16 @@
 """Classical *full* database search with exact accounting (zero error).
 
-Both algorithms exploit the promise that exactly one address is marked: if
-the first ``N - 1`` probes all return 0, the remaining address must be the
-target and is output without a query.
+Both algorithms probe an order of all ``N`` addresses through
+:meth:`~repro.oracle.database.Database.scan` and exploit the promise that
+exactly one address is marked: if the first ``N - 1`` probes all return 0,
+the remaining address must be the target and is output without a query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.oracle.database import Database
 from repro.util.rng import as_rng
@@ -37,28 +40,30 @@ class ClassicalSearchResult:
     correct: bool
 
 
-def _scan(database: Database, order) -> tuple[int, bool]:
-    """Probe addresses in *order*, inferring the last one for free."""
-    order = list(order)
-    for addr in order[:-1]:
-        if database.query(addr):
-            return addr, True
-    return order[-1], True  # promise: unique marked item
-
-
-def deterministic_full_search(database: Database) -> ClassicalSearchResult:
-    """Scan addresses ``0, 1, ...``; worst case ``N - 1`` queries."""
+def _require_single_target(database: Database, search: str) -> int:
     marked = database.reveal_marked()
     if len(marked) != 1:
-        raise ValueError("full search requires exactly one marked item")
-    target = next(iter(marked))
+        raise ValueError(f"{search} requires exactly one marked item")
+    return next(iter(marked))
+
+
+def _full_scan(database: Database, target: int, order) -> ClassicalSearchResult:
+    """Scan all of *order* but its last address, the answer by elimination
+    when no probe hits."""
     before = database.counter.count
-    answer, _ = _scan(database, range(database.n_items))
+    hit = database.scan(order[:-1])
+    answer = int(order[-1]) if hit is None else hit
     return ClassicalSearchResult(
         answer=answer,
         queries=database.counter.count - before,
         correct=(answer == target),
     )
+
+
+def deterministic_full_search(database: Database) -> ClassicalSearchResult:
+    """Scan addresses ``0, 1, ...``; worst case ``N - 1`` queries."""
+    target = _require_single_target(database, "full search")
+    return _full_scan(database, target, np.arange(database.n_items))
 
 
 def randomized_full_search(database: Database, rng=None) -> ClassicalSearchResult:
@@ -68,19 +73,9 @@ def randomized_full_search(database: Database, rng=None) -> ClassicalSearchResul
     ``(N+1)/2 - 1/N`` (see :func:`expected_queries_randomized_full`), and no
     zero-error algorithm beats ``~ N/2`` for locating the item exactly.
     """
-    marked = database.reveal_marked()
-    if len(marked) != 1:
-        raise ValueError("full search requires exactly one marked item")
-    target = next(iter(marked))
-    gen = as_rng(rng)
-    order = gen.permutation(database.n_items)
-    before = database.counter.count
-    answer, _ = _scan(database, (int(a) for a in order))
-    return ClassicalSearchResult(
-        answer=answer,
-        queries=database.counter.count - before,
-        correct=(answer == target),
-    )
+    target = _require_single_target(database, "full search")
+    order = as_rng(rng).permutation(database.n_items)
+    return _full_scan(database, target, order)
 
 
 def expected_queries_randomized_full(n_items: int) -> float:

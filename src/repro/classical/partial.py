@@ -1,8 +1,12 @@
 """Classical *partial* search: Section 1.1's algorithms, exactly accounted.
 
-Deterministic: probe every address of ``K - 1`` blocks; if the target never
-shows up it lives in the remaining block — ``N (1 - 1/K)`` worst-case
-queries, a saving of ``N/K`` over deterministic full search.
+Both scan every address outside one block through
+:meth:`~repro.oracle.database.Database.scan` and stop on a hit; if the
+target never shows up it lives in the block they left out.
+
+Deterministic: probe the other ``K - 1`` blocks in address order —
+``N (1 - 1/K)`` worst-case queries, a saving of ``N/K`` over deterministic
+full search.
 
 Randomized (the Appendix A-optimal strategy): leave out a uniformly random
 block, probe the other ``M = N (1 - 1/K)`` addresses in random order, stop
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.classical.full_search import ClassicalSearchResult
+from repro.classical.full_search import ClassicalSearchResult, _require_single_target
 from repro.core.blockspec import BlockSpec
 from repro.oracle.database import Database
 from repro.util.rng import as_rng
@@ -33,11 +37,21 @@ __all__ = [
 ]
 
 
-def _require_single_target(database: Database) -> int:
-    marked = database.reveal_marked()
-    if len(marked) != 1:
-        raise ValueError("partial search requires exactly one marked item")
-    return next(iter(marked))
+def _scan_outside(database: Database, spec: BlockSpec, target: int,
+                  left_out: int, gen=None) -> ClassicalSearchResult:
+    """Scan every address outside block *left_out*, in address order or
+    shuffled by *gen*; a miss answers *left_out*."""
+    probes = np.delete(np.arange(spec.n_items), spec.slice_of(left_out))
+    if gen is not None:
+        gen.shuffle(probes)
+    before = database.counter.count
+    hit = database.scan(probes)
+    answer = left_out if hit is None else spec.block_of(hit)
+    return ClassicalSearchResult(
+        answer=answer,
+        queries=database.counter.count - before,
+        correct=(answer == spec.block_of(target)),
+    )
 
 
 def deterministic_partial_search(
@@ -49,26 +63,10 @@ def deterministic_partial_search(
     the same worst case ``N (1 - 1/K)``).
     """
     spec = BlockSpec(database.n_items, n_blocks)
-    target = _require_single_target(database)
+    target = _require_single_target(database, "partial search")
     if left_out_block is None:
         left_out_block = spec.n_blocks - 1
-    before = database.counter.count
-    answer = left_out_block
-    for y in range(spec.n_blocks):
-        if y == left_out_block:
-            continue
-        for addr in spec.addresses_of(y):
-            if database.query(addr):
-                answer = y
-                break
-        else:
-            continue
-        break
-    return ClassicalSearchResult(
-        answer=answer,
-        queries=database.counter.count - before,
-        correct=(answer == spec.block_of(target)),
-    )
+    return _scan_outside(database, spec, target, left_out_block)
 
 
 def randomized_partial_search(
@@ -76,25 +74,10 @@ def randomized_partial_search(
 ) -> ClassicalSearchResult:
     """The Appendix A-optimal randomized strategy; zero error."""
     spec = BlockSpec(database.n_items, n_blocks)
-    target = _require_single_target(database)
+    target = _require_single_target(database, "partial search")
     gen = as_rng(rng)
     left_out = int(gen.integers(spec.n_blocks))
-    probe_set = np.concatenate(
-        [np.arange(spec.slice_of(y).start, spec.slice_of(y).stop)
-         for y in range(spec.n_blocks) if y != left_out]
-    )
-    gen.shuffle(probe_set)
-    before = database.counter.count
-    answer = left_out
-    for addr in probe_set:
-        if database.query(int(addr)):
-            answer = spec.block_of(int(addr))
-            break
-    return ClassicalSearchResult(
-        answer=answer,
-        queries=database.counter.count - before,
-        correct=(answer == spec.block_of(target)),
-    )
+    return _scan_outside(database, spec, target, left_out, gen)
 
 
 def expected_queries_deterministic_partial(n_items: int, n_blocks: int) -> float:

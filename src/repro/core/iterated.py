@@ -129,11 +129,7 @@ def run_iterated_full_search(
 
     # Brute force the remaining range classically (zero error).
     brute_before = database.counter.count
-    found = None
-    for addr in range(lo, lo + size):
-        if database.query(addr):
-            found = addr
-            break
+    found = database.scan(range(lo, lo + size))
     if found is None:
         # The reduction descended into a wrong block; report the last probe
         # (the procedure errs, exactly as the paper's error analysis allows).

@@ -1,13 +1,16 @@
 """Classical database model ``f : [N] -> {0,1}`` with a unique marked item.
 
-Classical algorithms probe the database one address at a time through
-:meth:`Database.query`; each probe increments the shared
+Classical algorithms probe the database through :meth:`Database.scan`, which
+probes a sequence of addresses in order until one is marked, or through
+:meth:`Database.query`, one address; each probe increments the shared
 :class:`~repro.oracle.counting.QueryCounter`.  Quantum oracles wrap the same
 object, so a hybrid experiment (e.g. the brute-force tail of the Theorem 2
 reduction) accumulates one coherent total.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.oracle.counting import QueryCounter
 from repro.util.bits import block_index
@@ -58,6 +61,23 @@ class Database:
         self._counter.increment()
         return 1 if address in self._marked else 0
 
+    def scan(self, addresses) -> int | None:
+        """Probe *addresses* in order until one is marked.
+
+        Counts one query per probe, up to and including the first marked
+        address (every probe when none is), and returns that address, or
+        ``None``.  Every address is range-checked as :meth:`query` checks
+        it before anything is counted.
+        """
+        probes = np.asarray(addresses, dtype=np.intp)
+        outside = (probes < 0) | (probes >= self._n_items)
+        if outside.any():
+            require_in_range("address", int(probes[outside.argmax()]),
+                             0, self._n_items, inclusive=False)
+        hits = np.flatnonzero(np.isin(probes, list(self._marked)))
+        self._counter.increment(int(hits[0]) + 1 if hits.size else probes.size)
+        return int(probes[hits[0]]) if hits.size else None
+
     # --------------------------------------------------- uncounted metadata
     def reveal_marked(self) -> frozenset:
         """The marked set, *without* counting a query.
@@ -65,7 +85,7 @@ class Database:
         For oracle construction, verification, and result reporting only —
         algorithm control flow must never branch on it (queries are the
         resource being counted; every *decision* must go through
-        :meth:`query` or a quantum oracle application).
+        :meth:`query`, :meth:`scan` or a quantum oracle application).
         """
         return self._marked
 

@@ -250,26 +250,9 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_worker(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("worker", help="run a shard-execution worker")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None)
-    p.add_argument("--register", default=None, metavar="SERVER:PORT",
-                   help="announce this worker to a running repro serve")
-    p.add_argument("--advertise", default=None, metavar="HOST:PORT",
-                   help="address the server should dial back")
-    p.add_argument("--register-interval", type=float, default=None,
-                   help="seconds between registration re-announcements")
-    p.add_argument("--chaos-plan", default=None, metavar="PLAN",
-                   help="deterministic fault-injection plan (JSON text or a "
-                        "path to a JSON file) applied at this worker's "
-                        "chaos sites — see repro.resilience.chaos")
-    p.add_argument("--drain-timeout", type=float, default=30.0,
-                   help="seconds SIGTERM waits for in-flight shards before "
-                        "the worker stops")
-    p.add_argument("--log-format", default="plain",
-                   choices=["plain", "json"],
-                   help="shard log format: 'plain' (default) or JSON lines")
-    p.add_argument("-v", "--verbose", action="store_true")
+    from repro.service.worker import add_worker_arguments
+
+    add_worker_arguments(sub.add_parser("worker", help="run a shard-execution worker"))
 
 
 def _add_methods(sub: argparse._SubParsersAction) -> None:
@@ -711,23 +694,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.service.worker import DEFAULT_PORT, main as worker_main
+    from repro.service.worker import run_worker
 
-    argv = ["--host", args.host,
-            "--port", str(DEFAULT_PORT if args.port is None else args.port)]
-    if args.register:
-        argv += ["--register", args.register]
-    if args.advertise:
-        argv += ["--advertise", args.advertise]
-    if args.register_interval is not None:
-        argv += ["--register-interval", str(args.register_interval)]
-    if args.chaos_plan:
-        argv += ["--chaos-plan", args.chaos_plan]
-    argv += ["--drain-timeout", str(args.drain_timeout)]
-    argv += ["--log-format", args.log_format]
-    if args.verbose:
-        argv.append("--verbose")
-    return worker_main(argv)
+    return run_worker(args)
 
 
 def _cmd_methods(_args) -> int:

@@ -70,6 +70,11 @@ _HEADER = struct.Struct(">4sHI")
 #: length field must not trigger a giant allocation.
 MAX_FRAME_BYTES = 1 << 30
 
+#: Largest single ``recv`` of the blocking reader (64 KiB): ``recv(k)``
+#: allocates ``k`` bytes before any arrive, so a peer that announces a large
+#: frame and hangs up costs what it sent plus one chunk.
+_RECV_CHUNK = 1 << 16
+
 
 class WireError(RuntimeError):
     """Malformed frame: bad magic, version mismatch, or oversized payload."""
@@ -126,7 +131,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = io.BytesIO()
     remaining = n
     while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
+        chunk = sock.recv(min(remaining, _RECV_CHUNK))
         if not chunk:
             raise ConnectionClosed(
                 f"peer closed the connection with {remaining} of {n} bytes unread"

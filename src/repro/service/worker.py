@@ -72,6 +72,8 @@ __all__ = [
     "register_with_server",
     "deregister_from_server",
     "start_reannounce_loop",
+    "add_worker_arguments",
+    "run_worker",
     "main",
 ]
 
@@ -462,13 +464,9 @@ def start_reannounce_loop(
     return thread
 
 
-def main(argv=None) -> int:
-    """CLI entry point for ``repro-worker``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-worker",
-        description="Shard-execution worker for repro RemoteExecutor "
-                    "(trusted networks only).",
-    )
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the worker's flags on *parser*: ``repro-worker`` and
+    ``repro worker`` parse the same ones, read by :func:`run_worker`."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument("--register", default=None, metavar="SERVER:PORT",
@@ -493,7 +491,11 @@ def main(argv=None) -> int:
                         help="shard-log format: historical plain text "
                              "(default) or one JSON object per line")
     parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
+
+
+def run_worker(args: argparse.Namespace) -> int:
+    """Serve shards with the flags of :func:`add_worker_arguments` until
+    SIGTERM drains the worker or Ctrl-C stops it."""
     configure_logging(
         args.log_format,
         level=logging.DEBUG if args.verbose else logging.INFO,
@@ -546,6 +548,17 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         server.stop()
     return 0
+
+
+def main(argv=None) -> int:
+    """CLI entry point for ``repro-worker``."""
+    parser = argparse.ArgumentParser(
+        prog="repro-worker",
+        description="Shard-execution worker for repro RemoteExecutor "
+                    "(trusted networks only).",
+    )
+    add_worker_arguments(parser)
+    return run_worker(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

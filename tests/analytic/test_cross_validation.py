@@ -250,7 +250,8 @@ class TestClassical:
 
 
 def _batch_parity_params():
-    """The single-call matrices above, restricted to n <= 64, as batches.
+    """The single-call matrices above, restricted to n <= 64, as batches,
+    plus the deterministic classical scan at (4096, 8).
 
     naive-blocks and classical run with the option sets whose simulated
     rows are deterministic (pinned ``left_out_block``; the deterministic
@@ -273,6 +274,8 @@ def _batch_parity_params():
         + [("classical", {}, n, k) for n, k in naive]
         + [("classical", {"left_out_block": lo}, n, k)
            for n, k in ((16, 4), (64, 8)) for lo in range(k)]
+        + [("classical", options, 4096, 8)
+           for options in ({}, {"left_out_block": 2})]
     )
     for method, options, n, k in cases:
         label = ",".join(f"{key}={v}" for key, v in options.items())

@@ -55,6 +55,7 @@ class SpawnedWorker:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+        self.proc.stdout.close()
 
 
 @pytest.fixture()
@@ -147,3 +148,10 @@ class TestRemoteSmoke:
         assert not np.array_equal(full.success_probabilities,
                                   remote.success_probabilities)
         assert remote.execution["dtype"] == "complex64"
+
+
+def test_spawned_worker_close_releases_its_pipe():
+    worker = SpawnedWorker()
+    worker.close()
+    assert worker.proc.returncode is not None
+    assert worker.proc.stdout.closed

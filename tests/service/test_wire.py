@@ -63,6 +63,19 @@ class TestRoundTrip:
             a.close()
             b.close()
 
+    def test_several_mib_payload_round_trips_byte_exact(self):
+        payload = np.random.default_rng(11).bytes((5 << 20) + 12345)
+        a, b = _socketpair()
+        sender = threading.Thread(target=wire.send_frame, args=(a, payload))
+        sender.start()
+        try:
+            assert wire.recv_frame(b) == payload
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+        finally:
+            a.close()
+            b.close()
+
     def test_many_frames_pipeline(self):
         a, b = _socketpair()
         try:
