@@ -38,9 +38,11 @@ Circuit batches shard automatically under a memory budget (default ≲128 MiB)::
     )  # every target, in (B_chunk, 2N) circuit shards
     print(report.worst_success, report.execution["n_shards"])
 
-Batched shards can also run on *other hosts*: :mod:`repro.service`
-provides the executor layer (``LocalExecutor`` / ``RemoteExecutor`` +
-``repro-worker``), an asyncio ``SearchService`` (bounded queue,
+Batched shards run in-process by default (``LocalExecutor``, in
+:mod:`repro.engine.plan`, which loads none of the serving stack) and can
+also run on *other hosts*: :mod:`repro.service` provides the remote
+executor (``RemoteExecutor`` + ``repro-worker``), an asyncio
+``SearchService`` (bounded queue,
 backpressure, TTL cache, single-flight coalescing), and the ``repro
 serve`` / ``repro submit`` CLI — see README "Serving & distribution".
 

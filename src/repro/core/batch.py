@@ -117,9 +117,10 @@ def execute_batch_rows(
             ``row_threads="auto"``, which a direct call resolves here
             (:func:`running_shard`) and a shard arrives resolved.
             ``row_threads`` splits the chunk into contiguous row slabs
-            swept on the GIL-releasing thread seam (about ``T`` × 1 MiB
-            resident, ``T`` × 3 MiB while a block promotes to complex)
-            — bit-identical at complex128, since rows never interact.
+            swept on the GIL-releasing thread seam (about ``T`` × 1.25
+            MiB resident for a plain program, ``T`` × 2.25 MiB for a
+            phased one) — bit-identical at complex128, since rows never
+            interact.
 
     Returns:
         ``(success_probabilities, block_guesses)`` arrays of shape

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.algorithm import run_partial_search
+from repro.core.algorithm import run_program
+from repro.core.parameters import plan_schedule
 from repro.oracle.database import Database
 from repro.util.rng import as_rng
 
@@ -108,7 +109,11 @@ def run_iterated_full_search(
     while size > cutoff and size % n_blocks == 0 and size >= 2 * n_blocks:
         sub = database.restricted(range(lo, lo + size))
         before = database.counter.count
-        result = run_partial_search(sub, n_blocks, epsilon)
+        # A sampled level can pick a wrong block, leaving the next level's
+        # range unmarked; the program runner counts every query there and
+        # reports success 0.0, so the run errs instead of raising.
+        program = plan_schedule(size, n_blocks, epsilon).program
+        result = run_program(sub, program)
         spent = database.counter.count - before
         guess = (
             int(result.measure_block(rng=gen)) if sample else result.block_guess

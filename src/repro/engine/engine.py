@@ -22,6 +22,7 @@ import math
 from typing import Any, NamedTuple
 
 from repro.core.backends import STATE_BACKENDS
+from repro.engine.plan import default_executor
 from repro.engine.registry import MethodSpec, get_method
 from repro.engine.report import BatchReport, SearchReport
 from repro.engine.request import (
@@ -104,10 +105,10 @@ class SearchEngine:
         shards: default :class:`ShardPolicy` applied when a request carries
             the stock policy (engine-level override for deployments that
             want a different budget everywhere).
-        executor: :class:`repro.service.executor.ShardExecutor` batched
+        executor: :class:`repro.engine.plan.ShardExecutor` batched
             executions dispatch their shards through.  ``None`` uses the
             in-process default
-            (:class:`~repro.service.executor.LocalExecutor`); pass a
+            (:class:`~repro.engine.plan.LocalExecutor`); pass a
             :class:`~repro.service.executor.RemoteExecutor` to fan shards
             out to ``repro-worker`` hosts.  Results are bit-identical
             whatever the executor: shard boundaries and every random draw
@@ -125,8 +126,6 @@ class SearchEngine:
     def executor(self):
         """The resolved shard executor this engine dispatches through."""
         if self._executor is None:
-            from repro.service.executor import default_executor
-
             return default_executor()
         return self._executor
 

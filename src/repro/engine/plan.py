@@ -3,28 +3,31 @@
 The planner splits a batch's target rows into shards, executes them
 independently (rows never interact, so shard boundaries are bit-invisible
 in the results), and dispatches the shard list through a
-:class:`repro.service.executor.ShardExecutor` — by default the
-in-process :class:`~repro.service.executor.LocalExecutor`, or any custom
-executor (e.g. the TCP-distributed
-:class:`~repro.service.executor.RemoteExecutor`) installed on the engine.
-Every simulated batch ships one shard function, whose tasks are plain
-data: a program, targets, a backend name and the request's execution
-policy, ``row_threads="auto"`` included: the process that runs a shard
-decides its thread count and reports it.
+:class:`ShardExecutor` — by default the in-process :class:`LocalExecutor`
+(:func:`default_executor`), or any custom executor (e.g. the
+TCP-distributed :class:`repro.service.executor.RemoteExecutor`)
+installed on the engine.  The local executor lives here, so an
+in-process batch loads none of the serving stack.  Every simulated batch
+ships one shard function, whose tasks are plain data: a program,
+targets, a backend name and the request's execution policy,
+``row_threads="auto"`` included: the process that runs a shard decides
+its thread count and reports it.
 
 What bounds a shard is what it holds.  A kernels shard holds one row
-block of :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES` per row thread
-(``T`` × 1 MiB, ``T`` × 3 MiB while a block promotes to complex)
-however many rows it has, so its shards serve fan-out and turnaround
-only: one per filled executor lane, none over a work cap.  A circuit
-shard holds a ``(B_chunk, 2N)`` complex state, so the
-:class:`~repro.engine.request.ShardPolicy` byte budget bounds its rows
-(:func:`state_row_bytes`).
+state of :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES` of real bytes per
+row thread (``T`` × 1.25 MiB for a plain program, ``T`` × 2.25 MiB for a
+phased one, whose blocks widen to complex) however many rows it has, so
+its shards serve fan-out and turnaround only: one per filled executor
+lane, none over a work cap.  A circuit shard holds a ``(B_chunk, 2N)``
+complex state, so the :class:`~repro.engine.request.ShardPolicy` byte
+budget bounds its rows (:func:`state_row_bytes`).
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,12 +37,16 @@ from repro.core.program import PartialSearchProgram
 from repro.engine.request import ExecutionPolicy, ShardPolicy
 from repro.kernels import policy as kernel_policy
 from repro.observability.spans import span
+from repro.resilience import Deadline, current_deadline
 
 __all__ = [
     "ExecutionPlan",
     "plan_shards",
     "state_row_bytes",
     "run_grk_batch_sharded",
+    "ShardExecutor",
+    "LocalExecutor",
+    "default_executor",
 ]
 
 #: Working-set multiplier over the bare circuit state row: the circuit
@@ -125,7 +132,7 @@ def plan_shards(
 
     A kernels shard holds row blocks however many rows it has, so a
     kernels batch splits evenly over the executor's *lanes*
-    (:meth:`~repro.service.executor.ShardExecutor.lanes`), but over only
+    (:meth:`ShardExecutor.lanes`), but over only
     as many as leave each shard a row thread's work
     (:data:`~repro.kernels.AUTO_ROW_THREAD_MIN_WORK`), so a small batch
     stays one shard on any fleet; no kernels shard takes more than
@@ -204,8 +211,6 @@ def run_grk_batch_sharded(
     ``row_threads`` the shards ran (the largest, if hosts differed), or
     *execution* as given when no shard runs.
     """
-    from repro.service.executor import default_executor
-
     targets = np.asarray(targets, dtype=np.intp)
     if executor is None:
         executor = default_executor()
@@ -225,3 +230,66 @@ def run_grk_batch_sharded(
         guesses = np.concatenate([r[1] for r in results])
         ran = replace(plan.policy, row_threads=max(r[2] for r in results))
     return success, guesses, replace(plan, policy=ran)
+
+
+class ShardExecutor(ABC):
+    """Strategy for executing a list of independent shard tasks.
+
+    The contract is ``run_shards(func, tasks)`` returning results *in
+    task order*: shard boundaries come from the plan and every random
+    draw happens before dispatch, so any executor that runs every task
+    exactly once returns bit-identical results.  The serving stack's
+    :class:`repro.service.executor.RemoteExecutor` is the other one.
+    """
+
+    @abstractmethod
+    def run_shards(self, func: Callable, tasks: Sequence, *,
+                   deadline: Deadline | None = None) -> list:
+        """Run ``func(task)`` for every task; results in task order.
+
+        ``deadline`` bounds the whole call (``None`` reads the ambient
+        :func:`repro.resilience.current_deadline`); executors raise
+        :class:`~repro.resilience.DeadlineExceeded` rather than start work
+        nobody will wait for.
+        """
+
+    def lanes(self) -> int:
+        """Shards this executor can run side by side: a kernels batch
+        spreads over as many as its work fills.  A local executor runs one
+        at a time, so 1."""
+        return 1
+
+    def describe(self) -> dict:
+        """Provenance record merged into ``BatchReport.execution``."""
+        return {"executor": type(self).__name__}
+
+
+class LocalExecutor(ShardExecutor):
+    """In-process execution, the engine's default: the shards run one after
+    another in the calling thread, so a shard's row threads are its only
+    parallelism.  The deadline is checked before every shard, so an
+    overrun stops the batch instead of computing shards nobody awaits.
+    """
+
+    def run_shards(self, func, tasks, *,
+                   deadline: Deadline | None = None) -> list:
+        if deadline is None:
+            deadline = current_deadline()
+        results = []
+        with span("dispatch", executor="local", shards=len(tasks)):
+            for task in tasks:
+                if deadline is not None:
+                    deadline.raise_if_expired("batch")
+                results.append(func(task))
+        return results
+
+    def describe(self) -> dict:
+        return {"executor": "local"}
+
+
+_DEFAULT = LocalExecutor()
+
+
+def default_executor() -> ShardExecutor:
+    """The process-wide default executor (a shared :class:`LocalExecutor`)."""
+    return _DEFAULT

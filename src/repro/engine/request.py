@@ -41,8 +41,9 @@ __all__ = [
 #: all-targets batch at 12 address qubits holds a ``(4096, 8192)``
 #: complex state (~0.5 GB) unsharded, and this budget splits it into
 #: independent chunks.  Kernels batches ignore it: a kernels shard holds
-#: one ``ROW_BLOCK_BYTES`` block per row thread (:mod:`repro.kernels.sweep`;
-#: ``T`` × 1 MiB, ``T`` × 3 MiB while a block promotes to complex).
+#: one ``ROW_BLOCK_BYTES`` row state per row thread
+#: (:mod:`repro.kernels.sweep`; ``T`` × 1.25 MiB for a plain program,
+#: ``T`` × 2.25 MiB for a phased one).
 DEFAULT_SHARD_BYTES = 128 * 1024 * 1024
 
 #: What the caller needs back.  ``probability``-class requests (success

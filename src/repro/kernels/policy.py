@@ -21,9 +21,10 @@ is* and *how many cores share the rows*:
   slab).  The hot kernels are numpy reductions and fused elementwise
   passes, which release the GIL, so contiguous row slabs scale across
   cores without any copying.  Each thread walks its slab in blocks of
-  the whole ``ROW_BLOCK_BYTES``, which fits each core's private L2, so a
-  kernels shard's resident state is about ``T`` × 1 MiB, and about
-  ``T`` × 3 MiB while a block promotes to complex.  The
+  the whole ``ROW_BLOCK_BYTES``, which fits each core's private L2, in
+  one state it allocates once, so a kernels shard's resident state is
+  about ``T`` × 1.25 MiB for a plain program and ``T`` × 2.25 MiB for a
+  phased one, whose blocks widen to complex in place.  The
   default, ``"auto"``, resolves per :func:`auto_row_threads` where each
   shard runs; ``row_threads=1`` pins the serial sweep.
 

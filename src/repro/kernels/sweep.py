@@ -4,13 +4,16 @@ Every simulator batch, of the GRK family and of the full-search
 baselines, bottoms out in :func:`program_sweep_rows`: one target per row,
 one :class:`~repro.core.program.PartialSearchProgram` (global and block
 iterations, optional phases, optional Step 3) for all of them.  The sweep
-walks the rows in blocks of about :data:`ROW_BLOCK_BYTES` that each
-allocate their own state and stay cache-resident across the whole
-program, so it reads cached lines rather than streaming from memory.
-Each row thread walks its slab in whole blocks, so ``T`` threads hold
-about ``T`` × 1 MiB (``T`` × 3 MiB while a block promotes to complex).
-Blocks run at the policy's real dtype until their first phased stage and
-at its complex dtype from there on.
+walks the rows in blocks of :data:`ROW_BLOCK_BYTES` of real state that
+stay cache-resident across the whole program, so it reads cached lines
+rather than streaming from memory.  Each row thread allocates one state
+for its whole slab, at the widest dtype the program's blocks reach, and
+runs every block in it.  Blocks run at the policy's real dtype until
+their first phased stage, in the head of the state's flat real view, and
+widen to its complex dtype in place there.  ``T`` threads hold about
+``T`` × 1.25 MiB for a plain program and ``T`` × 2.25 MiB for a phased
+one: the state, and the quarter-block scratch the readout squares in
+(:func:`~repro.kernels.batched.block_measurement_rows`).
 
 The unphased iteration (:func:`grk_iteration_rows`) fuses the oracle flip
 and the diffusion mean into one reduction pass and one update pass.  At
@@ -44,9 +47,10 @@ from repro.kernels import batched
 
 __all__ = ["ROW_BLOCK_BYTES", "program_sweep_rows", "grk_iteration_rows"]
 
-#: Target bytes of real state per row block, per row thread: within one
-#: core's private L2, so a block stays cache-resident across the whole
-#: program.  128 rows of float64 (256 of float32) at N=1024.
+#: Bytes of real state per row block, per row thread: within one core's
+#: private L2, so a block stays cache-resident across the whole program.
+#: 128 rows of float64 (256 of float32) at N=1024; a block that widens to
+#: complex holds twice this.
 ROW_BLOCK_BYTES = 1 << 20
 
 
@@ -57,37 +61,57 @@ def program_sweep_rows(program, targets, policy):
     read by attribute only; *policy* is the
     :class:`~repro.kernels.ExecutionPolicy` whose dtypes the state takes.
     Rows are walked in blocks of :data:`ROW_BLOCK_BYTES` of real state,
-    each allocated afresh, so every iteration re-reads cached lines;
-    rows never interact, so the block size is invisible in the results.
-    Each row thread calls this on its own slab: ``T`` threads hold about
-    ``T`` × 1 MiB (``T`` × 3 MiB while a block promotes to complex).
+    all in one state allocated here, so every iteration re-reads cached
+    lines and no block churns the allocator; rows never interact, so the
+    block size is invisible in the results.  Each row thread calls this on
+    its own slab: ``T`` threads hold about ``T`` × 1.25 MiB for a plain
+    program and ``T`` × 2.25 MiB for a phased one.
 
     Returns ``(success_probabilities, block_guesses)``: float64 and intp
     arrays of ``len(targets)``.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    n_rows = targets.size
-    row_bytes = program.n_items * policy.real_dtype.itemsize
-    block = max(1, ROW_BLOCK_BYTES // row_bytes)
+    n_rows, n = targets.size, program.n_items
+    real = policy.real_dtype
+    block = max(1, ROW_BLOCK_BYTES // (n * real.itemsize))
+    rows = min(block, n_rows)
+    # One state, at the widest dtype any block reaches, viewed flat as
+    # reals, and one mean buffer per diffusion flavour, reused by every
+    # real iteration of every block.
+    state = np.empty(rows * n, dtype=_widest_dtype(program, policy))
+    buffers = (
+        state.view(real),
+        np.empty((rows, 1), dtype=real),
+        np.empty((rows, program.n_blocks, 1), dtype=real),
+    )
     success = np.empty(n_rows, dtype=np.float64)
     guesses = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, block):
-        rows = slice(start, start + block)
-        success[rows], guesses[rows] = _sweep_block(
-            program, targets[rows], policy
+        sl = slice(start, start + block)
+        success[sl], guesses[sl] = _sweep_block(
+            program, targets[sl], policy, *buffers
         )
     return success, guesses
 
 
-def _sweep_block(program, targets, policy):
-    """One cache-resident row block through the whole program."""
-    n_rows, n_blocks = targets.size, program.n_blocks
+def _widest_dtype(program, policy):
+    """The dtype a block of *program* ends at: complex once a stage that
+    runs is phased, or Step 3 runs at a phase other than π."""
+    if any(stage.count and stage.phased for stage in program.stages) or (
+        program.final_phase not in (None, np.pi)
+    ):
+        return policy.complex_dtype
+    return policy.real_dtype
+
+
+def _sweep_block(program, targets, policy, flat, mean_buf, block_mean_buf):
+    """One cache-resident row block through the whole program, in the
+    head of the slab's state *flat* (its flat real view)."""
+    n_rows, n, n_blocks = targets.size, program.n_items, program.n_blocks
     real = policy.real_dtype
-    amps = batched.uniform_batch(n_rows, program.n_items, dtype=real)
-    # One mean buffer per diffusion flavour, reused by every real
-    # iteration of the block (the hot loop must not churn the allocator).
-    mean_buf = np.empty((n_rows, 1), dtype=real)
-    block_mean_buf = np.empty((n_rows, n_blocks, 1), dtype=real)
+    amps = flat[:n_rows * n].reshape(n_rows, n)
+    amps.fill(1.0 / np.sqrt(n))  # primitives.uniform_state, in place
+    mean_buf, block_mean_buf = mean_buf[:n_rows], block_mean_buf[:n_rows]
     for stage in program.stages:
         if stage.count == 0:
             continue
@@ -97,8 +121,8 @@ def _sweep_block(program, targets, policy):
             for _ in range(stage.count):
                 grk_iteration_rows(amps, targets, n_blocks=local, mean_out=buf)
             continue
-        # The first phased stage promotes the block for good.
-        amps = amps.astype(policy.complex_dtype, copy=False)
+        # The first phased stage widens the block for good.
+        amps = _widen(flat, amps, policy.complex_dtype)
         for _ in range(stage.count):
             batched.phased_iteration_rows(
                 amps, targets, n_blocks=local,
@@ -108,7 +132,7 @@ def _sweep_block(program, targets, policy):
     parked = None
     if program.final_phase is not None:
         if program.final_phase != np.pi:
-            amps = amps.astype(policy.complex_dtype, copy=False)
+            amps = _widen(flat, amps, policy.complex_dtype)
         parked = batched.moveout_controlled_diffusion_rows(
             amps, targets, phase=program.final_phase,
             mean_out=mean_buf if amps.dtype == real else None,
@@ -117,6 +141,26 @@ def _sweep_block(program, targets, policy):
         amps, n_blocks, parked=parked, targets=targets
     )
     return batched.success_and_guesses(block_probs, targets, program.block_size)
+
+
+def _widen(flat, amps, dtype):
+    """*amps*, the real block at the head of *flat*, as complex *dtype*.
+
+    In place, from the top down in halves: each step casts the upper half
+    of the reals left, ``flat[lo:hi]``, into complex elements ``lo:hi``,
+    which lie wholly above it, so numpy makes no temporary and the values
+    are those ``astype`` gives.  A complex block is returned as it is.
+    """
+    if amps.dtype == dtype:
+        return amps
+    wide = flat.view(dtype)
+    hi = amps.size
+    while hi > 1:
+        lo = (hi + 1) // 2
+        wide[lo:hi] = flat[lo:hi]
+        hi = lo
+    flat[1] = 0.0  # element 0's real part is already in place
+    return wide[:amps.size].reshape(amps.shape)
 
 
 def _scale_mean(buf: np.ndarray, n: int) -> None:

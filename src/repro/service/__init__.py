@@ -6,8 +6,10 @@ Two layers grow the single-machine engine into a serving system:
    :class:`ShardExecutor` seam :meth:`repro.engine.SearchEngine.search_batch`
    dispatches its shards through.  :class:`LocalExecutor` runs them
    in-process, one after another (row threads inside a shard are the
-   only local parallelism); :class:`RemoteExecutor` speaks a small
-   length-prefixed TCP protocol (:mod:`repro.service.wire`) to
+   only local parallelism); it and the seam live in
+   :mod:`repro.engine.plan`, so an in-process batch imports nothing from
+   this package, and are re-exported here.  :class:`RemoteExecutor`
+   speaks a small length-prefixed TCP protocol (:mod:`repro.service.wire`) to
    ``repro-worker`` processes (:mod:`repro.service.worker`) on other
    hosts, reading its fleet per
    batch from a worker source: a static address list

@@ -1,4 +1,4 @@
-"""The executor seam: where a batched search's shards actually run.
+"""The remote side of the executor seam: shards run on other hosts.
 
 :meth:`repro.engine.SearchEngine.search_batch` splits a batch into shards
 (:func:`repro.engine.plan.plan_shards`) and then hands the shard list to a
@@ -16,7 +16,10 @@ Two executors ship today:
 
 - :class:`LocalExecutor` — the default: the shards one after another in
   the calling thread, the deadline checked before each; row threads
-  inside a shard are the only local parallelism.
+  inside a shard are the only local parallelism.  It lives in
+  :mod:`repro.engine.plan` with :class:`ShardExecutor` and
+  :func:`default_executor`, so an in-process batch imports none of this
+  package; this module re-exports all three.
 - :class:`RemoteExecutor` — fans shards out to ``repro-worker`` processes
   (:mod:`repro.service.worker`) over the length-prefixed TCP protocol of
   :mod:`repro.service.wire`, with requeue-on-failure plus the resilience
@@ -46,9 +49,9 @@ import random
 import socket
 import threading
 import time
-from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.engine.plan import LocalExecutor, ShardExecutor, default_executor
 from repro.observability.spans import Span, current_recorder, span
 from repro.resilience import (
     BreakerRegistry,
@@ -93,54 +96,6 @@ class WorkerUnavailable(RuntimeError):
     def __init__(self, message: str, *, attempt_history=None):
         super().__init__(message)
         self.attempt_history = attempt_history or {}
-
-
-class ShardExecutor(ABC):
-    """Strategy for executing a list of independent shard tasks."""
-
-    @abstractmethod
-    def run_shards(self, func: Callable, tasks: Sequence, *,
-                   deadline: Deadline | None = None) -> list:
-        """Run ``func(task)`` for every task; results in task order.
-
-        ``deadline`` bounds the whole call (``None`` reads the ambient
-        :func:`repro.resilience.current_deadline`); executors raise
-        :class:`~repro.resilience.DeadlineExceeded` rather than start work
-        nobody will wait for.
-        """
-
-    def lanes(self) -> int:
-        """Shards this executor can run side by side: a kernels batch
-        spreads over as many as its work fills.  A local executor runs one
-        at a time, so 1."""
-        return 1
-
-    def describe(self) -> dict:
-        """Provenance record merged into ``BatchReport.execution``."""
-        return {"executor": type(self).__name__}
-
-
-class LocalExecutor(ShardExecutor):
-    """In-process execution, the engine's default: the shards run one after
-    another in the calling thread, so a shard's row threads are its only
-    parallelism.  The deadline is checked before every shard, so an
-    overrun stops the batch instead of computing shards nobody awaits.
-    """
-
-    def run_shards(self, func, tasks, *,
-                   deadline: Deadline | None = None) -> list:
-        if deadline is None:
-            deadline = current_deadline()
-        results = []
-        with span("dispatch", executor="local", shards=len(tasks)):
-            for task in tasks:
-                if deadline is not None:
-                    deadline.raise_if_expired("batch")
-                results.append(func(task))
-        return results
-
-    def describe(self) -> dict:
-        return {"executor": "local"}
 
 
 def _is_permanent_transport(exc: Exception) -> bool:
@@ -708,11 +663,3 @@ class RemoteExecutor(ShardExecutor):
             "timeout_s": self.timeout,
             "retry": self.retry.describe(),
         }
-
-
-_DEFAULT = LocalExecutor()
-
-
-def default_executor() -> ShardExecutor:
-    """The process-wide default executor (a shared :class:`LocalExecutor`)."""
-    return _DEFAULT

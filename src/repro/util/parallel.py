@@ -6,7 +6,7 @@ batched kernels are numpy reductions and fused elementwise passes, which
 release the GIL, so independent row slabs of a batch scale across cores
 with no pickling or copying.  It is the only local parallelism: a batch's
 shards run one after another in-process
-(:class:`~repro.service.executor.LocalExecutor`) or on remote workers.
+(:class:`~repro.engine.plan.LocalExecutor`) or on remote workers.
 """
 
 from __future__ import annotations

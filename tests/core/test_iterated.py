@@ -56,3 +56,18 @@ class TestIteratedFullSearch:
     def test_multi_marked_rejected(self):
         with pytest.raises(ValueError):
             run_iterated_full_search(Database(64, [1, 2]), 4)
+
+    def test_sampled_wrong_block_errs_instead_of_raising(self):
+        # Level 0 samples block 3 of (64, 4) although the target, 3, is in
+        # block 0: level 1 searches an unmarked range, counts its queries,
+        # reports success 0.0, and brute force ends on its last probe.
+        db = SingleTargetDatabase(64, 3)
+        res = run_iterated_full_search(db, 4, sample=True, rng=82, cutoff=4)
+        assert not res.correct
+        assert res.found_address == 63
+        assert [(lvl.size, lvl.queries, lvl.block_guess)
+                for lvl in res.levels] == [(64, 5, 3), (16, 3, 3)]
+        assert res.levels[0].success_probability == pytest.approx(0.986, abs=1e-3)
+        assert res.levels[1].success_probability == 0.0
+        assert res.brute_force_queries == 4
+        assert res.total_queries == db.queries_used == 12

@@ -7,12 +7,14 @@ row-block size reproduces the composed reference iteration
 :func:`~repro.kernels.primitives.invert_about_mean` or
 :func:`~repro.kernels.primitives.invert_about_mean_blocks`) bit for bit;
 at complex64 it agrees within :data:`~repro.kernels.COMPLEX64_SUCCESS_ATOL`.
-This file pins that, plus the ``row_threads="auto"`` rule and the row-block
-budget every thread of one sweep walks whole.
+This file pins that, plus the ``row_threads="auto"`` rule, the row-block
+budget every thread of one sweep walks whole, and the one state a sweep
+holds for all its blocks.
 """
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,15 +43,16 @@ from repro.kernels import (
 
 
 def _spy_on_blocks(monkeypatch):
-    """Record ``(rows, bytes)`` of every row block the sweep allocates."""
+    """Record ``(rows, real bytes)`` of every row block the sweep walks."""
     blocks = []
-    real_uniform = kernels.batched.uniform_batch
+    real_block = sweep._sweep_block
 
-    def spy(n_rows, n_items, *, dtype):
-        blocks.append((n_rows, n_rows * n_items * np.dtype(dtype).itemsize))
-        return real_uniform(n_rows, n_items, dtype=dtype)
+    def spy(program, targets, policy, *buffers):
+        rows = targets.size
+        blocks.append((rows, rows * program.n_items * policy.real_dtype.itemsize))
+        return real_block(program, targets, policy, *buffers)
 
-    monkeypatch.setattr(kernels.batched, "uniform_batch", spy)
+    monkeypatch.setattr(sweep, "_sweep_block", spy)
     return blocks
 
 
@@ -300,6 +303,39 @@ class TestIterationProperties:
         got = program_sweep_rows(schedule.program, targets, policy)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
+
+
+# -------------------------------------------------------- resident state
+
+
+class TestResidentState:
+    """A row thread holds one state for its whole slab: the real row-block
+    budget, at the complex dtype for a phased program, plus the readout's
+    quarter-block scratch.  No block is copied to widen or to measure."""
+
+    @pytest.mark.parametrize("dtype", ["complex128", "complex64"])
+    @pytest.mark.parametrize(("n_items", "n_blocks"), [(1024, 4), (4096, 8)])
+    @pytest.mark.parametrize(("method", "budget"), [
+        ("grk", 1.5),
+        ("grk-sure-success", 2.5),
+        ("grk-cwb", 2.5),
+    ])
+    def test_serial_sweep_peak(self, method, budget, n_items, n_blocks,
+                               dtype):
+        from repro.core.plans import resolve_plan
+
+        program = resolve_plan(
+            SearchRequest(n_items=n_items, n_blocks=n_blocks, method=method)
+        ).program
+        targets = np.arange(n_items, dtype=np.intp)
+        policy = ExecutionPolicy(dtype=dtype, row_threads=1)
+        tracemalloc.start()
+        try:
+            program_sweep_rows(program, targets, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * sweep.ROW_BLOCK_BYTES, peak
 
 
 # ---------------------------------------------------------- item readout

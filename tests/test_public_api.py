@@ -107,14 +107,17 @@ class TestImportCost:
 
     def test_default_batch_loads_no_multiprocessing(self):
         # A local batch runs its shards in-process; row threads are its
-        # only parallelism, so no process-pool machinery loads.
+        # only parallelism, so no process-pool machinery loads, and its
+        # executor lives in the engine, so none of the serving stack does.
         proc = _run_fresh("""
 import sys
 import repro.engine
 report = repro.engine.SearchEngine().search_batch(
     repro.engine.SearchRequest(n_items=256, n_blocks=4))
 assert report.execution["executor"] == "local"
-print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
+roots = ("multiprocessing", "asyncio", "ssl")
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in roots or m.startswith("repro.service")))
 """)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
