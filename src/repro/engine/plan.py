@@ -7,11 +7,11 @@ in the results), and dispatches the shard list through a
 (:func:`default_executor`), or any custom executor (e.g. the
 TCP-distributed :class:`repro.service.executor.RemoteExecutor`)
 installed on the engine.  The local executor lives here, so an
-in-process batch loads none of the serving stack.  Every simulated batch
-ships one shard function, whose tasks are plain data: a program,
-targets, a backend name and the request's execution policy,
-``row_threads="auto"`` included: the process that runs a shard decides
-its thread count and reports it.
+in-process batch loads none of the serving stack.  Every executor runs
+one shard function, :func:`run_shard`, so a shard is its task alone,
+and a task is plain data: a program, targets, a backend name and the
+request's execution policy, ``row_threads="auto"`` included: the process
+that runs a shard decides its thread count and reports it.
 
 What bounds a shard is what it holds.  A kernels shard holds one row
 state of :data:`~repro.kernels.sweep.ROW_BLOCK_BYTES` of real bytes per
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "ExecutionPlan",
     "plan_shards",
     "state_row_bytes",
+    "run_shard",
     "run_grk_batch_sharded",
     "ShardExecutor",
     "LocalExecutor",
@@ -163,13 +164,15 @@ def plan_shards(
     return ExecutionPlan(n_rows=n_rows, shard_rows=rows, policy=execution)
 
 
-def _program_shard(task):
-    """Execute one shard of a program batch (module-level so the wire can
-    ship it by reference): ``(success, guesses, row_threads)``.
+def run_shard(task):
+    """Execute one shard of a program batch: ``(success, guesses,
+    row_threads)``.
 
-    The task is plain data: the program, the targets, the backend name
-    and the request's :class:`~repro.kernels.ExecutionPolicy`, whose
-    ``"auto"`` this process resolves for itself
+    The one shard function: :class:`LocalExecutor` and a
+    ``repro-worker`` both call it, reading it off this module each time a
+    shard runs.  The task is plain data: the program, the targets, the
+    backend name and the request's :class:`~repro.kernels.ExecutionPolicy`,
+    whose ``"auto"`` this process resolves for itself
     (:func:`~repro.core.batch.running_shard`).  Results are
     bit-identical wherever, in whatever order and at whatever count
     shards run.
@@ -224,7 +227,7 @@ def run_grk_batch_sharded(
         planned.attrs["shards"] = plan.n_shards
     if not tasks:
         return np.empty(0), np.empty(0, dtype=np.intp), plan
-    results = executor.run_shards(_program_shard, tasks)
+    results = executor.run_shards(tasks)
     with span("merge", shards=len(results)):
         success = np.concatenate([r[0] for r in results])
         guesses = np.concatenate([r[1] for r in results])
@@ -235,17 +238,18 @@ def run_grk_batch_sharded(
 class ShardExecutor(ABC):
     """Strategy for executing a list of independent shard tasks.
 
-    The contract is ``run_shards(func, tasks)`` returning results *in
-    task order*: shard boundaries come from the plan and every random
-    draw happens before dispatch, so any executor that runs every task
-    exactly once returns bit-identical results.  The serving stack's
-    :class:`repro.service.executor.RemoteExecutor` is the other one.
+    The contract is ``run_shards(tasks)`` returning :func:`run_shard`'s
+    results *in task order*: shard boundaries come from the plan and
+    every random draw happens before dispatch, so any executor that runs
+    every task exactly once returns bit-identical results.  The serving
+    stack's :class:`repro.service.executor.RemoteExecutor` is the other
+    one.
     """
 
     @abstractmethod
-    def run_shards(self, func: Callable, tasks: Sequence, *,
+    def run_shards(self, tasks: Sequence, *,
                    deadline: Deadline | None = None) -> list:
-        """Run ``func(task)`` for every task; results in task order.
+        """Run :func:`run_shard` on every task; results in task order.
 
         ``deadline`` bounds the whole call (``None`` reads the ambient
         :func:`repro.resilience.current_deadline`); executors raise
@@ -271,7 +275,7 @@ class LocalExecutor(ShardExecutor):
     overrun stops the batch instead of computing shards nobody awaits.
     """
 
-    def run_shards(self, func, tasks, *,
+    def run_shards(self, tasks, *,
                    deadline: Deadline | None = None) -> list:
         if deadline is None:
             deadline = current_deadline()
@@ -280,7 +284,7 @@ class LocalExecutor(ShardExecutor):
             for task in tasks:
                 if deadline is not None:
                     deadline.raise_if_expired("batch")
-                results.append(func(task))
+                results.append(run_shard(task))
         return results
 
     def describe(self) -> dict:

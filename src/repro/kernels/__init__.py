@@ -57,7 +57,6 @@ from repro.kernels.batched import (
     phased_iteration_rows,
     success_and_guesses,
     sweep_row_slabs,
-    uniform_batch,
 )
 from repro.kernels.sweep import program_sweep_rows
 
@@ -83,7 +82,6 @@ __all__ = [
     "apply_grover_iteration",
     "apply_block_grover_iteration",
     "check_norm",
-    "uniform_batch",
     "phase_flip_rows",
     "phased_iteration_rows",
     "moveout_rows",

@@ -6,7 +6,6 @@ these primitives are the per-row counterparts of
 reflections over leading axes — what a batch needs on top is the ops whose
 index depends on the row):
 
-- :func:`uniform_batch` — the ``(B, N)`` uniform start state.
 - :func:`phase_flip_rows` — each row flips its own target column (the
   batched oracle ``I_{t_i}``).
 - :func:`phased_iteration_rows` — one oracle + diffusion pass at arbitrary
@@ -35,11 +34,9 @@ from repro.kernels.policy import row_slabs
 from repro.kernels.primitives import (
     invert_about_mean,
     invert_about_mean_blocks,
-    uniform_state,
 )
 
 __all__ = [
-    "uniform_batch",
     "phase_flip_rows",
     "phased_iteration_rows",
     "ROW_BUFSIZE",
@@ -85,11 +82,6 @@ def row_buffered(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     finally:
         np.setbufsize(old)
-
-
-def uniform_batch(n_rows: int, n_items: int, *, dtype=np.float64) -> np.ndarray:
-    """A fresh ``(B, N)`` batch of uniform superpositions."""
-    return uniform_state(n_items, dtype=dtype, lead=(n_rows,))
 
 
 def _rows_for(amps: np.ndarray, rows: np.ndarray | None) -> np.ndarray:

@@ -33,7 +33,7 @@ change *where and when* a shard runs, never *what it computes* — any
 schedule that runs every shard exactly once yields a bit-identical report.
 """
 
-from repro.resilience.breaker import BreakerOpen, BreakerRegistry, CircuitBreaker
+from repro.resilience.breaker import BreakerRegistry, CircuitBreaker
 from repro.resilience.chaos import FaultPlan, FaultSpec
 from repro.resilience.deadline import (
     Deadline,
@@ -44,7 +44,6 @@ from repro.resilience.deadline import (
 from repro.resilience.retry import RetryBudget, RetryPolicy
 
 __all__ = [
-    "BreakerOpen",
     "BreakerRegistry",
     "CircuitBreaker",
     "Deadline",

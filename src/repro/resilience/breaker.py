@@ -29,15 +29,11 @@ from __future__ import annotations
 import threading
 import time
 
-__all__ = ["BreakerOpen", "CircuitBreaker", "BreakerRegistry"]
+__all__ = ["CircuitBreaker", "BreakerRegistry"]
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class BreakerOpen(RuntimeError):
-    """The endpoint is quarantined — fail over instead of dialing it."""
 
 
 class CircuitBreaker:

@@ -201,9 +201,6 @@ def _add_submit(sub: argparse._SubParsersAction) -> None:
     _add_request_flags(p)
     p.add_argument("--stats", action="store_true",
                    help="also fetch and print server stats")
-    p.add_argument("--json", action="store_true",
-                   help="emit the gateway schema's versioned report envelope "
-                        "(machine-readable; identical to POST /v1/search)")
     p.add_argument("--trace-id", default=None,
                    help="trace this request under an explicit ID (default: "
                         "mint one).  The effective ID is printed to stderr; "
@@ -493,40 +490,9 @@ def _cmd_gateway(args) -> int:
     return 0
 
 
-def _report_to_json(report) -> dict:
-    import numpy as np
-
-    from repro.engine.report import BatchReport
-
-    if isinstance(report, BatchReport):
-        return {
-            "kind": "batch",
-            "method": report.method,
-            "backend": report.backend,
-            "n_items": report.n_items,
-            "n_blocks": report.n_blocks,
-            "n_rows": report.n_rows,
-            "worst_success": report.worst_success,
-            "all_correct": report.all_correct,
-            "queries_per_run": report.queries_per_run,
-            "block_guesses": np.asarray(report.block_guesses).tolist(),
-            "execution": dict(report.execution),
-        }
-    return {
-        "kind": "search",
-        "method": report.method,
-        "backend": report.backend,
-        "n_items": report.n_items,
-        "n_blocks": report.n_blocks,
-        "block_guess": report.block_guess,
-        "success_probability": report.success_probability,
-        "queries": report.queries,
-        "schedule": dict(report.schedule),
-    }
-
-
 def _cmd_submit(args) -> int:
     from repro.engine import ExecutionPolicy, SearchRequest
+    from repro.gateway.schema import encode_report
     from repro.gateway.tracing import new_trace_id, sanitize_trace_id
     from repro.service.server import DEFAULT_PORT, server_stats, submit_remote
 
@@ -560,14 +526,9 @@ def _cmd_submit(args) -> int:
         trace_id=trace_id,
     )
     print(f"trace: {trace_id}", file=sys.stderr)
-    if args.json:
-        # The gateway schema's envelope: byte-comparable with what
-        # POST /v1/search returns for the same request.
-        from repro.gateway.schema import encode_report
-
-        payload = encode_report(report)
-    else:
-        payload = _report_to_json(report)
+    # The gateway schema's envelope: byte-comparable with what
+    # POST /v1/search returns for the same request.
+    payload = encode_report(report)
     if args.stats:
         payload["server_stats"] = server_stats(address)
     json.dump(payload, sys.stdout, indent=2)

@@ -3,8 +3,9 @@
 :meth:`repro.engine.SearchEngine.search_batch` splits a batch into shards
 (:func:`repro.engine.plan.plan_shards`) and then hands the shard list to a
 :class:`ShardExecutor`.  The contract is deliberately tiny —
-``run_shards(func, tasks)`` returning results *in task order* — because
-everything that matters for reproducibility is decided before dispatch:
+``run_shards(tasks)`` returning :func:`repro.engine.plan.run_shard`'s
+results *in task order* — because everything that matters for
+reproducibility is decided before dispatch:
 shard boundaries come from the plan, and every random draw (naive-blocks'
 per-row left-out blocks) happens in the engine before dispatch, so no RNG
 stream ships inside a task.  A task is plain data: a program, its
@@ -153,8 +154,8 @@ class RemoteExecutor(ShardExecutor):
     workers by load, each run starts one worker further along the source's
     order than the last, so one-shard batches take turns across the fleet.
     A lane pulls shards off a shared queue, ships each as a
-    ``("shard", func, task, meta)`` frame (``meta`` carries the
-    remaining deadline budget and the trace context), and waits for the
+    ``("shard", task, meta)`` frame (``meta`` carries the remaining
+    deadline budget and the trace context), and waits for the
     ``("result", value)`` reply.  Failure handling:
 
     - **transport failure** (connection refused/reset, worker death
@@ -277,14 +278,14 @@ class RemoteExecutor(ShardExecutor):
             state["addresses"].append(endpoint)
             return endpoint
 
-    def _serve_lane(self, endpoint, func, state) -> None:
+    def _serve_lane(self, endpoint, state) -> None:
         """One dispatch lane: serve shards from *endpoint*; when that
         worker fails, drains or is quarantined, take the next spare worker
         and go on, until the run is over or no spare is left."""
         while endpoint is not None:
-            endpoint = self._lane_loop(endpoint, func, state)
+            endpoint = self._lane_loop(endpoint, state)
 
-    def _lane_loop(self, endpoint, func, state) -> str | None:
+    def _lane_loop(self, endpoint, state) -> str | None:
         """Pull shards for one worker until every shard is done or the
         worker is gone.  A transport failure requeues the in-flight shard
         immediately (any lane can pick it up) and records it on the
@@ -386,7 +387,7 @@ class RemoteExecutor(ShardExecutor):
                         if sock is None:
                             sock = self._connect(address)
                         message = self._shard_message(
-                            func, state["tasks"][index], deadline, trace_id,
+                            state["tasks"][index], deadline, trace_id,
                             att.span_id,
                         )
                         if deadline is not None:
@@ -484,11 +485,12 @@ class RemoteExecutor(ShardExecutor):
             self._close(sock)
 
     @staticmethod
-    def _shard_message(func, task, deadline, trace_id=None,
+    def _shard_message(task, deadline, trace_id=None,
                        parent_span_id=None) -> tuple:
-        """The shard frame: the meta dict ships the remaining budget and,
-        when the request is traced, its trace ID and the dispatch-attempt
-        span ID the worker parents its compute span on."""
+        """The shard frame, plain data: the task and a meta dict that
+        ships the remaining budget and, when the request is traced, its
+        trace ID and the dispatch-attempt span ID the worker parents its
+        compute span on."""
         meta = {}
         if deadline is not None:
             meta["deadline_s"] = deadline.remaining()
@@ -496,7 +498,7 @@ class RemoteExecutor(ShardExecutor):
             meta["trace_id"] = trace_id
             if parent_span_id is not None:
                 meta["parent_span_id"] = parent_span_id
-        return ("shard", func, task, meta)
+        return ("shard", task, meta)
 
     @staticmethod
     def _close(sock) -> None:
@@ -517,7 +519,7 @@ class RemoteExecutor(ShardExecutor):
         """The dialable workers, as :meth:`run_shards` opens lanes on."""
         return len(self._dialable()[0])
 
-    def run_shards(self, func, tasks, *,
+    def run_shards(self, tasks, *,
                    deadline: Deadline | None = None) -> list:
         tasks = list(tasks)
         if not tasks:
@@ -543,8 +545,7 @@ class RemoteExecutor(ShardExecutor):
                 raise WorkerUnavailable(
                     "no worker to dispatch to: the fleet is empty"
                 )
-            return default_executor().run_shards(func, tasks,
-                                                 deadline=deadline)
+            return default_executor().run_shards(tasks, deadline=deadline)
         # One lane per shard is the useful maximum: extra lanes would only
         # hold idle connections.  The rest wait as spares for a lane whose
         # worker goes away.  With every candidate quarantined no lane
@@ -597,7 +598,7 @@ class RemoteExecutor(ShardExecutor):
             threads = [
                 threading.Thread(
                     target=contextvars.copy_context().run,
-                    args=(self._serve_lane, endpoint, func, state),
+                    args=(self._serve_lane, endpoint, state),
                     daemon=True,
                 )
                 for endpoint in lanes
@@ -606,9 +607,9 @@ class RemoteExecutor(ShardExecutor):
                 t.start()
             for t in threads:
                 t.join()
-            return self._finish_run(func, tasks, state, deadline)
+            return self._finish_run(tasks, state, deadline)
 
-    def _finish_run(self, func, tasks, state, deadline) -> list:
+    def _finish_run(self, tasks, state, deadline) -> list:
         self.last_run = {
             "addresses": list(state["addresses"]),
             "local": not state["addresses"],
@@ -649,7 +650,7 @@ class RemoteExecutor(ShardExecutor):
                     },
                 )
             computed = default_executor().run_shards(
-                func, [tasks[i] for i in leftover], deadline=deadline
+                [tasks[i] for i in leftover], deadline=deadline
             )
             for i, result in zip(leftover, computed):
                 state["results"][i] = result

@@ -17,11 +17,14 @@ new message types need no bump (unknown types get an ``("error", ...)``
 reply).  Each request message has one arity, and the dialer's metadata
 dict is always present:
 
-- ``("shard", func, task, meta)`` (worker): ``meta`` may carry
-  ``deadline_s`` (the request's remaining budget in seconds — monotonic
-  clocks do not transfer between hosts), ``trace_id`` and
-  ``parent_span_id``.  A program shard may carry ``row_threads="auto"``
-  and returns ``(success, guesses, row_threads)``, the count it ran;
+- ``("shard", task, meta)`` (worker): the worker runs the task through
+  the one shard function, :func:`repro.engine.plan.run_shard`, so the
+  frame names no code.  The task is plain data (program, targets,
+  backend, execution policy, which may carry ``row_threads="auto"``),
+  and the result is ``(success, guesses, row_threads)``, the count it
+  ran.  ``meta`` may carry ``deadline_s`` (the request's remaining budget
+  in seconds — monotonic clocks do not transfer between hosts),
+  ``trace_id`` and ``parent_span_id``;
 - ``("register", address, meta)`` (server): workers send an empty
   ``meta``;
 - ``("submit", request, targets, batch, timeout, meta)`` (server):
@@ -58,7 +61,8 @@ __all__ = [
 
 #: Protocol version — bump on any change to a message's layout or meaning
 #: (see module docstring).  8: shards resolve ``"auto"``, return the count.
-WIRE_VERSION = 8
+#: 9: the shard frame carries no function.
+WIRE_VERSION = 9
 
 #: Frame magic: identifies the stream as the repro shard protocol.
 MAGIC = b"RPRO"

@@ -4,8 +4,10 @@ The worker listens on TCP, accepts any number of concurrent connections
 (one thread each), and answers frames of the wire protocol
 (:mod:`repro.service.wire`):
 
-- ``("shard", func, task, meta)`` -> ``("result", func(task))``,
-  or ``("error", message)`` when the shard function raises.
+- ``("shard", task, meta)`` -> ``("result", run_shard(task))``
+  (:func:`repro.engine.plan.run_shard`, the one shard function), or
+  ``("error", message)`` when the shard raises; a frame of any other
+  shape is answered ``("error", ...)`` and runs nothing.
   ``meta["deadline_s"]`` is the request's **remaining budget** in seconds,
   from which the worker rebuilds a local
   :class:`~repro.resilience.Deadline` — a shard whose budget arrives spent
@@ -13,11 +15,11 @@ The worker listens on TCP, accepts any number of concurrent connections
 - ``("ping",)`` -> ``("pong", stats_dict)`` — liveness/health probe.
 
 The worker is stateless between shards: everything a shard needs (program,
-targets, backend, policy) arrives as plain data in the task payload, which
-makes results bit-identical to local execution.  Functions are pickled by
-reference (module + qualname), so the worker host needs the same ``repro``
-version importable — deploy workers and drivers from the same build (a
-peer from another build gets the wire's version-mismatch error).
+targets, backend, policy) arrives as plain data in the task payload, and
+the worker runs it through the same function the local executor calls,
+which makes results bit-identical to local execution.  Deploy workers and
+drivers from the same build (a peer from another build gets the wire's
+version-mismatch error).
 
 Run one per host::
 
@@ -56,6 +58,7 @@ import threading
 import time
 import traceback
 
+from repro.engine import plan
 from repro.resilience import Deadline, FaultPlan, deadline_scope
 from repro.service.address import format_address, parse_address
 from repro.util.structlog import LOG_FORMATS, configure_logging
@@ -263,10 +266,9 @@ class WorkerServer:
         return ("error", f"unknown message type {kind!r}")
 
     def _dispatch_shard(self, message) -> tuple | None:
-        if len(message) != 4 or not isinstance(message[3], dict):
-            return ("error",
-                    "shard message must be (shard, func, task, meta)")
-        _, func, task, meta = message
+        if len(message) != 3 or not isinstance(message[2], dict):
+            return ("error", "shard message must be (shard, task, meta)")
+        _, task, meta = message
         if self._draining:
             return ("unavailable", "worker draining: requeue elsewhere")
         deadline_s = meta.get("deadline_s")
@@ -317,7 +319,7 @@ class WorkerServer:
                     recording_scope(recorder, meta.get("parent_span_id")):
                 with span("worker.compute", worker=f"{self.address[0]}:"
                                                    f"{self.address[1]}"):
-                    result = func(task)
+                    result = plan.run_shard(task)
         except Exception as exc:  # deterministic failure -> no retry
             log.exception("shard function raised")
             return ("error",

@@ -3,7 +3,7 @@
 The serving stack accumulates telemetry from many layers — numpy scalars in
 execution provenance, tuple-keyed dicts in ad-hoc counters, sets of
 addresses, mapping proxies on frozen dataclasses — and all of it eventually
-wants to leave the process as JSON: ``repro submit --json``, the gateway's
+wants to leave the process as JSON: ``repro submit``, the gateway's
 ``GET /stats``, the Prometheus exposition assembled from the same snapshot.
 :func:`json_safe` normalises a value into something :func:`json.dumps` (and
 every strict JSON consumer) accepts, without the callers having to know

@@ -3,9 +3,10 @@ and local fallback when the fleet is empty or gone."""
 
 import socket
 
+import pytest
+
 from repro.cluster import ClusterMembership, ClusterWorkers
 from repro.resilience import BreakerRegistry
-from repro.service._testing import echo_shard
 from repro.service.executor import RemoteExecutor
 from repro.service.registry import WorkerRegistry
 from repro.service.worker import WorkerServer
@@ -15,13 +16,14 @@ def _addr(worker: WorkerServer) -> str:
     return f"{worker.address[0]}:{worker.address[1]}"
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestWorkerResolution:
     def test_empty_cluster_runs_locally(self):
         ex = RemoteExecutor(
             ClusterWorkers(ClusterMembership("a:1"), WorkerRegistry()),
             fallback_local=True,
         )
-        assert ex.run_shards(echo_shard, [1, 2, 3]) == [1, 2, 3]
+        assert ex.run_shards([1, 2, 3]) == [2, 4, 6]
         assert ex.last_run == {"addresses": [], "local": True,
                                "quarantined": []}
         assert ex.describe()["executor"] == "cluster"
@@ -32,7 +34,7 @@ class TestWorkerResolution:
                             fallback_local=True, timeout=30.0)
         with WorkerServer() as worker:
             reg.add(_addr(worker))
-            assert ex.run_shards(echo_shard, list(range(4))) == list(range(4))
+            assert ex.run_shards(list(range(4))) == [0, 2, 4, 6]
             assert worker.shards_served == 4
             assert ex.last_run["local"] is False
 
@@ -49,7 +51,7 @@ class TestWorkerResolution:
                 ClusterWorkers(membership, WorkerRegistry()),
                 fallback_local=True, timeout=30.0,
             )
-            assert ex.run_shards(echo_shard, [5, 6]) == [5, 6]
+            assert ex.run_shards([5, 6]) == [10, 12]
             assert worker.shards_served == 2
             assert ex.last_run["addresses"] == [_addr(worker)]
 
@@ -71,7 +73,7 @@ class TestWorkerResolution:
             })
             ex = RemoteExecutor(ClusterWorkers(membership, None),
                                 fallback_local=True, timeout=30.0)
-            assert ex.run_shards(echo_shard, [1]) == [1]
+            assert ex.run_shards([1]) == [2]
             assert ex.last_run["addresses"] == [_addr(worker)]
             assert worker.shards_served == 1
 
@@ -86,7 +88,7 @@ class TestWorkerResolution:
             })
             ex = RemoteExecutor(ClusterWorkers(membership, None), timeout=30.0)
             for shard in range(4):
-                assert ex.run_shards(echo_shard, [shard]) == [shard]
+                assert ex.run_shards([shard]) == [2 * shard]
             assert (idle.shards_served, busy.shards_served) == (4, 0)
 
     def test_local_registry_ranks_ahead_of_gossip_and_dedupes(self):
@@ -117,7 +119,7 @@ class TestWorkerResolution:
             for workers in (ClusterWorkers(membership, None), [first, second]):
                 ex = RemoteExecutor(workers, fallback_local=True,
                                     breakers=breakers, timeout=30.0)
-                assert ex.run_shards(echo_shard, [1]) == [1]
+                assert ex.run_shards([1]) == [2]
                 assert ex.last_run["addresses"] == [second]
             assert a.shards_served + b.shards_served == 2
             assert breakers.state(first) == "half-open"
@@ -131,5 +133,5 @@ class TestWorkerResolution:
         ex = RemoteExecutor(ClusterWorkers(membership, None),
                             fallback_local=True, timeout=5.0,
                             connect_timeout=0.5)
-        assert ex.run_shards(echo_shard, [7, 8]) == [7, 8]
+        assert ex.run_shards([7, 8]) == [14, 16]
         assert ex.last_run["local_fallback_shards"] == 2

@@ -11,17 +11,16 @@ from repro.service.executor import LocalExecutor, ShardExecutor
 
 
 class RecordingExecutor(ShardExecutor):
-    """Runs shards locally while recording every dispatch."""
+    """Runs shards locally while recording every dispatch's tasks."""
 
     def __init__(self):
         self.calls = []
         self._local = LocalExecutor()
 
-    def run_shards(self, func, tasks, *, deadline=None):
+    def run_shards(self, tasks, *, deadline=None):
         tasks = list(tasks)
-        self.calls.append({"n_tasks": len(tasks), "func": func,
-                           "tasks": tasks})
-        return self._local.run_shards(func, tasks, deadline=deadline)
+        self.calls.append(tasks)
+        return self._local.run_shards(tasks, deadline=deadline)
 
     def describe(self):
         return {"executor": "recording"}
@@ -35,26 +34,21 @@ class TestEngineDispatch:
             SearchRequest(n_items=64, n_blocks=4, shards=ShardPolicy(max_rows=16))
         )
         assert len(ex.calls) == 1
-        assert ex.calls[0]["n_tasks"] == 4
+        assert len(ex.calls[0]) == 4
         assert report.execution["executor"] == "recording"
         assert report.execution["n_shards"] == 4
 
     @pytest.mark.parametrize("method", ["naive-blocks", "grover-full"])
-    def test_baselines_ship_the_grk_shard_function(self, method):
+    def test_baselines_ship_plain_program_tasks(self, method):
         ex = RecordingExecutor()
-        engine = SearchEngine(executor=ex)
-        engine.search_batch(
-            SearchRequest(n_items=64, n_blocks=4, shards=ShardPolicy(max_rows=32))
-        )
-        report = engine.search_batch(
+        report = SearchEngine(executor=ex).search_batch(
             SearchRequest(n_items=64, n_blocks=4, method=method,
                           rng=3, shards=ShardPolicy(max_rows=32))
         )
-        grk, baseline = ex.calls
-        assert baseline["func"] is grk["func"]
+        (tasks,) = ex.calls
         assert report.execution["executor"] == "recording"
         # Every task is plain data: no method adapter, no request, no RNG.
-        for task in baseline["tasks"]:
+        for task in tasks:
             program, targets, backend, policy = task
             assert isinstance(program, PartialSearchProgram)
             assert program.n_blocks == program.n_items  # one address each
@@ -65,6 +59,24 @@ class TestEngineDispatch:
             blob = pickle.dumps(task)
             assert b"repro.engine" not in blob
             assert b"numpy.random" not in blob
+
+    @pytest.mark.parametrize("method", ["grk", "grk-cwb"])
+    def test_shard_frame_names_no_engine_code(self, method):
+        # Every executor runs a task through repro.engine.plan.run_shard,
+        # so the frame a worker receives is plain data and names no
+        # function to import.
+        from repro.service import wire
+        from repro.service.executor import RemoteExecutor
+
+        ex = RecordingExecutor()
+        SearchEngine(executor=ex).search_batch(
+            SearchRequest(n_items=64, n_blocks=4, method=method,
+                          shards=ShardPolicy(max_rows=32))
+        )
+        (tasks,) = ex.calls
+        for task in tasks:
+            frame = wire._encode(RemoteExecutor._shard_message(task, None))
+            assert b"repro.engine" not in frame
 
     def test_classical_batch_runs_in_process(self):
         ex = RecordingExecutor()

@@ -15,7 +15,6 @@ from repro.gateway.tracing import (
     sanitize_trace_id,
     trace_scope,
 )
-from repro.service._testing import trace_probe_shard
 from repro.service.executor import RemoteExecutor
 from repro.service.worker import WorkerServer
 
@@ -52,27 +51,25 @@ class TestTraceIds:
 
 
 class TestTraceOnWire:
-    def test_trace_id_reaches_worker_shards(self):
+    def test_trace_id_reaches_worker_shards(self, fake_shard):
         with WorkerServer() as worker:
             executor = RemoteExecutor([worker.address], timeout=30.0)
             with trace_scope("trace-wire-1"):
-                results = executor.run_shards(
-                    trace_probe_shard, list(range(4))
-                )
-            assert results == [(i, "trace-wire-1") for i in range(4)]
+                results = executor.run_shards(list(range(4)))
+            assert results == [0, 2, 4, 6]
+            assert sorted((c.task, c.trace_id) for c in fake_shard) \
+                == [(i, "trace-wire-1") for i in range(4)]
             # The worker recorded the ID too (the log-correlation side).
             assert "trace-wire-1" in worker.seen_trace_ids
 
-    def test_untraced_dispatch_ships_no_trace(self):
+    def test_untraced_dispatch_ships_no_trace(self, fake_shard):
         with WorkerServer() as worker:
             executor = RemoteExecutor([worker.address], timeout=30.0)
-            results = executor.run_shards(trace_probe_shard, [0, 1])
-            assert results == [(0, None), (1, None)]
+            assert executor.run_shards([0, 1]) == [0, 2]
+            assert sorted((c.task, c.trace_id) for c in fake_shard) \
+                == [(0, None), (1, None)]
             assert len(worker.seen_trace_ids) == 0
 
     def test_shard_message_meta_carries_trace_id(self):
-        message = RemoteExecutor._shard_message(
-            trace_probe_shard, "task", None, "tid-7"
-        )
-        assert message == ("shard", trace_probe_shard, "task",
-                           {"trace_id": "tid-7"})
+        message = RemoteExecutor._shard_message("task", None, "tid-7")
+        assert message == ("shard", "task", {"trace_id": "tid-7"})

@@ -51,7 +51,7 @@ class TestUniformState:
         s = primitives.uniform_state(8)
         assert s.shape == (8,) and s.dtype == np.float64
         np.testing.assert_allclose(np.sum(s**2), 1.0)
-        b = batched.uniform_batch(3, 8, dtype=np.float32)
+        b = primitives.uniform_state(8, dtype=np.float32, lead=(3,))
         assert b.shape == (3, 8) and b.dtype == np.float32
 
     def test_rejects_empty(self):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.engine import ExecutionPolicy, SearchEngine, SearchRequest
 from repro.kernels import batched, sweep
+from repro.kernels.primitives import uniform_state
 
 
 def _plain(fn, *args, **kwargs):
@@ -108,10 +109,10 @@ def test_both_updates_run_under_the_small_buffer(n_blocks):
     targets = np.array([0, 5, 9], dtype=np.intp)
     with mock.patch.object(batched, "row_buffered", spy):
         sweep.grk_iteration_rows(
-            batched.uniform_batch(3, 64), targets, n_blocks=n_blocks
+            uniform_state(64, lead=(3,)), targets, n_blocks=n_blocks
         )
         batched.phased_iteration_rows(
-            batched.uniform_batch(3, 64, dtype=np.complex128), targets,
+            uniform_state(64, dtype=np.complex128, lead=(3,)), targets,
             n_blocks=n_blocks, oracle_phase=1.0, diffusion_phase=2.0,
         )
     assert seen == [batched.ROW_BUFSIZE] * 2

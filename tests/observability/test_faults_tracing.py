@@ -12,17 +12,16 @@ import pytest
 from repro.gateway.tracing import trace_scope
 from repro.observability.spans import SpanRecorder, recording_scope
 from repro.resilience import BreakerRegistry, FaultPlan, FaultSpec, RetryPolicy
-from repro.service._testing import double_shard
 from repro.service.executor import RemoteExecutor, WorkerUnavailable
 from repro.service.worker import WorkerServer
 
-pytestmark = pytest.mark.chaos
+pytestmark = [pytest.mark.chaos, pytest.mark.usefixtures("fake_shard")]
 
 
 def _traced_run(executor, tasks, trace_id="trace-chaos"):
     recorder = SpanRecorder(trace_id)
     with trace_scope(trace_id), recording_scope(recorder):
-        results = executor.run_shards(double_shard, tasks)
+        results = executor.run_shards(tasks)
     return results, recorder.drain()
 
 

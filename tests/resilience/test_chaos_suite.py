@@ -28,12 +28,6 @@ from repro.resilience import (
     RetryPolicy,
     deadline_scope,
 )
-from repro.service._testing import (
-    deadline_probe_shard,
-    double_shard,
-    echo_shard,
-    slow_shard,
-)
 from repro.service.executor import (
     LocalExecutor,
     RemoteExecutor,
@@ -127,6 +121,7 @@ class TestBitIdentityUnderChaosPlans:
             self._assert_bit_identical(ex)
         assert refuse_plan.fired("executor.connect") == 2
 
+    @pytest.mark.usefixtures("fake_shard")
     def test_same_plan_same_seed_is_replayable(self):
         """The debugging contract: re-running a failing chaos schedule
         injects the identical fault sequence."""
@@ -145,7 +140,7 @@ class TestBitIdentityUnderChaosPlans:
                     retry=RetryPolicy(max_attempts=6, base_delay=0.001,
                                       max_delay=0.005),
                 )
-                out = ex.run_shards(double_shard, list(range(12)))
+                out = ex.run_shards(list(range(12)))
             return out, plan.describe()["faults"][0]["fired"]
 
         (out_a, fired_a), (out_b, fired_b) = run_once(), run_once()
@@ -153,6 +148,7 @@ class TestBitIdentityUnderChaosPlans:
         assert fired_a == fired_b == 4
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestDeadlineBoundsSlowWorkers:
     SLOW_PLAN = {"faults": [{"site": "worker.shard", "kind": "slow",
                              "delay_s": 2.0, "count": None}]}
@@ -162,8 +158,7 @@ class TestDeadlineBoundsSlowWorkers:
             ex = RemoteExecutor([w.address], timeout=30.0)
             start = time.monotonic()
             with pytest.raises(DeadlineExceeded):
-                ex.run_shards(echo_shard, [1, 2, 3],
-                              deadline=Deadline.after(0.75))
+                ex.run_shards([1, 2, 3], deadline=Deadline.after(0.75))
             elapsed = time.monotonic() - start
         # Without deadline->timeout conversion the first reply alone would
         # take 2s; the run must give up as soon as the budget is gone.
@@ -176,28 +171,29 @@ class TestDeadlineBoundsSlowWorkers:
             ex = RemoteExecutor([w.address], timeout=30.0)
             with deadline_scope(Deadline.after(0.75)):
                 with pytest.raises(DeadlineExceeded):
-                    ex.run_shards(echo_shard, [1, 2, 3])
+                    ex.run_shards([1, 2, 3])
 
-    def test_worker_rebuilds_a_deadline_scope_per_shard(self):
+    def test_worker_rebuilds_a_deadline_scope_per_shard(self, fake_shard):
         with WorkerServer() as w:
             ex = RemoteExecutor([w.address])
-            out = ex.run_shards(deadline_probe_shard, [0, 1],
-                                deadline=Deadline.after(30.0))
-        for task, had_deadline, remaining in out:
-            assert had_deadline is True
-            assert 0.0 < remaining <= 30.0
+            assert ex.run_shards([0, 1],
+                                 deadline=Deadline.after(30.0)) == [0, 2]
+        assert sorted(call.task for call in fake_shard) == [0, 1]
+        for call in fake_shard:
+            assert 0.0 < call.deadline_s <= 30.0
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestExpiredShardsNeverExecute:
-    def test_spent_budget_is_refused_without_computing(self):
+    def test_spent_budget_is_refused_without_computing(self, fake_shard):
         with WorkerServer() as w:
             with socket.create_connection(w.address, timeout=5.0) as sock:
                 sock.settimeout(5.0)
-                send_frame(sock, ("shard", echo_shard, 1,
-                                  {"deadline_s": -0.5}))
+                send_frame(sock, ("shard", 1, {"deadline_s": -0.5}))
                 reply = recv_frame(sock)
             assert reply[0] == "expired"
             assert "deadline spent" in reply[1]
+            assert fake_shard == []
             assert w.shards_served == 0
             assert w.shards_expired == 1
             # ...and the ping surface reports it.
@@ -213,8 +209,7 @@ class TestExpiredShardsNeverExecute:
         with WorkerServer() as w:
             ex = RemoteExecutor([w.address])
             with pytest.raises(DeadlineExceeded):
-                ex.run_shards(echo_shard, [1, 2],
-                              deadline=Deadline.after(-1.0))
+                ex.run_shards([1, 2], deadline=Deadline.after(-1.0))
             assert w.shards_served == 0
 
 
@@ -229,6 +224,7 @@ class FakeClock:
         self.now += seconds
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestBreakerLifecycleEndToEnd:
     def test_open_half_open_close_through_the_executor(self):
         clock = FakeClock()
@@ -244,8 +240,8 @@ class TestBreakerLifecycleEndToEnd:
             for _ in range(2):
                 ex = RemoteExecutor([flappy, _addr(healthy)], retry=retry,
                                     breakers=registry, connect_timeout=0.3)
-                assert ex.run_shards(echo_shard, list(range(6))) \
-                    == list(range(6))
+                assert ex.run_shards(list(range(6))) \
+                    == [2 * i for i in range(6)]
         assert registry.state(flappy) == "open"
 
         # Round 3: still down, but now nobody pays a connect timeout — the
@@ -253,7 +249,7 @@ class TestBreakerLifecycleEndToEnd:
         with WorkerServer() as healthy:
             ex = RemoteExecutor([flappy, _addr(healthy)], retry=retry,
                                 breakers=registry, connect_timeout=0.3)
-            assert ex.run_shards(echo_shard, list(range(4))) == list(range(4))
+            assert ex.run_shards(list(range(4))) == [0, 2, 4, 6]
             assert ex.last_run["breaker_skips"] == [flappy]
 
         # Quarantine elapses -> half-open; the endpoint comes back and the
@@ -262,7 +258,7 @@ class TestBreakerLifecycleEndToEnd:
         assert registry.state(flappy) == "half-open"
         with WorkerServer("127.0.0.1", port) as revived:
             ex = RemoteExecutor([flappy], retry=retry, breakers=registry)
-            assert ex.run_shards(double_shard, [1, 2]) == [2, 4]
+            assert ex.run_shards([1, 2]) == [2, 4]
             assert revived.shards_served == 2
         assert registry.state(flappy) == "closed"
 
@@ -277,14 +273,15 @@ class TestBreakerLifecycleEndToEnd:
             for _ in range(2):  # trip it
                 ex = RemoteExecutor([flappy, _addr(healthy)], retry=retry,
                                     breakers=registry, connect_timeout=0.3)
-                ex.run_shards(echo_shard, [1, 2, 3])
+                ex.run_shards([1, 2, 3])
             clock.advance(10.0)  # half-open, endpoint still dead
             ex = RemoteExecutor([flappy, _addr(healthy)], retry=retry,
                                 breakers=registry, connect_timeout=0.3)
-            assert ex.run_shards(echo_shard, [4, 5]) == [4, 5]
+            assert ex.run_shards([4, 5]) == [8, 10]
         assert registry.state(flappy) == "open"  # the trial failed
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestPoisonShards:
     def test_attempt_bound_raises_with_history(self):
         """A shard whose reply is lost on every attempt must fail the run
@@ -302,18 +299,27 @@ class TestPoisonShards:
             )
             with pytest.raises(WorkerUnavailable,
                                match="exhausted its 2-attempt bound") as info:
-                ex.run_shards(echo_shard, [42])
+                ex.run_shards([42])
         history = info.value.attempt_history
         assert len(history[0]) == 2
         assert all(_addr(w) == h["address"] for h in history[0])
 
 
+def _slow_first_shard(delay_s: float) -> FaultPlan:
+    """A plan whose first shard takes *delay_s*: the shard in flight when
+    a drain starts."""
+    return FaultPlan(
+        [FaultSpec(site="worker.shard", kind="slow", delay_s=delay_s)]
+    )
+
+
+@pytest.mark.usefixtures("fake_shard")
 class TestWorkerDrain:
     def test_drain_finishes_in_flight_and_refuses_new_shards(self):
-        with WorkerServer() as w:
+        with WorkerServer(chaos=_slow_first_shard(1.0)) as w:
             in_flight = socket.create_connection(w.address, timeout=10.0)
             in_flight.settimeout(10.0)
-            send_frame(in_flight, ("shard", slow_shard, 1.0, {}))
+            send_frame(in_flight, ("shard", 1, {}))
             time.sleep(0.2)  # the shard is computing
             drainer = threading.Thread(target=w.drain,
                                        kwargs={"timeout": 10.0})
@@ -323,13 +329,13 @@ class TestWorkerDrain:
                 with socket.create_connection(w.address,
                                               timeout=5.0) as late:
                     late.settimeout(5.0)
-                    send_frame(late, ("shard", echo_shard, "nope", {}))
+                    send_frame(late, ("shard", "nope", {}))
                     refused = recv_frame(late)
                 assert refused[0] == "unavailable"
                 assert "draining" in refused[1]
                 # The in-flight shard still completes — drain never aborts
                 # accepted work.
-                assert recv_frame(in_flight) == ("result", 1.0)
+                assert recv_frame(in_flight) == ("result", 2)
             finally:
                 in_flight.close()
                 drainer.join(timeout=10.0)
@@ -341,10 +347,11 @@ class TestWorkerDrain:
     def test_executor_requeues_from_draining_worker(self):
         """A dialer that hits a draining worker must requeue elsewhere and
         note the drain — not abort or retry the drained endpoint."""
-        with WorkerServer() as draining, WorkerServer() as healthy:
+        with WorkerServer(chaos=_slow_first_shard(1.5)) as draining, \
+                WorkerServer() as healthy:
             hold = socket.create_connection(draining.address, timeout=10.0)
             hold.settimeout(10.0)
-            send_frame(hold, ("shard", slow_shard, 1.5, {}))
+            send_frame(hold, ("shard", 1, {}))
             time.sleep(0.2)
             drainer = threading.Thread(target=draining.drain,
                                        kwargs={"timeout": 10.0})
@@ -352,7 +359,7 @@ class TestWorkerDrain:
             try:
                 time.sleep(0.2)
                 ex = RemoteExecutor([draining.address, healthy.address])
-                assert ex.run_shards(double_shard, list(range(6))) == [
+                assert ex.run_shards(list(range(6))) == [
                     2 * i for i in range(6)
                 ]
                 dead = ex.last_run["dead_workers"]

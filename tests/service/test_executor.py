@@ -17,8 +17,7 @@ import pytest
 from repro.core.parameters import plan_schedule
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
 from repro.engine.plan import run_grk_batch_sharded
-from repro.resilience import FaultPlan
-from repro.service._testing import double_shard, echo_shard, raise_shard, slow_shard
+from repro.resilience import FaultPlan, FaultSpec
 from repro.service.executor import (
     LocalExecutor,
     RemoteExecutor,
@@ -58,51 +57,50 @@ class HungWorker:
 
 
 class TestLocalExecutor:
-    def test_runs_every_task_in_order(self):
+    def test_runs_every_task_in_order(self, fake_shard):
         ex = LocalExecutor()
-        assert ex.run_shards(double_shard, [1, 2, 3]) == [2, 4, 6]
-        assert ex.run_shards(double_shard, []) == []
+        assert ex.run_shards([1, 2, 3]) == [2, 4, 6]
+        assert ex.run_shards([]) == []
+        assert [call.task for call in fake_shard] == [1, 2, 3]
 
-    def test_checks_the_deadline_before_every_shard(self):
-        # The first shard runs the clock past the deadline: the run stops
-        # there instead of computing shards nobody awaits.
+    def test_checks_the_deadline_before_every_shard(self, fake_shard):
+        # The clock passes the deadline once the first shard has run: the
+        # run stops there instead of computing shards nobody awaits.
         from repro.resilience import Deadline, DeadlineExceeded, deadline_scope
 
-        now, ran = [0.0], []
-
-        def shard(task):
-            ran.append(task)
-            now[0] = 2.0
-            return task
+        def clock():
+            return 2.0 if fake_shard else 0.0
 
         with pytest.raises(DeadlineExceeded):
-            LocalExecutor().run_shards(
-                shard, [1, 2, 3], deadline=Deadline(1.0, clock=lambda: now[0])
-            )
-        assert ran == [1]
+            LocalExecutor().run_shards([1, 2, 3],
+                                       deadline=Deadline(1.0, clock=clock))
+        assert [call.task for call in fake_shard] == [1]
         # The ambient deadline counts the same.
-        now[0], ran[:] = 0.0, []
-        with deadline_scope(Deadline(1.0, clock=lambda: now[0])), \
+        fake_shard.clear()
+        with deadline_scope(Deadline(1.0, clock=clock)), \
                 pytest.raises(DeadlineExceeded):
-            LocalExecutor().run_shards(shard, [1, 2, 3])
-        assert ran == [1]
+            LocalExecutor().run_shards([1, 2, 3])
+        assert [call.task for call in fake_shard] == [1]
 
     def test_describe(self):
         assert LocalExecutor().describe() == {"executor": "local"}
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestRemoteExecutorHappyPath:
     def test_round_trip_order_preserved(self):
         with WorkerServer() as w:
             ex = RemoteExecutor([w.address])
-            assert ex.run_shards(double_shard, list(range(10))) == [
+            assert ex.run_shards(list(range(10))) == [
                 2 * i for i in range(10)
             ]
 
     def test_two_workers_share_the_queue(self):
         with WorkerServer() as w1, WorkerServer() as w2:
             ex = RemoteExecutor([w1.address, w2.address])
-            assert ex.run_shards(echo_shard, list(range(20))) == list(range(20))
+            assert ex.run_shards(list(range(20))) == [
+                2 * i for i in range(20)
+            ]
             assert w1.shards_served + w2.shards_served == 20
 
     def test_concurrent_one_shard_runs_take_turns(self):
@@ -117,7 +115,7 @@ class TestRemoteExecutorHappyPath:
 
             def runs(first):
                 for task in range(first, first + 4):
-                    results.extend(ex.run_shards(echo_shard, [task]))
+                    results.extend(ex.run_shards([task]))
 
             threads = [threading.Thread(target=runs, args=(4 * i,))
                        for i in range(8)]
@@ -131,7 +129,7 @@ class TestRemoteExecutorHappyPath:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads)
-            assert sorted(results) == list(range(32))
+            assert sorted(results) == [2 * i for i in range(32)]
             assert (w1.shards_served, w2.shards_served) == (16, 16)
 
     def test_worker_prunes_closed_connections(self):
@@ -140,7 +138,7 @@ class TestRemoteExecutorHappyPath:
         with WorkerServer() as w:
             for _ in range(5):
                 ex = RemoteExecutor([w.address])
-                ex.run_shards(echo_shard, [1, 2])
+                ex.run_shards([1, 2])
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline and (w._conns or w._threads):
                 time.sleep(0.02)
@@ -149,7 +147,7 @@ class TestRemoteExecutorHappyPath:
     def test_address_strings_accepted(self):
         with WorkerServer() as w:
             ex = RemoteExecutor([f"{w.address[0]}:{w.address[1]}"])
-            assert ex.run_shards(echo_shard, ["x"]) == ["x"]
+            assert ex.run_shards(["x"]) == ["xx"]
 
     def test_bad_address_rejected(self):
         with pytest.raises(ValueError):
@@ -158,6 +156,7 @@ class TestRemoteExecutorHappyPath:
             RemoteExecutor([])
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestFaultPaths:
     def test_worker_death_mid_shard_requeues_to_survivor(self):
         """A worker that dies after computing (but before replying) loses
@@ -165,7 +164,7 @@ class TestFaultPaths:
         are identical to an all-healthy run."""
         with WorkerServer(chaos=FaultPlan.worker_crash(1)) as dying, WorkerServer() as healthy:
             ex = RemoteExecutor([dying.address, healthy.address])
-            out = ex.run_shards(double_shard, list(range(12)))
+            out = ex.run_shards(list(range(12)))
             assert out == [2 * i for i in range(12)]
             assert ex.last_run["requeued"] >= 1
             assert len(ex.last_run["dead_workers"]) == 1
@@ -173,7 +172,7 @@ class TestFaultPaths:
     def test_immediate_death_requeues_everything(self):
         with WorkerServer(chaos=FaultPlan.worker_crash(0)) as dead, WorkerServer() as healthy:
             ex = RemoteExecutor([dead.address, healthy.address])
-            assert ex.run_shards(echo_shard, [5, 6, 7]) == [5, 6, 7]
+            assert ex.run_shards([5, 6, 7]) == [10, 12, 14]
             assert healthy.shards_served == 3
 
     def test_timeout_requeues_to_healthy_worker(self):
@@ -183,7 +182,9 @@ class TestFaultPaths:
                 ex = RemoteExecutor(
                     [hung.address, healthy.address], timeout=0.5
                 )
-                assert ex.run_shards(echo_shard, list(range(6))) == list(range(6))
+                assert ex.run_shards(list(range(6))) == [
+                    2 * i for i in range(6)
+                ]
                 dead = ex.last_run["dead_workers"]
                 assert any("timed out" in d["error"] or "timeout" in d["error"]
                            for d in dead)
@@ -194,7 +195,7 @@ class TestFaultPaths:
         with WorkerServer(chaos=FaultPlan.worker_crash(0)) as dead:
             ex = RemoteExecutor([dead.address])
             with pytest.raises(WorkerUnavailable):
-                ex.run_shards(echo_shard, [1, 2])
+                ex.run_shards([1, 2])
 
     def test_unreachable_worker_raises(self):
         # Grab a port and close it so nothing listens there.
@@ -203,26 +204,36 @@ class TestFaultPaths:
         probe.close()
         ex = RemoteExecutor([addr], connect_timeout=0.5)
         with pytest.raises(WorkerUnavailable):
-            ex.run_shards(echo_shard, [1])
+            ex.run_shards([1])
 
     def test_fallback_local_completes_the_batch(self):
         with WorkerServer(chaos=FaultPlan.worker_crash(2)) as dying:
             ex = RemoteExecutor([dying.address], fallback_local=True)
-            assert ex.run_shards(double_shard, list(range(8))) == [
+            assert ex.run_shards(list(range(8))) == [
                 2 * i for i in range(8)
             ]
             assert ex.last_run["local_fallback_shards"] > 0
 
-    def test_shard_exception_is_fatal_not_retried(self):
-        with WorkerServer() as w:
+    def test_shard_exception_is_fatal_not_retried(self, fake_shard):
+        raising = FaultPlan(
+            [FaultSpec(site="worker.shard", kind="raise", count=None)]
+        )
+        with WorkerServer(chaos=raising) as w:
             ex = RemoteExecutor([w.address])
-            with pytest.raises(ShardExecutionError, match="injected shard failure"):
-                ex.run_shards(raise_shard, [1, 2, 3])
+            with pytest.raises(ShardExecutionError,
+                               match="injected deterministic failure"):
+                ex.run_shards([1, 2, 3])
+        assert raising.fired("worker.shard") == 1
+        assert fake_shard == []
 
     def test_slow_shard_within_timeout_succeeds(self):
-        with WorkerServer() as w:
+        slow = FaultPlan(
+            [FaultSpec(site="worker.shard", kind="slow", delay_s=0.05)]
+        )
+        with WorkerServer(chaos=slow) as w:
             ex = RemoteExecutor([w.address], timeout=10.0)
-            assert ex.run_shards(slow_shard, [0.05]) == [0.05]
+            assert ex.run_shards([1]) == [2]
+        assert slow.fired("worker.shard") == 1
 
 
 class TestBitIdentityUnderFaults:
@@ -312,6 +323,7 @@ def _dead_endpoints(n: int) -> list[str]:
     return endpoints
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestSpareHandover:
     """Lanes are capped at one per shard; the remaining candidates wait as
     spares, and a lane whose worker dies hands over to one instead of
@@ -338,7 +350,7 @@ class TestSpareHandover:
                 retry=RetryPolicy(max_attempts=2, base_delay=0.01,
                                   max_delay=0.02),
             )
-            assert ex.run_shards(double_shard, [21]) == [42]
+            assert ex.run_shards([21]) == [42]
             assert ex.last_run["local_fallback_shards"] == 0
             assert healthy.shards_served == 1
             assert dying.chaos.fired("worker.shard") == 1
@@ -349,7 +361,7 @@ class TestSpareHandover:
         with WorkerServer() as healthy:
             ex = RemoteExecutor([*_dead_endpoints(2), healthy.address],
                                 connect_timeout=0.5)
-            assert ex.run_shards(double_shard, [21]) == [42]
+            assert ex.run_shards([21]) == [42]
             assert healthy.shards_served == 1
             assert ex.last_run["local_fallback_shards"] == 0
             assert ex.last_run["retries"] == 0
@@ -364,7 +376,7 @@ class TestSpareHandover:
         for endpoint in _dead_endpoints(2):
             registry.add(endpoint)
         ex = RemoteExecutor(registry, fallback_local=True, connect_timeout=0.5)
-        assert ex.run_shards(double_shard, [21]) == [42]
+        assert ex.run_shards([21]) == [42]
         assert ex.last_run["local_fallback_shards"] == 1
         assert len(ex.last_run["dead_workers"]) == 2
 
@@ -374,7 +386,7 @@ class TestSpareHandover:
             with WorkerServer() as healthy:
                 ex = RemoteExecutor([hung.address, healthy.address],
                                     timeout=0.5)
-                assert ex.run_shards(echo_shard, [7]) == [7]
+                assert ex.run_shards([7]) == [14]
                 assert healthy.shards_served == 1
                 assert ex.last_run["retries"] == 0
         finally:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.engine import SearchEngine, SearchRequest, ShardPolicy
-from repro.service._testing import echo_shard
 from repro.service.executor import RemoteExecutor
 from repro.service.registry import WorkerRegistry
 from repro.service.scheduler import SearchService
@@ -58,11 +57,12 @@ class TestWorkerRegistry:
         assert len(reg) == 0
 
 
+@pytest.mark.usefixtures("fake_shard")
 class TestRegistryExecutor:
     def test_empty_registry_runs_locally(self):
         ex = RemoteExecutor(WorkerRegistry(), fallback_local=True)
-        results = ex.run_shards(echo_shard, [1, 2, 3])
-        assert results == [1, 2, 3]
+        results = ex.run_shards([1, 2, 3])
+        assert results == [2, 4, 6]
         assert ex.last_run == {"addresses": [], "local": True,
                                "quarantined": []}
         assert ex.describe()["executor"] == "registry"
@@ -72,8 +72,8 @@ class TestRegistryExecutor:
         ex = RemoteExecutor(reg, fallback_local=True, timeout=30.0)
         with WorkerServer() as worker:
             reg.add(_addr(worker))
-            results = ex.run_shards(echo_shard, list(range(5)))
-            assert results == list(range(5))
+            results = ex.run_shards(list(range(5)))
+            assert results == [0, 2, 4, 6, 8]
             assert worker.shards_served == 5
             assert ex.last_run["addresses"] == [_addr(worker)]
             assert ex.last_run["local"] is False
@@ -81,10 +81,10 @@ class TestRegistryExecutor:
     def test_worker_registered_mid_traffic_serves_next_batch(self):
         reg = WorkerRegistry()
         ex = RemoteExecutor(reg, fallback_local=True, timeout=30.0)
-        assert ex.run_shards(echo_shard, [0]) == [0]  # local
+        assert ex.run_shards([0]) == [0]  # local
         with WorkerServer() as worker:
             reg.add(_addr(worker))
-            assert ex.run_shards(echo_shard, [1]) == [1]  # remote
+            assert ex.run_shards([1]) == [2]  # remote
             assert worker.shards_served == 1
 
     def test_incompatible_peer_degrades_instead_of_aborting(self):
@@ -111,7 +111,7 @@ class TestRegistryExecutor:
         ex = RemoteExecutor(reg, fallback_local=True, timeout=5.0,
                             connect_timeout=2.0)
         try:
-            assert ex.run_shards(echo_shard, [1, 2]) == [1, 2]
+            assert ex.run_shards([1, 2]) == [2, 4]
             assert ex.last_run["local_fallback_shards"] == 2
             assert "WireError" in ex.last_run["dead_workers"][0]["error"]
         finally:
@@ -126,7 +126,7 @@ class TestRegistryExecutor:
         reg.add(f"127.0.0.1:{port}")
         ex = RemoteExecutor(reg, fallback_local=True, timeout=5.0,
                             connect_timeout=0.5)
-        assert ex.run_shards(echo_shard, [7, 8]) == [7, 8]
+        assert ex.run_shards([7, 8]) == [14, 16]
         assert ex.last_run["local_fallback_shards"] == 2
 
 

@@ -251,9 +251,9 @@ class TestOneVersion:
         assert reply[0] == "error"
         assert reply[1].startswith("wire version mismatch")
 
-    def test_dialer_retires_a_lane_whose_worker_speaks_another_version(self):
+    def test_dialer_retires_a_lane_whose_worker_speaks_another_version(
+            self, fake_shard):
         from repro.resilience import RetryPolicy
-        from repro.service._testing import echo_shard
         from repro.service.executor import RemoteExecutor
 
         srv = socket.create_server(("127.0.0.1", 0))
@@ -280,7 +280,7 @@ class TestOneVersion:
                 retry=RetryPolicy(max_attempts=5, base_delay=0.01,
                                   max_delay=0.02),
             )
-            assert ex.run_shards(echo_shard, [1, 2]) == [1, 2]
+            assert ex.run_shards([1, 2]) == [2, 4]
         finally:
             stop.set()
             thread.join(timeout=5.0)
@@ -297,20 +297,22 @@ class TestOneVersion:
 class TestOneArityPerMessage:
     """Each request message has one shape; any other gets an error reply."""
 
-    def test_old_five_tuple_shard_is_an_error(self):
-        # The frame of wire version 6 carried a generator no shard read.
-        from repro.service._testing import echo_shard
+    def test_old_five_tuple_shard_is_an_error(self, fake_shard):
+        # The frame of wire version 6 carried a generator no shard read;
+        # the frame of version 8 named the function to run.
         from repro.service.worker import WorkerServer
 
         with WorkerServer() as worker:
-            for frame in (("shard", echo_shard, 1, None, {}),
-                          ("shard", echo_shard, 1)):
+            for frame in (("shard", abs, 1, None, {}),
+                          ("shard", abs, 1, {}),
+                          ("shard", abs, 1),
+                          ("shard", 1)):
                 reply = _ask(worker.address, frame)
                 assert reply[0] == "error"
-                assert "(shard, func, task, meta)" in reply[1]
+                assert "(shard, task, meta)" in reply[1]
             assert worker.shards_served == 0
-            assert _ask(worker.address, ("shard", echo_shard, 1, {})) \
-                == ("result", 1)
+            assert fake_shard == []
+            assert _ask(worker.address, ("shard", 1, {})) == ("result", 2)
 
     def test_two_tuple_register_and_five_tuple_submit_are_errors(self):
         from repro.engine import SearchRequest

@@ -44,6 +44,15 @@ class TestImports:
         parts = repro.__version__.split(".")
         assert len(parts) == 3 and all(p.isdigit() for p in parts)
 
+    def test_package_metadata_reads_the_runtime_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parent.parent
+        project = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] \
+            == {"attr": "repro.__version__"}
+
 
 class TestDocstrings:
     def test_public_callables_documented(self):
